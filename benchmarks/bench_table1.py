@@ -5,10 +5,12 @@ prior-result cells that are computable, by running each designated
 method on representative queries and cross-checking against ground
 truth:
 
-  row 1  bounded HW, SJF, safe     → FP exactly (safe plan) + FPRAS
+  row 1  bounded HW, SJF, safe     → FP exactly (lifted safe plan) +
+                                     FPRAS
   row 2  bounded HW, SJF, unsafe   → #P-hard exactly, but FPRAS works
-  row 3  unbounded HW, SJF, safe   → FP exactly (safe plan); combined
-                                     FPRAS open — we show the safe plan
+  row 3  unbounded HW, SJF, safe   → FP exactly (lifted safe plan);
+                                     combined FPRAS open — we show the
+                                     safe plan
   row 4  self-joins                → outside the FPRAS; lineage methods
 
 "Works" means: the method's answer lies within the configured envelope
@@ -25,7 +27,7 @@ from repro.db.probabilistic import ProbabilisticDatabase
 from repro.queries.builders import path_query, star_query
 from repro.queries.parser import parse_query
 from repro.queries.properties import is_hierarchical
-from repro.queries.safe_plan import safe_plan_probability
+from repro.queries.lifted import lifted_probability
 from repro.workloads.instances import (
     random_instance_for_query,
     random_probabilities,
@@ -54,15 +56,15 @@ def run_table1() -> ResultTable:
         ],
     )
 
-    # Row 1: safe SJF bounded-HW — exact safe plan and the FPRAS.
+    # Row 1: safe SJF bounded-HW — exact lifted plan and the FPRAS.
     query = star_query(2)
     pdb = _workload(query, SEED)
     truth = float(exact_probability(query, pdb, method="enumerate"))
-    safe_value = float(safe_plan_probability(query, pdb))
+    safe_value = float(lifted_probability(query, pdb))
     table.add_row([
         1, "R1(c,y1),R2(c,y2)", "yes", "yes",
         "yes" if is_hierarchical(query) else "no",
-        "safe-plan (FP)", safe_value, truth,
+        "lifted (FP)", safe_value, truth,
         relative_error(safe_value, truth),
     ])
     fpras = pqe_estimate(
@@ -88,16 +90,16 @@ def run_table1() -> ResultTable:
         relative_error(fpras, truth),
     ])
 
-    # Row 3: a safe query evaluated by its safe plan on a larger
+    # Row 3: a safe query evaluated by its lifted plan on a larger
     # instance (the combined-FPRAS cell is open; FP data complexity
     # still holds).
     query = star_query(3)
     pdb = _workload(query, SEED + 2, facts=3)
     truth = float(exact_probability(query, pdb, method="lineage"))
-    safe_value = float(safe_plan_probability(query, pdb))
+    safe_value = float(lifted_probability(query, pdb))
     table.add_row([
         3, "R1..R3 star", "yes", "yes", "yes",
-        "safe-plan (FP)", safe_value, truth,
+        "lifted (FP)", safe_value, truth,
         relative_error(safe_value, truth),
     ])
 
@@ -118,10 +120,10 @@ def run_table1() -> ResultTable:
 # pytest-benchmark targets
 # ---------------------------------------------------------------------
 
-def test_row1_safe_plan(benchmark):
+def test_row1_lifted_plan(benchmark):
     query = star_query(2)
     pdb = _workload(query, SEED)
-    value = benchmark(lambda: safe_plan_probability(query, pdb))
+    value = benchmark(lambda: lifted_probability(query, pdb))
     assert 0 <= value <= 1
 
 

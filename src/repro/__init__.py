@@ -61,7 +61,6 @@ from repro.queries.lifted import (
     classify_query,
     lifted_probability,
 )
-from repro.queries.safe_plan import safe_plan_probability
 
 __version__ = "1.0.0"
 
@@ -90,7 +89,6 @@ __all__ = [
     # exact evaluation
     "exact_probability",
     "exact_uniform_reliability",
-    "safe_plan_probability",
     # lifted fast path
     "LiftedClassification",
     "classify_query",

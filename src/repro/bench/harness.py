@@ -178,22 +178,16 @@ def compare_sequential_vs_batch(
     the CLI both route batch work through this contract.
     """
     from repro.core.parallel import derive_item_seed, evaluate_batch
+    from repro.core.tasks import TASKS
 
     sequential_values = []
 
     def run_loop():
         for index, item in enumerate(items):
-            item_seed = derive_item_seed(seed, index)
-            if item.task == "reliability":
-                answer = engine.uniform_reliability(
-                    item.query, item.database,
-                    method=item.method, seed=item_seed,
-                )
-            else:
-                answer = engine.probability(
-                    item.query, item.database,
-                    method=item.method, seed=item_seed,
-                )
+            answer = TASKS[item.task].evaluate(
+                engine, item.query, item.database,
+                method=item.method, seed=derive_item_seed(seed, index),
+            )
             sequential_values.append(answer.value)
 
     _, sequential_seconds = timed(run_loop)

@@ -72,6 +72,7 @@ from repro.core.parallel import (
     BatchItem,
     request_drain,
 )
+from repro.core.tasks import TASKS
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import ContextualError, ReproError
@@ -189,6 +190,13 @@ def load_batch_file(
                 phase="io.load",
             )
         task = entry.get("task", "probability")
+        spec = TASKS.get(task)
+        if spec is None:
+            raise ContextualError(
+                f"{source}: batch entry {index}: unknown task {task!r}; "
+                f"choose from {tuple(TASKS)}",
+                phase="io.load",
+            )
         allowed = {"query", "method", "task"}
         if task == "rpq":
             allowed |= {"source", "target"}
@@ -224,7 +232,7 @@ def load_batch_file(
             database = _graph_from_pdb(pdb)
         else:
             query = parse_query(entry["query"])
-            database = pdb.instance if task == "reliability" else pdb
+            database = spec.coerce(pdb)
         items.append(
             BatchItem(
                 query,
@@ -733,9 +741,7 @@ def _print_drained(items, failure: BatchDrainedError, args) -> int:
     print(f"drained: {failure}", file=sys.stderr)
     for result in partial.results:
         item = items[result.index]
-        label = {"reliability": "UR", "rpq": "Pr_G"}.get(
-            item.task, "Pr"
-        )
+        label = TASKS[item.task].label
         if result.ok:
             answer = result.answer
             exact = " (exact)" if answer.exact else ""
@@ -840,9 +846,7 @@ def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
             f"{args.journal}"
         )
     for item, result in zip(items, batch.results):
-        label = {"reliability": "UR", "rpq": "Pr_G"}.get(
-            item.task, "Pr"
-        )
+        label = TASKS[item.task].label
         if result.ok:
             answer = result.answer
             exact = " (exact)" if answer.exact else ""
@@ -1009,7 +1013,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=[
-            "auto", "lifted", "safe-plan", "fpras", "fpras-weighted",
+            "auto", "lifted", "fpras", "fpras-weighted",
             "lineage-exact", "karp-luby", "monte-carlo", "enumerate",
             "exact",
         ],

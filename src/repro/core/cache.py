@@ -51,6 +51,15 @@ the others block and then count hits — so hit/miss totals depend only on
 the request multiset, not on thread scheduling, which is what makes the
 cache accounting in ``tests/test_parallel.py`` deterministic across
 ``max_workers`` settings.
+
+:class:`ReductionCache` is the process's one memo store: the counting
+kernels' compiled-automaton, sampling-plan and DP-layer stores
+(:mod:`repro.core.kernels`) and the lifted router's plan memo
+(:mod:`repro.queries.lifted`) are instances of it too, told apart only
+by their size bound and their counter ``name``.  ``cache.*`` counters
+are deterministic per item; the process-wide ``kernels.*`` and
+``lifted.plan_cache.*`` families depend on process history (see
+:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -129,15 +138,24 @@ class ReductionCache:
         cache decides to store is written through, so reductions survive
         process restarts.  Values rejected by ``cache_if`` (seed-
         dependent sampled counts) are never written to disk either.
+    name:
+        Counter prefix: every lookup counts ``<name>.lookups`` and then
+        exactly one of ``<name>.hits`` / ``<name>.misses``; blocking on
+        a concurrent build counts ``<name>.inflight_waits``, and builds
+        are timed into the ``<name>.build_seconds`` histogram.
     """
 
     def __init__(
-        self, maxsize: int | None = 128, disk: "object | None" = None
+        self,
+        maxsize: int | None = 128,
+        disk: "object | None" = None,
+        name: str = "cache",
     ):
         if maxsize is not None and maxsize < 1:
             raise ReproError(f"cache maxsize must be >= 1, got {maxsize}")
         self._maxsize = maxsize
         self._disk = disk
+        self._name = name
         self._lock = threading.Lock()
         self._entries: OrderedDict[Key, object] = OrderedDict()
         self._inflight: dict[Key, _InFlight] = {}
@@ -195,17 +213,18 @@ class ReductionCache:
         # Telemetry attribution: the requesting thread's active
         # telemetry (the batch item currently running) is charged for
         # this lookup.  Exactly one terminal increment follows — hit or
-        # miss — so ``cache.hits + cache.misses == cache.lookups`` holds
-        # per registry.  ``cache.inflight_waits`` counts blocking on a
-        # sibling's build and is the one scheduling-sensitive counter
+        # miss — so ``hits + misses == lookups`` holds per registry.
+        # ``inflight_waits`` counts blocking on a sibling's build; for
+        # the ``cache`` store it is the one scheduling-sensitive counter
         # (see :data:`repro.obs.metrics.SCHEDULING_SENSITIVE`).
-        metric_inc("cache.lookups")
+        name = self._name
+        metric_inc(f"{name}.lookups")
         while True:
             with self._lock:
                 if key in self._entries:
                     self._entries.move_to_end(key)
                     self._hits += 1
-                    metric_inc("cache.hits")
+                    metric_inc(f"{name}.hits")
                     return self._entries[key]
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -217,7 +236,7 @@ class ReductionCache:
             if not owner:
                 # Someone else is building; wait, then re-check (counts
                 # as a hit on success, or retries if the build failed).
-                metric_inc("cache.inflight_waits")
+                metric_inc(f"{name}.inflight_waits")
                 pending.event.wait()
                 continue
             durable = False
@@ -237,7 +256,7 @@ class ReductionCache:
                     pending.event.set()
                     raise
                 metric_observe(
-                    "cache.build_seconds",
+                    f"{name}.build_seconds",
                     time.perf_counter() - build_started,
                 )
             store = cache_if is None or cache_if(value)
@@ -245,7 +264,7 @@ class ReductionCache:
                 self._disk.store(key, value)
             with self._lock:
                 self._misses += 1
-                metric_inc("cache.misses")
+                metric_inc(f"{name}.misses")
                 if store:
                     self._entries[key] = value
                     self._entries.move_to_end(key)
@@ -286,6 +305,24 @@ class ReductionCache:
         with self._lock:
             return CacheStats(self._hits, self._misses, self._evictions)
 
+    def evict(self, stale: Callable[[Key], bool]) -> tuple[list, int]:
+        """Drop every entry whose key satisfies ``stale``.
+
+        Returns the dropped ``(key, value)`` pairs and the number of
+        entries kept.  ``stale`` runs under the cache lock, so it must
+        not call back into the cache.
+        """
+        with self._lock:
+            dropped = [
+                (key, self._entries.pop(key))
+                for key in list(self._entries)
+                if stale(key)
+            ]
+            for key, _value in dropped:
+                self._relations.pop(key, None)
+                self._unweighted.discard(key)
+            return dropped, len(self._entries)
+
     def invalidate_relations(self, touched, structural=None) -> dict:
         """Reclaim entries whose registered relations were touched.
 
@@ -318,20 +355,13 @@ class ReductionCache:
         structural = (
             touched if structural is None else frozenset(structural)
         )
-        evicted: list[tuple[Key, object]] = []
-        survived = 0
-        with self._lock:
-            for key in list(self._entries):
-                deps = self._relations.get(key)
-                guard = (
-                    structural if key in self._unweighted else touched
-                )
-                if deps is None or deps & guard:
-                    evicted.append((key, self._entries.pop(key)))
-                    self._relations.pop(key, None)
-                    self._unweighted.discard(key)
-                else:
-                    survived += 1
+
+        def stale(key) -> bool:
+            deps = self._relations.get(key)
+            guard = structural if key in self._unweighted else touched
+            return deps is None or bool(deps & guard)
+
+        evicted, survived = self.evict(stale)
         fingerprints = set()
         disk_deleted = 0
         for key, value in evicted:

@@ -49,7 +49,6 @@ from repro.queries.lifted import (
     lifted_probability,
 )
 from repro.queries.properties import is_hierarchical
-from repro.queries.safe_plan import safe_plan_probability
 
 __all__ = ["PQEAnswer", "PQEPlan", "PQEEngine"]
 
@@ -60,7 +59,6 @@ _UNSET = object()
 _METHODS = (
     "auto",
     "lifted",
-    "safe-plan",
     "fpras",
     "fpras-weighted",
     "lineage-exact",
@@ -306,10 +304,6 @@ class PQEEngine:
             with span("route.lifted"):
                 value = lifted_probability(query, pdb)
             return PQEAnswer(float(value), "lifted", True, value)
-        if method == "safe-plan":
-            with span("route.safe-plan"):
-                value = safe_plan_probability(query, pdb)
-            return PQEAnswer(float(value), "safe-plan", True, value)
         if method in ("fpras", "fpras-weighted"):
             with span(f"route.{method}"):
                 estimate = pqe_estimate(
@@ -610,7 +604,7 @@ class PQEEngine:
                 )
         seed = self.seed if seed is _UNSET else seed
         cache = self.cache if cache is None else cache
-        if method in ("auto", "lifted", "safe-plan", "lineage-exact"):
+        if method in ("auto", "lifted", "lineage-exact"):
             pdb = ProbabilisticDatabase.uniform(instance)
             answer = self.probability(
                 query,

@@ -1,4 +1,4 @@
-"""Append-only batch journals: crash-safe completion records + resume.
+"""Append-only record logs: batch journals, request journals, resume.
 
 A batch killed at item *k* — worker segfault, OOM kill, operator
 ``SIGKILL``, host restart — used to discard every completed sibling.
@@ -22,12 +22,16 @@ Record format (one JSON object per line)::
      "error": {"exception": "EstimationError", "message": "...",
                "phase": "counting.nfta", "retries": 1}, ...}
 
-Every record carries a ``checksum``: the SHA-256 hex digest of its own
-canonical JSON serialisation (sorted keys, compact separators) with the
-``checksum`` field removed.  :func:`load_journal` accepts the longest
-prefix of structurally valid, checksum-verified records and
-**quarantines the tail** — a torn final line from a crash mid-``write``,
-a bit-flipped byte, or trailing garbage produces a
+Every journal in the package — this batch journal, the serve daemon's
+:class:`RequestJournal` and the delta WAL
+(:class:`repro.db.delta.DeltaJournal`) — is a :class:`RecordLog` and is
+read back by :func:`read_records`; each adds only its record types and
+its validity rule.  Every record carries a ``checksum``: the SHA-256
+hex digest of its own canonical JSON serialisation (sorted keys,
+compact separators) with the ``checksum`` field removed.  Loading keeps
+the longest prefix of structurally valid, checksum-verified records
+and **quarantines the tail** — a torn final line from a crash
+mid-``write``, a bit-flipped byte, or trailing garbage produces a
 :class:`JournalWarning` naming the file and line, never an exception
 and never a wrong probability (quarantined items are simply
 recomputed).
@@ -57,8 +61,10 @@ import json
 import os
 import threading
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from repro.errors import JournalError
 from repro.obs import metric_inc
@@ -67,13 +73,13 @@ __all__ = [
     "JOURNAL_VERSION",
     "BatchJournal",
     "JournalWarning",
+    "RecordLog",
     "RequestJournal",
     "batch_fingerprint",
-    "check_serve_fingerprint",
-    "checksummed_record",
+    "check_fingerprint",
     "load_journal",
     "load_request_journal",
-    "verify_record",
+    "read_records",
 ]
 
 JOURNAL_VERSION = 1
@@ -93,17 +99,128 @@ def _checksummed(record: dict) -> dict:
     return body
 
 
-def _verify(record: dict) -> bool:
+def _verify(record) -> bool:
     if not isinstance(record, dict) or "checksum" not in record:
         return False
     return _checksummed(record)["checksum"] == record["checksum"]
 
 
-# Public names for the record conventions, so sibling write-ahead logs
-# (the delta journal in repro.db.delta) share one checksum format and
-# one quarantine discipline instead of reinventing them.
-checksummed_record = _checksummed
-verify_record = _verify
+class RecordLog:
+    """An append-only file of checksummed JSON records, one per line.
+
+    Appends are serialised under a lock (worker threads record their
+    own completions) and each record is flushed and ``fsync``'d before
+    the append returns — after a crash the log holds every record whose
+    append returned, missing at most the one in-flight line (which
+    :func:`read_records` then quarantines).
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._lock = threading.Lock()
+        self._stream: io.TextIOWrapper | None = None
+
+    def _append(self, record: dict) -> None:
+        line = json.dumps(
+            _checksummed(record), sort_keys=True, separators=(",", ":")
+        )
+        with self._lock:
+            if self._stream is None:
+                self._stream = open(self.path, "a", encoding="utf-8")
+            self._stream.write(line + "\n")
+            self._stream.flush()
+            os.fsync(self._stream.fileno())
+        metric_inc("journal.appends")
+
+    def close(self) -> None:
+        with self._lock:
+            if self._stream is not None:
+                self._stream.close()
+                self._stream = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def read_records(
+    path: str | Path,
+    valid: Callable[[dict, list], bool],
+    label: str = "journal",
+) -> tuple[list[dict], int]:
+    """The longest valid prefix of the record log at ``path``.
+
+    A line that is not JSON, fails its checksum, or fails
+    ``valid(record, accepted)`` — the log's own rule, shown the records
+    accepted before it — quarantines that line **and everything after
+    it** (a torn tail means later bytes cannot be trusted), with a
+    :class:`JournalWarning` naming the file and line number and one
+    ``journal.quarantines`` increment; never an exception.  Blank lines
+    are skipped and a missing file loads as an empty log.  Returns the
+    accepted records and the number of quarantined lines.
+    """
+    path = Path(path)
+    if not path.exists():
+        return [], 0
+    with open(path, encoding="utf-8") as stream:
+        lines = stream.read().splitlines()
+    accepted: list[dict] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            record = None
+        if not (_verify(record) and valid(record, accepted)):
+            quarantined = len(lines) - number + 1
+            warnings.warn(
+                f"{label} {path}: quarantined line {number} and the "
+                f"{quarantined - 1} line(s) after it (torn or corrupt "
+                f"tail); only the records before it are kept",
+                JournalWarning,
+                stacklevel=3,
+            )
+            metric_inc("journal.quarantines")
+            return accepted, quarantined
+        accepted.append(record)
+    return accepted, 0
+
+
+def _header(records: list[dict], kind: str) -> dict | None:
+    """The first record of type ``kind`` (later duplicates are ignored)."""
+    return next((r for r in records if r["type"] == kind), None)
+
+
+def check_fingerprint(
+    loaded,
+    fingerprint: str,
+    path,
+    *,
+    field: str = "fingerprint",
+    subject: str = "batch",
+    phase: str = "journal.resume",
+) -> None:
+    """Refuse to replay a log recorded for a different ``subject``.
+
+    The loaded header's ``field`` must equal ``fingerprint``: a batch
+    journal binds one batch, a request journal one engine configuration
+    (``subject="engine configuration"``), a delta journal one base
+    database (``field="base_token"``).  A log without a header has
+    recorded nothing to contradict.
+    """
+    if loaded.header is None:
+        return
+    recorded = loaded.header.get(field)
+    if recorded != fingerprint:
+        raise JournalError(
+            f"journal {path} was recorded for a different {subject} "
+            f"({field} {recorded!r:.20} != {fingerprint!r:.20}); "
+            f"refusing to replay it",
+            phase=phase,
+        )
 
 
 def batch_fingerprint(items, seed, engine) -> str:
@@ -165,34 +282,8 @@ def _error_payload(error) -> dict:
     }
 
 
-class BatchJournal:
-    """One batch's write-ahead journal, open for appending.
-
-    Appends are serialised under a lock (worker threads record their
-    own completions) and each record is flushed and ``fsync``'d before
-    the append returns — after a crash the journal holds every item
-    whose completion the evaluator observed, missing at most the one
-    in-flight line (which the loader then quarantines).
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._stream: io.TextIOWrapper | None = None
-
-    # -- writing --------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        line = json.dumps(
-            _checksummed(record), sort_keys=True, separators=(",", ":")
-        )
-        with self._lock:
-            if self._stream is None:
-                self._stream = open(self.path, "a", encoding="utf-8")
-            self._stream.write(line + "\n")
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-        metric_inc("journal.appends")
+class BatchJournal(RecordLog):
+    """One batch's write-ahead journal, open for appending."""
 
     def write_header(self, fingerprint: str, seed, items: int) -> None:
         self._append(
@@ -223,20 +314,8 @@ class BatchJournal:
             record["error"] = _error_payload(result.error)
         self._append(record)
 
-    def close(self) -> None:
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
 
-    def __enter__(self) -> "BatchJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class RequestJournal(BatchJournal):
+class RequestJournal(RecordLog):
     """The serve daemon's write-ahead request log.
 
     Unlike a :class:`BatchJournal` — bound to one finite batch with
@@ -290,13 +369,13 @@ class RequestJournal(BatchJournal):
         self._append(record)
 
 
+@dataclass
 class LoadedRequestJournal:
     """The verified prefix of a serve request journal."""
 
-    def __init__(self, header, requests, quarantined):
-        self.header = header
-        self.requests = requests
-        self.quarantined = quarantined
+    header: dict | None
+    requests: dict[str, dict]
+    quarantined: int
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -311,74 +390,32 @@ class LoadedRequestJournal:
         return self.requests[key].get("deps")
 
 
+def _valid_request_record(record: dict, _accepted) -> bool:
+    kind = record.get("type")
+    if kind == "serve-header":
+        return record.get("version") == JOURNAL_VERSION
+    return (
+        kind == "request"
+        and isinstance(record.get("key"), str)
+        and "answer" in record
+    )
+
+
 def load_request_journal(path: str | Path) -> LoadedRequestJournal:
-    """Read a serve request journal, keeping the longest valid prefix.
-
-    Same quarantine contract as :func:`load_journal`: the first torn or
-    corrupt line discards itself and everything after it with a
-    :class:`JournalWarning`, never an exception.  The latest verified
-    record for a key wins.
-    """
-    path = Path(path)
-    header = None
-    requests: dict[str, dict] = {}
-    quarantined = 0
-    if not path.exists():
-        return LoadedRequestJournal(header, requests, quarantined)
-    with open(path, encoding="utf-8") as stream:
-        lines = stream.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        ok = (
-            record is not None
-            and _verify(record)
-            and record.get("type") in ("serve-header", "request")
-        )
-        if ok and record["type"] == "request":
-            ok = isinstance(record.get("key"), str) and "answer" in record
-        if ok and record["type"] == "serve-header":
-            ok = record.get("version") == JOURNAL_VERSION
-        if not ok:
-            quarantined = len(lines) - number + 1
-            warnings.warn(
-                f"request journal {path}: quarantined line {number} and "
-                f"the {quarantined - 1} line(s) after it (torn or "
-                f"corrupt tail); the affected responses will be "
-                f"recomputed on demand",
-                JournalWarning,
-                stacklevel=2,
-            )
-            metric_inc("journal.quarantines")
-            break
-        if record["type"] == "serve-header":
-            if header is None:
-                header = record
-        else:
-            requests[record["key"]] = record
-    return LoadedRequestJournal(header, requests, quarantined)
+    """Read a serve request journal, keeping the longest valid prefix
+    (see :func:`read_records`).  The latest verified record for a key
+    wins."""
+    records, quarantined = read_records(
+        path, _valid_request_record, "request journal"
+    )
+    return LoadedRequestJournal(
+        _header(records, "serve-header"),
+        {r["key"]: r for r in records if r["type"] == "request"},
+        quarantined,
+    )
 
 
-def check_serve_fingerprint(
-    loaded: LoadedRequestJournal, fingerprint: str, path
-) -> None:
-    """Refuse to replay responses recorded under a different engine."""
-    if loaded.header is None:
-        return
-    recorded = loaded.header.get("fingerprint")
-    if recorded != fingerprint:
-        raise JournalError(
-            f"request journal {path} was recorded under a different "
-            f"engine configuration (fingerprint {recorded!r:.20} != "
-            f"{fingerprint!r:.20}); refusing to replay its responses",
-            phase="serve.journal",
-        )
-
-
+@dataclass
 class LoadedJournal:
     """The verified prefix of a journal file.
 
@@ -388,10 +425,9 @@ class LoadedJournal:
     record wins); ``quarantined`` counts discarded lines.
     """
 
-    def __init__(self, header, items, quarantined):
-        self.header = header
-        self.items = items
-        self.quarantined = quarantined
+    header: dict | None
+    items: dict[int, dict]
+    quarantined: int
 
     def completed(self) -> dict[int, dict]:
         """Index → record for items that completed successfully.  Only
@@ -422,71 +458,28 @@ class LoadedJournal:
         return self.items[index].get("counters")
 
 
+def _valid_batch_record(record: dict, _accepted) -> bool:
+    kind = record.get("type")
+    if kind == "header":
+        return record.get("version") == JOURNAL_VERSION
+    return (
+        kind == "item"
+        and isinstance(record.get("index"), int)
+        and ("answer" if record.get("ok") else "error") in record
+    )
+
+
 def load_journal(path: str | Path) -> LoadedJournal:
-    """Read a journal, keeping the longest valid prefix.
+    """Read a batch journal, keeping the longest valid prefix.
 
     A structurally invalid line — unparseable JSON, a failed checksum,
     an unknown record type, a missing field — quarantines that line
-    **and everything after it** (a torn tail means later bytes cannot
-    be trusted), with a :class:`JournalWarning` naming the file and
-    line number.  Missing files load as empty journals.
+    and everything after it (see :func:`read_records`).  Missing files
+    load as empty journals.
     """
-    path = Path(path)
-    header = None
-    items: dict[int, dict] = {}
-    quarantined = 0
-    if not path.exists():
-        return LoadedJournal(header, items, quarantined)
-    with open(path, encoding="utf-8") as stream:
-        lines = stream.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        ok = (
-            record is not None
-            and _verify(record)
-            and record.get("type") in ("header", "item")
-        )
-        if ok and record["type"] == "item":
-            ok = isinstance(record.get("index"), int) and (
-                "answer" in record
-                if record.get("ok")
-                else "error" in record
-            )
-        if ok and record["type"] == "header":
-            ok = record.get("version") == JOURNAL_VERSION
-        if not ok:
-            quarantined = len(lines) - number + 1
-            warnings.warn(
-                f"journal {path}: quarantined line {number} and the "
-                f"{quarantined - 1} line(s) after it (torn or corrupt "
-                f"tail); the affected items will be recomputed",
-                JournalWarning,
-                stacklevel=2,
-            )
-            metric_inc("journal.quarantines")
-            break
-        if record["type"] == "header":
-            if header is None:
-                header = record
-        else:
-            items[record["index"]] = record
-    return LoadedJournal(header, items, quarantined)
-
-
-def check_fingerprint(loaded: LoadedJournal, fingerprint: str, path) -> None:
-    """Refuse to replay a journal recorded for a different batch."""
-    if loaded.header is None:
-        return
-    recorded = loaded.header.get("fingerprint")
-    if recorded != fingerprint:
-        raise JournalError(
-            f"journal {path} was recorded for a different batch "
-            f"(fingerprint {recorded!r:.20} != {fingerprint!r:.20}); "
-            f"refusing to replay answers across batch definitions",
-            phase="journal.resume",
-        )
+    records, quarantined = read_records(path, _valid_batch_record)
+    return LoadedJournal(
+        _header(records, "header"),
+        {r["index"]: r for r in records if r["type"] == "item"},
+        quarantined,
+    )

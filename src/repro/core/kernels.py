@@ -36,23 +36,24 @@ backend (see ``docs/performance.md``):
   the chunk size drops to 1 so deadline/work enforcement keeps its
   per-sample granularity.
 
-All caches here deduplicate concurrent builds the same way the
-reduction cache does (one builder per key, waiters block then count
-hits), but they are *global to the process* — their hit/miss counters
-depend on process history, not on the item, so every ``kernels.*``
-counter sits outside the bitwise determinism contract (see
-:mod:`repro.obs.metrics`).
+The three stores (compiled automata, sampling plans, DP layer tables)
+are :class:`~repro.core.cache.ReductionCache` instances counting as
+``kernels.dense_cache.*``, ``kernels.plan_cache.*`` and
+``kernels.layer_cache.*``.  They are *global to the process* — their
+hit/miss counters depend on process history, not on the item, so every
+``kernels.*`` counter sits outside the bitwise determinism contract
+(see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Hashable
 
 from repro.automata.nfta import NFTA
 from repro.automata.optimize import DenseNFTA, optimize_nfta
 from repro.core.budget import active_budget, budget_tick
+from repro.core.cache import ReductionCache
 from repro.errors import ReproError
 from repro.obs import metric_inc
 
@@ -68,7 +69,6 @@ __all__ = [
     "fallback_backend",
     "resolve_backend",
     "shared_plan",
-    "vector_nfa_count",
     "vectorized_available",
 ]
 
@@ -133,94 +133,10 @@ def fallback_backend(backend: str | None) -> str:
 # Process-wide keyed stores with build deduplication
 # ----------------------------------------------------------------------
 
-class _InFlight:
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
-class _KernelStore:
-    """A small LRU of compiled kernel artefacts, keyed by fingerprint.
-
-    Mirrors the reduction cache's build deduplication (exactly one
-    concurrent builder per key; waiters block then take the hit path)
-    but stays metric-light: one ``kernels.<prefix>_hits`` or
-    ``kernels.<prefix>_misses`` increment per lookup.
-    """
-
-    def __init__(self, prefix: str, maxsize: int):
-        self._prefix = prefix
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._inflight: dict[Hashable, _InFlight] = {}
-
-    def get_or_build(self, key: Hashable, builder: Callable[[], object]):
-        while True:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    metric_inc(f"kernels.{self._prefix}_hits")
-                    return self._entries[key]
-                pending = self._inflight.get(key)
-                if pending is None:
-                    pending = _InFlight()
-                    self._inflight[key] = pending
-                    owner = True
-                else:
-                    owner = False
-            if not owner:
-                pending.event.wait()
-                continue
-            try:
-                value = builder()
-            except BaseException:
-                with self._lock:
-                    del self._inflight[key]
-                pending.event.set()
-                raise
-            with self._lock:
-                metric_inc(f"kernels.{self._prefix}_misses")
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                while len(self._entries) > self._maxsize:
-                    self._entries.popitem(last=False)
-                del self._inflight[key]
-            pending.event.set()
-            return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def evict_fingerprints(self, fingerprints: frozenset) -> int:
-        """Drop entries whose key names one of ``fingerprints``.
-
-        Every store key is a tuple carrying the automaton fingerprint
-        (``("dense", fp)``, ``("plan", fp, size)``,
-        ``("layers", fp, weights)``, ``("vlayers", fp, weights)``), so
-        membership anywhere in the tuple identifies the artefacts
-        compiled from that automaton.
-        """
-        dropped = 0
-        with self._lock:
-            for key in list(self._entries):
-                if isinstance(key, tuple) and any(
-                    part in fingerprints for part in key
-                ):
-                    del self._entries[key]
-                    dropped += 1
-        return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_dense_store = _KernelStore("plan_cache", maxsize=256)
-_plan_store = _KernelStore("plan_cache", maxsize=256)
-_layer_store = _KernelStore("layer_cache", maxsize=128)
+_dense_store = ReductionCache(256, name="kernels.dense_cache")
+_plan_store = ReductionCache(256, name="kernels.plan_cache")
+_layer_store = ReductionCache(128, name="kernels.layer_cache")
+_STORES = (_dense_store, _plan_store, _layer_store)
 
 
 def clear_kernel_caches() -> None:
@@ -228,9 +144,8 @@ def clear_kernel_caches() -> None:
 
     Benchmarks call this to measure cold passes; tests call it to make
     kernel-cache counter assertions independent of ordering."""
-    _dense_store.clear()
-    _plan_store.clear()
-    _layer_store.clear()
+    for store in _STORES:
+        store.clear()
 
 
 def evict_fingerprints(fingerprints) -> int:
@@ -242,14 +157,21 @@ def evict_fingerprints(fingerprints) -> int:
     automaton, sampling plans and DP layer tables compiled from its
     NFTA go with it; kernels for untouched automata survive.  Returns
     the number of entries dropped across the three stores.
+
+    Every store key is a tuple carrying the automaton fingerprint
+    (``("dense", fp)``, ``("plan", fp, size)``, ``("layers", fp,
+    weights)``, ``("vlayers", fp, weights)``), so membership anywhere
+    in the tuple identifies the artefacts compiled from that automaton.
     """
     wanted = frozenset(fingerprints)
     if not wanted:
         return 0
-    dropped = (
-        _dense_store.evict_fingerprints(wanted)
-        + _plan_store.evict_fingerprints(wanted)
-        + _layer_store.evict_fingerprints(wanted)
+
+    def compiled_from_wanted(key) -> bool:
+        return any(part in wanted for part in key)
+
+    dropped = sum(
+        len(store.evict(compiled_from_wanted)[0]) for store in _STORES
     )
     if dropped:
         metric_inc("kernels.delta_evicted", dropped)
@@ -436,23 +358,6 @@ def dense_exact_count(
             lambda: _LayerTable(dense, weights),
         )
     return table.count(size, checkpoint)
-
-
-def vector_nfa_count(nfa, length: int, weight_of=None, max_subsets=None):
-    """Vectorized exact layered subset DP over a string NFA.
-
-    The ``vectorized`` arm of the RPQ exact product route (see
-    :func:`repro.graphs.estimate.rpq_probability_estimate`): returns the
-    same count / ``None``-on-frontier-blowup as
-    :meth:`repro.automata.nfa.NFA.count_exact`, or
-    :data:`FLOAT_WEIGHTS` when float weights require the reference
-    summation order.
-    """
-    from repro.core import vectorized
-
-    return vectorized.nfa_exact_count(
-        nfa, length, weight_of=weight_of, max_subsets=max_subsets
-    )
 
 
 # ----------------------------------------------------------------------

@@ -120,11 +120,11 @@ from repro.core.resilience import (
     derive_retry_seed,
     evaluate_with_policy,
 )
+from repro.core.tasks import TASKS, infer_task
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import BudgetExceededError, EstimationError, ReproError
 from repro.graphs.model import ProbabilisticGraph
-from repro.graphs.rpq import RPQQuery
 from repro.testing.faults import fault_scope
 
 __all__ = [
@@ -142,7 +142,6 @@ __all__ = [
     "request_drain",
 ]
 
-_TASKS = ("probability", "reliability", "rpq")
 _ON_ERROR = ("fail", "skip", "degrade")
 _ISOLATION = ("thread", "process")
 
@@ -203,32 +202,15 @@ class BatchItem:
     method: str = "auto"
 
     def validated(self, index: int) -> "BatchItem":
-        if self.task not in _TASKS:
+        if self.task not in TASKS:
             raise ReproError(
                 f"batch item {index}: unknown task {self.task!r}; "
-                f"choose from {_TASKS}"
+                f"choose from {tuple(TASKS)}"
             )
         self = self.pinned()
-        if self.task == "probability" and not isinstance(
-            self.database, ProbabilisticDatabase
-        ):
-            raise ReproError(
-                f"batch item {index}: task 'probability' needs a "
-                f"ProbabilisticDatabase, got "
-                f"{type(self.database).__name__}"
-            )
-        if self.task == "rpq":
-            if not isinstance(self.database, ProbabilisticGraph):
-                raise ReproError(
-                    f"batch item {index}: task 'rpq' needs a "
-                    f"ProbabilisticGraph, got "
-                    f"{type(self.database).__name__}"
-                )
-            if not isinstance(self.query, RPQQuery):
-                raise ReproError(
-                    f"batch item {index}: task 'rpq' needs an RPQQuery, "
-                    f"got {type(self.query).__name__}"
-                )
+        TASKS[self.task].check(
+            self.query, self.database, f"batch item {index}"
+        )
         return self
 
     def pinned(self) -> "BatchItem":
@@ -397,14 +379,10 @@ def _coerce_items(items: Iterable) -> list[BatchItem]:
             coerced.append(item.validated(index))
         elif isinstance(item, Sequence) and len(item) == 2:
             query, database = item
-            if isinstance(database, ProbabilisticDatabase):
-                task = "probability"
-            elif isinstance(database, ProbabilisticGraph):
-                task = "rpq"
-            else:
-                task = "reliability"
             coerced.append(
-                BatchItem(query, database, task=task).validated(index)
+                BatchItem(
+                    query, database, task=infer_task(database)
+                ).validated(index)
             )
         else:
             raise ReproError(
@@ -485,43 +463,20 @@ class ItemRunner:
     # -- engine dispatch ------------------------------------------------
 
     def _call_engine(self, item: BatchItem, call_seed: int | None):
-        if item.task == "probability":
-            return self.engine.probability(
-                item.query,
-                item.database,
-                method=item.method,
-                seed=call_seed,
-                cache=self.cache,
-            )
-        if item.task == "rpq":
-            return self.engine.rpq_probability(
-                item.database,
-                item.query,
-                method=item.method,
-                seed=call_seed,
-                cache=self.cache,
-            )
-        database = item.database
-        if isinstance(database, ProbabilisticDatabase):
-            database = database.instance
-        return self.engine.uniform_reliability(
+        return TASKS[item.task].evaluate(
+            self.engine,
             item.query,
-            database,
+            item.database,
             method=item.method,
             seed=call_seed,
             cache=self.cache,
         )
 
     def _run_degrading(self, item: BatchItem, item_seed: int | None):
-        database = item.database
-        if item.task == "reliability" and isinstance(
-            database, ProbabilisticDatabase
-        ):
-            database = database.instance
         answer = evaluate_with_policy(
             self.engine,
             item.query,
-            database,
+            item.database,
             task=item.task,
             method=item.method,
             seed=item_seed,

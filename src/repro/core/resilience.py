@@ -37,6 +37,7 @@ import hashlib
 import time
 
 from repro.core.budget import EvaluationBudget, budget_scope
+from repro.core.tasks import TASKS
 from repro.obs import metric_inc, span
 from repro.errors import (
     BudgetExceededError,
@@ -169,45 +170,17 @@ def degradation_ladder(query, task: str = "probability",
                        method: str = "auto") -> tuple[str, ...]:
     """The fallback routes for ``query``, most-preferred first.
 
-    Queries the lifted router certifies *safe* start at the ``lifted``
-    rung — exact, polynomial, zero-ε — which subsumes ``auto`` for them
-    (auto routes safe queries to the same plan), so ``auto`` is dropped
-    from their ladder rather than re-running lifted on failure.  For
-    everything else ``method='auto'`` starts with the engine's normal
-    auto routing (which already prefers exact answers), then repeats
-    the randomized leg with widened ε, then lands on plain Monte-Carlo
-    — the only route whose per-sample cost is independent of the
-    automaton and lineage sizes.  An explicit method starts the ladder
-    at itself and degrades along the generic tail below it.
+    Each task's ladder lives in the task table
+    (:data:`repro.core.tasks.TASKS`).  For probabilities, queries the
+    lifted router certifies *safe* start at the ``lifted`` rung, which
+    subsumes ``auto`` for them; everything else starts with the
+    engine's normal auto routing (which already prefers exact answers),
+    then repeats the randomized leg with widened ε, then lands on plain
+    Monte-Carlo — the only route whose per-sample cost is independent
+    of the automaton and lineage sizes.  An explicit method starts the
+    ladder at itself and degrades along the tail below it.
     """
-    if task == "reliability":
-        # Monte-Carlo has no reliability variant; the FPRAS leg (with
-        # widened ε at rung >= 1) is the last resort.
-        return ("auto", "fpras") if method == "auto" else (method, "fpras")
-    if task == "rpq":
-        # The RPQ ladder never inspects CQ structure (``query`` is an
-        # RPQQuery here).  'auto' already self-routes around cyclic
-        # graphs; the product FPRAS degrades to world-sampling
-        # Monte-Carlo, which works on any graph at any size.
-        tail = ("fpras", "monte-carlo")
-        if method == "auto":
-            return ("auto",) + tail
-        if method in tail:
-            return tail[tail.index(method):]
-        return (method,) + tail
-    randomized = "fpras" if query.is_self_join_free else "karp-luby"
-    tail = (randomized, "monte-carlo")
-    if method == "auto":
-        # Lazy import: the estimator imports this module's siblings and
-        # queries.lifted at module scope; keep resilience import-light.
-        from repro.queries.lifted import classify_query
-
-        if classify_query(query).safe:
-            return ("lifted",) + tail
-        return ("auto",) + tail
-    if method in tail:
-        return tail[tail.index(method):]
-    return (method,) + tail
+    return TASKS[task].ladder(query, method)
 
 
 def _engine_with_epsilon(engine, epsilon: float):
@@ -271,21 +244,10 @@ def evaluate_with_policy(
                     "resilience.attempt",
                     route=route, rung=rung, retry=attempt,
                 ):
-                    if task == "reliability":
-                        answer = rung_engine.uniform_reliability(
-                            query, database, method=route,
-                            seed=attempt_seed, cache=cache,
-                        )
-                    elif task == "rpq":
-                        answer = rung_engine.rpq_probability(
-                            database, query, method=route,
-                            seed=attempt_seed, cache=cache,
-                        )
-                    else:
-                        answer = rung_engine.probability(
-                            query, database, method=route,
-                            seed=attempt_seed, cache=cache,
-                        )
+                    answer = TASKS[task].evaluate(
+                        rung_engine, query, database, method=route,
+                        seed=attempt_seed, cache=cache,
+                    )
             except DEGRADABLE_ERRORS as failure:
                 last_failure = failure
                 label = route if attempt == 0 else f"{route}#retry{attempt}"

@@ -17,8 +17,8 @@ an immutable version chain:
   untouched facts, and reweight-only deltas share the parent's
   :class:`~repro.db.instance.DatabaseInstance` object outright;
 * :class:`DeltaJournal` / :func:`load_delta_journal` — an fsync'd
-  write-ahead log of applied deltas sharing the record/checksum/
-  quarantine conventions of :mod:`repro.core.journal`;
+  write-ahead log of applied deltas on the shared record log of
+  :mod:`repro.core.journal`;
 * :class:`VersionedDatabase` — the mutable head: journals, invalidates,
   and publishes under a lock, with ``fault_point("db.delta")`` hit at
   every step so the chaos tier can crash or corrupt each one.
@@ -43,17 +43,14 @@ totals depend on what earlier traffic cached).
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import os
 import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.core.journal import RecordLog, check_fingerprint, read_records
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
@@ -356,11 +353,11 @@ def apply_delta(
 # ----------------------------------------------------------------------
 
 
-class DeltaJournal:
+class DeltaJournal(RecordLog):
     """The fsync'd write-ahead log of a version chain.
 
-    Record format (one checksummed JSON object per line, sharing
-    :mod:`repro.core.journal`'s checksum convention)::
+    Record format (one checksummed JSON object per line, the
+    :class:`~repro.core.journal.RecordLog` convention)::
 
         {"type": "delta-header", "version": 1,
          "base_token": "<pdb token>", "checksum": "<sha256>"}
@@ -378,27 +375,6 @@ class DeltaJournal:
     ``repro cache-stats --delta-journal``) and is not required for
     recovery.
     """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._stream: io.TextIOWrapper | None = None
-
-    def _append(self, record: dict) -> None:
-        from repro.core.journal import checksummed_record
-
-        line = json.dumps(
-            checksummed_record(record),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        with self._lock:
-            if self._stream is None:
-                self._stream = open(self.path, "a", encoding="utf-8")
-            self._stream.write(line + "\n")
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-        metric_inc("journal.appends")
 
     def write_header(self, base_token: str) -> None:
         self._append(
@@ -442,98 +418,63 @@ class DeltaJournal:
             }
         )
 
-    def close(self) -> None:
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
 
-    def __enter__(self) -> "DeltaJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
+@dataclass
 class LoadedDeltaJournal:
     """The verified prefix of a delta journal."""
 
-    def __init__(self, header, deltas, applied, quarantined):
-        self.header = header
-        self.deltas = deltas
-        self.applied = applied
-        self.quarantined = quarantined
+    header: dict | None
+    deltas: list[dict]
+    applied: dict[int, dict]
+    quarantined: int
 
     def __len__(self) -> int:
         return len(self.deltas)
 
 
+def _valid_delta_record(record: dict, accepted: list[dict]) -> bool:
+    """Chain discipline is part of validity: ``delta`` records must
+    carry consecutive ``from_version``/``to_version`` numbers starting
+    at the version the accepted deltas reached, so a corrupted middle
+    cannot be bridged by a later structurally-intact record."""
+    kind = record.get("type")
+    if kind == "delta-header":
+        return record.get("version") == DELTA_JOURNAL_VERSION
+    if kind == "delta-applied":
+        return isinstance(record.get("version"), int)
+    reached = next(
+        (r["to_version"] for r in reversed(accepted) if r["type"] == "delta"),
+        0,
+    )
+    return (
+        kind == "delta"
+        and record.get("from_version") == reached
+        and record.get("to_version") == reached + 1
+        and isinstance(record.get("ops"), list)
+        and isinstance(record.get("token_after"), str)
+    )
+
+
 def load_delta_journal(path: str | Path) -> LoadedDeltaJournal:
     """Read a delta journal, keeping the longest valid prefix.
 
-    The quarantine contract of :func:`repro.core.journal.load_journal`:
+    The quarantine contract of :func:`repro.core.journal.read_records`:
     the first torn, bit-flipped, unparseable, or out-of-chain record
     discards itself and everything after it with a
     :class:`~repro.core.journal.JournalWarning` — never an exception.
-    Chain discipline is part of validity: ``delta`` records must carry
-    consecutive ``from_version``/``to_version`` numbers starting at the
-    version count seen so far, so a corrupted middle cannot be bridged
-    by a later structurally-intact record.
     """
-    from repro.core.journal import JournalWarning, verify_record
-
-    path = Path(path)
-    header = None
-    deltas: list[dict] = []
-    applied: dict[int, dict] = {}
-    quarantined = 0
-    if not path.exists():
-        return LoadedDeltaJournal(header, deltas, applied, quarantined)
-    with open(path, encoding="utf-8") as stream:
-        lines = stream.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        ok = (
-            record is not None
-            and verify_record(record)
-            and record.get("type")
-            in ("delta-header", "delta", "delta-applied")
-        )
-        if ok and record["type"] == "delta-header":
-            ok = record.get("version") == DELTA_JOURNAL_VERSION
-        if ok and record["type"] == "delta":
-            ok = (
-                record.get("from_version") == len(deltas)
-                and record.get("to_version") == len(deltas) + 1
-                and isinstance(record.get("ops"), list)
-                and isinstance(record.get("token_after"), str)
-            )
-        if ok and record["type"] == "delta-applied":
-            ok = isinstance(record.get("version"), int)
-        if not ok:
-            quarantined = len(lines) - number + 1
-            warnings.warn(
-                f"delta journal {path}: quarantined line {number} and "
-                f"the {quarantined - 1} line(s) after it (torn or "
-                f"corrupt tail); recovery keeps the versions before it",
-                JournalWarning,
-                stacklevel=2,
-            )
-            metric_inc("journal.quarantines")
-            break
-        if record["type"] == "delta-header":
-            if header is None:
-                header = record
-        elif record["type"] == "delta":
-            deltas.append(record)
-        else:
-            applied[record["version"]] = record
-    return LoadedDeltaJournal(header, deltas, applied, quarantined)
+    records, quarantined = read_records(
+        path, _valid_delta_record, "delta journal"
+    )
+    header = next(
+        (r for r in records if r["type"] == "delta-header"), None
+    )
+    return LoadedDeltaJournal(
+        header,
+        [r for r in records if r["type"] == "delta"],
+        {r["version"]: r for r in records if r["type"] == "delta-applied"},
+        quarantined,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -607,15 +548,10 @@ class VersionedDatabase:
         if loaded.header is None:
             self._journal.write_header(base.cache_token)
             return
-        if loaded.header["base_token"] != base.cache_token:
-            raise JournalError(
-                f"delta journal {self._journal.path} was recorded for a "
-                f"different base database (token "
-                f"{loaded.header['base_token']!r:.20} != "
-                f"{base.cache_token!r:.20}); refusing to replay its "
-                f"deltas",
-                phase="db.delta",
-            )
+        check_fingerprint(
+            loaded, base.cache_token, self._journal.path,
+            field="base_token", subject="base database", phase="db.delta",
+        )
         pdb = base
         for record in loaded.deltas:
             delta = Delta.from_records(record["ops"])

@@ -180,14 +180,11 @@ def rpq_probability_estimate(
     …)`` key; sampled counts are never stored.
 
     ``backend`` is the counting-kernel knob (see
-    :mod:`repro.core.kernels`): ``'vectorized'`` runs the exact
-    product-DP sweep as batched numpy subset layers
-    (:func:`repro.core.kernels.vector_nfa_count`) with a
-    bitwise-identical count and an identical frontier bail-out, while
-    the FPRAS sampling route is backend-independent (one shared
-    RNG-order-bound loop).  The backend joins the exact-count cache
-    key so hit/miss accounting stays per-knob even though the cached
-    values are interchangeable.
+    :mod:`repro.core.kernels`), validated here; both RPQ routes are
+    backend-independent — the exact product DP is the scalar subset
+    sweep of :meth:`repro.automata.nfa.NFA.count_exact` and the FPRAS
+    one shared RNG-order-bound loop — so the exact-count cache key
+    omits it.
     """
     if method not in RPQ_METHODS:
         raise EstimationError(
@@ -266,17 +263,6 @@ def rpq_probability_estimate(
             cap = None if method == "exact" else _AUTO_EXACT_FRONTIER
 
             def exact_sweep():
-                if backend == "vectorized":
-                    measure = kernels.vector_nfa_count(
-                        reduction.nfa,
-                        reduction.string_length,
-                        weight_of=weight_of,
-                        max_subsets=cap,
-                    )
-                    if measure is not kernels.FLOAT_WEIGHTS:
-                        return measure
-                    # Float weights: only the reference summation
-                    # order is reproducible — same rule as the tree DP.
                 return reduction.nfa.count_exact(
                     reduction.string_length,
                     weight_of=weight_of,
@@ -289,7 +275,7 @@ def rpq_probability_estimate(
                 measure = cache.get_or_build(
                     (
                         "count", "rpq", query.cache_token,
-                        graph.cache_token, cap, backend,
+                        graph.cache_token, cap,
                     ),
                     exact_sweep,
                     cache_if=lambda value: value is not None,

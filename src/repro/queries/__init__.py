@@ -3,7 +3,7 @@
 Heavier machinery lives in submodules to avoid import cycles with the
 database layer: :mod:`repro.queries.containment` (Chandra–Merlin),
 :mod:`repro.queries.ucq` (unions), :mod:`repro.queries.answers`
-(answer-tuple probabilities), :mod:`repro.queries.safe_plan` (exact
+(answer-tuple probabilities), :mod:`repro.queries.lifted` (exact
 lifted inference).
 """
 

@@ -22,8 +22,8 @@ classical lifted-inference rules:
   ``Pr[∃x φ(x)] = 1 − Π_a (1 − Pr[φ(a)])``;
 - **shattering** — grounding substitutes constants into self-join
   atoms; the residual query is minimized (its core is taken, with
-  constants rigid), which is what breaks the self-joins the plain safe
-  plan of :mod:`repro.queries.safe_plan` must reject;
+  constants rigid), which is what breaks self-joins that a plain
+  Dalvi–Suciu safe plan must reject;
 - **independent union** — relation-disjoint UCQ disjuncts are
   independent events;
 - **inclusion–exclusion** — overlapping disjuncts expand into signed
@@ -31,9 +31,10 @@ classical lifted-inference rules:
   (reusing :mod:`repro.queries.containment` at the UCQ entry point).
 
 Plans depend on the query only — never on the database — so they are
-memoized process-wide under the query's ``cache_token`` digest, exactly
-like the counting-kernel layer memos (:func:`clear_lifted_caches`
-resets the memo, mirroring ``clear_kernel_caches``).
+memoized process-wide under the query's ``cache_token`` digest in a
+bounded :class:`~repro.core.cache.ReductionCache`, exactly like the
+counting-kernel layer memos (:func:`clear_lifted_caches` resets the
+memo, mirroring ``clear_kernel_caches``).
 
 Every safe answer is certified by the three-oracle differential
 harness in ``tests/test_lifted_differential.py``: lifted output equals
@@ -44,12 +45,12 @@ the FPRAS landing inside its ε envelope.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
 from repro.core.budget import budget_tick
+from repro.core.cache import ReductionCache
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import QueryError, UnknownSafetyError, UnsafeQueryError
@@ -501,15 +502,18 @@ def _build_ucq(disjuncts: list[tuple[_GAtom, ...]]) -> LiftedPlan:
 # Classification (with the process-wide plan memo)
 # ---------------------------------------------------------------------
 
-_PLAN_LOCK = threading.Lock()
-_PLAN_MEMO: dict[str, LiftedClassification] = {}
+#: Entry bound of the plan memo: a daemon classifies every distinct
+#: query it is sent, so the memo evicts least-recently-used plans
+#: rather than grow for the life of the process.
+PLAN_MEMO_SIZE = 1024
+
+_plan_memo = ReductionCache(PLAN_MEMO_SIZE, name="lifted.plan_cache")
 
 
 def clear_lifted_caches() -> None:
     """Drop every memoized classification/plan (mirrors
     :func:`repro.core.kernels.clear_kernel_caches`)."""
-    with _PLAN_LOCK:
-        _PLAN_MEMO.clear()
+    _plan_memo.clear()
 
 
 def _cq_atoms(query: ConjunctiveQuery) -> tuple[_GAtom, ...]:
@@ -586,24 +590,17 @@ def classify_query(query) -> LiftedClassification:
     classifier, memoizing the verdict and plan under its
     ``cache_token``."""
     if isinstance(query, ConjunctiveQuery):
-        token = "cq:" + query.cache_token
+        token, classify = "cq:" + query.cache_token, _classify_cq
     else:
-        token = "ucq:" + query.cache_token
-    with _PLAN_LOCK:
-        cached = _PLAN_MEMO.get(token)
-    if cached is not None:
-        metric_inc("lifted.plan_cache.hits")
-        return cached
-    metric_inc("lifted.plan_cache.misses")
-    with span("lifted.classify"):
-        if isinstance(query, ConjunctiveQuery):
-            result = _classify_cq(query)
-        else:
-            result = _classify_ucq(query)
-    metric_inc(f"lifted.classified.{result.status}")
-    with _PLAN_LOCK:
-        _PLAN_MEMO[token] = result
-    return result
+        token, classify = "ucq:" + query.cache_token, _classify_ucq
+
+    def build() -> LiftedClassification:
+        with span("lifted.classify"):
+            result = classify(query)
+        metric_inc(f"lifted.classified.{result.status}")
+        return result
+
+    return _plan_memo.get_or_build(token, build)
 
 
 def build_lifted_plan(query) -> LiftedPlan:

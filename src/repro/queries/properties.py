@@ -10,7 +10,7 @@ the *hierarchical* property [Dalvi & Suciu 2007]:
     comparable under inclusion.
 
 Hierarchical SJF queries admit exact polynomial-time (in data complexity)
-evaluation via a safe plan (:mod:`repro.queries.safe_plan`); every
+evaluation via a safe plan (:mod:`repro.queries.lifted`); every
 non-hierarchical SJF query is #P-hard in data complexity.  The paper's
 headline class ``3Path`` is non-hierarchical, which the tests verify via
 :func:`is_hierarchical`.

@@ -67,11 +67,12 @@ from repro.core.budget import EvaluationBudget
 from repro.core.estimator import PQEEngine
 from repro.core.journal import (
     RequestJournal,
-    check_serve_fingerprint,
+    check_fingerprint,
     load_request_journal,
 )
 from repro.core.parallel import BatchItem, evaluate_batch
 from repro.core.resilience import DegradationPolicy, degradation_ladder
+from repro.core.tasks import TASKS
 from repro.db.delta import Delta, VersionedDatabase
 from repro.errors import (
     BudgetExceededError,
@@ -92,6 +93,7 @@ from repro.testing.faults import fault_point
 
 __all__ = ["PQEServer", "ServerConfig"]
 
+#: The tasks ``/evaluate`` serves: those whose query is CQ text.
 _TASKS = ("probability", "reliability")
 
 
@@ -214,8 +216,9 @@ class PQEServer:
         self._replayable = {}
         if self.config.journal is not None:
             loaded = load_request_journal(self.config.journal)
-            check_serve_fingerprint(
-                loaded, self.fingerprint(), self.config.journal
+            check_fingerprint(
+                loaded, self.fingerprint(), self.config.journal,
+                subject="engine configuration", phase="serve.journal",
             )
             self._replayable = dict(loaded.requests)
             self.journal = RequestJournal(self.config.journal)
@@ -589,7 +592,7 @@ class PQEServer:
         # the journalled deps token below) sees one immutable snapshot,
         # even if a delta publishes mid-flight.
         pdb = self.database
-        database = pdb.instance if task == "reliability" else pdb
+        database = TASKS[task].coerce(pdb)
         started = time.perf_counter()
         result = evaluate_batch(
             engine,

@@ -83,3 +83,31 @@ class TestRelativeError:
     def test_zero_truth(self):
         assert relative_error(0, 0) == 0.0
         assert math.isinf(relative_error(1, 0))
+
+
+class TestCompareSequentialVsBatch:
+    def test_every_task_matches_the_batch(self, rs_query):
+        """The sequential loop sends each item to its task's engine
+        entry point, so probability, reliability and RPQ items all
+        agree bitwise with ``evaluate_batch``."""
+        from repro.bench.harness import compare_sequential_vs_batch
+        from repro.core.estimator import PQEEngine
+        from repro.core.parallel import BatchItem
+        from repro.db.fact import Fact
+        from repro.db.probabilistic import ProbabilisticDatabase
+        from repro.graphs import Edge, ProbabilisticGraph, RPQQuery
+
+        pdb = ProbabilisticDatabase(
+            {Fact("R", ("a", "b")): "1/2", Fact("S", ("b", "c")): "2/3"}
+        )
+        graph = ProbabilisticGraph({Edge("s", "a", "t"): "1/2"})
+        items = [
+            BatchItem(rs_query, pdb),
+            BatchItem(rs_query, pdb, task="reliability"),
+            BatchItem(RPQQuery("a", "s", "t"), graph, task="rpq"),
+        ]
+        comparison = compare_sequential_vs_batch(
+            PQEEngine(seed=3), items, max_workers=2, seed=3
+        )
+        assert comparison.values_match
+        assert comparison.sequential_values[2] == 0.5

@@ -169,3 +169,58 @@ class TestBatchAccountingAtTheBoundary:
                 (batch.cache_stats.hits, batch.cache_stats.misses),
             )
         assert outcomes[1] == outcomes[4]
+
+
+class TestProcessWideStores:
+    """The kernel stores and the lifted plan memo are ReductionCache
+    instances: bounded, and counted under their own names."""
+
+    def test_lifted_plan_memo_stays_at_its_bound(self):
+        from repro.queries import parse_query
+        from repro.queries.lifted import (
+            PLAN_MEMO_SIZE,
+            _plan_memo,
+            classify_query,
+            clear_lifted_caches,
+            lifted_probability,
+        )
+
+        clear_lifted_caches()
+        first = parse_query("Q :- R0(x, y), S0(y)")
+        pdb = ProbabilisticDatabase(
+            {Fact("R0", ("a", "b")): "1/2", Fact("S0", ("b",)): "2/3"}
+        )
+        verdict = classify_query(first)
+        answer = lifted_probability(first, pdb)
+        for i in range(1, PLAN_MEMO_SIZE + 8):
+            classify_query(parse_query(f"Q :- R{i}(x, y), S{i}(y)"))
+        assert len(_plan_memo) == PLAN_MEMO_SIZE
+        # The first query was evicted; classifying it again rebuilds
+        # the same verdict and plan, and the answer is unchanged.
+        assert classify_query(first) == verdict
+        assert lifted_probability(first, pdb) == answer
+        assert len(_plan_memo) == PLAN_MEMO_SIZE
+        clear_lifted_caches()
+
+    def test_exact_dp_counts_no_sampling_plan_traffic(self):
+        from repro.core.kernels import clear_kernel_caches
+        from repro.core.pqe_estimate import pqe_estimate
+        from repro.obs import EvaluationTelemetry, telemetry_scope
+        from repro.queries import parse_query
+
+        pdb = ProbabilisticDatabase({
+            Fact("R", ("a",)): "1/2",
+            Fact("S", ("a", "b")): "1/3",
+            Fact("T", ("b",)): "2/3",
+        })
+        query = parse_query("Q :- R(x), S(x, y), T(y)")
+        clear_kernel_caches()
+        telemetry = EvaluationTelemetry()
+        with telemetry_scope(telemetry):
+            pqe_estimate(query, pdb, method="exact-weighted")
+        counters = telemetry.metrics.counters
+        assert counters["kernels.dense_cache.lookups"] == 1
+        assert counters["kernels.dense_cache.misses"] == 1
+        assert not any(
+            name.startswith("kernels.plan_cache") for name in counters
+        )

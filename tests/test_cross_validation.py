@@ -29,7 +29,7 @@ from repro.db.probabilistic import ProbabilisticDatabase
 from repro.queries.atoms import Atom, Variable
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.properties import is_hierarchical
-from repro.queries.safe_plan import safe_plan_probability
+from repro.queries.lifted import lifted_probability
 
 _PROBS = [
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
@@ -124,7 +124,7 @@ def test_pqe_all_paths_agree(seed):
     assert abs(via_automaton.estimate - float(brute)) <= 1e-9, str(query)
 
     if is_hierarchical(query):
-        assert safe_plan_probability(query, pdb) == brute, str(query)
+        assert lifted_probability(query, pdb) == brute, str(query)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -151,7 +151,6 @@ def test_engine_routes_agree_metamorphically(seed):
 
     exact_routes = ["enumerate", "lineage-exact"]
     if is_hierarchical(query):
-        exact_routes.append("safe-plan")
         exact_routes.append("lifted")
     answers = {
         route: engine.probability(query, pdb, method=route)

@@ -82,12 +82,18 @@ class TestMethodAgreement:
         assert kl.value == pytest.approx(truth, rel=0.4, abs=0.02)
 
     def test_explicit_safe_plan(self):
+        # The Dalvi–Suciu safe plan has one evaluator, lifted_probability,
+        # which the engine serves as method="lifted"; "safe-plan" is no
+        # longer a method value.
+        from repro.queries.lifted import lifted_probability
+
         query = star_query(2)
         pdb = _pdb_for(query, seed=5)
         engine = PQEEngine(seed=0)
-        sp = engine.probability(query, pdb, method="safe-plan")
+        with pytest.raises(ReproError, match="unknown method"):
+            engine.probability(query, pdb, method="safe-plan")
         enum = engine.probability(query, pdb, method="enumerate")
-        assert sp.rational == enum.rational
+        assert lifted_probability(query, pdb) == enum.rational
 
     def test_explicit_lifted(self):
         query = star_query(2)

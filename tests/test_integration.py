@@ -126,7 +126,7 @@ class TestFullPipeline:
             instance.project_to_query(safe_q), seed=31
         )
         if len(pdb) >= 2:
-            safe_exact = engine.probability(safe_q, pdb, method="safe-plan")
+            safe_exact = engine.probability(safe_q, pdb, method="lifted")
             brute = engine.probability(safe_q, pdb, method="enumerate")
             assert safe_exact.rational == brute.rational
 

@@ -343,8 +343,8 @@ def test_safe_plan_equals_exact_wmc_on_hierarchical_queries(seed):
     from fractions import Fraction
 
     from repro.core.exact import exact_probability
+    from repro.queries.lifted import classify_query, lifted_probability
     from repro.queries.properties import is_hierarchical
-    from repro.queries.safe_plan import safe_plan_probability
     from repro.workloads import (
         random_hierarchical_query,
         random_instance_for_query,
@@ -353,13 +353,14 @@ def test_safe_plan_equals_exact_wmc_on_hierarchical_queries(seed):
 
     query = random_hierarchical_query(seed)
     assert query.is_self_join_free and is_hierarchical(query)
+    assert classify_query(query).safe
     instance = random_instance_for_query(
         query, domain_size=3, facts_per_relation=3, seed=seed
     )
     pdb = random_probabilities(
         instance, seed=seed, max_denominator=6, include_extremes=True
     )
-    via_plan = safe_plan_probability(query, pdb)
+    via_plan = lifted_probability(query, pdb)
     via_wmc = exact_probability(query, pdb, method="lineage")
     assert isinstance(via_plan, Fraction)
     assert via_plan == via_wmc, str(query)
@@ -368,8 +369,8 @@ def test_safe_plan_equals_exact_wmc_on_hierarchical_queries(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=40, deadline=None)
 def test_lifted_route_equals_safe_plan_on_hierarchical_queries(seed):
-    from repro.queries.lifted import classify_query, lifted_probability
-    from repro.queries.safe_plan import safe_plan_probability
+    from repro.core.estimator import PQEEngine
+    from repro.queries.lifted import lifted_probability
     from repro.workloads import (
         random_hierarchical_query,
         random_instance_for_query,
@@ -377,14 +378,14 @@ def test_lifted_route_equals_safe_plan_on_hierarchical_queries(seed):
     )
 
     query = random_hierarchical_query(seed)
-    assert classify_query(query).safe
     instance = random_instance_for_query(
         query, domain_size=3, facts_per_relation=3, seed=seed
     )
     pdb = random_probabilities(instance, seed=seed, max_denominator=6)
-    assert lifted_probability(query, pdb) == safe_plan_probability(
-        query, pdb
-    )
+    answer = PQEEngine(seed=0).probability(query, pdb)
+    assert answer.route == "lifted", str(query)
+    assert answer.exact
+    assert answer.rational == lifted_probability(query, pdb)
 
 
 # ---------------------------------------------------------------------

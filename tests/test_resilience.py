@@ -126,8 +126,8 @@ def test_degradation_ladder_shapes():
     assert degradation_ladder(QUERY, method="monte-carlo") == (
         "monte-carlo",
     )
-    assert degradation_ladder(QUERY, method="safe-plan") == (
-        "safe-plan", "fpras", "monte-carlo"
+    assert degradation_ladder(QUERY, method="lifted") == (
+        "lifted", "fpras", "monte-carlo"
     )
     assert degradation_ladder(unsafe, method="lifted") == (
         "lifted", "fpras", "monte-carlo"
