@@ -24,10 +24,16 @@ The measurements double as CI perf-regression gates (run by the
   :class:`~repro.automata.optimize.DenseNFTA` for the optimized tier;
   building the :class:`~repro.core.vectorized.VectorLayerTable` from
   the (shared, already-gated) dense compile for the vectorized tier,
-  whose lazy memo tables fill during the DP, not up front.
+  whose lazy memo tables fill during the DP, not up front;
+- ``test_optimized_sampler_speedup``: the CountNFTA sampler (the FPRAS
+  route, not the exact DP) on the optimized backend — interned tree
+  ids, dense-state membership — ≥2× over reference, cold, on Q4 over
+  the width-2 layered instance (``fpras``) plus the warehouse 4/4/6
+  (``fpras-weighted``), timed together.
 
-All backends return bitwise-identical counts — asserted here too, on
-the real workloads (the differential suite covers the corpus).
+All backends return bitwise-identical counts and estimates — asserted
+here too, on the real workloads (the differential suite covers the
+corpus).
 """
 
 from __future__ import annotations
@@ -36,9 +42,14 @@ from repro.automata.optimize import optimize_nfta
 from repro.bench.harness import ResultTable, timed
 from repro.core.kernels import clear_kernel_caches
 from repro.core.pqe_estimate import build_pqe_reduction
-from repro.automata.nfta_counting import count_nfta_exact
+from repro.automata.nfta_counting import count_nfta, count_nfta_exact
 from repro.queries.builders import path_query, star_query
 from repro.queries.parser import parse_query
+from repro.workloads import (
+    layered_path_instance,
+    warehouse_instance,
+    warehouse_query,
+)
 from repro.workloads.instances import (
     random_instance_for_query,
     random_probabilities,
@@ -234,6 +245,56 @@ def test_vectorized_preprocessing_amortized_below_5_percent():
     )
 
 
+def _sampler_workloads():
+    """(reduction, weight_of, epsilon): the Theorem 1 gadget automaton
+    of Q4 over the width-2 layered instance (``fpras``) and the
+    weighted warehouse 4/4/6 automaton (``fpras-weighted``)."""
+    layered = layered_path_instance(4, 2, 1.0, seed=0)
+    q4 = build_pqe_reduction(
+        path_query(4),
+        random_probabilities(layered, seed=SEED, max_denominator=3),
+    )
+    warehouse = build_pqe_reduction(
+        warehouse_query(), warehouse_instance(4, 4, 6, seed=0),
+        weighted=True,
+    )
+    return [(q4, None, 0.3), (warehouse, warehouse.weight_of, 0.25)]
+
+
+def _measure_sampler():
+    """(reference seconds, optimized seconds, estimates), best-of, cold:
+    the kernel caches are cleared before every count."""
+    workloads = _sampler_workloads()
+
+    def sampler_pass(backend):
+        def run():
+            results = []
+            for reduction, weight_of, epsilon in workloads:
+                clear_kernel_caches()
+                results.append(count_nfta(
+                    reduction.nfta, reduction.tree_size, epsilon=epsilon,
+                    seed=SEED, weight_of=weight_of, backend=backend,
+                ))
+            return results
+
+        return run
+
+    ref_value, ref_time = _best_of(sampler_pass("reference"))
+    opt_value, opt_time = _best_of(sampler_pass("optimized"))
+    assert ref_value == opt_value, "backends disagree — differential bug"
+    return ref_time, opt_time, ref_value
+
+
+def test_optimized_sampler_speedup():
+    """The optimized CountNFTA sampler is ≥2× over reference."""
+    ref_time, opt_time, _estimates = _measure_sampler()
+    assert opt_time * 2 <= ref_time, (
+        f"optimized sampler only {ref_time / opt_time:.2f}x faster than "
+        f"reference (ref {ref_time:.3f}s, opt {opt_time:.3f}s); the "
+        ">=2x gate failed"
+    )
+
+
 def test_speedup_never_regresses_on_smaller_workloads():
     """The optimized backend must never be *slower* cold, even on the
     small workloads where there is little to win."""
@@ -248,3 +309,9 @@ def test_speedup_never_regresses_on_smaller_workloads():
 
 if __name__ == "__main__":
     print(run_kernels().render())
+    ref_time, opt_time, _estimates = _measure_sampler()
+    print(
+        f"CountNFTA sampler (Q4 layered w2 fpras + warehouse 4/4/6 "
+        f"fpras-weighted, cold): reference {ref_time:.3f}s, optimized "
+        f"{opt_time:.3f}s, {ref_time / opt_time:.2f}x"
+    )

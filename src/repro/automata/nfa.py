@@ -3,7 +3,7 @@
 The warm-up construction of Section 3 reduces uniform reliability of a
 path query to counting the strings of length |D| accepted by an NFA.
 This module provides the NFA structure itself, membership testing (also
-*from* a given state, which the CountNFA sampler needs), trimming, and an
+*from* a given state), trimming, and an
 **exact** counter for ``|L_n(M)|`` based on the layered subset
 construction — the ground truth that the FPRAS in
 :mod:`repro.automata.nfa_counting` is validated against.
@@ -120,11 +120,9 @@ class NFA:
         return self.accepts_from_set(self._initial, word)
 
     def accepts_from(self, state: State, word: Sequence[Symbol]) -> bool:
-        """Acceptance starting from a single given state.
-
-        This is the membership oracle the CountNFA sampler uses to decide
-        whether a sampled suffix lies in ``L(q, ℓ)``.
-        """
+        """Acceptance starting from a single given state: whether a
+        suffix lies in ``L(q, ℓ)`` (the property-based suite holds the
+        CountNFA sampler's per-cons-cell acceptance masks to it)."""
         return self.accepts_from_set(frozenset({state}), word)
 
     def accepts_from_set(

@@ -23,8 +23,9 @@ can draw approximately-uniform samples:
 - **union (Karp–Luby) nodes** handle overlapping same-letter successor
   sets: sample a component ∝ its estimated size, draw a string from it,
   accept iff the component is the canonically-first one containing the
-  string (membership decided by running the NFA from the component's
-  state).  Only these nodes consume samples and introduce error.
+  string (membership read off the bitmask of states accepting the
+  string, memoized per shared cons cell).  Only these nodes consume
+  samples and introduce error.
 
 Error behaviour: each union estimate has relative standard deviation
 ``O(sqrt(m / K))`` (m overlapping components, K samples), and estimates
@@ -44,18 +45,25 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable
 
 from repro.automata.nfa import NFA
 from repro.errors import EstimationError
 
-__all__ = ["CountResult", "count_nfa", "sample_accepted_strings"]
+__all__ = [
+    "CountResult",
+    "count_nfa",
+    "sample_accepted_strings",
+    "weighted_index",
+]
 
 State = Hashable
 Symbol = Hashable
 
-# A word is a cons-chain: () for the empty word, else (symbol, rest).
+# A word is a cons-chain: () for the empty word, else (symbol id, rest).
 # Cons cells share suffixes, so sample pools cost O(1) cells per entry.
 _EMPTY = ()
 
@@ -89,64 +97,63 @@ class CountResult:
         return float(self.estimate)
 
 
-class _ExactNode:
-    """Full language known: a tuple of distinct words.
+def weighted_index(cumulative: list[float], pick: float) -> int:
+    """The index a weighted draw lands on: the first cumulative weight
+    ``>= pick``, clamped to the last entry (float rounding can put
+    ``pick`` just past the final sum)."""
+    return min(bisect_left(cumulative, pick), len(cumulative) - 1)
 
-    ``word_weight`` (a cons-word → weight function) switches the node
-    to the weighted measure: ``count`` is the total weight and draws
-    are weight-proportional.
+
+# ----------------------------------------------------------------------
+# Evaluator nodes, shared with the CountNFTA estimator
+# ----------------------------------------------------------------------
+
+class _ExactNode:
+    """Full language known: a tuple of distinct members.
+
+    ``weights`` (one float per member) switches the node to the
+    weighted measure: ``count`` is the total weight and draws are
+    weight-proportional.  ``None`` means every member weighs 1 and
+    draws are uniform.
     """
 
-    __slots__ = ("words", "_cumulative", "_total")
+    __slots__ = ("members", "weights", "count", "exact", "_cumulative")
 
-    def __init__(self, words: tuple, word_weight=None):
-        self.words = words
-        if word_weight is None:
+    def __init__(self, members: tuple, weights: tuple | None = None):
+        self.members = members
+        self.weights = weights
+        self.exact = True
+        if weights is None:
             self._cumulative = None
-            self._total = float(len(words))
+            self.count = float(len(members))
         else:
-            cumulative: list[float] = []
-            acc = 0.0
-            for word in words:
-                acc += float(word_weight(word))
-                cumulative.append(acc)
-            self._cumulative = cumulative
-            self._total = acc
+            self._cumulative = list(accumulate(weights))
+            self.count = self._cumulative[-1] if weights else 0.0
 
-    @property
-    def count(self) -> float:
-        return self._total
-
-    @property
-    def exact(self) -> bool:
-        return True
+    def member_weights(self) -> tuple:
+        if self.weights is None:
+            return (1.0,) * len(self.members)
+        return self.weights
 
     def draw(self, rng: random.Random):
-        words = self.words
-        if not words:
+        members = self.members
+        if not members:
             raise EstimationError("drawing from an empty exact node")
         if self._cumulative is None:
-            return words[rng.randrange(len(words))]
-        pick = rng.random() * self._total
-        return words[_bisect(self._cumulative, pick)]
+            return members[rng.randrange(len(members))]
+        pick = rng.random() * self.count
+        return members[weighted_index(self._cumulative, pick)]
 
 
 class _PoolNode:
     """A Karp–Luby union result: estimate + accepted-sample pool."""
 
-    __slots__ = ("estimate", "pool")
+    __slots__ = ("count", "exact", "pool")
 
     def __init__(self, estimate: float, pool: list):
-        self.estimate = estimate
+        self.count = estimate
+        self.exact = False
         self.pool = pool
-
-    @property
-    def count(self) -> float:
-        return self.estimate
-
-    @property
-    def exact(self) -> bool:
-        return False
 
     def draw(self, rng: random.Random):
         if not self.pool:
@@ -154,53 +161,20 @@ class _PoolNode:
         return self.pool[rng.randrange(len(self.pool))]
 
 
-class _PrefixNode:
-    """Lazy ``a · A``: weight-scaled count, draws prepend a cons cell."""
-
-    __slots__ = ("symbol", "child", "_count")
-
-    def __init__(self, symbol: Symbol, child, symbol_weight: float = 1.0):
-        self.symbol = symbol
-        self.child = child
-        self._count = symbol_weight * child.count
-
-    @property
-    def count(self) -> float:
-        return self._count
-
-    @property
-    def exact(self) -> bool:
-        return self.child.exact
-
-    def draw(self, rng: random.Random):
-        return (self.symbol, self.child.draw(rng))
-
-
 class _SumNode:
     """Lazy disjoint union: counts add exactly, draws pick ∝ weight."""
 
-    __slots__ = ("parts", "cumulative", "total")
+    __slots__ = ("parts", "cumulative", "count", "exact")
 
     def __init__(self, parts: list):
         self.parts = parts
-        self.cumulative = []
-        acc = 0.0
-        for part in parts:
-            acc += part.count
-            self.cumulative.append(acc)
-        self.total = acc
-
-    @property
-    def count(self) -> float:
-        return self.total
-
-    @property
-    def exact(self) -> bool:
-        return all(part.exact for part in self.parts)
+        self.cumulative = list(accumulate(part.count for part in parts))
+        self.count = self.cumulative[-1]
+        self.exact = all(part.exact for part in parts)
 
     def draw(self, rng: random.Random):
-        pick = rng.random() * self.total
-        return self.parts[_bisect(self.cumulative, pick)].draw(rng)
+        pick = rng.random() * self.count
+        return self.parts[weighted_index(self.cumulative, pick)].draw(rng)
 
 
 _ZERO = _ExactNode(())
@@ -209,10 +183,139 @@ _ZERO = _ExactNode(())
 _EXACT_SWEEP_FRONTIER = 64
 
 
+def _distinct(nodes: list, weighted: bool) -> _ExactNode:
+    """The union of exact ``nodes``: their distinct members in
+    first-seen order.  A member's weight is a function of the member,
+    so any copy's weight will do."""
+    merged: dict = {}
+    for node in nodes:
+        for member, weight in zip(node.members, node.member_weights()):
+            merged.setdefault(member, weight)
+    return _ExactNode(
+        tuple(merged), tuple(merged.values()) if weighted else None
+    )
+
+
+def _disjoint_sum(nodes: list, exact_set_cap: int, weighted: bool):
+    """The disjoint union of ``nodes``: their members concatenated
+    while they are all exact and fit the cap, else a lazy sum."""
+    if not nodes:
+        return _ZERO
+    if len(nodes) == 1:
+        return nodes[0]
+    if (
+        exact_set_cap
+        and all(isinstance(node, _ExactNode) for node in nodes)
+        and sum(len(node.members) for node in nodes) <= exact_set_cap
+    ):
+        members = tuple(m for node in nodes for m in node.members)
+        weights = None
+        if weighted:
+            weights = tuple(w for node in nodes for w in node.member_weights())
+        return _ExactNode(members, weights)
+    return _SumNode(nodes)
+
+
+class _PrefixNode:
+    """Lazy ``a · A``: weight-scaled count, draws prepend a cons cell."""
+
+    __slots__ = ("symbol", "child", "count", "exact")
+
+    def __init__(self, symbol: int, child, symbol_weight: float = 1.0):
+        self.symbol = symbol
+        self.child = child
+        self.count = symbol_weight * child.count
+        self.exact = child.exact
+
+    def draw(self, rng: random.Random):
+        return (self.symbol, self.child.draw(rng))
+
+
+# ----------------------------------------------------------------------
+# The seed-free plan and the counter
+# ----------------------------------------------------------------------
+
+class _WordPlan:
+    """Seed-free preprocessing of one (NFA, length), shared by the
+    repetitions of a :func:`count_nfa` call.
+
+    States and symbols are numbered in ``str`` order, so sorting by id
+    is the deterministic order the evaluator visits them in.
+    ``cells[i]`` describes the i-th needed (state, remaining) pair in
+    evaluation order: for ``remaining == 0`` whether the state accepts,
+    otherwise its letters as ``(symbol id, ((target id, pair index),
+    …))``.  ``backward[a][t]`` is the bitmask of states reaching state
+    ``t`` on symbol ``a`` — one step of the acceptance masks.
+    """
+
+    __slots__ = (
+        "states", "symbols", "cells", "roots", "used_symbols",
+        "accepting_mask", "backward",
+    )
+
+    def __init__(self, nfa: NFA, length: int):
+        self.states = states = tuple(sorted(nfa.states, key=str))
+        state_id = {state: index for index, state in enumerate(states)}
+        self.symbols = tuple(sorted(nfa.alphabet, key=str))
+        symbol_id = {symbol: index for index, symbol in enumerate(self.symbols)}
+        self.accepting_mask = 0
+        for state in nfa.accepting:
+            self.accepting_mask |= 1 << state_id[state]
+        backward: list[dict[int, int]] = [{} for _ in self.symbols]
+        letters: list[list] = [[] for _ in states]
+        for state in states:
+            successors = nfa.successors(state)
+            for symbol in sorted(successors, key=symbol_id.__getitem__):
+                targets = sorted(state_id[t] for t in successors[symbol])
+                sid = symbol_id[symbol]
+                letters[state_id[state]].append((sid, targets))
+                table = backward[sid]
+                for target in targets:
+                    table[target] = (
+                        table.get(target, 0) | 1 << state_id[state]
+                    )
+        self.backward = backward
+
+        needed: set[tuple[int, int]] = set()
+        stack = [(state_id[q], length) for q in nfa.initial]
+        while stack:
+            pair = stack.pop()
+            if pair in needed:
+                continue
+            needed.add(pair)
+            state, remaining = pair
+            if remaining:
+                for _sid, targets in letters[state]:
+                    for target in targets:
+                        stack.append((target, remaining - 1))
+        pairs = sorted(needed, key=lambda p: (p[1], p[0]))
+        index = {pair: position for position, pair in enumerate(pairs)}
+        used: set[int] = set()
+        cells: list = []
+        for state, remaining in pairs:
+            if not remaining:
+                cells.append(bool(self.accepting_mask >> state & 1))
+                continue
+            cell = []
+            for sid, targets in letters[state]:
+                used.add(sid)
+                cell.append((sid, tuple(
+                    (target, index[(target, remaining - 1)])
+                    for target in targets
+                )))
+            cells.append(tuple(cell))
+        self.cells = tuple(cells)
+        self.used_symbols = tuple(sorted(used))
+        self.roots = tuple(
+            (state, index[(state, length)])
+            for state in sorted(state_id[q] for q in nfa.initial)
+        )
+
+
 class _Counter:
     def __init__(
         self,
-        nfa: NFA,
+        plan: _WordPlan,
         length: int,
         epsilon: float,
         samples: int | None,
@@ -220,34 +323,26 @@ class _Counter:
         rng: random.Random,
         weight_of=None,
     ):
-        self._nfa = nfa
+        self._plan = plan
         self._length = length
         self._samples = samples or default_sample_count(length, epsilon)
         self._cap = exact_set_cap
         self._rng = rng
-        self._weight_of = weight_of
-        self._values: dict[tuple[State, int], object] = {}
+        self._weights = None
+        if weight_of is not None:
+            self._weights = [1.0] * len(plan.symbols)
+            for sid in plan.used_symbols:
+                self._weights[sid] = float(weight_of(plan.symbols[sid]))
+        # id(cons cell) -> bitmask of states accepting that word; the
+        # cells are kept alive so their ids stay unique.
+        self._accepts: dict[int, int] = {}
+        self._alive: list = []
         self.samples_used = 0
 
-    def _symbol_weight(self, symbol: Symbol) -> float:
-        if self._weight_of is None:
+    def _symbol_weight(self, symbol: int) -> float:
+        if self._weights is None:
             return 1.0
-        return float(self._weight_of(symbol))
-
-    def _word_weight_fn(self):
-        """Per-word weight function for exact nodes (None = uniform)."""
-        if self._weight_of is None:
-            return None
-        weigh = self._weight_of
-
-        def word_weight(cons) -> float:
-            total = 1.0
-            while cons:
-                total *= float(weigh(cons[0]))
-                cons = cons[1]
-            return total
-
-        return word_weight
+        return self._weights[symbol]
 
     # -- driver ----------------------------------------------------------
 
@@ -263,118 +358,95 @@ class _Counter:
         sys.setrecursionlimit(
             max(sys.getrecursionlimit(), 10 * self._length + 10_000)
         )
-        needed = self._collect_needed_pairs()
-        for pair in sorted(needed, key=lambda p: (p[1], str(p[0]))):
-            self._values[pair] = self._compute(pair)
+        values: list = []
+        for cell in self._plan.cells:
+            values.append(self._compute(cell, values))
         return self._union(
-            [
-                (state, self._values[(state, self._length)])
-                for state in sorted(self._nfa.initial, key=str)
-            ],
+            [(state, values[pair]) for state, pair in self._plan.roots],
             prefix_symbol=None,
         )
 
-    def _collect_needed_pairs(self) -> set[tuple[State, int]]:
-        needed: set[tuple[State, int]] = set()
-        stack = [(q, self._length) for q in self._nfa.initial]
-        while stack:
-            pair = stack.pop()
-            if pair in needed:
-                continue
-            needed.add(pair)
-            state, remaining = pair
-            if remaining == 0:
-                continue
-            for targets in self._nfa.successors(state).values():
-                for target in targets:
-                    stack.append((target, remaining - 1))
-        return needed
-
-    def _compute(self, pair: tuple[State, int]):
-        state, remaining = pair
-        if remaining == 0:
-            if state in self._nfa.accepting:
-                return _ExactNode((_EMPTY,))
+    def _compute(self, cell, values: list):
+        if cell is True:
+            return _ExactNode((_EMPTY,))
+        if cell is False:
             return _ZERO
-
         letter_nodes = []
-        for symbol in sorted(self._nfa.successors(state), key=str):
+        for symbol, targets in cell:
             if self._symbol_weight(symbol) == 0:
                 continue
-            targets = self._nfa.successors(state)[symbol]
-            components = [
-                (target, self._values[(target, remaining - 1)])
-                for target in sorted(targets, key=str)
-            ]
-            node = self._union(components, prefix_symbol=symbol)
+            node = self._union(
+                [(target, values[pair]) for target, pair in targets],
+                prefix_symbol=symbol,
+            )
             if node.count > 0:
                 letter_nodes.append(node)
-        return self._disjoint_sum(letter_nodes)
+        return _disjoint_sum(
+            letter_nodes, self._cap, self._weights is not None
+        )
 
     # -- same-letter union (Karp–Luby) ---------------------------------
 
-    def _union(self, components, prefix_symbol: Symbol | None):
+    def _wrap(self, node, prefix_symbol: int | None):
+        """``a · node`` (or ``node`` itself at the virtual root)."""
+        if prefix_symbol is None:
+            return node
+        if isinstance(node, _ExactNode):
+            members = tuple((prefix_symbol, w) for w in node.members)
+            if self._weights is None:
+                return _ExactNode(members)
+            weight = self._weights[prefix_symbol]
+            return _ExactNode(
+                members, tuple(weight * w for w in node.member_weights())
+            )
+        return _PrefixNode(
+            prefix_symbol, node, self._symbol_weight(prefix_symbol)
+        )
+
+    def _union(self, components, prefix_symbol: int | None):
         """Combine overlapping components ``A(q', ℓ-1)``, prefixing the
         letter (or nothing at the virtual root over initial states)."""
-
-        def wrap(node):
-            if prefix_symbol is None:
-                return node
-            if isinstance(node, _ExactNode):
-                return _ExactNode(
-                    tuple((prefix_symbol, w) for w in node.words),
-                    word_weight=self._word_weight_fn(),
-                )
-            return _PrefixNode(
-                prefix_symbol, node, self._symbol_weight(prefix_symbol)
-            )
-
         components = [c for c in components if c[1].count > 0]
         if not components:
             return _ZERO
         if len(components) == 1:
-            return wrap(components[0][1])
+            return self._wrap(components[0][1], prefix_symbol)
 
         if self._cap and all(
             isinstance(v, _ExactNode) for _, v in components
         ):
-            total = sum(len(v.words) for _, v in components)
+            total = sum(len(v.members) for _, v in components)
             if total <= self._cap:
-                merged = set()
-                for _, value in components:
-                    merged.update(value.words)
-                return wrap(
-                    _ExactNode(
-                        tuple(merged),
-                        word_weight=self._word_weight_fn(),
-                    )
+                # Dedupe in first-seen order; a word's weight is a
+                # function of the word, so any copy's weight will do.
+                merged = _distinct(
+                    [value for _, value in components],
+                    self._weights is not None,
                 )
+                return self._wrap(merged, prefix_symbol)
 
         # Karp–Luby: sample component ∝ size, accept iff it is the
         # canonically-first component containing the sampled word.
-        weights = [value.count for _, value in components]
-        total_weight = sum(weights)
-        cumulative: list[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight
-            cumulative.append(acc)
+        cumulative = list(accumulate(value.count for _, value in components))
+        total_weight = cumulative[-1]
 
         accepted_words: list = []
         attempts = 0
         accepted = 0
         budget = self._samples
         max_attempts = budget * (1 + len(components))
+        rng = self._rng
         while attempts < budget or (
             accepted == 0 and attempts < max_attempts
         ):
             attempts += 1
             self.samples_used += 1
-            pick = self._rng.random() * total_weight
-            index = _bisect(cumulative, pick)
-            word = components[index][1].draw(self._rng)
-            owner = self._first_containing(components, word)
-            if owner == index:
+            pick = rng.random() * total_weight
+            index = weighted_index(cumulative, pick)
+            word = components[index][1].draw(rng)
+            # Accept iff the drawn component is the first containing
+            # the word; it contains it, so only earlier ones count.
+            if not self._accepted_by_any(components[:index], word):
                 accepted += 1
                 accepted_words.append(
                     word if prefix_symbol is None
@@ -392,46 +464,40 @@ class _Counter:
             estimate *= self._symbol_weight(prefix_symbol)
         return _PoolNode(estimate, accepted_words)
 
-    def _first_containing(self, components, word) -> int:
-        materialized = _materialize(word)
-        for index, (state, _value) in enumerate(components):
-            if self._nfa.accepts_from(state, materialized):
-                return index
-        raise EstimationError(
-            "sampled word not accepted by any component; "
-            "pool contents are inconsistent with the automaton"
-        )
+    def _accepted_by_any(self, components, word) -> bool:
+        if not components:
+            return False
+        accepts = self._accepting_states(word)
+        return any(accepts >> state & 1 for state, _value in components)
 
-    # -- disjoint sum across letters ------------------------------------
+    def _accepting_states(self, word) -> int:
+        """Bitmask of the states accepting ``word``, memoized per cons
+        cell: a new cell costs one backward step from its (already
+        known) suffix."""
+        memo = self._accepts
+        chain = []
+        cell = word
+        mask = self._plan.accepting_mask
+        while cell:
+            known = memo.get(id(cell))
+            if known is not None:
+                mask = known
+                break
+            chain.append(cell)
+            cell = cell[1]
+        backward = self._plan.backward
+        for cell in reversed(chain):
+            table = backward[cell[0]]
+            sources = 0
+            while mask:
+                low = mask & -mask
+                sources |= table.get(low.bit_length() - 1, 0)
+                mask ^= low
+            mask = sources
+            memo[id(cell)] = mask
+        self._alive.extend(chain)
+        return mask
 
-    def _disjoint_sum(self, letter_nodes: list):
-        if not letter_nodes:
-            return _ZERO
-        if len(letter_nodes) == 1:
-            return letter_nodes[0]
-        if self._cap and all(
-            isinstance(n, _ExactNode) for n in letter_nodes
-        ):
-            total = sum(len(n.words) for n in letter_nodes)
-            if total <= self._cap:
-                merged: list = []
-                for node in letter_nodes:
-                    merged.extend(node.words)
-                return _ExactNode(
-                    tuple(merged), word_weight=self._word_weight_fn()
-                )
-        return _SumNode(letter_nodes)
-
-
-def _bisect(cumulative: list[float], pick: float) -> int:
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if pick <= cumulative[mid]:
-            high = mid
-        else:
-            low = mid + 1
-    return low
 
 
 def count_nfa(
@@ -494,10 +560,11 @@ def count_nfa(
             return CountResult(
                 estimate=float(measure), exact=True, samples_used=0
             )
+    plan = _WordPlan(nfa, length)
     rng = random.Random(seed)
     results = [
         _Counter(
-            nfa, length, epsilon, samples, exact_set_cap,
+            plan, length, epsilon, samples, exact_set_cap,
             random.Random(rng.randrange(2**63)),
             weight_of=weight_of,
         ).run()
@@ -527,12 +594,17 @@ def sample_accepted_strings(
     simultaneously a counter and an almost-uniform generator).  With
     ``weight_of``, draws are approximately weight-proportional.
     """
+    plan = _WordPlan(nfa, length)
     rng = random.Random(seed)
     counter = _Counter(
-        nfa, length, epsilon, None, exact_set_cap, rng,
+        plan, length, epsilon, None, exact_set_cap, rng,
         weight_of=weight_of,
     )
     top = counter.top_node()
     if top.count <= 0:
         raise EstimationError("language is (estimated) empty; cannot sample")
-    return [tuple(_materialize(top.draw(rng))) for _ in range(k)]
+    symbols = plan.symbols
+    return [
+        tuple(symbols[s] for s in _materialize(top.draw(rng)))
+        for _ in range(k)
+    ]

@@ -8,8 +8,8 @@ transition with the empty child tuple.  Following the paper we also allow
 attach to its parent — together with a standard elimination procedure.
 
 Membership is decided bottom-up: for each subtree we compute the set of
-states from which it is derivable; this doubles as the membership oracle
-for the CountNFTA sampler.
+states from which it is derivable (the property-based suite holds the
+CountNFTA sampler's compiled membership oracle to it).
 """
 
 from __future__ import annotations
@@ -302,7 +302,9 @@ class NFTA:
                     new_transitions.append((fresh, symbol, children))
             initial = fresh
 
-        return NFTA(set(new_transitions), initial)
+        # Dedupe in first-seen order: a set would order the transitions
+        # by hash, and downstream constructions name states by position.
+        return NFTA(dict.fromkeys(new_transitions), initial)
 
     # ------------------------------------------------------------------
     # Trimming

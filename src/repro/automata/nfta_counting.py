@@ -12,23 +12,6 @@ by an NFTA.  This module provides:
   :mod:`repro.automata.nfa_counting` lifted from string concatenation to
   tree composition.  The decomposition underlying the estimator is
 
-Every entry point takes a ``backend`` knob (default ``"optimized"``;
-see :mod:`repro.core.kernels` and ``docs/performance.md``).  The
-optimized backend runs the exact DP over dense pruned bitmask indexes
-with process-wide memoized layers, shares seed-independent sampling
-plans across repetitions and batch items, and batches the per-sample
-budget/metric ticks — while producing bitwise-identical counts,
-estimates and sampled trees: exact DP terms are summed in exact
-arithmetic (order-free; float weights fall back to the reference DP),
-and the sampling loops consume the RNG streams in exactly the
-reference order.  The ``vectorized`` backend
-(:mod:`repro.core.vectorized`; requires the optional numpy extra)
-lowers that same exact layer DP to batched numpy operations and
-shares the optimized sampling machinery unchanged, under the same
-bitwise guarantee.  The differential suite
-(``tests/test_kernel_differential.py``) enforces this equivalence
-across all three backends.
-
       A(q, s) = ⨄_{(σ, k, s̄)}  ⋃_{τ = (q, σ, (q1..qk)) ∈ Δ}
                     σ⟨ A(q1, s̄1) × … × A(qk, s̄k) ⟩
 
@@ -43,19 +26,52 @@ across all three backends.
 Like the string counter, the evaluator is a DAG of lazy nodes: exact
 nodes (full language as a set, up to ``exact_set_cap``), lazy product
 and disjoint-sum nodes whose counts combine arithmetically, and
-Karp–Luby pool nodes — the only place sampling error enters.
+Karp–Luby pool nodes — the only place sampling error enters.  Two rules
+fix what an exact node holds: merged members are deduplicated in
+first-seen order, and a member weighs its symbol's weight times its
+children's weights, left to right (the rule lazy products use for
+their counts).
+
+Every entry point takes a ``backend`` knob (default ``"optimized"``;
+see :mod:`repro.core.kernels` and ``docs/performance.md``).  For the
+exact DP the optimized backend runs over dense pruned bitmask indexes
+with process-wide memoized layers, and the ``vectorized`` backend
+(:mod:`repro.core.vectorized`; requires the optional numpy extra)
+lowers the same layer DP to batched numpy operations; exact arithmetic
+keeps both bitwise-equal to the reference (float weights fall back to
+the reference DP).  The sampler is one loop over one seed-free plan
+(:class:`_CounterPlan`, built on the compiled
+:class:`~repro.automata.optimize.DenseNFTA`); a backend only picks how
+sampled trees are stored — :class:`LabeledTree` objects with frozenset
+derivability for ``reference``, interned integer ids with top-down
+membership over dense states for the other two — so estimates and
+sampled trees are bitwise-identical across backends, and none of them
+depends on the interpreter's hash seed.  The differential suite
+(``tests/test_kernel_differential.py``) enforces this equivalence
+across all three backends.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from itertools import accumulate, product
 from typing import Hashable, Iterator
 
-from repro.automata.nfa_counting import CountResult, default_sample_count
+from repro.automata.nfa_counting import (
+    CountResult,
+    _disjoint_sum,
+    _distinct,
+    _ExactNode,
+    _PoolNode,
+    _ZERO,
+    default_sample_count,
+    weighted_index,
+)
 from repro.automata.nfta import NFTA
+from repro.automata.optimize import DenseNFTA, optimize_nfta
 from repro.automata.trees import LabeledTree
-from repro.core.budget import budget_checkpoint, budget_tick
+from repro.core.budget import budget_checkpoint
 from repro.errors import AutomatonError, EstimationError
 from repro.obs import metric_inc, span
 from repro.testing.faults import fault_point
@@ -196,623 +212,127 @@ def _subset_combinations(
 
 
 # ----------------------------------------------------------------------
-# FPRAS node types
+# The seed-free plan
 # ----------------------------------------------------------------------
 
-class _ExactNode:
-    """Full language known: distinct trees, optionally weighted.
-
-    ``tree_weight`` (a tree → weight function) switches the node to the
-    weighted measure: ``count`` is the total weight and draws are
-    weight-proportional.
-    """
-
-    __slots__ = ("trees", "_cumulative", "_total")
-
-    def __init__(
-        self, trees: tuple[LabeledTree, ...], tree_weight=None
-    ):
-        self.trees = trees
-        if tree_weight is None:
-            self._cumulative = None
-            self._total = float(len(trees))
-        else:
-            cumulative: list[float] = []
-            acc = 0.0
-            for tree in trees:
-                acc += float(tree_weight(tree))
-                cumulative.append(acc)
-            self._cumulative = cumulative
-            self._total = acc
-
-    @property
-    def count(self) -> float:
-        return self._total
-
-    @property
-    def exact(self) -> bool:
-        return True
-
-    def draw(self, rng: random.Random) -> LabeledTree:
-        if not self.trees:
-            raise EstimationError("drawing from an empty exact node")
-        if self._cumulative is None:
-            return self.trees[rng.randrange(len(self.trees))]
-        pick = rng.random() * self._total
-        return self.trees[_bisect(self._cumulative, pick)]
-
-
-class _PoolNode:
-    __slots__ = ("estimate", "pool")
-
-    def __init__(self, estimate: float, pool: list[LabeledTree]):
-        self.estimate = estimate
-        self.pool = pool
-
-    @property
-    def count(self) -> float:
-        return self.estimate
-
-    @property
-    def exact(self) -> bool:
-        return False
-
-    def draw(self, rng: random.Random) -> LabeledTree:
-        if not self.pool:
-            raise EstimationError("drawing from an empty sample pool")
-        return self.pool[rng.randrange(len(self.pool))]
-
-
-class _ProductNode:
-    """Lazy σ⟨A1 × … × Ak⟩: count multiplies, draws combine.
-
-    Drawn trees are *interned* per child-identity tuple: repeated draws
-    that combine the same child objects return the same tree object.
-    Child draws from exact/pool nodes already return shared objects, so
-    interning makes whole sampled trees shared — which keeps the
-    id-keyed derivability memo effective during Karp–Luby membership
-    checks (a ~50× speedup on gadget-heavy automata).
-    """
-
-    __slots__ = ("symbol", "children", "_count", "_intern")
-
-    def __init__(
-        self, symbol: Symbol, children: list, symbol_weight: float = 1.0
-    ):
-        self.symbol = symbol
-        self.children = children
-        product = symbol_weight
-        for child in children:
-            product *= child.count
-        self._count = product
-        self._intern: dict[tuple[int, ...], LabeledTree] = {}
-
-    @property
-    def count(self) -> float:
-        return self._count
-
-    @property
-    def exact(self) -> bool:
-        return all(child.exact for child in self.children)
-
-    def draw(self, rng: random.Random) -> LabeledTree:
-        drawn = tuple(child.draw(rng) for child in self.children)
-        key = tuple(map(id, drawn))
-        tree = self._intern.get(key)
-        if tree is None:
-            tree = LabeledTree(self.symbol, drawn)
-            self._intern[key] = tree
-        return tree
-
-
-class _SumNode:
-    """Lazy disjoint union: counts add exactly, draws pick ∝ weight."""
-
-    __slots__ = ("parts", "cumulative", "total")
-
-    def __init__(self, parts: list):
-        self.parts = parts
-        self.cumulative = []
-        acc = 0.0
-        for part in parts:
-            acc += part.count
-            self.cumulative.append(acc)
-        self.total = acc
-
-    @property
-    def count(self) -> float:
-        return self.total
-
-    @property
-    def exact(self) -> bool:
-        return all(part.exact for part in self.parts)
-
-    def draw(self, rng: random.Random) -> LabeledTree:
-        pick = rng.random() * self.total
-        return self.parts[_bisect(self.cumulative, pick)].draw(rng)
-
-
-_ZERO = _ExactNode(())
-
-
-class _DerivabilityIndex:
-    """Child-indexed rule tables for bottom-up membership checks.
-
-    Immutable after construction and a pure function of the automaton,
-    so the optimized backend shares one instance across every counter
-    run over the same automaton (via :class:`_CounterPlan`).  Symbols
-    like the gadget bits 0/1 occur in *every* comparator, so scanning
-    all same-symbol rules per node is quadratic; iterating the (small)
-    derivable sets of the children against these indexes is
-    near-constant instead.
-    """
-
-    __slots__ = ("leaf_sources", "unary_index", "binary_index", "generic")
-
-    def __init__(self, nfta: NFTA):
-        self.leaf_sources: dict[Symbol, frozenset[State]] = {}
-        self.unary_index: dict[Symbol, dict[State, tuple[State, ...]]] = {}
-        self.binary_index: dict[
-            Symbol, dict[tuple[State, State], tuple[State, ...]]
-        ] = {}
-        self.generic: dict[tuple[Symbol, int], tuple] = {}
-        for (symbol, arity), rules in nfta.by_symbol_arity.items():
-            if arity == 0:
-                self.leaf_sources[symbol] = frozenset(
-                    source for source, _children in rules
-                )
-            elif arity == 1:
-                table: dict[State, list[State]] = {}
-                for source, children in rules:
-                    table.setdefault(children[0], []).append(source)
-                self.unary_index[symbol] = {
-                    child: tuple(sources)
-                    for child, sources in table.items()
-                }
-            elif arity == 2:
-                pair_table: dict[tuple[State, State], list[State]] = {}
-                for source, children in rules:
-                    pair_table.setdefault(
-                        (children[0], children[1]), []
-                    ).append(source)
-                self.binary_index[symbol] = {
-                    pair: tuple(sources)
-                    for pair, sources in pair_table.items()
-                }
-            else:
-                self.generic[(symbol, arity)] = rules
-
-
-class _DerivabilityCache:
-    """Bottom-up derivable-state sets, memoized across sampled trees.
-
-    Pools share subtree structure heavily, so caching by object identity
-    (with a keep-alive list to pin ids) makes repeated membership checks
-    cheap.  The memo is per run (tree ids are run-local); the rule
-    ``index`` may be shared.
-    """
-
-    def __init__(self, nfta: NFTA, index: _DerivabilityIndex | None = None):
-        self._index = index if index is not None else _DerivabilityIndex(nfta)
-        self._memo: dict[int, frozenset[State]] = {}
-        self._keep_alive: list[LabeledTree] = []
-
-    def states(self, tree: LabeledTree) -> frozenset[State]:
-        cached = self._memo.get(id(tree))
-        if cached is not None:
-            return cached
-        arity = len(tree.children)
-        if arity == 0:
-            result = self._index.leaf_sources.get(tree.label, frozenset())
-        elif arity == 1:
-            table = self._index.unary_index.get(tree.label)
-            states: set[State] = set()
-            if table:
-                for child_state in self.states(tree.children[0]):
-                    sources = table.get(child_state)
-                    if sources:
-                        states.update(sources)
-            result = frozenset(states)
-        elif arity == 2:
-            table2 = self._index.binary_index.get(tree.label)
-            states = set()
-            if table2:
-                left = self.states(tree.children[0])
-                right = self.states(tree.children[1])
-                for l_state in left:
-                    for r_state in right:
-                        sources = table2.get((l_state, r_state))
-                        if sources:
-                            states.update(sources)
-            result = frozenset(states)
-        else:
-            child_sets = [self.states(child) for child in tree.children]
-            states = set()
-            for source, children in self._index.generic.get(
-                (tree.label, arity), ()
-            ):
-                if all(
-                    child in child_set
-                    for child, child_set in zip(children, child_sets)
-                ):
-                    states.add(source)
-            result = frozenset(states)
-        self._memo[id(tree)] = result
-        self._keep_alive.append(tree)
-        return result
-
-
 class _CounterPlan:
-    """Seed-independent preprocessing shared across counter runs.
+    """Seed-free preprocessing of one (automaton, size): what every
+    backend's sampling loop runs over.
 
-    Everything here is a pure function of (automaton, size): the size
-    masks, the sorted needed (state, size) pairs, the split tables and
-    the derivability rule index.  Sharing it across ``count_nfta``
-    repetitions and batch items (keyed by the automaton fingerprint in
-    :func:`repro.core.kernels.shared_plan`) changes no RNG call: the
-    sampling loops below consume their streams exactly as the
-    reference does.  The splits memo is filled lazily; entries are
-    deterministic functions of their key, so concurrent writers are
-    redundant, never wrong.
+    Built on the :class:`~repro.automata.optimize.DenseNFTA` integer
+    states and symbols.  ``cells[i]`` is the i-th needed (state, size)
+    pair in evaluation order, as its ``(symbol id, members)`` groups —
+    one group per (symbol, arity, size split) — and each member as
+    ``(child pair indices, child state ids)``; ``root`` indexes
+    ``(s_init, size)`` (``None``: no accepted tree of that size).  Pairs
+    sort by (size, ``str(state)``), groups by (``str(symbol)``, arity,
+    split) and members by their children's ``str``: orders of the
+    original labels, hence the same for every automaton sharing the
+    fingerprint the optimized backends key the plan on
+    (:func:`repro.core.kernels.shared_plan`).  ``derivations[q]`` maps
+    a symbol id to the child-state tuples of state q's rules — the
+    interned tree store's membership tables.
     """
 
-    __slots__ = ("size_masks", "sorted_pairs", "splits_memo", "derivability")
+    __slots__ = (
+        "states", "symbols", "used_symbols", "cells", "root", "derivations",
+    )
 
-    def __init__(self, nfta: NFTA, size: int):
-        self.size_masks = nfta.possible_sizes(size)
-        self.splits_memo: dict = {}
-        self.sorted_pairs = _sorted_needed_pairs(
-            nfta, size, self.size_masks, self.splits_memo
+    def __init__(self, nfta: NFTA, dense: DenseNFTA, size: int):
+        self.states = dense.states
+        self.symbols = dense.symbols
+        state_id = {state: index for index, state in enumerate(dense.states)}
+        symbol_id = {
+            symbol: index for index, symbol in enumerate(dense.symbols)
+        }
+        derivations: list[dict[int, list]] = [{} for _ in dense.states]
+        for source, symbol, children in dense.transitions:
+            derivations[state_id[source]].setdefault(
+                symbol_id[symbol], []
+            ).append(tuple(state_id[c] for c in children))
+        self.derivations = tuple(
+            {symbol: tuple(found) for symbol, found in by_symbol.items()}
+            for by_symbol in derivations
         )
-        self.derivability = _DerivabilityIndex(nfta)
-
-
-def _sorted_needed_pairs(
-    nfta: NFTA, size: int, size_masks, splits_memo
-) -> tuple[tuple[State, int], ...]:
-    """The (state, size) pairs the DP needs, in evaluation order."""
-    needed: set[tuple[State, int]] = set()
-    stack = [(nfta.initial, size)]
-    while stack:
-        pair = stack.pop()
-        if pair in needed:
-            continue
-        needed.add(pair)
-        state, s = pair
-        for _source, _symbol, children in nfta.by_source.get(state, ()):
-            for split in _splits_from_masks(
-                size_masks, splits_memo, children, s - 1
-            ):
-                for child, child_size in zip(children, split):
-                    stack.append((child, child_size))
-    return tuple(sorted(needed, key=lambda p: (p[1], str(p[0]))))
-
-
-class _TreeCounter:
-    def __init__(
-        self,
-        nfta: NFTA,
-        size: int,
-        epsilon: float,
-        samples: int | None,
-        exact_set_cap: int,
-        rng: random.Random,
-        weight_of=None,
-        plan: _CounterPlan | None = None,
-    ):
-        if nfta.has_lambda:
-            raise AutomatonError("count_nfta requires a λ-free NFTA")
-        self._nfta = nfta
-        self._size = size
-        self._samples = samples or default_sample_count(size, epsilon)
-        self._cap = exact_set_cap
-        self._rng = rng
-        self._weight_of = weight_of
-        self._values: dict[tuple[State, int], object] = {}
-        self._optimized = plan is not None
-        if plan is not None:
-            self._size_masks = plan.size_masks
-            self._splits_memo = plan.splits_memo
-            self._sorted_pairs = plan.sorted_pairs
-            self._derivability = _DerivabilityCache(
-                nfta, index=plan.derivability
-            )
-        else:
-            self._size_masks = nfta.possible_sizes(size)
-            self._splits_memo = {}
-            self._sorted_pairs = None
-            self._derivability = _DerivabilityCache(nfta)
-        self.samples_used = 0
-
-    def _symbol_weight(self, symbol: Symbol) -> float:
-        if self._weight_of is None:
-            return 1.0
-        return float(self._weight_of(symbol))
-
-    def _tree_weight_fn(self):
-        """Per-tree weight function for exact nodes (None = uniform)."""
-        if self._weight_of is None:
-            return None
-        weigh = self._weight_of
-
-        def tree_weight(tree: LabeledTree) -> float:
-            total = 1.0
-            for label in tree.labels_preorder():
-                total *= float(weigh(label))
-            return total
-
-        return tree_weight
-
-    # -- driver ----------------------------------------------------------
-
-    def run(self) -> CountResult:
-        top = self.top_node()
-        return CountResult(
-            estimate=top.count,
-            exact=top.exact,
-            samples_used=self.samples_used,
-        )
-
-    def top_node(self):
-        sys.setrecursionlimit(
-            max(sys.getrecursionlimit(), 10 * self._size + 10_000)
-        )
-        if not self._mask_has(self._nfta.initial, self._size):
-            return _ZERO
-        pairs = self._sorted_pairs
-        if pairs is None:
-            pairs = _sorted_needed_pairs(
-                self._nfta, self._size, self._size_masks, self._splits_memo
-            )
-        for pair in pairs:
-            budget_checkpoint("counting.nfta")
-            metric_inc("count_nfta.dp_cells")
-            self._values[pair] = self._compute(pair)
-        return self._values[(self._nfta.initial, self._size)]
-
-    def _mask_has(self, state: State, s: int) -> bool:
-        if s < 0:
-            return False
-        return bool(self._size_masks.get(state, 0) & (1 << s))
-
-    def _splits(
-        self, children: tuple[State, ...], total: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """Size compositions of ``total`` consistent with child size masks."""
-        return _splits_from_masks(
-            self._size_masks, self._splits_memo, children, total
-        )
-
-    # -- per-(state, size) computation ------------------------------------
-
-    def _compute(self, pair: tuple[State, int]):
-        state, s = pair
-        if not self._mask_has(state, s):
-            return _ZERO
-
-        # Group components by (symbol, arity, split); disjoint across
-        # groups, overlapping within a group.
-        grouped: dict[tuple, list] = {}
-        for transition in self._nfta.by_source.get(state, ()):
-            _source, symbol, children = transition
-            for split in self._splits(children, s - 1):
-                grouped.setdefault(
-                    (str(symbol), symbol, len(children), split), []
-                ).append(transition)
-
-        group_nodes = []
-        for key in sorted(grouped, key=lambda k: (k[0], k[2], k[3])):
-            _repr, symbol, _arity, split = key
-            node = self._group_union(symbol, split, grouped[key])
-            if node.count > 0:
-                group_nodes.append(node)
-        return self._disjoint_sum(group_nodes)
-
-    def _component_children(self, transition, split: tuple[int, ...]):
-        values = []
-        for child, child_size in zip(transition[2], split):
-            value = self._values.get((child, child_size))
-            if value is None or value.count <= 0:
-                return None
-            values.append(value)
-        return values
-
-    def _group_union(self, symbol: Symbol, split: tuple[int, ...], members):
-        components = []
-        for transition in sorted(members, key=str):
-            child_values = self._component_children(transition, split)
-            if child_values is not None:
-                components.append((transition, child_values))
-        if not components:
-            return _ZERO
-
-        if len(components) == 1:
-            return self._product(symbol, components[0][1])
-
-        if self._cap and all(
-            all(isinstance(v, _ExactNode) for v in child_values)
-            for _, child_values in components
-        ):
-            total_trees = sum(
-                _product_tree_count(cv) for _, cv in components
-            )
-            if total_trees <= self._cap:
-                merged: set[LabeledTree] = set()
-                for _, child_values in components:
-                    merged.update(
-                        _exact_product_trees(symbol, child_values)
-                    )
-                return _ExactNode(
-                    tuple(merged), tree_weight=self._tree_weight_fn()
-                )
-
-        symbol_weight = self._symbol_weight(symbol)
-        product_nodes = [
-            _ProductNode(symbol, child_values, symbol_weight)
-            for _, child_values in components
-        ]
-        weights = [node.count for node in product_nodes]
-        total_weight = sum(weights)
-        cumulative: list[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight
-            cumulative.append(acc)
-
-        accepted_trees: list[LabeledTree] = []
-        attempts = 0
-        accepted = 0
-        budget = self._samples
-        max_attempts = budget * (1 + len(components))
-        if self._optimized:
-            from repro.core.kernels import TickBatcher
-
-            batcher = TickBatcher("counting.nfta", "count_nfta.samples_drawn")
-            tick = batcher.tick
-        else:
-            batcher = None
-
-            def tick() -> None:
-                budget_tick("counting.nfta")
-                metric_inc("count_nfta.samples_drawn")
-
-        try:
-            while attempts < budget or (
-                accepted == 0 and attempts < max_attempts
-            ):
-                attempts += 1
-                self.samples_used += 1
-                tick()
-                pick = self._rng.random() * total_weight
-                index = _bisect(cumulative, pick)
-                tree = product_nodes[index].draw(self._rng)
-                owner = self._first_containing(components, tree)
-                if owner == index:
-                    accepted += 1
-                    accepted_trees.append(tree)
-                if attempts >= budget and accepted > 0:
-                    break
-        finally:
-            if batcher is not None:
-                batcher.flush()
-        if accepted == 0:
-            raise EstimationError(
-                "tree union estimation rejected every sample"
-            )
-        estimate = total_weight * accepted / attempts
-        return _PoolNode(estimate, accepted_trees)
-
-    def _first_containing(self, components, tree: LabeledTree) -> int:
-        child_sets = [
-            self._derivability.states(child) for child in tree.children
-        ]
-        for index, (transition, _child_values) in enumerate(components):
-            children = transition[2]
-            if all(
-                child_state in child_set
-                for child_state, child_set in zip(children, child_sets)
-            ):
-                return index
-        raise EstimationError(
-            "sampled tree not generated by any component in its group"
-        )
-
-    # -- products and sums -------------------------------------------------
-
-    def _product(self, symbol: Symbol, child_values):
-        symbol_weight = self._symbol_weight(symbol)
-        count = symbol_weight * _product_count(child_values)
-        if count <= 0:
-            return _ZERO
-        if (
-            self._cap
-            and all(isinstance(v, _ExactNode) for v in child_values)
-            and _product_tree_count(child_values) <= self._cap
-        ):
-            return _ExactNode(
-                tuple(_exact_product_trees(symbol, child_values)),
-                tree_weight=self._tree_weight_fn(),
-            )
-        return _ProductNode(symbol, child_values, symbol_weight)
-
-    def _disjoint_sum(self, group_nodes: list):
-        if not group_nodes:
-            return _ZERO
-        if len(group_nodes) == 1:
-            return group_nodes[0]
-        if self._cap and all(
-            isinstance(n, _ExactNode) for n in group_nodes
-        ):
-            total = sum(len(n.trees) for n in group_nodes)
-            if total <= self._cap:
-                merged: list[LabeledTree] = []
-                for node in group_nodes:
-                    merged.extend(node.trees)
-                return _ExactNode(
-                    tuple(merged), tree_weight=self._tree_weight_fn()
-                )
-        return _SumNode(group_nodes)
-
-
-def _product_count(child_values) -> float:
-    product = 1.0
-    for value in child_values:
-        product *= value.count
-    return product
-
-
-def _product_tree_count(child_values) -> int:
-    """Number of distinct trees in an exact product (not the measure)."""
-    product = 1
-    for value in child_values:
-        product *= len(value.trees)
-    return product
-
-
-def _exact_product_trees(
-    symbol: Symbol, child_values
-) -> Iterator[LabeledTree]:
-    """Materialise σ⟨A1 × … × Ak⟩ for exact children."""
-
-    def rec(index: int) -> Iterator[tuple[LabeledTree, ...]]:
-        if index == len(child_values):
-            yield ()
+        self.used_symbols: tuple[int, ...] = ()
+        self.cells: tuple = ()
+        self.root: int | None = None
+        sizes = nfta.possible_sizes(size)
+        masks = [sizes.get(state, 0) for state in dense.states]
+        if size < 1 or not masks[0] >> size & 1:
             return
-        for tree in child_values[index].trees:
-            for rest in rec(index + 1):
-                yield (tree,) + rest
+        memo: dict = {}
 
-    for children in rec(0):
-        yield LabeledTree(symbol, children)
+        def splits(children: tuple[int, ...], total: int) -> tuple:
+            key = (children, total)
+            cached = memo.get(key)
+            if cached is None:
+                cached = memo[key] = tuple(
+                    _iter_splits(masks, children, total)
+                )
+            return cached
 
+        def rules(state: int):
+            for symbol, found in self.derivations[state].items():
+                for children in found:
+                    yield symbol, children
 
-def _splits_from_masks(
-    size_masks, memo: dict, children: tuple[State, ...], total: int
-) -> tuple[tuple[int, ...], ...]:
-    """Memoized size compositions of ``total`` over the child masks.
+        needed: set[tuple[int, int]] = set()
+        stack = [(0, size)]
+        while stack:
+            pair = stack.pop()
+            if pair in needed:
+                continue
+            needed.add(pair)
+            state, s = pair
+            for _symbol, children in rules(state):
+                for split in splits(children, s - 1):
+                    stack.extend(zip(children, split))
+        names = [str(state) for state in dense.states]
+        symbol_names = [str(symbol) for symbol in dense.symbols]
+        pairs = sorted(needed, key=lambda p: (p[1], names[p[0]]))
+        index = {pair: position for position, pair in enumerate(pairs)}
 
-    Materialises the reference generator in its original yield order;
-    the memo (per counter run, or shared via a :class:`_CounterPlan`)
-    is keyed by the (children, total) pair, both value-hashable.
-    """
-    key = (children, total)
-    cached = memo.get(key)
-    if cached is None:
-        cached = tuple(_iter_splits(size_masks, children, total))
-        memo[key] = cached
-    return cached
+        used: set[int] = set()
+        cells = []
+        for state, s in pairs:
+            grouped: dict[tuple, list] = {}
+            for symbol, children in rules(state):
+                for split in splits(children, s - 1):
+                    grouped.setdefault((symbol, split), []).append(children)
+            groups = []
+            for symbol, split in sorted(
+                grouped,
+                key=lambda k: (symbol_names[k[0]], len(k[1]), k[1]),
+            ):
+                used.add(symbol)
+                members = sorted(
+                    grouped[(symbol, split)],
+                    key=lambda children: [names[c] for c in children],
+                )
+                groups.append((symbol, tuple(
+                    (tuple(index[pair] for pair in zip(children, split)),
+                     children)
+                    for children in members
+                )))
+            cells.append(tuple(groups))
+        self.cells = tuple(cells)
+        self.root = index[(0, size)]
+        self.used_symbols = tuple(sorted(used))
 
 
 def _iter_splits(
-    size_masks, children: tuple[State, ...], total: int
+    size_masks: list[int], children: tuple[int, ...], total: int
 ) -> Iterator[tuple[int, ...]]:
+    """Size compositions of ``total`` consistent with the child size
+    masks, in lexicographic order."""
     if total < 0:
         return
     if not children:
         if total == 0:
             yield ()
         return
-    masks = [size_masks.get(c, 0) for c in children]
+    masks = [size_masks[c] for c in children]
     suffix = [0] * (len(children) + 1)
     suffix[len(children)] = 1  # {0}
     for i in range(len(children) - 1, -1, -1):
@@ -852,15 +372,440 @@ def _sumset(mask_a: int, mask_b: int, limit: int) -> int:
     return out & limit_mask
 
 
-def _bisect(cumulative: list[float], pick: float) -> int:
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if pick <= cumulative[mid]:
-            high = mid
+# ----------------------------------------------------------------------
+# Tree stores: how a backend represents sampled trees
+# ----------------------------------------------------------------------
+
+class _InternedTrees:
+    """Sampled trees as interned integer ids (``optimized`` and
+    ``vectorized``).
+
+    A run gets one id per distinct (symbol id, child ids), so equal
+    trees share an id and dedup, interning and memo lookups hash small
+    integer tuples.  Membership is decided top-down over the dense
+    automaton's integer states, for the states actually asked about,
+    and memoized per (tree, state).
+    """
+
+    __slots__ = ("_plan", "_ids", "_nodes", "_width", "_derives", "_labeled")
+
+    def __init__(self, plan: _CounterPlan):
+        self._plan = plan
+        self._ids: dict[tuple, int] = {}
+        self._nodes: list[tuple[int, tuple[int, ...]]] = []
+        self._width = len(plan.states)
+        self._derives: dict[int, bool] = {}
+        self._labeled: dict[int, LabeledTree] = {}
+
+    def make(self, symbol: int, children: tuple[int, ...]) -> int:
+        key = (symbol, children)
+        tree = self._ids.get(key)
+        if tree is None:
+            tree = self._ids[key] = len(self._nodes)
+            self._nodes.append(key)
+        return tree
+
+    def make_all(self, symbol: int, combos) -> list[int]:
+        """:meth:`make` over many child tuples (an exact product)."""
+        ids = self._ids
+        nodes = self._nodes
+        fresh = len(nodes)
+        out = []
+        for children in combos:
+            key = (symbol, children)
+            tree = ids.setdefault(key, fresh)
+            if tree == fresh:
+                nodes.append(key)
+                fresh += 1
+            out.append(tree)
+        return out
+
+    def derives(self, state: int, tree: int) -> bool:
+        """Whether dense state ``state`` derives ``tree``."""
+        key = tree * self._width + state
+        known = self._derives.get(key)
+        if known is None:
+            symbol, children = self._nodes[tree]
+            known = False
+            for rule in self._plan.derivations[state].get(symbol, ()):
+                if len(rule) == len(children) and all(
+                    map(self.derives, rule, children)
+                ):
+                    known = True
+                    break
+            self._derives[key] = known
+        return known
+
+    def derived_by_any(self, keys, tree: int) -> bool:
+        """Whether the children of some member of ``keys`` (tuples of
+        child state ids) derive ``tree``'s children."""
+        children = self._nodes[tree][1]
+        derives = self.derives
+        for key in keys:
+            if all(map(derives, key, children)):
+                return True
+        return False
+
+    def labeled(self, tree: int) -> LabeledTree:
+        out = self._labeled.get(tree)
+        if out is None:
+            symbol, children = self._nodes[tree]
+            out = self._labeled[tree] = LabeledTree(
+                self._plan.symbols[symbol],
+                tuple([self.labeled(c) for c in children]),
+            )
+        return out
+
+
+class _DerivabilityCache:
+    """Bottom-up derivable-state sets over the original automaton,
+    memoized per tree object.
+
+    Child-indexed rule tables (iterating the small derivable sets of the
+    children) keep each node near-constant where scanning every
+    same-symbol rule would be quadratic on gadget automata.  Trees are
+    memoized by identity, with a keep-alive list to pin the ids.
+    """
+
+    def __init__(self, nfta: NFTA):
+        self._leaf: dict[Symbol, frozenset[State]] = {}
+        self._unary: dict[Symbol, dict[State, list[State]]] = {}
+        self._binary: dict[Symbol, dict[tuple, list[State]]] = {}
+        self._generic: dict[tuple[Symbol, int], tuple] = {}
+        for (symbol, arity), rules in nfta.by_symbol_arity.items():
+            if arity == 0:
+                self._leaf[symbol] = frozenset(
+                    source for source, _children in rules
+                )
+            elif arity == 1:
+                table = self._unary[symbol] = {}
+                for source, children in rules:
+                    table.setdefault(children[0], []).append(source)
+            elif arity == 2:
+                pairs = self._binary[symbol] = {}
+                for source, children in rules:
+                    pairs.setdefault(children, []).append(source)
+            else:
+                self._generic[(symbol, arity)] = rules
+        self._memo: dict[int, frozenset[State]] = {}
+        self._keep_alive: list[LabeledTree] = []
+
+    def states(self, tree: LabeledTree) -> frozenset[State]:
+        cached = self._memo.get(id(tree))
+        if cached is not None:
+            return cached
+        arity = len(tree.children)
+        states: set[State] = set()
+        if arity == 0:
+            states.update(self._leaf.get(tree.label, ()))
+        elif arity == 1:
+            table = self._unary.get(tree.label, {})
+            for child_state in self.states(tree.children[0]):
+                states.update(table.get(child_state, ()))
+        elif arity == 2:
+            pairs = self._binary.get(tree.label, {})
+            right = self.states(tree.children[1])
+            for l_state in self.states(tree.children[0]):
+                for r_state in right:
+                    states.update(pairs.get((l_state, r_state), ()))
         else:
-            low = mid + 1
-    return low
+            child_sets = [self.states(child) for child in tree.children]
+            for source, children in self._generic.get(
+                (tree.label, arity), ()
+            ):
+                if all(
+                    child in child_set
+                    for child, child_set in zip(children, child_sets)
+                ):
+                    states.add(source)
+        result = frozenset(states)
+        self._memo[id(tree)] = result
+        self._keep_alive.append(tree)
+        return result
+
+
+class _LabeledTrees:
+    """Sampled trees as :class:`LabeledTree` objects (``reference``).
+
+    Membership goes through the frozenset :class:`_DerivabilityCache`
+    over the original automaton: the oracle the differential tier holds
+    the interned store to.  Trees are interned by (symbol, child
+    identities) so that cache keeps hitting across draws.
+    """
+
+    __slots__ = ("_plan", "_intern", "_derivability")
+
+    def __init__(self, plan: _CounterPlan, nfta: NFTA):
+        self._plan = plan
+        self._intern: dict[tuple, LabeledTree] = {}
+        self._derivability = _DerivabilityCache(nfta)
+
+    def make(self, symbol: int, children: tuple) -> LabeledTree:
+        key = (symbol, tuple(map(id, children)))
+        tree = self._intern.get(key)
+        if tree is None:
+            tree = self._intern[key] = LabeledTree(
+                self._plan.symbols[symbol], children
+            )
+        return tree
+
+    def make_all(self, symbol: int, combos) -> list[LabeledTree]:
+        return [self.make(symbol, children) for children in combos]
+
+    def derived_by_any(self, keys, tree: LabeledTree) -> bool:
+        if not keys:
+            return False
+        child_sets = [self._derivability.states(c) for c in tree.children]
+        states = self._plan.states
+        return any(
+            all(
+                states[state] in child_set
+                for state, child_set in zip(key, child_sets)
+            )
+            for key in keys
+        )
+
+    @staticmethod
+    def labeled(tree: LabeledTree) -> LabeledTree:
+        return tree
+
+
+def _sampler(nfta: NFTA, size: int, backend: str):
+    """The plan and a tree-store factory for ``backend``: the only
+    per-backend choice the sampler makes."""
+    if nfta.has_lambda:
+        raise AutomatonError("count_nfta requires a λ-free NFTA")
+    if backend == "reference":
+        plan = _CounterPlan(nfta, optimize_nfta(nfta), size)
+        return plan, lambda: _LabeledTrees(plan, nfta)
+    from repro.core import kernels
+
+    plan = kernels.shared_plan(
+        ("plan", nfta.fingerprint, size),
+        lambda: _CounterPlan(nfta, kernels.dense_automaton(nfta), size),
+    )
+    return plan, lambda: _InternedTrees(plan)
+
+
+# ----------------------------------------------------------------------
+# The estimator
+# ----------------------------------------------------------------------
+
+class _ProductNode:
+    """Lazy σ⟨A1 × … × Ak⟩: count multiplies, draws combine.
+
+    Draws are made through the tree store, which interns them: repeated
+    draws of the same tree return the same id (or object), which keeps
+    the per-tree derivability memos hitting during Karp–Luby membership
+    checks.
+    """
+
+    __slots__ = ("make", "symbol", "children", "count", "exact")
+
+    def __init__(self, make, symbol: int, children: list, symbol_weight: float):
+        self.make = make
+        self.symbol = symbol
+        self.children = children
+        count = symbol_weight
+        for child in children:
+            count *= child.count
+        self.count = count
+        self.exact = all(child.exact for child in children)
+
+    def draw(self, rng: random.Random):
+        return self.make(
+            self.symbol, tuple([child.draw(rng) for child in self.children])
+        )
+
+
+class _TreeCounter:
+    def __init__(
+        self,
+        plan: _CounterPlan,
+        store,
+        size: int,
+        epsilon: float,
+        samples: int | None,
+        exact_set_cap: int,
+        rng: random.Random,
+        weight_of=None,
+    ):
+        self._plan = plan
+        self._store = store
+        self._size = size
+        self._samples = samples or default_sample_count(size, epsilon)
+        self._cap = exact_set_cap
+        self._rng = rng
+        self._weights = None
+        if weight_of is not None:
+            self._weights = [1.0] * len(plan.symbols)
+            for symbol in plan.used_symbols:
+                self._weights[symbol] = float(weight_of(plan.symbols[symbol]))
+        self.samples_used = 0
+
+    def _symbol_weight(self, symbol: int) -> float:
+        if self._weights is None:
+            return 1.0
+        return self._weights[symbol]
+
+    # -- driver ----------------------------------------------------------
+
+    def run(self) -> CountResult:
+        top = self.top_node()
+        return CountResult(
+            estimate=top.count,
+            exact=top.exact,
+            samples_used=self.samples_used,
+        )
+
+    def top_node(self):
+        sys.setrecursionlimit(
+            max(sys.getrecursionlimit(), 10 * self._size + 10_000)
+        )
+        if self._plan.root is None:
+            return _ZERO
+        values: list = []
+        for groups in self._plan.cells:
+            budget_checkpoint("counting.nfta")
+            metric_inc("count_nfta.dp_cells")
+            values.append(self._compute(groups, values))
+        return values[self._plan.root]
+
+    # -- per-(state, size) computation ------------------------------------
+
+    def _compute(self, groups, values: list):
+        # Groups (symbol, arity, split) are disjoint; members within a
+        # group overlap.
+        group_nodes = []
+        for symbol, members in groups:
+            node = self._group_union(symbol, members, values)
+            if node.count > 0:
+                group_nodes.append(node)
+        return _disjoint_sum(
+            group_nodes, self._cap, self._weights is not None
+        )
+
+    def _group_union(self, symbol: int, members, values: list):
+        components = []
+        for pairs, children in members:
+            child_values = [values[pair] for pair in pairs]
+            if all(value.count > 0 for value in child_values):
+                components.append((children, child_values))
+        if not components:
+            return _ZERO
+
+        if len(components) == 1:
+            return self._product(symbol, components[0][1])
+
+        if self._cap and all(
+            isinstance(v, _ExactNode)
+            for _, child_values in components
+            for v in child_values
+        ):
+            total_trees = sum(
+                _product_size(child_values) for _, child_values in components
+            )
+            if total_trees <= self._cap:
+                return _distinct(
+                    [
+                        self._exact_product(symbol, child_values)
+                        for _, child_values in components
+                    ],
+                    self._weights is not None,
+                )
+
+        from repro.core.kernels import TickBatcher
+
+        symbol_weight = self._symbol_weight(symbol)
+        make = self._store.make
+        product_nodes = [
+            _ProductNode(make, symbol, child_values, symbol_weight)
+            for _, child_values in components
+        ]
+        cumulative = list(accumulate(node.count for node in product_nodes))
+        total_weight = cumulative[-1]
+        keys = [children for children, _ in components]
+        derived_by_any = self._store.derived_by_any
+        rng = self._rng
+
+        accepted_trees: list = []
+        attempts = 0
+        accepted = 0
+        budget = self._samples
+        max_attempts = budget * (1 + len(components))
+        batcher = TickBatcher("counting.nfta", "count_nfta.samples_drawn")
+        try:
+            while attempts < budget or (
+                accepted == 0 and attempts < max_attempts
+            ):
+                attempts += 1
+                self.samples_used += 1
+                batcher.tick()
+                pick = rng.random() * total_weight
+                index = weighted_index(cumulative, pick)
+                tree = product_nodes[index].draw(rng)
+                # Accept iff the drawn component is the first containing
+                # the tree; it contains it, so only earlier ones count.
+                if not derived_by_any(keys[:index], tree):
+                    accepted += 1
+                    accepted_trees.append(tree)
+                if attempts >= budget and accepted > 0:
+                    break
+        finally:
+            batcher.flush()
+        if accepted == 0:
+            raise EstimationError(
+                "tree union estimation rejected every sample"
+            )
+        estimate = total_weight * accepted / attempts
+        return _PoolNode(estimate, accepted_trees)
+
+    # -- products and sums -------------------------------------------------
+
+    def _exact_product(self, symbol: int, child_values) -> _ExactNode:
+        """σ⟨A1 × … × Ak⟩ materialised for exact children.  A tree
+        weighs its symbol's weight times its children's weights, left
+        to right."""
+        trees = tuple(self._store.make_all(
+            symbol, product(*[v.members for v in child_values])
+        ))
+        if self._weights is None:
+            return _ExactNode(trees)
+        weights = []
+        for child_weights in product(
+            *[v.member_weights() for v in child_values]
+        ):
+            weight = self._weights[symbol]
+            for child_weight in child_weights:
+                weight *= child_weight
+            weights.append(weight)
+        return _ExactNode(trees, tuple(weights))
+
+    def _product(self, symbol: int, child_values):
+        symbol_weight = self._symbol_weight(symbol)
+        count = symbol_weight
+        for value in child_values:
+            count *= value.count
+        if count <= 0:
+            return _ZERO
+        if (
+            self._cap
+            and all(isinstance(v, _ExactNode) for v in child_values)
+            and _product_size(child_values) <= self._cap
+        ):
+            return self._exact_product(symbol, child_values)
+        return _ProductNode(
+            self._store.make, symbol, child_values, symbol_weight
+        )
+
+
+
+def _product_size(child_values) -> int:
+    """Number of distinct trees in an exact product (not the measure)."""
+    size = 1
+    for value in child_values:
+        size *= len(value.members)
+    return size
 
 
 def count_nfta(
@@ -890,13 +835,13 @@ def count_nfta(
     front from ``seed``, so the result is bitwise-identical to the
     sequential run regardless of how the executor schedules the tasks.
 
-    ``backend='optimized'`` (the default) shares the seed-independent
-    counter plan across repetitions and batch items and batches the
-    per-sample accounting; every estimate, accepted flag and sampled
-    tree is bitwise-identical to ``backend='reference'``.
-    ``backend='vectorized'`` takes the same sampling path — vectorizing
-    a loop that must consume the RNG stream in reference order would
-    buy nothing — so all three backends sample identically.
+    Every backend runs the same loop over the same plan and differs
+    only in its tree store: ``reference`` keeps :class:`LabeledTree`
+    objects and frozenset derivability, ``optimized`` and
+    ``vectorized`` intern trees as integer ids with dense-state
+    bitmasks and share the plan across repetitions and batch items.
+    Estimates, exact flags and sample counts are bitwise-identical
+    across the three.
     """
     from repro.core import kernels
 
@@ -906,21 +851,15 @@ def count_nfta(
     if repetitions < 1:
         raise EstimationError("repetitions must be >= 1")
     fault_point("counting.nfta")
-    plan = None
-    if backend != "reference" and not nfta.has_lambda:
-        plan = kernels.shared_plan(
-            ("plan", nfta.fingerprint, size),
-            lambda: _CounterPlan(nfta, size),
-        )
+    plan, new_store = _sampler(nfta, size, backend)
     rng = random.Random(seed)
     repetition_seeds = [rng.randrange(2**63) for _ in range(repetitions)]
 
     def run_one(repetition_seed: int) -> CountResult:
         return _TreeCounter(
-            nfta, size, epsilon, samples, exact_set_cap,
+            plan, new_store(), size, epsilon, samples, exact_set_cap,
             random.Random(repetition_seed),
             weight_of=weight_of,
-            plan=plan,
         ).run()
 
     # Per-cell/per-sample counters inside _TreeCounter are attributed to
@@ -958,42 +897,29 @@ def sample_accepted_trees(
 
     With ``weight_of``, draws are approximately weight-proportional
     instead of uniform.  The ``backend`` knob matches
-    :func:`count_nfta`: for a fixed seed both backends return the same
+    :func:`count_nfta`: for a fixed seed every backend returns the same
     trees in the same order.
     """
     from repro.core import kernels
 
     backend = kernels.resolve_backend(backend)
-    plan = None
-    if backend != "reference" and not nfta.has_lambda:
-        plan = kernels.shared_plan(
-            ("plan", nfta.fingerprint, size),
-            lambda: _CounterPlan(nfta, size),
-        )
+    plan, new_store = _sampler(nfta, size, backend)
+    store = new_store()
     rng = random.Random(seed)
-    counter = _TreeCounter(
-        nfta, size, epsilon, None, exact_set_cap, rng,
+    top = _TreeCounter(
+        plan, store, size, epsilon, None, exact_set_cap, rng,
         weight_of=weight_of,
-        plan=plan,
-    )
-    top = counter.top_node()
+    ).top_node()
     if top.count <= 0:
         raise EstimationError("language is (estimated) empty; cannot sample")
-    drawn: list[LabeledTree] = []
+    drawn: list = []
     with span("sampling.trees", k=k):
-        if plan is not None:
-            batcher = kernels.TickBatcher(
-                "sampling.trees", "sampling.trees_drawn"
-            )
-            try:
-                for _ in range(k):
-                    batcher.tick()
-                    drawn.append(top.draw(rng))
-            finally:
-                batcher.flush()
-        else:
+        batcher = kernels.TickBatcher("sampling.trees", "sampling.trees_drawn")
+        try:
             for _ in range(k):
-                budget_tick("sampling.trees")
-                metric_inc("sampling.trees_drawn")
+                batcher.tick()
                 drawn.append(top.draw(rng))
-    return drawn
+        finally:
+            batcher.flush()
+    # Only the k results leave the store.
+    return [store.labeled(tree) for tree in drawn]

@@ -24,12 +24,13 @@ backend (see ``docs/performance.md``):
   what makes the reorganized DP *bitwise* equal to the reference;
   float weights are order-sensitive, so they signal
   :data:`FLOAT_WEIGHTS` and the caller falls back to the reference DP;
-- :func:`shared_plan` — fingerprint-keyed seed-independent sampling
-  plans (size masks, needed pairs, split tables, derivability indexes)
-  built once and reused by every ``_TreeCounter`` run over the same
-  automaton.  The sampling loops themselves are untouched: they must
-  consume the per-item SHA-256 seed streams in exactly the reference
-  order to stay bitwise-identical at any worker count;
+- :func:`shared_plan` — fingerprint-keyed seed-free sampling plans
+  (per (state, size) cell of the compiled automaton: the group order,
+  the member order and the child cells, plus the per-state rule tables
+  membership runs on) built once and reused by every CountNFTA run
+  over the same automaton.  Every backend runs the same sampling loop
+  over such a plan, consuming the per-item SHA-256 seed streams in one
+  fixed order, so answers are bitwise-identical at any worker count;
 - :class:`TickBatcher` — chunked budget/metric accounting for the
   sampling hot loops (one ``budget_tick(phase, n)`` per chunk instead
   of ``n`` calls).  Totals are unchanged; with an active budget scope
@@ -187,7 +188,7 @@ def dense_automaton(nfta: NFTA) -> DenseNFTA:
 
 
 def shared_plan(key: Hashable, builder: Callable[[], object]):
-    """Memoize a seed-independent sampling plan under ``key``.
+    """Memoize a seed-free sampling plan under ``key``.
 
     The caller (``nfta_counting``) owns the plan contents; this module
     only provides the fingerprint-keyed sharing and build dedup."""

@@ -26,8 +26,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping
 
+from repro.automata.nfa_counting import weighted_index
 from repro.core.budget import budget_tick
 from repro.db.fact import Fact
 from repro.errors import EstimationError
@@ -89,19 +91,17 @@ def karp_luby_probability(
     rng = random.Random(seed)
     probs = {f: Fraction(p) for f, p in probabilities.items()}
     clauses = sorted(formula.clauses, key=lambda c: sorted(map(str, c)))
-    weights = [float(clause_probability(c, probs)) for c in clauses]
-    total_weight = sum(weights)
+    # Running left-to-right sums: ``sum`` of floats rounds differently
+    # from Python 3.12 on, and the total must not depend on that.
+    cumulative = list(accumulate(
+        float(clause_probability(c, probs)) for c in clauses
+    ))
+    total_weight = cumulative[-1] if cumulative else 0.0
     if total_weight == 0:
         return KarpLubyResult(estimate=0.0, samples=0, accepted=0)
 
     if samples is None:
         samples = required_samples(len(clauses), epsilon, delta)
-
-    cumulative: list[float] = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight
-        cumulative.append(acc)
 
     # Facts relevant to the formula; facts outside it cannot affect
     # satisfaction and are never sampled.
@@ -121,7 +121,7 @@ def karp_luby_probability(
                 budget_tick("lineage.karp_luby")
                 metric_inc("karp_luby.samples_drawn")
                 pick = rng.random() * total_weight
-                index = _bisect(cumulative, pick)
+                index = weighted_index(cumulative, pick)
                 forced = clauses[index]
                 world = set(forced)
                 for fact in relevant:
@@ -178,7 +178,7 @@ def _sample_optimized(
         for _ in range(samples):
             batcher.tick()
             pick = random_() * total_weight
-            index = _bisect(cumulative, pick)
+            index = weighted_index(cumulative, pick)
             world = clause_masks[index]
             for bit, probability in free_lists[index]:
                 if random_() < probability:
@@ -192,14 +192,3 @@ def _sample_optimized(
     finally:
         batcher.flush()
     return accepted
-
-
-def _bisect(cumulative: list[float], pick: float) -> int:
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if pick <= cumulative[mid]:
-            high = mid
-        else:
-            low = mid + 1
-    return low

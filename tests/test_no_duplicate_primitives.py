@@ -1,14 +1,17 @@
-"""Lint: one memo store and one durable-write path in ``src/repro/``.
+"""Lint: one memo store, one durable-write path and one weighted pick
+in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache`, of which the kernel stores and
 the lifted plan memo are instances — and one fsync'd append path for
 its logs, :class:`repro.core.journal.RecordLog` (plus the durable
-cache tier's atomic file writes in :mod:`repro.core.diskcache`).  A
-hand-copied LRU or log elsewhere drifts from the original: its
-counters, its eviction and its crash safety stop being the ones the
+cache tier's atomic file writes in :mod:`repro.core.diskcache`).  The
+samplers draw an index from cumulative weights with one helper,
+:func:`repro.automata.nfa_counting.weighted_index`.  A hand-copied LRU,
+log or bisection elsewhere drifts from the original: its counters, its
+eviction, its crash safety or its tie-breaking stop being the ones the
 tests check.  So this test greps the source tree for the tell-tale
-calls outside the modules that own them.
+code outside the modules that own it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ _OWNED = {
     re.compile(r"\.popitem\(\s*last\s*=\s*False\s*\)"): {"core/cache.py"},
     # Forcing file contents to disk.
     re.compile(r"\bos\.fsync\s*\("): {"core/journal.py", "core/diskcache.py"},
+    # A hand-written bisection over cumulative weights: use
+    # ``weighted_index`` (``bisect.bisect_left``, clamped) instead.
+    re.compile(r"\bdef _bisect\b"): set(),
 }
 
 
@@ -51,7 +57,8 @@ def test_owners_exist():
 def test_no_second_lru_or_fsync_path():
     violations = _violations()
     assert not violations, (
-        "LRU eviction belongs to repro.core.cache.ReductionCache and "
-        "fsync'd appends to repro.core.journal.RecordLog; build on "
+        "LRU eviction belongs to repro.core.cache.ReductionCache, "
+        "fsync'd appends to repro.core.journal.RecordLog and weighted "
+        "picks to repro.automata.nfa_counting.weighted_index; build on "
         "them instead:\n" + "\n".join(violations)
     )

@@ -17,16 +17,28 @@ cover:
   :func:`repro.automata.optimize.optimize_nfta` must preserve
   ``|L_k(T)|`` for every k ≤ 6, and the dense layer DP must equal the
   reference DP bit for bit (see also ``test_kernel_differential``).
+- **Sampler membership oracles**: the interned tree store's
+  derivability over dense state ids agrees with
+  :meth:`NFTA.derivable_states`, and the CountNFA cons-cell acceptance
+  masks agree with :meth:`NFA.accepts_from`.
 """
 
 import random
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.nfa import NFA
+from repro.automata.nfa_counting import _Counter, _WordPlan
 from repro.automata.nfta import NFTA
-from repro.automata.nfta_counting import count_nfta_exact
+from repro.automata.nfta_counting import (
+    _CounterPlan,
+    _InternedTrees,
+    count_nfta_exact,
+)
 from repro.automata.optimize import optimize_nfta
+from repro.automata.trees import LabeledTree
 from repro.core.sampling import (
     sample_posterior_worlds,
     sample_satisfying_subinstances,
@@ -258,6 +270,109 @@ def test_optimization_report_is_consistent(seed):
     if dense.num_states:
         assert dense.states[0] == nfta.initial
         assert dense.initial_bit == 1
+
+
+# ---------------------------------------------------------------------
+# Sampler membership oracles
+# ---------------------------------------------------------------------
+
+def _trees_up_to(max_size: int) -> list[LabeledTree]:
+    """Every tree over {a, b} with arities 0–3 and at most ``max_size``
+    nodes."""
+    by_size: dict[int, list[LabeledTree]] = {
+        1: [LabeledTree(symbol) for symbol in "ab"]
+    }
+
+    def compositions(total: int, parts: int):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for size in range(2, max_size + 1):
+        by_size[size] = [
+            LabeledTree(symbol, children)
+            for symbol in "ab"
+            for arity in (1, 2, 3)
+            if arity <= size - 1
+            for split in compositions(size - 1, arity)
+            for children in product(*(by_size[part] for part in split))
+        ]
+    return [tree for size in sorted(by_size) for tree in by_size[size]]
+
+
+_SMALL_TREES = _trees_up_to(4)
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=40, deadline=None)
+def test_compiled_derivability_matches_derivable_states(seed):
+    """The interned store decides membership top-down over the dense
+    automaton; on every tree of up to four nodes it must agree with the
+    automaton's own bottom-up ``derivable_states`` for every state that
+    survives compilation — dead, unreachable and duplicate structure
+    included."""
+    rng = random.Random(seed)
+    nfta = _messy_random_nfta(rng)
+    plan = _CounterPlan(nfta, optimize_nfta(nfta), 1)
+    store = _InternedTrees(plan)
+    symbol_ids = {symbol: index for index, symbol in enumerate(plan.symbols)}
+
+    def intern(tree: LabeledTree) -> int:
+        return store.make(
+            symbol_ids.get(tree.label, -1),
+            tuple(intern(child) for child in tree.children),
+        )
+
+    for tree in _SMALL_TREES:
+        derivable = nfta.derivable_states(tree)
+        tree_id = intern(tree)
+        for state_id, state in enumerate(plan.states):
+            assert store.derives(state_id, tree_id) == (state in derivable)
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=40, deadline=None)
+def test_cons_cell_acceptance_matches_accepts_from(seed):
+    """The CountNFA sampler reads membership off the bitmask of states
+    accepting a cons-cell word, memoized per shared cell; it must agree
+    with :meth:`NFA.accepts_from` for every state and word."""
+    rng = random.Random(seed)
+    states = list(range(rng.randint(1, 6))) + ["dead", "island"]
+    transitions = [
+        (source, symbol, target)
+        for source in states
+        for symbol in "ab"
+        for target in states
+        if rng.random() < 0.3
+    ]
+    transitions.append(("island", "a", 0))
+    nfa = NFA(
+        transitions,
+        initial=[0],
+        accepting=[s for s in states[:-2] if rng.random() < 0.5],
+    )
+    plan = _WordPlan(nfa, 0)
+    counter = _Counter(plan, 0, 0.5, None, 0, random.Random(0))
+    symbol_ids = {symbol: index for index, symbol in enumerate(plan.symbols)}
+    cells: dict[tuple, tuple] = {(): ()}
+
+    def cons(word: tuple) -> tuple:
+        # Words sharing a suffix share its cells, as sampled words do.
+        if word not in cells:
+            cells[word] = (symbol_ids[word[0]], cons(word[1:]))
+        return cells[word]
+
+    for _ in range(30):
+        length = rng.randint(0, 6) if plan.symbols else 0
+        word = tuple(rng.choice(plan.symbols) for _ in range(length))
+        accepts = counter._accepting_states(cons(word))
+        for state_id, state in enumerate(plan.states):
+            assert bool(accepts >> state_id & 1) == nfa.accepts_from(
+                state, word
+            )
 
 
 # ---------------------------------------------------------------------
