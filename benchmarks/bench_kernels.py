@@ -1,29 +1,32 @@
-"""K1 — counting-kernel speedup: the three-backend ladder.
+"""K1 — counting-kernel speedup: the three-tier ladder.
 
-The optimized and vectorized backends (:mod:`repro.core.kernels` over
-:mod:`repro.automata.optimize`, and :mod:`repro.core.vectorized`) must
-earn their keep: this bench times the exact CountNFTA DP through the
-Theorem 1 weighted reduction on the Table-1-style workloads —
-reference vs optimized vs vectorized — *cold* (kernel caches cleared
-before every pass, so plan compilation, layer fills and memo-table
-fills are paid, not amortised away).
+The optimized backend's exact DP (:mod:`repro.core.kernels` over
+:mod:`repro.automata.optimize`) runs one of two layer tables — the
+numpy one (:mod:`repro.core.vectorized`) when numpy is importable, the
+scalar one otherwise — and both must earn their keep: this bench times
+the exact CountNFTA DP through the Theorem 1 weighted reduction on the
+Table-1-style workloads — reference vs scalar table vs numpy table —
+*cold* (kernel caches cleared before every pass, so plan compilation,
+layer fills and memo-table fills are paid, not amortised away).  The
+scalar passes hide numpy, as on a host without it.
 
 The measurements double as CI perf-regression gates (run by the
 ``benchmarks`` job next to the telemetry/durability overhead guards):
 
-- ``test_optimized_speedup_on_largest_workload``: optimized ≥3× over
-  reference on the largest workload (the 3-path chain over a
+- ``test_optimized_speedup_on_largest_workload``: the scalar table ≥3×
+  over reference on the largest workload (the 3-path chain over a
   3-constant domain, 5 facts per relation — the biggest automaton this
   file builds);
-- ``test_vectorized_speedup_on_largest_workload``: vectorized ≥3× over
-  *optimized* cold on the same workload (skips when numpy is absent);
+- ``test_vectorized_speedup_on_largest_workload``: the numpy table ≥3×
+  over the scalar one, both cold, on the same workload (skips when
+  numpy is absent);
 - ``test_preprocessing_amortized_below_5_percent`` /
   ``test_vectorized_preprocessing_amortized_below_5_percent``: each
   tier's own preprocessing costs <5% of a single cold DP pass, so it
   can never dominate a one-shot evaluation — compiling the
-  :class:`~repro.automata.optimize.DenseNFTA` for the optimized tier;
+  :class:`~repro.automata.optimize.DenseNFTA` for the scalar tier;
   building the :class:`~repro.core.vectorized.VectorLayerTable` from
-  the (shared, already-gated) dense compile for the vectorized tier,
+  the (shared, already-gated) dense compile for the numpy tier,
   whose lazy memo tables fill during the DP, not up front;
 - ``test_optimized_sampler_speedup``: the CountNFTA sampler (the FPRAS
   route, not the exact DP) on the optimized backend — interned tree
@@ -31,13 +34,14 @@ The measurements double as CI perf-regression gates (run by the
   the width-2 layered instance (``fpras``) plus the warehouse 4/4/6
   (``fpras-weighted``), timed together.
 
-All backends return bitwise-identical counts and estimates — asserted
+All tiers return bitwise-identical counts and estimates — asserted
 here too, on the real workloads (the differential suite covers the
 corpus).
 """
 
 from __future__ import annotations
 
+import repro.core.vectorized as vectorized
 from repro.automata.optimize import optimize_nfta
 from repro.bench.harness import ResultTable, timed
 from repro.core.kernels import clear_kernel_caches
@@ -87,19 +91,28 @@ def _best_of(fn, repeats=REPEATS, check=True):
     return value, best
 
 
-def _cold_pass(reduction, backend):
+def _cold_pass(reduction, table):
+    """One cold exact DP pass on the ``"scalar"`` or ``"numpy"`` layer
+    table; the scalar pass hides numpy, as on a host without it."""
+
     def run():
         clear_kernel_caches()
-        return count_nfta_exact(
-            reduction.nfta, reduction.tree_size,
-            weight_of=reduction.weight_of, backend=backend,
-        )
+        saved = vectorized._np
+        if table == "scalar":
+            vectorized._np = None
+        try:
+            return count_nfta_exact(
+                reduction.nfta, reduction.tree_size,
+                weight_of=reduction.weight_of, backend="optimized",
+            )
+        finally:
+            vectorized._np = saved
 
     return run
 
 
 def _measure(reduction):
-    """(reference seconds, optimized cold seconds, count) best-of."""
+    """(reference seconds, scalar cold seconds, count) best-of."""
 
     def reference():
         return count_nfta_exact(
@@ -108,30 +121,26 @@ def _measure(reduction):
         )
 
     ref_value, ref_time = _best_of(reference)
-    opt_value, opt_time = _best_of(_cold_pass(reduction, "optimized"))
-    assert ref_value == opt_value, "backends disagree — differential bug"
+    opt_value, opt_time = _best_of(_cold_pass(reduction, "scalar"))
+    assert ref_value == opt_value, "tiers disagree — differential bug"
     return ref_time, opt_time, ref_value
 
 
 def run_kernels() -> ResultTable:
-    from repro.core.kernels import vectorized_available
-
-    with_vec = vectorized_available()
+    with_vec = vectorized.available()
     table = ResultTable(
-        "K1: counting-kernel speedup (cold, per backend)",
+        "K1: exact counting-kernel speedup (cold, per tier)",
         [
             "workload", "states", "transitions", "tree size",
-            "ref (s)", "opt (s)", "vec (s)", "opt x", "vec x",
+            "ref (s)", "scalar (s)", "numpy (s)", "scalar x", "numpy x",
         ],
     )
     for label, query, domain_size, facts in WORKLOADS:
         reduction = _weighted_reduction(query, domain_size, facts)
         ref_time, opt_time, count = _measure(reduction)
         if with_vec:
-            vec_value, vec_time = _best_of(
-                _cold_pass(reduction, "vectorized")
-            )
-            assert vec_value == count, "backends disagree"
+            vec_value, vec_time = _best_of(_cold_pass(reduction, "numpy"))
+            assert vec_value == count, "tiers disagree"
         else:
             vec_time = float("nan")
         table.add_row([
@@ -154,14 +163,15 @@ def run_kernels() -> ResultTable:
 
 
 def test_optimized_speedup_on_largest_workload():
-    """ISSUE 5 gate: ≥3× on the largest Table-1-style workload."""
+    """The scalar table is ≥3× over reference on the largest
+    Table-1-style workload."""
     label, query, domain_size, facts = WORKLOADS[-1]
     reduction = _weighted_reduction(query, domain_size, facts)
     ref_time, opt_time, _count = _measure(reduction)
     assert opt_time * 3 <= ref_time, (
-        f"optimized backend only {ref_time / opt_time:.2f}x faster than "
-        f"reference on {label} (ref {ref_time:.3f}s, opt {opt_time:.3f}s); "
-        "the >=3x gate failed"
+        f"scalar table only {ref_time / opt_time:.2f}x faster than "
+        f"reference on {label} (ref {ref_time:.3f}s, scalar "
+        f"{opt_time:.3f}s); the >=3x gate failed"
     )
 
 
@@ -175,57 +185,45 @@ def test_preprocessing_amortized_below_5_percent():
         lambda: optimize_nfta(reduction.nfta), check=False
     )
 
-    def optimized_cold():
-        clear_kernel_caches()
-        return count_nfta_exact(
-            reduction.nfta, reduction.tree_size,
-            weight_of=reduction.weight_of, backend="optimized",
-        )
-
-    _value, dp_time = _best_of(optimized_cold)
+    _value, dp_time = _best_of(_cold_pass(reduction, "scalar"))
     assert prep_time <= 0.05 * dp_time, (
         f"preprocessing {prep_time:.4f}s is "
-        f"{100 * prep_time / dp_time:.1f}% of a cold optimized DP pass "
+        f"{100 * prep_time / dp_time:.1f}% of a cold scalar DP pass "
         f"({dp_time:.3f}s); the <5% amortisation gate failed"
     )
 
 
 def test_vectorized_speedup_on_largest_workload():
-    """ISSUE 10 gate: vectorized ≥3× over *optimized*, both cold, on
-    the largest Table-1-style workload."""
+    """The numpy table is ≥3× over the scalar one, both cold, on the
+    largest Table-1-style workload."""
     import pytest
 
-    from repro.core.kernels import vectorized_available
-
-    if not vectorized_available():
+    if not vectorized.available():
         pytest.skip("numpy not installed")
     label, query, domain_size, facts = WORKLOADS[-1]
     reduction = _weighted_reduction(query, domain_size, facts)
-    opt_value, opt_time = _best_of(_cold_pass(reduction, "optimized"))
-    vec_value, vec_time = _best_of(_cold_pass(reduction, "vectorized"))
-    assert opt_value == vec_value, "backends disagree — differential bug"
+    opt_value, opt_time = _best_of(_cold_pass(reduction, "scalar"))
+    vec_value, vec_time = _best_of(_cold_pass(reduction, "numpy"))
+    assert opt_value == vec_value, "tiers disagree — differential bug"
     assert vec_time * 3 <= opt_time, (
-        f"vectorized backend only {opt_time / vec_time:.2f}x faster "
-        f"than optimized on {label} (opt {opt_time:.3f}s, vec "
+        f"numpy table only {opt_time / vec_time:.2f}x faster than the "
+        f"scalar one on {label} (scalar {opt_time:.3f}s, numpy "
         f"{vec_time:.3f}s); the >=3x gate failed"
     )
 
 
 def test_vectorized_preprocessing_amortized_below_5_percent():
-    """The vectorized tier's *own* preprocessing — building the
+    """The numpy tier's *own* preprocessing — building the
     :class:`VectorLayerTable` (packed source-mask columns, the fused
     unary memo bank) from a compiled dense automaton — is <5% of one
-    cold vectorized DP pass.  The dense compile itself is shared with
-    the optimized tier and separately gated by
+    cold numpy DP pass.  The dense compile itself is shared with
+    the scalar tier and separately gated by
     ``test_preprocessing_amortized_below_5_percent``; the lazy memo
     tables fill during the DP and are deliberately part of the pass,
     not the prep."""
     import pytest
 
-    from repro.core.kernels import vectorized_available
-    from repro.core.vectorized import VectorLayerTable
-
-    if not vectorized_available():
+    if not vectorized.available():
         pytest.skip("numpy not installed")
     _label, query, domain_size, facts = WORKLOADS[-1]
     reduction = _weighted_reduction(query, domain_size, facts)
@@ -235,12 +233,12 @@ def test_vectorized_preprocessing_amortized_below_5_percent():
     )
 
     _table, prep_time = _best_of(
-        lambda: VectorLayerTable(dense, weights), check=False
+        lambda: vectorized.VectorLayerTable(dense, weights), check=False
     )
-    _value, dp_time = _best_of(_cold_pass(reduction, "vectorized"))
+    _value, dp_time = _best_of(_cold_pass(reduction, "numpy"))
     assert prep_time <= 0.05 * dp_time, (
-        f"vectorized preprocessing {prep_time:.4f}s is "
-        f"{100 * prep_time / dp_time:.1f}% of a cold vectorized DP "
+        f"numpy preprocessing {prep_time:.4f}s is "
+        f"{100 * prep_time / dp_time:.1f}% of a cold numpy DP "
         f"pass ({dp_time:.3f}s); the <5% amortisation gate failed"
     )
 
@@ -296,14 +294,14 @@ def test_optimized_sampler_speedup():
 
 
 def test_speedup_never_regresses_on_smaller_workloads():
-    """The optimized backend must never be *slower* cold, even on the
-    small workloads where there is little to win."""
+    """The scalar table must never be *slower* cold than the reference,
+    even on the small workloads where there is little to win."""
     for label, query, domain_size, facts in WORKLOADS[:-1]:
         reduction = _weighted_reduction(query, domain_size, facts)
         ref_time, opt_time, _count = _measure(reduction)
         assert opt_time <= ref_time * 1.2, (
-            f"optimized cold pass slower than reference on {label}: "
-            f"opt {opt_time:.4f}s vs ref {ref_time:.4f}s"
+            f"scalar cold pass slower than reference on {label}: "
+            f"scalar {opt_time:.4f}s vs ref {ref_time:.4f}s"
         )
 
 

@@ -32,23 +32,23 @@ first-seen order, and a member weighs its symbol's weight times its
 children's weights, left to right (the rule lazy products use for
 their counts).
 
-Every entry point takes a ``backend`` knob (default ``"optimized"``;
+Every entry point takes a ``backend`` name (default ``"optimized"``;
 see :mod:`repro.core.kernels` and ``docs/performance.md``).  For the
-exact DP the optimized backend runs over dense pruned bitmask indexes
-with process-wide memoized layers, and the ``vectorized`` backend
-(:mod:`repro.core.vectorized`; requires the optional numpy extra)
-lowers the same layer DP to batched numpy operations; exact arithmetic
-keeps both bitwise-equal to the reference (float weights fall back to
-the reference DP).  The sampler is one loop over one seed-free plan
+exact DP the optimized backend runs the layer table
+:func:`repro.core.kernels.layer_table` picks over dense pruned bitmask
+indexes with process-wide memoized layers — the numpy table when numpy
+is importable, the scalar one otherwise; exact arithmetic keeps both
+bitwise-equal to the reference (float weights fall back to the
+reference DP).  The sampler is one loop over one seed-free plan
 (:class:`_CounterPlan`, built on the compiled
 :class:`~repro.automata.optimize.DenseNFTA`); a backend only picks how
 sampled trees are stored — :class:`LabeledTree` objects with frozenset
 derivability for ``reference``, interned integer ids with top-down
-membership over dense states for the other two — so estimates and
-sampled trees are bitwise-identical across backends, and none of them
-depends on the interpreter's hash seed.  The differential suite
+membership over dense states for the optimized backend — so estimates
+and sampled trees are bitwise-identical across backends, and none of
+them depends on the interpreter's hash seed.  The differential suite
 (``tests/test_kernel_differential.py``) enforces this equivalence
-across all three backends.
+across every backend name and both layer tables.
 """
 
 from __future__ import annotations
@@ -102,14 +102,15 @@ def count_nfta_exact(nfta: NFTA, size: int, weight_of=None, backend=None):
     ``method='exact-weighted'``).  Weights may be ints, Fractions, or
     floats; the result type follows the weights (int when unweighted).
 
-    ``backend='optimized'`` (the default) runs the layer DP of
-    :mod:`repro.core.kernels` over the pruned dense automaton, with
-    layers memoized under the automaton fingerprint; exact arithmetic
-    makes the result bitwise-equal to the reference.
-    ``backend='vectorized'`` lowers the same layer DP to numpy array
-    batches (:mod:`repro.core.vectorized`) with the identical bitwise
-    guarantee.  Float weights (whose summation order matters)
-    automatically use the reference DP under either backend.
+    ``backend='optimized'`` (the default; ``'vectorized'`` is another
+    spelling of it) runs the layer DP of :mod:`repro.core.kernels` over
+    the pruned dense automaton, with layers memoized under the
+    automaton fingerprint: the numpy table when numpy is importable,
+    the scalar one otherwise.  Exact arithmetic makes the result
+    bitwise-equal to the reference.  Float weights (whose summation
+    order matters) automatically use the reference DP.  The
+    ``counting.nfta_exact`` span's ``table`` tag says which DP ran:
+    ``reference``, ``scalar`` or ``numpy``.
     """
     from repro.core import kernels
 
@@ -121,23 +122,22 @@ def count_nfta_exact(nfta: NFTA, size: int, weight_of=None, backend=None):
     fault_point("counting.nfta")
     weigh = weight_of if weight_of is not None else (lambda _symbol: 1)
 
+    table = None
     if backend != "reference":
-        with span("counting.nfta_exact", size=size, backend=backend):
-            budget_checkpoint("counting.nfta")
-            result = kernels.dense_exact_count(
-                nfta, size, weigh,
-                checkpoint=lambda: budget_checkpoint("counting.nfta"),
-                backend=backend,
-            )
-            if result is not kernels.FLOAT_WEIGHTS:
-                # Keep the per-call ``dp_cells`` total equal to the
-                # reference's one-increment-per-size, whether or not
-                # the layers came from the shared table.
-                metric_inc("count_nfta.dp_cells", size)
-                return result
+        budget_checkpoint("counting.nfta")
+        table = kernels.layer_table(nfta, weigh)
+    name = "reference" if table is None else table.name
+    with span("counting.nfta_exact", size=size, table=name):
+        if table is None:
             return _count_nfta_exact_reference(nfta, size, weigh)
-    with span("counting.nfta_exact", size=size, backend=backend):
-        return _count_nfta_exact_reference(nfta, size, weigh)
+        result = table.count(
+            size, checkpoint=lambda: budget_checkpoint("counting.nfta")
+        )
+        # Keep the per-call ``dp_cells`` total equal to the reference's
+        # one-increment-per-size, whether or not the layers came from
+        # the shared table.
+        metric_inc("count_nfta.dp_cells", size)
+        return result
 
 
 def _count_nfta_exact_reference(nfta: NFTA, size: int, weigh):
@@ -817,7 +817,6 @@ def count_nfta(
     exact_set_cap: int = 4096,
     repetitions: int = 1,
     weight_of=None,
-    executor=None,
     backend=None,
 ) -> CountResult:
     """Estimate ``|L_n(T)|`` — the paper's CountNFTA black box.
@@ -829,19 +828,16 @@ def count_nfta(
     :func:`count_nfta_exact`); the ``exact`` flag then certifies the
     measure up to float rounding.
 
-    ``executor`` (a :class:`concurrent.futures.Executor`) fans the
-    median-of-``repetitions`` runs out as independent tasks.  Every
-    repetition draws from its own RNG stream whose seed is derived up
-    front from ``seed``, so the result is bitwise-identical to the
-    sequential run regardless of how the executor schedules the tasks.
+    Every median-of-``repetitions`` run draws from its own RNG stream
+    whose seed is derived up front from ``seed``.
 
     Every backend runs the same loop over the same plan and differs
     only in its tree store: ``reference`` keeps :class:`LabeledTree`
-    objects and frozenset derivability, ``optimized`` and
-    ``vectorized`` intern trees as integer ids with dense-state
-    bitmasks and share the plan across repetitions and batch items.
+    objects and frozenset derivability, ``optimized`` (also spelled
+    ``vectorized``) interns trees as integer ids with dense-state
+    bitmasks and shares the plan across repetitions and batch items.
     Estimates, exact flags and sample counts are bitwise-identical
-    across the three.
+    across backends.
     """
     from repro.core import kernels
 
@@ -862,18 +858,11 @@ def count_nfta(
             weight_of=weight_of,
         ).run()
 
-    # Per-cell/per-sample counters inside _TreeCounter are attributed to
-    # the calling thread's telemetry; with an executor the repetitions
-    # run on pool threads whose context lacks it, so only the
-    # repetition count and the span below are recorded in that mode.
     with span(
         "counting.nfta", size=size, repetitions=repetitions
     ):
         metric_inc("count_nfta.repetitions", repetitions)
-        if executor is None:
-            results = [run_one(s) for s in repetition_seeds]
-        else:
-            results = list(executor.map(run_one, repetition_seeds))
+        results = [run_one(s) for s in repetition_seeds]
     results.sort(key=lambda r: r.estimate)
     median = results[len(results) // 2]
     return CountResult(

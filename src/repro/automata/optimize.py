@@ -29,9 +29,9 @@ right substrate for correctness arguments but a poor one for speed.
 Everything here is seed-free preprocessing: the compiled form is shared
 process-wide by :mod:`repro.core.kernels` under the automaton's
 order-insensitive :attr:`~repro.automata.nfta.NFTA.fingerprint`.  The
-``vectorized`` backend (:mod:`repro.core.vectorized`) consumes the same
+numpy layer table (:mod:`repro.core.vectorized`) consumes the same
 :class:`DenseNFTA` — its packed source-mask columns are built straight
-from each group's ``(bit, children)`` rules, so both optimized tiers
+from each group's ``(bit, children)`` rules, so both layer tables
 share one compilation.
 Telemetry (``kernels.states_pruned`` / ``kernels.transitions_deduped``
 / ``kernels.transitions_pruned``) is attributed to whichever evaluation

@@ -14,7 +14,9 @@ from typing import Hashable
 
 from repro.db.fact import Fact
 
-__all__ = ["Literal", "BIT_ZERO", "BIT_ONE", "PAD", "negate"]
+__all__ = [
+    "Literal", "BIT_ZERO", "BIT_ONE", "PAD", "literal_weights", "negate",
+]
 
 BIT_ZERO = 0
 BIT_ONE = 1
@@ -77,3 +79,24 @@ class Literal:
 def negate(symbol: Literal) -> Literal:
     """Functional form of :meth:`Literal.negated`."""
     return symbol.negated()
+
+
+def literal_weights(probabilities):
+    """Symbol weights of the weighted (gadget-free) measure.
+
+    With ``π(f) = w_f / d_f`` (a :class:`fractions.Fraction` per fact in
+    ``probabilities``), a positive literal of f weighs ``w_f``, a
+    negative one ``d_f − w_f`` and every other symbol 1, so the
+    weighted count of accepted trees or words divided by ``Π_f d_f`` is
+    ``Pr_H(Q)``.
+    """
+
+    def weight_of(symbol):
+        if isinstance(symbol, Literal):
+            probability = probabilities[symbol.fact]
+            if symbol.positive:
+                return probability.numerator
+            return probability.denominator - probability.numerator
+        return 1
+
+    return weight_of

@@ -419,13 +419,6 @@ def _run_serve(arguments: list[str]) -> int:
              "request content (default 2023)",
     )
     parser.add_argument(
-        "--kernel-backend", default="optimized",
-        choices=["optimized", "vectorized", "reference"],
-        help="counting-kernel implementation; 'vectorized' degrades "
-             "to 'optimized' when numpy is missing (counted as "
-             "kernels.vectorized.unavailable in /stats)",
-    )
-    parser.add_argument(
         "--isolation", choices=("thread", "process"), default="thread",
         help="run evaluations in threads or forked workers "
              "(process contains crashes; default thread)",
@@ -510,7 +503,6 @@ def _run_serve(arguments: list[str]) -> int:
             seed=args.seed,
             isolation=args.isolation,
             memory_limit=args.memory_limit,
-            kernel_backend=args.kernel_backend,
             disk_cache=args.cache_dir,
             journal=args.journal,
             delta_journal=args.delta_journal,
@@ -769,7 +761,6 @@ def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
         epsilon=args.epsilon,
         seed=args.seed,
         repetitions=args.repetitions,
-        kernel_backend=args.kernel_backend,
     )
     cache = None
     if args.cache_dir:
@@ -1033,15 +1024,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="median-of-k amplification for randomized methods",
     )
     parser.add_argument(
-        "--kernel-backend", default="optimized",
-        choices=["optimized", "vectorized", "reference"],
-        help="counting-kernel implementation (bitwise-identical "
-             "results; 'vectorized' batches the layer DP through numpy "
-             "(the [vectorized] extra), 'reference' is the direct "
-             "transcription of the paper's pseudocode, for triage — "
-             "see docs/performance.md)",
-    )
-    parser.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="wall-clock deadline per evaluation (per item for --batch), "
              "enforced at cooperative checkpoints",
@@ -1119,7 +1101,6 @@ def _run_rpq(args, pdb: ProbabilisticDatabase) -> int:
         epsilon=args.epsilon,
         seed=args.seed,
         repetitions=args.repetitions,
-        kernel_backend=args.kernel_backend,
     )
     budget = (
         EvaluationBudget(deadline=args.timeout)
@@ -1218,7 +1199,6 @@ def main(argv: Iterable[str] | None = None) -> int:
             epsilon=args.epsilon,
             seed=args.seed,
             repetitions=args.repetitions,
-            kernel_backend=args.kernel_backend,
         )
         if args.explain:
             print(f"plan:    {engine.explain(query, pdb).describe()}")

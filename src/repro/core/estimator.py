@@ -211,17 +211,13 @@ class PQEEngine:
         ``cache`` arguments override it.
     kernel_backend:
         Counting-kernel implementation used by the FPRAS, Karp–Luby
-        and RPQ routes: ``'optimized'`` (default; dense-interned layer
-        DP and batched sampling, see :mod:`repro.core.kernels`),
-        ``'vectorized'`` (the numpy layer DP of
-        :mod:`repro.core.vectorized`; requires the ``[vectorized]``
-        extra) or ``'reference'`` (the direct transcription of the
-        paper's pseudocode).  All produce bitwise-identical answers
-        for any seed — the knob exists for speed, differential testing
-        and triage.  When ``'vectorized'`` is requested but numpy is
-        missing the engine degrades to ``'optimized'`` (recording
-        ``kernels.vectorized.unavailable``) rather than failing, since
-        the answers are identical either way.
+        and RPQ routes: ``'optimized'`` (default; dense-interned
+        sampling and bitmask loops, see :mod:`repro.core.kernels`;
+        ``'vectorized'`` is another spelling of it) or ``'reference'``
+        (the direct transcription of the paper's pseudocode).  Both
+        produce bitwise-identical answers for any seed —
+        ``'reference'`` exists for differential testing and triage.
+        The engine keeps the name it was given.
     """
 
     def __init__(
@@ -234,7 +230,7 @@ class PQEEngine:
         exact_set_cap: int = 4096,
         kernel_backend: str = "optimized",
     ):
-        from repro.core.kernels import fallback_backend
+        from repro.core.kernels import resolve_backend
 
         if not 0 < epsilon < 1:
             raise ReproError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -244,7 +240,7 @@ class PQEEngine:
         self.repetitions = repetitions
         self.cache = cache
         self.exact_set_cap = exact_set_cap
-        self.kernel_backend = fallback_backend(kernel_backend)
+        self.kernel_backend = resolve_backend(kernel_backend)
 
     # ------------------------------------------------------------------
 

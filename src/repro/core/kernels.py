@@ -1,19 +1,20 @@
-"""Optimized counting kernels: backend knob, shared layer DP, batching.
+"""Optimized counting kernels: backend names, shared layer DP, batching.
 
 This module is the process-wide home of the ``optimized`` counting
 backend (see ``docs/performance.md``):
 
-- :func:`resolve_backend` — the
-  ``backend="reference"|"optimized"|"vectorized"`` knob threaded
-  through ``count_nfta_exact``, the estimators,
-  :class:`~repro.core.estimator.PQEEngine` and the CLI.  The
-  ``vectorized`` backend (numpy; the optional ``[vectorized]`` extra —
-  see :mod:`repro.core.vectorized`) swaps the scalar layer DP for a
-  batched array one and reuses the optimized machinery everywhere
-  else; :func:`fallback_backend` is the engine/serve entry point that
-  degrades it to ``optimized`` when numpy is missing;
-- :func:`dense_exact_count` — a layer-at-a-time bottom-up DP over the
-  :class:`~repro.automata.optimize.DenseNFTA` bitmask indexes.  Its
+- :func:`resolve_backend` — validates the
+  ``backend="reference"|"optimized"|"vectorized"`` name threaded
+  through ``count_nfta_exact``, the estimators and
+  :class:`~repro.core.estimator.PQEEngine`.  ``reference`` is the
+  direct transcription of the paper's pseudocode, kept as the oracle;
+  ``optimized`` is the one fast backend, and ``vectorized`` is another
+  spelling of it;
+- :func:`layer_table` — the exact layer-at-a-time bottom-up DP over the
+  :class:`~repro.automata.optimize.DenseNFTA` bitmask indexes, and the
+  only place that decides which table runs it: the numpy
+  :class:`~repro.core.vectorized.VectorLayerTable` when numpy is
+  importable, the scalar :class:`_LayerTable` otherwise.  A table's
   per-size layers are memoized under the automaton
   :attr:`~repro.automata.nfta.NFTA.fingerprint` (plus the symbol-weight
   vector) and *extended in place*, so repeated counts — across
@@ -22,8 +23,8 @@ backend (see ``docs/performance.md``):
   absorb — pay only for sizes never seen before.  Integer and
   :class:`fractions.Fraction` weights sum order-independently, which is
   what makes the reorganized DP *bitwise* equal to the reference;
-  float weights are order-sensitive, so they signal
-  :data:`FLOAT_WEIGHTS` and the caller falls back to the reference DP;
+  float weights are order-sensitive, so there is no table for them and
+  the caller runs the reference DP;
 - :func:`shared_plan` — fingerprint-keyed seed-free sampling plans
   (per (state, size) cell of the compiled automaton: the group order,
   the member order and the child cells, plus the per-state rule tables
@@ -61,41 +62,28 @@ from repro.obs import metric_inc
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "FLOAT_WEIGHTS",
     "TickBatcher",
+    "add_layer_terms",
     "clear_kernel_caches",
     "dense_automaton",
-    "dense_exact_count",
     "evict_fingerprints",
-    "fallback_backend",
+    "layer_table",
     "resolve_backend",
     "shared_plan",
-    "vectorized_available",
 ]
 
+#: ``"vectorized"`` names the same backend as ``"optimized"``; it stays
+#: accepted because ``perfbench/cold.py`` passes it.
 BACKENDS = ("reference", "optimized", "vectorized")
 DEFAULT_BACKEND = "optimized"
 
-#: Sentinel returned by :func:`dense_exact_count` when the weight
-#: vector contains floats: float addition is order-dependent, so only
-#: the reference summation order reproduces the seed results bitwise.
-FLOAT_WEIGHTS = object()
-
-
-def vectorized_available() -> bool:
-    """Whether the ``vectorized`` backend can run (numpy importable)."""
-    from repro.core import vectorized
-
-    return vectorized.available()
-
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalise a backend knob (``None`` means the default).
+    """Validate a backend name (``None`` means the default).
 
-    Raises a contextual :class:`~repro.errors.ReproError` for unknown
-    names, and for ``'vectorized'`` when numpy (the ``[vectorized]``
-    optional extra) is not installed — callers that prefer degrading
-    over failing use :func:`fallback_backend` instead.
+    Returns the name it was given; the engine stores it, so journal
+    fingerprints keep it.  Raises a contextual
+    :class:`~repro.errors.ReproError` for unknown names.
     """
     if backend is None:
         return DEFAULT_BACKEND
@@ -103,31 +91,7 @@ def resolve_backend(backend: str | None) -> str:
         raise ReproError(
             f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
         )
-    if backend == "vectorized" and not vectorized_available():
-        raise ReproError(
-            "kernel backend 'vectorized' requires numpy, which is not "
-            "installed; install the optional extra "
-            "(pip install 'repro[vectorized]') or choose from "
-            "('reference', 'optimized')"
-        )
     return backend
-
-
-def fallback_backend(backend: str | None) -> str:
-    """Resolve a backend, degrading ``'vectorized'`` to ``'optimized'``
-    when numpy is unavailable.
-
-    The auto-fallback used by :class:`~repro.core.estimator.PQEEngine`
-    and the serve daemon: answers are bitwise-identical across backends,
-    so degrading silently is safe; the
-    ``kernels.vectorized.unavailable`` counter records that it
-    happened (like all ``kernels.*`` counters, outside the determinism
-    contract).
-    """
-    if backend == "vectorized" and not vectorized_available():
-        metric_inc("kernels.vectorized.unavailable")
-        return "optimized"
-    return resolve_backend(backend)
 
 
 # ----------------------------------------------------------------------
@@ -199,8 +163,74 @@ def shared_plan(key: Hashable, builder: Callable[[], object]):
 # Layer-at-a-time exact DP over dense bitmasks
 # ----------------------------------------------------------------------
 
+def add_layer_terms(cell: dict, by_arity: dict, items, s: int) -> None:
+    """Add the size-``s`` terms of the inner rule groups to ``cell``.
+
+    ``by_arity`` maps an arity to its ``(group, weight)`` pairs and
+    ``items(t)`` lists the ``(mask, count)`` pairs of the size-``t``
+    layer.  Child-subset combinations are enumerated once per *arity*
+    with the (symbol, arity) groups iterated innermost — the reference
+    DP re-enumerates them per group — and combo evaluation memoizes per
+    group.  Exact arithmetic keeps the regrouped summation
+    bitwise-equal to the reference.
+    """
+    total = s - 1
+    for arity, groups in by_arity.items():
+        if s < arity + 1:
+            continue
+        if arity == 1:
+            for mask, count in items(total):
+                for group, weight in groups:
+                    evaluated = group.evaluated1(mask)
+                    if evaluated:
+                        cell[evaluated] = (
+                            cell.get(evaluated, 0) + weight * count
+                        )
+            continue
+        if arity == 2:
+            for left in range(1, total):
+                left_items = items(left)
+                right_items = items(total - left)
+                for mask_a, count_a in left_items:
+                    for mask_b, count_b in right_items:
+                        count = count_a * count_b
+                        for group, weight in groups:
+                            evaluated = group.evaluated2(mask_a, mask_b)
+                            if evaluated:
+                                cell[evaluated] = (
+                                    cell.get(evaluated, 0) + weight * count
+                                )
+            continue
+        for combo, count in _combinations(items, arity, total):
+            for group, weight in groups:
+                evaluated = group.evaluated_mask(combo)
+                if evaluated:
+                    cell[evaluated] = (
+                        cell.get(evaluated, 0) + weight * count
+                    )
+
+
+def _combinations(items, arity: int, total: int):
+    """Ordered mask tuples with sizes summing to ``total`` (arity ≥ 3)
+    — the dense mirror of the reference ``_subset_combinations``."""
+
+    def rec(position: int, remaining: int):
+        slots_left = arity - position
+        if slots_left == 0:
+            if remaining == 0:
+                yield (), 1
+            return
+        for part in range(1, remaining - (slots_left - 1) + 1):
+            for mask, count in items(part):
+                for rest, rest_count in rec(position + 1, remaining - part):
+                    yield (mask,) + rest, count * rest_count
+
+    yield from rec(0, total)
+
+
 class _LayerTable:
-    """Memoized DP layers for one (automaton, weight vector).
+    """Memoized DP layers for one (automaton, weight vector): the scalar
+    table, which runs when numpy is not importable.
 
     ``layers[s]`` maps a dense state bitmask to the total weight of
     size-``s`` trees evaluating to exactly that subset — the dense
@@ -209,14 +239,14 @@ class _LayerTable:
     layer instead of starting over.
     """
 
+    name = "scalar"
+
     __slots__ = (
-        "_dense", "_weights", "_lock", "_layers", "_items",
-        "_leaf_groups", "_by_arity",
+        "_dense", "_lock", "_layers", "_items", "_leaf_groups", "_by_arity",
     )
 
     def __init__(self, dense: DenseNFTA, weights: tuple):
         self._dense = dense
-        self._weights = weights
         self._lock = threading.Lock()
         self._layers: list[dict[int, object]] = [{}]  # size 0 is empty
         self._items: list[list] = [[]]  # snapshot lists for enumeration
@@ -251,114 +281,48 @@ class _LayerTable:
         return total
 
     def _append_layer(self) -> None:
-        """Compute the next DP layer.
-
-        Child-subset combinations are enumerated once per *arity* with
-        the (symbol, arity) groups iterated innermost — the reference
-        DP re-enumerates them per group — and combo evaluation memoizes
-        per group.  Exact arithmetic keeps the regrouped summation
-        bitwise-equal to the reference.
-        """
         s = len(self._layers)
-        items = self._items
         cell: dict[int, object] = {}
         if s == 1:
             for group, weight in self._leaf_groups:
                 mask = group.leaf_mask
                 cell[mask] = cell.get(mask, 0) + weight
-        for arity, groups in self._by_arity.items():
-            if s < arity + 1:
-                continue
-            total = s - 1
-            if arity == 1:
-                for mask, count in items[total]:
-                    for group, weight in groups:
-                        evaluated = group.evaluated1(mask)
-                        if evaluated:
-                            cell[evaluated] = (
-                                cell.get(evaluated, 0) + weight * count
-                            )
-                continue
-            if arity == 2:
-                for left in range(1, total):
-                    left_items = items[left]
-                    right_items = items[total - left]
-                    for mask_a, count_a in left_items:
-                        for mask_b, count_b in right_items:
-                            count = count_a * count_b
-                            for group, weight in groups:
-                                evaluated = group.evaluated2(mask_a, mask_b)
-                                if evaluated:
-                                    cell[evaluated] = (
-                                        cell.get(evaluated, 0)
-                                        + weight * count
-                                    )
-                continue
-            for combo, count in self._combinations(arity, total):
-                for group, weight in groups:
-                    evaluated = group.evaluated_mask(combo)
-                    if evaluated:
-                        cell[evaluated] = (
-                            cell.get(evaluated, 0) + weight * count
-                        )
+        add_layer_terms(cell, self._by_arity, self._items.__getitem__, s)
         self._layers.append(cell)
         self._items.append(list(cell.items()))
         metric_inc("kernels.layers_computed")
 
-    def _combinations(self, arity: int, total: int):
-        """Ordered mask tuples with sizes summing to ``total`` (arity
-        ≥ 3) — the dense mirror of the reference
-        ``_subset_combinations``."""
-        items = self._items
 
-        def rec(position: int, remaining: int):
-            slots_left = arity - position
-            if slots_left == 0:
-                if remaining == 0:
-                    yield (), 1
-                return
-            for part in range(1, remaining - (slots_left - 1) + 1):
-                for mask, count in items[part]:
-                    for rest, rest_count in rec(position + 1, remaining - part):
-                        yield (mask,) + rest, count * rest_count
+def layer_table(nfta: NFTA, weigh):
+    """The memoized exact layer table for ``nfta`` under the symbol
+    weights ``weigh``, or ``None`` when a float weight forces the
+    reference summation order.
 
-        yield from rec(0, total)
-
-
-def dense_exact_count(
-    nfta: NFTA, size: int, weigh, checkpoint: Callable[[], None],
-    backend: str = "optimized",
-):
-    """Exact weighted count of size-``size`` accepted trees, or
-    :data:`FLOAT_WEIGHTS` when the weight vector forces the reference
-    summation order.
-
-    Bitwise-equal to the reference DP for int/Fraction weights: both
-    backends sum exactly the same per-tree weight terms, and exact
-    arithmetic makes the grouping irrelevant.  ``backend='vectorized'``
-    runs the numpy layer DP of :mod:`repro.core.vectorized` instead of
-    the scalar one; its layer tables are memoized separately (under
-    ``("vlayers", …)``) so the two artefact families never shadow each
-    other.
+    The table is the numpy
+    :class:`~repro.core.vectorized.VectorLayerTable` when numpy is
+    importable and the scalar :class:`_LayerTable` otherwise; its
+    ``name`` says which.  Its ``count(size, checkpoint)`` is
+    bitwise-equal to the reference DP for int/Fraction weights: both
+    sum exactly the same per-tree weight terms, and exact arithmetic
+    makes the grouping irrelevant.  The two kinds are stored under
+    different keys (``("vlayers", …)`` / ``("layers", …)``), so a
+    process that stops seeing numpy never reads a numpy table.
     """
+    from repro.core import vectorized
+
     dense = dense_automaton(nfta)
     weights = tuple(weigh(symbol) for symbol in dense.symbols)
-    for weight in weights:
-        if isinstance(weight, float):
-            return FLOAT_WEIGHTS
-    if backend == "vectorized":
-        from repro.core import vectorized
-
-        table = _layer_store.get_or_build(
+    if any(isinstance(weight, float) for weight in weights):
+        return None
+    if vectorized.available():
+        return _layer_store.get_or_build(
             ("vlayers", dense.fingerprint, weights),
             lambda: vectorized.VectorLayerTable(dense, weights),
         )
-    else:
-        table = _layer_store.get_or_build(
-            ("layers", dense.fingerprint, weights),
-            lambda: _LayerTable(dense, weights),
-        )
-    return table.count(size, checkpoint)
+    return _layer_store.get_or_build(
+        ("layers", dense.fingerprint, weights),
+        lambda: _LayerTable(dense, weights),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -506,7 +506,7 @@ class ItemRunner:
                     raise
                 attempt += 1
                 metric_inc("resilience.retries")
-                delay = self.policy.backoff(attempt)
+                delay = self.policy.backoff(attempt, seed=item_seed)
                 if delay:
                     time.sleep(delay)
 

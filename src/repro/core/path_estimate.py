@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.automata.nfa import NFA
 from repro.automata.nfa_counting import CountResult, count_nfa
-from repro.automata.symbols import Literal
+from repro.automata.symbols import Literal, literal_weights
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.errors import QueryError, SelfJoinError
@@ -278,23 +278,10 @@ def path_pqe_estimate(
     the library.  ``method`` is ``'fpras'`` or ``'exact'`` (weighted
     layered subset DP).
     """
-    from repro.automata.symbols import Literal
-
     projected = pdb.project_to_query(query)
     reduction = build_path_nfa(query, projected.instance)
-    probabilities = projected.probabilities
-
-    def weight_of(symbol):
-        if isinstance(symbol, Literal):
-            probability = probabilities[symbol.fact]
-            if symbol.positive:
-                return probability.numerator
-            return probability.denominator - probability.numerator
-        return 1
-
-    denominator = 1
-    for probability in probabilities.values():
-        denominator *= probability.denominator
+    weight_of = literal_weights(projected.probabilities)
+    denominator = projected.denominator_product
 
     if method == "exact":
         measure = reduction.nfa.count_exact(

@@ -34,7 +34,7 @@ from repro.automata.multiplier import (
 from repro.automata.nfa_counting import CountResult
 from repro.automata.nfta import NFTA
 from repro.automata.nfta_counting import count_nfta, count_nfta_exact
-from repro.automata.symbols import Literal
+from repro.automata.symbols import Literal, literal_weights
 from repro.core.ur_reduction import (
     URReduction,
     _ready_decomposition,
@@ -80,20 +80,6 @@ class PQEReduction:
     denominator: int              # d = Π d_f
     weighted: bool = False
     weight_of: object = None      # symbol → weight (weighted mode only)
-
-
-def _literal_weight_function(probabilities: dict[Fact, Fraction]):
-    """Symbol weights for the gadget-free weighted evaluation."""
-
-    def weight_of(symbol):
-        if isinstance(symbol, Literal):
-            probability = probabilities[symbol.fact]
-            if symbol.positive:
-                return probability.numerator
-            return probability.denominator - probability.numerator
-        return 1
-
-    return weight_of
 
 
 def build_pqe_reduction(
@@ -172,16 +158,13 @@ def _build_pqe_reduction_body(
     probabilities: dict[Fact, Fraction] = dict(projected.probabilities)
 
     if weighted:
-        denominator = 1
-        for probability in probabilities.values():
-            denominator *= probability.denominator
         return PQEReduction(
             ur_reduction=reduction,
             nfta=reduction.nfta,
             tree_size=reduction.tree_size,
-            denominator=denominator,
+            denominator=projected.denominator_product,
             weighted=True,
-            weight_of=_literal_weight_function(probabilities),
+            weight_of=literal_weights(probabilities),
         )
     bits_for: dict[Fact, int] = {
         fact: _gadget_bits(prob) for fact, prob in probabilities.items()
@@ -214,18 +197,11 @@ def _build_pqe_reduction_body(
         multiplier_transitions, initial=reduction.nfta.initial
     )
     translated = multiplier_nfta.translate().trimmed()
-
-    denominator = 1
-    total_bits = 0
-    for fact, prob in probabilities.items():
-        denominator *= prob.denominator
-        total_bits += bits_for[fact]
-
     return PQEReduction(
         ur_reduction=reduction,
         nfta=translated,
-        tree_size=reduction.tree_size + total_bits,
-        denominator=denominator,
+        tree_size=reduction.tree_size + sum(bits_for.values()),
+        denominator=projected.denominator_product,
     )
 
 
@@ -264,7 +240,6 @@ def pqe_estimate(
     decomposition: HypertreeDecomposition | None = None,
     method: str = "fpras",
     cache=None,
-    executor=None,
     backend=None,
 ) -> PQEEstimate:
     """Theorem 1's PQEEstimate: (1 ± ε)-approximation of ``Pr_H(Q)``.
@@ -291,16 +266,11 @@ def pqe_estimate(
         changes nothing about any item's value.  Sampled (non-exact)
         counts are never stored: with or without a cache, a fixed seed
         yields bitwise the same estimate.
-    executor:
-        Optional :class:`concurrent.futures.Executor` over which
-        median-of-``repetitions`` runs are fanned out (see
-        :func:`repro.automata.nfta_counting.count_nfta`).
     backend:
-        Counting-kernel backend, ``'optimized'`` (default),
-        ``'vectorized'`` (numpy layer DP; optional extra) or
-        ``'reference'`` — see :mod:`repro.core.kernels`.  All are
-        bitwise-identical for any seed; the knob exists for speed,
-        differential testing and triage.
+        Counting-kernel backend, ``'optimized'`` (default; also spelled
+        ``'vectorized'``) or ``'reference'`` — see
+        :mod:`repro.core.kernels`.  Both are bitwise-identical for any
+        seed; ``reference`` exists for differential testing and triage.
     """
     from repro.core.kernels import resolve_backend
 
@@ -338,7 +308,6 @@ def pqe_estimate(
                 exact_set_cap=exact_set_cap,
                 repetitions=repetitions,
                 weight_of=reduction.weight_of if weighted else None,
-                executor=executor,
                 backend=backend,
             )
 

@@ -58,7 +58,6 @@ def ur_estimate(
     decomposition: HypertreeDecomposition | None = None,
     method: str = "fpras",
     cache=None,
-    executor=None,
     backend=None,
 ) -> UREstimate:
     """Theorem 3's UREstimate: a (1 ± ε)-approximation of UR(Q, D).
@@ -79,14 +78,11 @@ def ur_estimate(
         (seed-independent) count results; sampled counts are never
         stored, so a fixed seed yields the same estimate with or
         without a cache.
-    executor:
-        Optional :class:`concurrent.futures.Executor` over which
-        median-of-``repetitions`` runs are fanned out.
     backend:
-        Counting-kernel backend, ``'optimized'`` (default),
-        ``'vectorized'`` or ``'reference'`` — see
+        Counting-kernel backend, ``'optimized'`` (default; also spelled
+        ``'vectorized'``) or ``'reference'`` — see
         :mod:`repro.core.kernels`.  Bitwise-identical results under
-        every knob.
+        every name.
     """
     from repro.core.kernels import resolve_backend
 
@@ -111,7 +107,6 @@ def ur_estimate(
                 samples=samples,
                 exact_set_cap=exact_set_cap,
                 repetitions=repetitions,
-                executor=executor,
                 backend=backend,
             )
 

@@ -1,4 +1,4 @@
-"""Vectorized (numpy) counting kernels — the ``vectorized`` backend.
+"""The numpy layer table of the exact counting DP.
 
 The layer-at-a-time DP of :mod:`repro.core.kernels` spends its time in
 three places: resolving each (child-subset, rule-group) pair to the
@@ -20,8 +20,9 @@ representation:
 - binary groups key *pairs* of layers by fired-rule bitmasks
   (``bitwise_and.outer`` of per-side rule-satisfaction words) through
   the same memo machinery; arities ≥ 3 — and any group whose key would
-  not fit 63 bits — fall back to the scalar dense-group evaluation,
-  feeding the same per-layer aggregation;
+  not fit 63 bits — run the scalar per-arity loops of
+  :func:`repro.core.kernels.add_layer_terms`, feeding the same
+  per-layer aggregation;
 - the merged contributions collapse to unique next-layer rows with one
   ``lexsort`` over the packed words plus an exact ``add.reduceat``.
 
@@ -35,15 +36,13 @@ to ``object`` dtype — numpy arrays of Python ints — which is slower
 but exact at any magnitude (``kernels.vectorized.object_fallback``
 counts the switches).  Fraction weights use object dtype from the
 start.  Float weights are order-sensitive and never reach this module:
-callers return :data:`repro.core.kernels.FLOAT_WEIGHTS` and fall back
-to the reference DP, exactly as the ``optimized`` backend does.
+:func:`repro.core.kernels.layer_table` builds no table for them and
+the caller runs the reference DP.
 
 numpy is an *optional* dependency (the ``[vectorized]`` extra): this
-module imports with or without it, and :func:`available` gates every
-entry point.  ``resolve_backend("vectorized")`` raises a contextual
-error when numpy is missing, while the engine and the serve daemon
-degrade to ``optimized`` (see
-:func:`repro.core.kernels.fallback_backend`).
+module imports with or without it, and
+:func:`repro.core.kernels.layer_table` builds this table only when
+:func:`available` says numpy is there; otherwise the scalar table runs.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ try:  # pragma: no cover - exercised via both CI matrix legs
 except ImportError:  # pragma: no cover
     _np = None
 
-from repro.errors import ReproError
+from repro.core.kernels import add_layer_terms
 from repro.obs import metric_inc
 
 __all__ = [
     "VectorLayerTable",
     "available",
-    "require_numpy",
 ]
 
 #: Direct-address memo tables are used up to this many key bits (2^20
@@ -83,18 +81,8 @@ _INT64_CEILING = 1 << 63
 
 
 def available() -> bool:
-    """Whether numpy is importable (the backend's only requirement)."""
+    """Whether numpy is importable (this table's only requirement)."""
     return _np is not None
-
-
-def require_numpy() -> None:
-    if _np is None:
-        raise ReproError(
-            "the 'vectorized' kernel backend requires numpy, which is "
-            "not installed; install the optional extra "
-            "(pip install 'repro[vectorized]') or use the "
-            "'optimized' backend"
-        )
 
 
 def _is_exact_int(value) -> bool:
@@ -312,25 +300,25 @@ class _BinaryGroup:
 class VectorLayerTable:
     """Memoized vectorized DP layers for one (automaton, weight vector).
 
-    The numpy mirror of :class:`repro.core.kernels._LayerTable`:
-    ``count(size)`` extends the layer arrays on demand and sums the
-    counts of rows containing the initial state.  Shared process-wide
-    under ``("vlayers", fingerprint, weights)`` next to the scalar
-    layer tables.
+    The numpy mirror of :class:`repro.core.kernels._LayerTable`, and
+    the table :func:`repro.core.kernels.layer_table` builds whenever
+    numpy is importable: ``count(size)`` extends the layer arrays on
+    demand and sums the counts of rows containing the initial state.
+    Shared process-wide under ``("vlayers", fingerprint, weights)``.
     """
 
+    name = "numpy"
+
     __slots__ = (
-        "_dense", "_weights", "_lock", "_layers", "_totals",
+        "_dense", "_lock", "_layers", "_totals",
         "_leaf_cell", "_unary", "_binary", "_scalar_by_arity",
         "_pyitems", "_npad", "_nwords", "_nbytes", "_ucols", "_ucolw",
         "_uoffsets", "_uweights", "_binkeys", "_object_mode",
-        "_wsum_by_arity", "_max_arity", "_ubank", "_nbanked",
+        "_wsum_by_arity", "_ubank", "_nbanked",
     )
 
     def __init__(self, dense, weights: tuple):
-        require_numpy()
         self._dense = dense
-        self._weights = weights
         self._lock = threading.Lock()
         n_states = dense.num_states
         self._nbytes = max(1, (n_states + 7) // 8)
@@ -373,10 +361,6 @@ class VectorLayerTable:
                 self._scalar_by_arity.setdefault(group.arity, []).append(
                     (group, weight)
                 )
-        self._max_arity = max(
-            [g.arity for g in dense.groups if weights[g.symbol_id]],
-            default=0,
-        )
 
         # Bank the leading unary groups whose direct tables fit the
         # combined cap; the rest resolve through per-group memos.
@@ -421,7 +405,7 @@ class VectorLayerTable:
 
     def count(self, size: int, checkpoint: Callable[[], None]):
         """Total weight of size-``size`` trees accepted from the initial
-        state; bitwise-equal to the reference and ``optimized`` DPs."""
+        state; bitwise-equal to the reference and scalar DPs."""
         with self._lock:
             while len(self._layers) <= size:
                 checkpoint()
@@ -464,16 +448,8 @@ class VectorLayerTable:
         vals_list = []
         total = s - 1
 
-        if s == 1 and self._leaf_cell:
-            packed = _np.zeros(
-                (len(self._leaf_cell), self._npad), dtype=_np.uint8
-            )
-            vals = []
-            for i, (mask, weight) in enumerate(self._leaf_cell.items()):
-                packed[i] = _pack_mask(mask, self._npad)
-                vals.append(weight)
-            rows_list.append(packed)
-            vals_list.append(self._value_array(vals))
+        if s == 1:
+            self._add_cell(self._leaf_cell, rows_list, vals_list)
 
         if self._unary and total >= 1:
             prev_packed, prev_counts = self._layers[total]
@@ -520,15 +496,9 @@ class VectorLayerTable:
                     vals_list.append(bgroup.weight * pair_counts)
 
         if self._scalar_by_arity:
-            cell = self._scalar_contributions(s)
-            if cell:
-                packed = _np.zeros((len(cell), self._npad), dtype=_np.uint8)
-                vals = []
-                for i, (mask, value) in enumerate(cell.items()):
-                    packed[i] = _pack_mask(mask, self._npad)
-                    vals.append(value)
-                rows_list.append(packed)
-                vals_list.append(self._value_array(vals))
+            cell: dict[int, object] = {}
+            add_layer_terms(cell, self._scalar_by_arity, self._mask_items, s)
+            self._add_cell(cell, rows_list, vals_list)
 
         if rows_list:
             all_rows = _np.concatenate(rows_list)
@@ -551,12 +521,20 @@ class VectorLayerTable:
         metric_inc("kernels.layers_computed")
         metric_inc("kernels.vectorized_layers")
 
-    def _value_array(self, values: list):
+    def _add_cell(self, cell: dict, rows_list: list, vals_list: list):
+        """Append a ``{int mask: value}`` cell as packed rows and values."""
+        if not cell:
+            return
+        packed = _np.zeros((len(cell), self._npad), dtype=_np.uint8)
+        for i, mask in enumerate(cell):
+            packed[i] = _pack_mask(mask, self._npad)
+        rows_list.append(packed)
         if self._object_mode:
-            out = _np.empty(len(values), dtype=object)
-            out[:] = values
-            return out
-        return _np.array(values, dtype=_np.int64)
+            vals = _np.empty(len(cell), dtype=object)
+            vals[:] = list(cell.values())
+        else:
+            vals = _np.array(list(cell.values()), dtype=_np.int64)
+        vals_list.append(vals)
 
     @staticmethod
     def _as_object(array):
@@ -574,77 +552,19 @@ class VectorLayerTable:
             self._binkeys[key] = cached
         return cached
 
-    # -- scalar fallback (arity >= 3, or keys too wide) -----------------
-
-    def _items(self, size: int):
+    def _mask_items(self, size: int) -> list:
+        """Layer ``size`` as ``(int mask, count)`` pairs: the input of
+        the groups that run :func:`~repro.core.kernels.add_layer_terms`
+        (arity ≥ 3, or keys too wide)."""
         cached = self._pyitems[size]
         if cached is None:
             packed, counts = self._layers[size]
-            nbytes = self._nbytes
-            cached = [
-                (
-                    int.from_bytes(packed[i, :nbytes].tobytes(), "little"),
-                    counts[i] if counts.dtype == object else int(counts[i]),
-                )
-                for i in range(len(counts))
-            ]
-            self._pyitems[size] = cached
+            masks = (
+                int.from_bytes(row.tobytes(), "little")
+                for row in packed[:, :self._nbytes]
+            )
+            cached = self._pyitems[size] = list(zip(masks, counts.tolist()))
         return cached
-
-    def _scalar_contributions(self, s: int) -> dict:
-        """Contributions of the scalar-path groups to layer ``s`` —
-        the reference grouping, evaluated with the dense-group memos."""
-        cell: dict[int, object] = {}
-        total = s - 1
-        for arity, groups in self._scalar_by_arity.items():
-            if s < arity + 1:
-                continue
-            if arity == 1:
-                for mask, count in self._items(total):
-                    for group, weight in groups:
-                        evaluated = group.evaluated1(mask)
-                        if evaluated:
-                            cell[evaluated] = (
-                                cell.get(evaluated, 0) + weight * count
-                            )
-                continue
-            if arity == 2:
-                for left in range(1, total):
-                    for mask_a, count_a in self._items(left):
-                        for mask_b, count_b in self._items(total - left):
-                            count = count_a * count_b
-                            for group, weight in groups:
-                                evaluated = group.evaluated2(mask_a, mask_b)
-                                if evaluated:
-                                    cell[evaluated] = (
-                                        cell.get(evaluated, 0)
-                                        + weight * count
-                                    )
-                continue
-            for combo, count in self._combinations(arity, total):
-                for group, weight in groups:
-                    evaluated = group.evaluated_mask(combo)
-                    if evaluated:
-                        cell[evaluated] = (
-                            cell.get(evaluated, 0) + weight * count
-                        )
-        return cell
-
-    def _combinations(self, arity: int, total: int):
-        def rec(position: int, remaining: int):
-            slots_left = arity - position
-            if slots_left == 0:
-                if remaining == 0:
-                    yield (), 1
-                return
-            for part in range(1, remaining - (slots_left - 1) + 1):
-                for mask, count in self._items(part):
-                    for rest, rest_count in rec(
-                        position + 1, remaining - part
-                    ):
-                        yield (mask,) + rest, count * rest_count
-
-        yield from rec(0, total)
 
     # -- overflow bound -------------------------------------------------
 

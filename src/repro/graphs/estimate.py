@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from repro.automata.nfa_counting import CountResult, count_nfa
 from repro.core.budget import budget_tick
+from repro.core.monte_carlo import additive_sample_bound
 from repro.errors import EstimationError, GraphError
 from repro.graphs.model import ProbabilisticGraph
 from repro.graphs.product import (
@@ -125,13 +126,7 @@ def rpq_monte_carlo(
 ) -> RPQEstimate:
     """Estimate the RPQ probability by sampling worlds (additive ε)."""
     if samples is None:
-        if not 0 < epsilon < 1 or not 0 < delta < 1:
-            raise EstimationError(
-                "epsilon and delta must lie in (0, 1)"
-            )
-        samples = max(
-            1, math.ceil(math.log(2 / delta) / (2 * epsilon**2))
-        )
+        samples = additive_sample_bound(epsilon, delta)
     rng = random.Random(seed)
     edges = relevant_edges(graph, query)
     weights = [(edge, float(graph.probability(edge))) for edge in edges]

@@ -77,9 +77,7 @@ def karp_luby_probability(
     free-fact list, and batches the per-sample budget/metric ticks.
     The RNG is consulted for exactly the same facts in exactly the
     reference order, so the estimate is bitwise-identical to
-    ``backend='reference'`` for any seed.  ``backend='vectorized'``
-    shares the optimized loop: sampling is RNG-order-bound, so there
-    is nothing for numpy to batch here.
+    ``backend='reference'`` for any seed.
     """
     from repro.core.kernels import resolve_backend
 

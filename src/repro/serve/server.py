@@ -115,9 +115,6 @@ class ServerConfig:
     seed: int = 2023
     isolation: str = "thread"          # 'process' contains crashes
     memory_limit: int | None = None
-    #: Counting-kernel backend; 'vectorized' degrades to 'optimized'
-    #: when numpy is missing (``kernels.vectorized.unavailable``).
-    kernel_backend: str = "optimized"
     # breaker
     breaker_threshold: int = 3
     breaker_window: float = 60.0
@@ -184,7 +181,6 @@ class PQEServer:
             epsilon=self.config.epsilon,
             seed=self.config.seed,
             cache=self.registry.cache,
-            kernel_backend=self.config.kernel_backend,
         )
         self.admission = AdmissionController(
             max_concurrency=self.config.max_concurrency,
@@ -201,10 +197,6 @@ class PQEServer:
         )
         self.policy = DegradationPolicy()
         self.telemetry = EvaluationTelemetry()
-        if self.engine.kernel_backend != self.config.kernel_backend:
-            # The engine degraded the configured backend (numpy
-            # missing): surface it in the daemon's own /stats counters.
-            self._inc("kernels.vectorized.unavailable")
         self._trace_ids = itertools.count(1)
         self._settle_lock = threading.Lock()
         self._drained = threading.Event()

@@ -31,7 +31,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.exact import exact_probability, exact_uniform_reliability
-from repro.core.kernels import vectorized_available
 from repro.core.pqe_estimate import pqe_estimate
 from repro.queries.builders import path_query, star_query, triangle_query
 from repro.queries.parser import parse_query
@@ -141,19 +140,7 @@ def test_golden_corpus_matches(update_golden):
     )
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        "reference",
-        "optimized",
-        pytest.param(
-            "vectorized",
-            marks=pytest.mark.skipif(
-                not vectorized_available(), reason="numpy not installed"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("backend", ["reference", "optimized", "vectorized"])
 def test_golden_values_through_the_automaton_route(backend):
     """The frozen lineage values re-derived end to end through the
     Theorem 1 reduction and the exact-weighted counting kernels."""

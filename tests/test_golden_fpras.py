@@ -38,7 +38,6 @@ import pytest
 
 from repro import PQEEngine
 from repro.automata.nfta_counting import sample_accepted_trees
-from repro.core.kernels import vectorized_available
 from repro.core.pqe_estimate import build_pqe_reduction
 from repro.graphs import ProbabilisticGraph
 from repro.workloads import grid_graph
@@ -54,16 +53,7 @@ CASES = ("path3-a", "star2-b", "rs-b", "warehouse-119")
 EXACT_SET_CAP = 64
 SEED = 5
 
-BACKENDS = [
-    "reference",
-    "optimized",
-    pytest.param(
-        "vectorized",
-        marks=pytest.mark.skipif(
-            not vectorized_available(), reason="numpy not installed"
-        ),
-    ),
-]
+BACKENDS = ["reference", "optimized", "vectorized"]
 
 
 def _answers(backend: str) -> dict:

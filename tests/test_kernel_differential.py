@@ -1,12 +1,14 @@
 """Differential tests: every kernel backend pair, compared bitwise.
 
-The optimized and vectorized backends (:mod:`repro.core.kernels` over
-:mod:`repro.automata.optimize`, and :mod:`repro.core.vectorized`)
-promise *bitwise-identical* results to the reference transcription for
-any input and any seed — not "close", identical.  This module enforces
-that promise over the full backend cross product (the ``vectorized``
-legs drop out cleanly when numpy is not installed) on the repository's
-existing corpus:
+The optimized backend (:mod:`repro.core.kernels` over
+:mod:`repro.automata.optimize`, also spelled ``vectorized``) promises
+*bitwise-identical* results to the reference transcription for any
+input and any seed — not "close", identical.  Its exact DP runs the
+numpy layer table (:mod:`repro.core.vectorized`) when numpy is
+importable and the scalar one otherwise, so the exact-count tests add
+a leg with numpy hidden: on a host with numpy, both tables are checked
+against the reference.  This module enforces that promise over every
+backend name on the repository's existing corpus:
 
 - every automaton shape used by ``test_nfta_counting`` (Catalan, random
   NFTAs with dead/unreachable/duplicate structure, ambiguous and
@@ -53,13 +55,22 @@ from repro.workloads.instances import (
     random_probabilities,
 )
 
+from test_kernel_vectorized import numpy_hidden
 from test_nfta_counting import _catalan_automaton, _random_nfta
 
-from repro.core.kernels import vectorized_available
+BACKENDS = ("reference", "optimized", "vectorized")
 
-BACKENDS = ("reference", "optimized") + (
-    ("vectorized",) if vectorized_available() else ()
-)
+#: Exact-DP legs: every backend name, plus ``"scalar"`` — the optimized
+#: backend with numpy hidden, which runs the scalar layer table.
+EXACT_LEGS = BACKENDS + ("scalar",)
+
+
+def _leg(run, leg):
+    """``run(backend)`` on one exact-DP leg."""
+    if leg == "scalar":
+        with numpy_hidden():
+            return run("optimized")
+    return run(leg)
 
 
 def _ambiguous_automaton() -> NFTA:
@@ -134,23 +145,19 @@ def test_exact_counts_bitwise(index):
     weights = _weight_table(nfta)
     fractional = {s: Fraction(w, 7) for s, w in weights.items()}
     for size in range(1, 8):
-        plain = [
-            count_nfta_exact(nfta, size, backend=backend)
-            for backend in BACKENDS
-        ]
-        for other in plain[1:]:
-            assert other == plain[0]
-            assert type(other) is type(plain[0])
-        for table in (weights, fractional):
-            weighted = [
-                count_nfta_exact(
-                    nfta, size, weight_of=table.get, backend=backend
+        for weight_of in (None, weights.get, fractional.get):
+            counts = [
+                _leg(
+                    lambda backend: count_nfta_exact(
+                        nfta, size, weight_of=weight_of, backend=backend
+                    ),
+                    leg,
                 )
-                for backend in BACKENDS
+                for leg in EXACT_LEGS
             ]
-            for other in weighted[1:]:
-                assert other == weighted[0]
-                assert type(other) is type(weighted[0])
+            for other in counts[1:]:
+                assert other == counts[0]
+                assert type(other) is type(counts[0])
 
 
 @pytest.mark.parametrize("index", range(12))
@@ -226,11 +233,14 @@ def _query_corpus():
 def test_pqe_estimate_bitwise(case, method):
     query, _instance, pdb = _query_corpus()[case]
     estimates = [
-        pqe_estimate(
-            query, pdb, epsilon=0.3, seed=case, method=method,
-            backend=backend,
+        _leg(
+            lambda backend: pqe_estimate(
+                query, pdb, epsilon=0.3, seed=case, method=method,
+                backend=backend,
+            ),
+            leg,
         )
-        for backend in BACKENDS
+        for leg in (EXACT_LEGS if method.startswith("exact") else BACKENDS)
     ]
     for other in estimates[1:]:
         assert other.estimate == estimates[0].estimate
@@ -242,11 +252,14 @@ def test_pqe_estimate_bitwise(case, method):
 def test_ur_estimate_bitwise(case, method):
     query, instance, _pdb = _query_corpus()[case]
     estimates = [
-        ur_estimate(
-            query, instance, epsilon=0.3, seed=case, method=method,
-            backend=backend,
+        _leg(
+            lambda backend: ur_estimate(
+                query, instance, epsilon=0.3, seed=case, method=method,
+                backend=backend,
+            ),
+            leg,
         )
-        for backend in BACKENDS
+        for leg in (EXACT_LEGS if method.startswith("exact") else BACKENDS)
     ]
     for other in estimates[1:]:
         assert other.estimate == estimates[0].estimate

@@ -1,7 +1,6 @@
-"""The vectorized backend's own contracts: overflow and degradation.
+"""The numpy layer table's own contracts: overflow and selection.
 
-Two properties the three-backend differential suite cannot pin by
-itself:
+Two properties the differential suite cannot pin by itself:
 
 - **the object-dtype overflow fallback** — weighted counts that
   straddle 2^63 must silently switch the numpy DP from ``int64`` to
@@ -10,17 +9,17 @@ itself:
   weighted automata across the boundary; a pinned regression freezes
   one straddling workload and asserts the
   ``kernels.vectorized.object_fallback`` counter actually fired.
-- **graceful no-numpy degradation** — with numpy absent (simulated by
-  monkeypatching :data:`repro.core.vectorized._np` to ``None``),
-  ``resolve_backend('vectorized')`` raises a contextual error naming
-  the ``[vectorized]`` extra, while the engine and the serve daemon
-  auto-fall back to ``'optimized'`` and count the degradation as
-  ``kernels.vectorized.unavailable``.  The other two backends stay
-  untouched, so tier-1 behaviour is numpy-independent.
+- **table selection** — numpy availability, not the backend name,
+  picks the exact layer table: with numpy importable ``optimized`` and
+  ``vectorized`` both run the numpy table; with numpy hidden (see
+  :func:`numpy_hidden`) both run the scalar one, and the engine keeps
+  the name it was given.  The ``counting.nfta_exact`` span's ``table``
+  tag names the DP that ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -31,12 +30,7 @@ from hypothesis import strategies as st
 import repro.core.vectorized as vectorized
 from repro.automata.nfta_counting import count_nfta_exact
 from repro.core.estimator import PQEEngine
-from repro.core.kernels import (
-    clear_kernel_caches,
-    fallback_backend,
-    resolve_backend,
-    vectorized_available,
-)
+from repro.core.kernels import clear_kernel_caches, resolve_backend
 from repro.errors import ReproError
 from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query
@@ -48,7 +42,7 @@ from repro.workloads.instances import (
 from test_nfta_counting import _random_nfta
 
 needs_numpy = pytest.mark.skipif(
-    not vectorized_available(), reason="numpy not installed"
+    not vectorized.available(), reason="numpy not installed"
 )
 
 
@@ -133,82 +127,122 @@ def test_fraction_weights_use_object_mode_from_the_start():
 
 
 # ---------------------------------------------------------------------------
-# degradation: the backend without numpy
+# selection: numpy availability picks the layer table
 
 
-def _without_numpy(monkeypatch):
-    monkeypatch.setattr(vectorized, "_np", None)
+@contextlib.contextmanager
+def numpy_hidden():
+    """Run the body as on a host without numpy, so the exact DP builds
+    the scalar layer table.  Clears the kernel caches on entry."""
+    saved = vectorized._np
+    vectorized._np = None
+    clear_kernel_caches()
+    try:
+        yield
+    finally:
+        vectorized._np = saved
 
 
-def test_resolve_backend_raises_contextually_without_numpy(monkeypatch):
-    _without_numpy(monkeypatch)
-    with pytest.raises(ReproError) as failure:
-        resolve_backend("vectorized")
-    message = str(failure.value)
-    assert "numpy" in message
-    assert "[vectorized]" in message
-    assert "optimized" in message  # points at the working alternative
-
-
-def test_fallback_backend_degrades_with_counter(monkeypatch):
-    _without_numpy(monkeypatch)
+def _cold_exact(nfta, size, backend, weight_of=None):
+    """(count, ``table`` span tag, numpy layers computed) of one cold
+    exact count."""
+    clear_kernel_caches()
     telemetry = EvaluationTelemetry()
     with telemetry_scope(telemetry):
-        assert fallback_backend("vectorized") == "optimized"
-    assert telemetry.counter("kernels.vectorized.unavailable") == 1
-
-
-def test_other_backends_are_numpy_independent(monkeypatch):
-    _without_numpy(monkeypatch)
-    assert resolve_backend("optimized") == "optimized"
-    assert resolve_backend("reference") == "reference"
-    assert resolve_backend(None) == "optimized"
-    assert fallback_backend("optimized") == "optimized"
-
-
-def test_engine_autofallback_without_numpy(monkeypatch, q2, tiny_pdb):
-    _without_numpy(monkeypatch)
-    telemetry = EvaluationTelemetry()
-    with telemetry_scope(telemetry):
-        engine = PQEEngine(seed=11, kernel_backend="vectorized")
-    assert engine.kernel_backend == "optimized"
-    assert telemetry.counter("kernels.vectorized.unavailable") == 1
-    # …and the degraded engine answers exactly like a native one.
-    native = PQEEngine(seed=11, kernel_backend="optimized")
-    assert engine.probability(q2, tiny_pdb) == native.probability(
-        q2, tiny_pdb
+        count = count_nfta_exact(
+            nfta, size, weight_of=weight_of, backend=backend
+        )
+    [record] = [
+        r for r in telemetry.spans if r.name == "counting.nfta_exact"
+    ]
+    return (
+        count,
+        record.tag_dict["table"],
+        telemetry.counter("kernels.vectorized_layers"),
     )
-
-
-def test_serve_autofallback_without_numpy(monkeypatch, tiny_pdb):
-    _without_numpy(monkeypatch)
-    from repro.serve import PQEServer, ServerConfig
-
-    server = PQEServer(
-        tiny_pdb, ServerConfig(kernel_backend="vectorized")
-    )
-    assert server.engine.kernel_backend == "optimized"
-    stats = server.stats()
-    assert stats["requests"]["kernels.vectorized.unavailable"] == 1
-    status, body = server.handle({"query": "Q :- R(x, y), S(y, z)"})
-    assert status == 200 and body["ok"]
 
 
 @needs_numpy
-def test_engine_and_serve_keep_vectorized_with_numpy(tiny_pdb):
-    from repro.serve import PQEServer, ServerConfig
+def test_fast_backends_run_the_numpy_table_with_numpy():
+    nfta = _random_nfta(5, states=4)
+    expected = count_nfta_exact(nfta, 6, backend="reference")
+    for backend in ("optimized", "vectorized", None):
+        count, table, layers = _cold_exact(nfta, 6, backend)
+        assert (count, table) == (expected, "numpy")
+        assert layers == 6
 
-    assert resolve_backend("vectorized") == "vectorized"
-    assert fallback_backend("vectorized") == "vectorized"
+
+def test_fast_backends_run_the_scalar_table_without_numpy():
+    nfta = _random_nfta(5, states=4)
+    table_weights = {
+        symbol: Fraction(i + 2, 3)
+        for i, symbol in enumerate(sorted(nfta.alphabet, key=str))
+    }
+    for weight_of in (None, table_weights.get):
+        expected = count_nfta_exact(
+            nfta, 6, weight_of=weight_of, backend="reference"
+        )
+        with numpy_hidden():
+            for backend in ("optimized", "vectorized"):
+                count, table, layers = _cold_exact(
+                    nfta, 6, backend, weight_of=weight_of
+                )
+                assert count == expected
+                assert type(count) is type(expected)
+                assert (table, layers) == ("scalar", 0)
+
+
+def test_reference_and_float_weights_run_the_reference_dp():
+    nfta = _random_nfta(5, states=4)
+    assert _cold_exact(nfta, 4, "reference")[1] == "reference"
+    halves = {symbol: 0.5 for symbol in nfta.alphabet}
+    assert _cold_exact(nfta, 4, "optimized", halves.get)[1] == "reference"
+
+
+def test_resolve_backend_raises_contextually_without_numpy():
+    """Without numpy ``vectorized`` still resolves to itself, and only
+    an unknown name raises a contextual error."""
+    with numpy_hidden():
+        assert resolve_backend("vectorized") == "vectorized"
+        with pytest.raises(ReproError) as failure:
+            resolve_backend("simd")
+    message = str(failure.value)
+    assert "simd" in message
+    assert "optimized" in message  # lists the valid names
+
+
+def test_other_backends_are_numpy_independent():
+    with numpy_hidden():
+        assert resolve_backend("optimized") == "optimized"
+        assert resolve_backend("reference") == "reference"
+        assert resolve_backend(None) == "optimized"
+
+
+def test_engine_autofallback_without_numpy(q2, tiny_pdb):
+    """The engine keeps the name ``vectorized`` and, with numpy hidden,
+    answers exactly like ``optimized`` on every exact-DP method."""
+    with numpy_hidden():
+        engine = PQEEngine(seed=11, kernel_backend="vectorized")
+        native = PQEEngine(seed=11, kernel_backend="optimized")
+        assert engine.kernel_backend == "vectorized"
+        assert engine.probability(q2, tiny_pdb) == native.probability(
+            q2, tiny_pdb
+        )
+        from repro.core.pqe_estimate import pqe_estimate
+
+        for method in ("exact-automaton", "exact-weighted"):
+            spelled, reference = (
+                pqe_estimate(q2, tiny_pdb, method=method, backend=backend)
+                for backend in ("vectorized", "reference")
+            )
+            assert spelled.count_result == reference.count_result
+
+
+@needs_numpy
+def test_engine_keeps_vectorized_with_numpy():
     engine = PQEEngine(kernel_backend="vectorized")
     assert engine.kernel_backend == "vectorized"
-    server = PQEServer(
-        tiny_pdb, ServerConfig(kernel_backend="vectorized")
-    )
-    assert server.engine.kernel_backend == "vectorized"
-    assert "kernels.vectorized.unavailable" not in server.stats()[
-        "requests"
-    ]
+    assert resolve_backend("vectorized") == "vectorized"
 
 
 def test_unknown_backend_message_lists_choices():

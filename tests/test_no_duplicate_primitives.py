@@ -1,5 +1,6 @@
-"""Lint: one memo store, one durable-write path and one weighted pick
-in ``src/repro/``.
+"""Lint: one memo store, one durable-write path, one weighted pick,
+one backend table, one scalar layer DP and one Hoeffding bound in
+``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache`, of which the kernel stores and
@@ -7,11 +8,17 @@ the lifted plan memo are instances — and one fsync'd append path for
 its logs, :class:`repro.core.journal.RecordLog` (plus the durable
 cache tier's atomic file writes in :mod:`repro.core.diskcache`).  The
 samplers draw an index from cumulative weights with one helper,
-:func:`repro.automata.nfa_counting.weighted_index`.  A hand-copied LRU,
-log or bisection elsewhere drifts from the original: its counters, its
-eviction, its crash safety or its tie-breaking stop being the ones the
-tests check.  So this test greps the source tree for the tell-tale
-code outside the modules that own it.
+:func:`repro.automata.nfa_counting.weighted_index`.  Only
+:mod:`repro.core.kernels` knows the backend names and which exact
+layer table runs, and it owns the scalar per-arity loops both tables
+use (:func:`repro.core.kernels.add_layer_terms`).  The additive
+Monte-Carlo sample count is
+:func:`repro.core.monte_carlo.additive_sample_bound`.  A hand-copied
+LRU, log, bisection, backend choice, DP loop or bound elsewhere drifts
+from the original: its counters, its eviction, its crash safety, its
+tie-breaking or its answers stop being the ones the tests check.  So
+this test greps the source tree for the tell-tale code outside the
+modules that own it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ _OWNED = {
     # A hand-written bisection over cumulative weights: use
     # ``weighted_index`` (``bisect.bisect_left``, clamped) instead.
     re.compile(r"\bdef _bisect\b"): set(),
+    # A backend name: no flag or field outside the kernels picks one.
+    re.compile(r'"vectorized"'): {"core/kernels.py"},
+    # A second copy of the scalar layer DP's arity >= 3 enumeration.
+    re.compile(r"\bdef _combinations\b"): {"core/kernels.py"},
+    # The Hoeffding sample bound for additive error.
+    re.compile(r"2 \* epsilon\s*\*\*\s*2"): {"core/monte_carlo.py"},
 }
 
 
@@ -58,7 +71,9 @@ def test_no_second_lru_or_fsync_path():
     violations = _violations()
     assert not violations, (
         "LRU eviction belongs to repro.core.cache.ReductionCache, "
-        "fsync'd appends to repro.core.journal.RecordLog and weighted "
-        "picks to repro.automata.nfa_counting.weighted_index; build on "
+        "fsync'd appends to repro.core.journal.RecordLog, weighted "
+        "picks to repro.automata.nfa_counting.weighted_index, backend "
+        "names and the scalar layer DP to repro.core.kernels and the "
+        "additive sample bound to repro.core.monte_carlo; build on "
         "them instead:\n" + "\n".join(violations)
     )

@@ -9,13 +9,15 @@ Covers the contracts documented in :mod:`repro.core.parallel` and
 - thread-scheduling-independent cache hit/miss accounting, including
   the build deduplication and the ``cache_if`` (exact-counts-only)
   storage predicate;
-- worker failures surfacing as :class:`EstimationError` naming the item.
+- worker failures surfacing as :class:`EstimationError` naming the item;
+- retry backoff jitter drawn from each item's own seed.
 """
 
 import threading
 
 import pytest
 
+import repro.core.parallel as parallel
 from repro.core.cache import CacheStats, ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import (
@@ -23,11 +25,13 @@ from repro.core.parallel import (
     derive_item_seed,
     evaluate_batch,
 )
+from repro.core.resilience import DegradationPolicy
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import EstimationError, ReproError
 from repro.queries.parser import parse_query
+from repro.testing import FaultSpec, inject_faults
 
 QUERY = parse_query("Q :- R1(x, y), R2(y, z)")
 
@@ -297,3 +301,24 @@ def test_engine_seed_is_the_default_batch_seed():
         seeded.evaluate_batch(items).values
         == engine.evaluate_batch(items, seed=21).values
     )
+
+
+@pytest.mark.parametrize("on_error", ["fail", "skip"])
+def test_retry_jitter_uses_each_items_seed(monkeypatch, on_error):
+    """Two items retrying the same attempt sleep different, seed-derived
+    amounts — the jitter stream is the item's, not seed 0's."""
+    delays = []
+    monkeypatch.setattr(parallel.time, "sleep", delays.append)
+    policy = DegradationPolicy(max_retries=1, backoff_base=0.05, jitter=1.0)
+    items = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")] * 2
+    with inject_faults(FaultSpec("counting.nfta", times=1)):
+        batch = evaluate_batch(
+            sampled_engine(), items, seed=5, max_workers=1,
+            policy=policy, on_error=on_error,
+        )
+    assert [result.retries for result in batch.results] == [1, 1]
+    assert sorted(delays) == sorted(
+        policy.backoff(1, seed=derive_item_seed(5, index))
+        for index in range(2)
+    )
+    assert delays[0] != delays[1]

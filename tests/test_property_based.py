@@ -15,7 +15,8 @@ cover:
 - **Automaton optimization**: over random NFTAs seeded with dead
   states, unreachable states, and duplicate transitions,
   :func:`repro.automata.optimize.optimize_nfta` must preserve
-  ``|L_k(T)|`` for every k ≤ 6, and the dense layer DP must equal the
+  ``|L_k(T)|`` for every k ≤ 6, and the dense layer DP — the numpy
+  table and, with numpy hidden, the scalar one — must equal the
   reference DP bit for bit (see also ``test_kernel_differential``).
 - **Sampler membership oracles**: the interned tree store's
   derivability over dense state ids agrees with
@@ -51,6 +52,8 @@ from repro.queries.atoms import Atom, Variable
 from repro.queries.builders import path_query, star_query
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_query
+
+from test_kernel_vectorized import numpy_hidden
 
 # ---------------------------------------------------------------------
 # Parser round-trip
@@ -239,18 +242,23 @@ def test_pruning_preserves_language_counts(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=40, deadline=None)
 def test_dense_dp_equals_reference_dp(seed):
+    """Both layer tables — numpy where importable, and the scalar one
+    with numpy hidden — equal the reference DP."""
     rng = random.Random(seed)
     nfta = _messy_random_nfta(rng)
     weights = {"a": rng.randint(0, 4), "b": rng.randint(1, 5)}
     for k in range(1, 7):
-        assert count_nfta_exact(
-            nfta, k, backend="optimized"
-        ) == count_nfta_exact(nfta, k, backend="reference")
-        assert count_nfta_exact(
-            nfta, k, weight_of=weights.get, backend="optimized"
-        ) == count_nfta_exact(
-            nfta, k, weight_of=weights.get, backend="reference"
-        )
+        for weight_of in (None, weights.get):
+            expected = count_nfta_exact(
+                nfta, k, weight_of=weight_of, backend="reference"
+            )
+            assert count_nfta_exact(
+                nfta, k, weight_of=weight_of, backend="optimized"
+            ) == expected
+            with numpy_hidden():
+                assert count_nfta_exact(
+                    nfta, k, weight_of=weight_of, backend="optimized"
+                ) == expected
 
 
 @given(st.integers(min_value=0, max_value=100_000))
