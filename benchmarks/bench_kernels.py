@@ -32,7 +32,12 @@ The measurements double as CI perf-regression gates (run by the
   route, not the exact DP) on the optimized backend — interned tree
   ids, dense-state membership — ≥2× over reference, cold, on Q4 over
   the width-2 layered instance (``fpras``) plus the warehouse 4/4/6
-  (``fpras-weighted``), timed together.
+  (``fpras-weighted``), timed together;
+- ``test_karp_luby_speedup``: the optimized Karp–Luby loop, which
+  decides acceptance from its dead-clause bitset, ≥8× over the
+  reference's clause scan on the 729-clause lineage of the repository
+  benchmark's Karp–Luby item (``path_query(5)`` over the complete
+  width-3 layered instance, ε = 0.4).
 
 All tiers return bitwise-identical counts and estimates — asserted
 here too, on the real workloads (the differential suite covers the
@@ -41,15 +46,22 @@ corpus).
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import repro.core.vectorized as vectorized
 from repro.automata.optimize import optimize_nfta
 from repro.bench.harness import ResultTable, timed
 from repro.core.kernels import clear_kernel_caches
 from repro.core.pqe_estimate import build_pqe_reduction
 from repro.automata.nfta_counting import count_nfta, count_nfta_exact
+from repro.db.fact import Fact
+from repro.lineage.build import build_lineage
+from repro.lineage.karp_luby import karp_luby_probability
 from repro.queries.builders import path_query, star_query
 from repro.queries.parser import parse_query
 from repro.workloads import (
+    complete_layered_path_instance,
     layered_path_instance,
     warehouse_instance,
     warehouse_query,
@@ -293,6 +305,41 @@ def test_optimized_sampler_speedup():
     )
 
 
+def _measure_karp_luby():
+    """(reference seconds, optimized seconds), best-of, on the
+    repository benchmark's Karp–Luby item shape: the 729-clause lineage
+    of ``path_query(5)`` over the complete width-3 layered instance,
+    every fact labelled ``k/4`` with a seeded k, at ε = 0.4."""
+    instance = complete_layered_path_instance(5, 3)
+    rng = random.Random(SEED)
+    probabilities = {
+        fact: Fraction(rng.randint(1, 3), 4)
+        for fact in sorted(instance, key=Fact.sort_key)
+    }
+    formula = build_lineage(path_query(5), instance)
+
+    def run(backend):
+        return lambda: karp_luby_probability(
+            formula, probabilities, epsilon=0.4, seed=SEED,
+            backend=backend,
+        )
+
+    ref_value, ref_time = _best_of(run("reference"))
+    opt_value, opt_time = _best_of(run("optimized"))
+    assert ref_value == opt_value, "backends disagree — differential bug"
+    return ref_time, opt_time
+
+
+def test_karp_luby_speedup():
+    """The optimized Karp–Luby loop is ≥8× over reference."""
+    ref_time, opt_time = _measure_karp_luby()
+    assert opt_time * 8 <= ref_time, (
+        f"optimized Karp–Luby only {ref_time / opt_time:.2f}x faster "
+        f"than reference (ref {ref_time:.3f}s, opt {opt_time:.3f}s); "
+        "the >=8x gate failed"
+    )
+
+
 def test_speedup_never_regresses_on_smaller_workloads():
     """The scalar table must never be *slower* cold than the reference,
     even on the small workloads where there is little to win."""
@@ -312,4 +359,10 @@ if __name__ == "__main__":
         f"CountNFTA sampler (Q4 layered w2 fpras + warehouse 4/4/6 "
         f"fpras-weighted, cold): reference {ref_time:.3f}s, optimized "
         f"{opt_time:.3f}s, {ref_time / opt_time:.2f}x"
+    )
+    ref_time, opt_time = _measure_karp_luby()
+    print(
+        f"Karp–Luby (729-clause path lineage, epsilon 0.4): reference "
+        f"{ref_time:.3f}s, optimized {opt_time:.3f}s, "
+        f"{ref_time / opt_time:.2f}x"
     )

@@ -96,6 +96,10 @@ __all__ = ["PQEServer", "ServerConfig"]
 #: The tasks ``/evaluate`` serves: those whose query is CQ text.
 _TASKS = ("probability", "reliability")
 
+#: Largest request body the daemon reads; a longer ``Content-Length``
+#: gets 413 before a byte of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -837,13 +841,29 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # the daemon's telemetry replaces access logs
 
-    def _send_json(self, status: int, body: dict) -> None:
+    def _send_json(
+        self, status: int, body: dict, *, close: bool = False
+    ) -> None:
         blob = json.dumps(body, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        if close:
+            # ``send_header`` sets ``close_connection`` from this.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
+
+    def _reject_body(self, status: int, reason: str, message: str) -> None:
+        """Answer a request whose body is left unread, then close the
+        connection: the body would otherwise be parsed as the next
+        request."""
+        self._send_json(
+            status,
+            {"ok": False, "rejected": True, "reason": reason,
+             "message": message},
+            close=True,
+        )
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         server = self.pqe_server
@@ -871,6 +891,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reject_body(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer",
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject_body(
+                413, "body_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as failure:
             self._send_json(

@@ -18,7 +18,9 @@ backend name on the repository's existing corpus:
   shapes of ``test_estimators`` / ``test_cross_validation``, through
   ``pqe_estimate`` / ``ur_estimate`` / ``PQEEngine`` on every routed
   method;
-- Karp–Luby over random monotone DNFs;
+- Karp–Luby over random monotone DNFs, a path lineage wider than one
+  machine word, DNFs mixing clause lengths (one clause containing
+  another) with facts at probability 0 and 1, and under a work budget;
 - RPQ product automata: the exact product-DP route of
   ``rpq_probability_estimate`` over the handcrafted adversarial graph
   corpus;
@@ -43,13 +45,18 @@ from repro.automata.nfta_counting import (
     count_nfta_exact,
     sample_accepted_trees,
 )
+from repro.core.budget import EvaluationBudget, budget_scope
 from repro.core.estimator import PQEEngine
 from repro.core.pqe_estimate import pqe_estimate
 from repro.core.ur_estimate import ur_estimate
 from repro.db.fact import Fact
+from repro.errors import BudgetExceededError
+from repro.lineage.build import build_lineage
 from repro.lineage.dnf import DNF
 from repro.lineage.karp_luby import karp_luby_probability
+from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query, star_query
+from repro.workloads.graphs import complete_layered_path_instance
 from repro.workloads.instances import (
     random_instance_for_query,
     random_probabilities,
@@ -301,18 +308,48 @@ def test_engine_random_sjf_corpus_bitwise():
         checked += 1
 
 
-def test_karp_luby_random_dnfs_bitwise():
+def _path_lineage_128():
+    """``path_query(6)`` over the complete width-2 layered instance: 128
+    clauses, so every clause bitset is wider than one machine word."""
+    instance = complete_layered_path_instance(6, 2)
+    pdb = random_probabilities(instance, seed=6, max_denominator=4)
+    return build_lineage(path_query(6), instance), pdb.probabilities
+
+
+def _karp_luby_inputs():
+    """``(formula, probabilities, seed, samples)`` for the Karp–Luby
+    differential."""
     rng = random.Random(99)
-    for trial in range(25):
+    for _trial in range(25):
         facts = [Fact("R", (f"a{i}",)) for i in range(rng.randint(2, 8))]
         clauses = frozenset(
             frozenset(rng.sample(facts, rng.randint(1, min(3, len(facts)))))
             for _ in range(rng.randint(1, 6))
         )
-        formula = DNF(clauses)
         probs = {f: Fraction(rng.randint(1, 9), 10) for f in facts}
-        seed = rng.randint(0, 10**6)
-        samples = rng.randint(1, 300)
+        yield DNF(clauses), probs, rng.randint(0, 10**6), rng.randint(1, 300)
+    formula, probs = _path_lineage_128()
+    yield formula, probs, 6, 400
+    # Clauses of 1 to 6 facts, the first one also inside a longer
+    # clause, and probabilities in tenths from 0 to 1 inclusive.
+    rng = random.Random(7)
+    facts = [Fact("R", (f"a{i}",)) for i in range(10)]
+    for _trial in range(12):
+        clauses = [
+            frozenset(rng.sample(facts, rng.randint(1, 6)))
+            for _ in range(rng.randint(2, 12))
+        ]
+        outside = [f for f in facts if f not in clauses[0]]
+        clauses.append(clauses[0] | {rng.choice(outside)})
+        probs = {
+            f: Fraction(rng.choice((0, 10, *range(1, 10))), 10)
+            for f in facts
+        }
+        yield DNF(clauses), probs, rng.randint(0, 10**6), rng.randint(1, 300)
+
+
+def test_karp_luby_random_dnfs_bitwise():
+    for formula, probs, seed, samples in _karp_luby_inputs():
         results = [
             karp_luby_probability(
                 formula, probs, seed=seed, samples=samples, backend=backend
@@ -320,6 +357,31 @@ def test_karp_luby_random_dnfs_bitwise():
             for backend in BACKENDS
         ]
         assert all(result == results[0] for result in results[1:])
+
+
+def test_karp_luby_budget_bitwise():
+    # Under a budget every backend checks it per sample, so all stop at
+    # the same sample; a budget that suffices draws the same samples.
+    formula, probs = _path_lineage_128()
+
+    def run(backend, max_work_units):
+        telemetry = EvaluationTelemetry()
+        budget = EvaluationBudget(max_work_units=max_work_units)
+        with telemetry_scope(telemetry), budget_scope(budget):
+            result = karp_luby_probability(
+                formula, probs, seed=3, samples=400, backend=backend
+            )
+        return result, telemetry.counter("karp_luby.samples_drawn")
+
+    used = []
+    for backend in BACKENDS:
+        with pytest.raises(BudgetExceededError) as caught:
+            run(backend, 150)
+        used.append(caught.value.used)
+    assert used == [151] * len(BACKENDS)
+    finished = [run(backend, 400) for backend in BACKENDS]
+    assert all(other == finished[0] for other in finished[1:])
+    assert finished[0][1] == 400
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,30 @@ class TestKarpLuby:
             formula, pdb.probabilities, seed=5, samples=500
         )
         assert a.estimate == b.estimate
+
+    def test_estimate_never_exceeds_one(self):
+        # Two clauses sharing R(b, c): W = 2 · 0.99² ≈ 1.96 while
+        # Pr[φ] ≈ 0.99, so W · accepted / samples overshoots 1 whenever
+        # a little over half the samples are accepted.
+        from repro.core.estimator import PQEEngine
+        from repro.queries.parser import parse_query
+
+        pdb = ProbabilisticDatabase({
+            Fact("R", pair): Fraction(99, 100)
+            for pair in (("a", "b"), ("b", "c"), ("c", "d"))
+        })
+        query = parse_query("Q :- R(x, y), R(y, z)")
+        for seed in range(40):
+            answer = PQEEngine(seed=seed).probability(
+                query, pdb, method="karp-luby"
+            )
+            assert 0.0 <= answer.value <= 1.0, seed
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_sample_counts_below_one(self, samples):
+        from repro.errors import EstimationError
+
+        with pytest.raises(EstimationError, match="samples must be >= 1"):
+            karp_luby_probability(
+                DNF([{_f(0)}]), {_f(0): Fraction(1, 2)}, samples=samples
+            )

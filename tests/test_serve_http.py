@@ -7,6 +7,7 @@ client sees.  Request-path *logic* is covered in ``test_serve.py``.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -15,6 +16,7 @@ import pytest
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.serve import PQEServer, ServerConfig
+from repro.serve.server import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.serve
 
@@ -61,6 +63,25 @@ def post(server, path, payload, *, raw=None):
         return failure.code, json.loads(failure.read())
 
 
+def raw_post(server, content_length):
+    """POST headers announcing ``content_length`` and no body, then read
+    until the server closes the connection (a 3 s timeout fails the
+    test if it never does).  Returns (status, lower-cased head, body)."""
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=3
+    ) as sock:
+        sock.sendall(
+            b"POST /evaluate HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, blob = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head.lower(), json.loads(blob)
+
+
 class TestEndpoints:
     def test_healthz(self, server):
         assert get(server, "/healthz") == (
@@ -89,6 +110,32 @@ class TestEndpoints:
         )
         assert status == 400
         assert body["reason"] == "bad_request"
+
+    @pytest.mark.parametrize("content_length", ["-1", "ten"])
+    def test_invalid_content_length_is_rejected_and_closed(
+        self, server, content_length
+    ):
+        status, head, body = raw_post(server, content_length)
+        assert status == 400
+        assert body["rejected"] is True
+        assert body["reason"] == "bad_request"
+        assert b"connection: close" in head
+        assert get(server, "/healthz")[0] == 200
+
+    @pytest.mark.parametrize(
+        "content_length", [MAX_BODY_BYTES + 1, 99999999999]
+    )
+    def test_oversized_body_is_rejected_before_reading(
+        self, server, content_length
+    ):
+        # No body is sent: a server that tried to read it would wait
+        # past the socket timeout.
+        status, head, body = raw_post(server, content_length)
+        assert status == 413
+        assert body["rejected"] is True
+        assert body["reason"] == "body_too_large"
+        assert b"connection: close" in head
+        assert get(server, "/healthz")[0] == 200
 
     def test_evaluate_rejects_bad_payload(self, server):
         status, body = post(server, "/evaluate", {"nope": 1})
