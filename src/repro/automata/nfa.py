@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.budget import budget_checkpoint
 from repro.errors import AutomatonError
 
 __all__ = ["NFA"]
@@ -212,6 +213,9 @@ class NFA:
         and fall back to sampling only when it gives up, which is how
         structurally-trivial languages (empty, or total with weight
         0/1 boundaries) are guaranteed exact answers, never estimates.
+
+        Every layer is a checkpoint of the active evaluation budget
+        (phase ``counting.nfa``).
         """
         if length < 0:
             raise AutomatonError("length must be non-negative")
@@ -222,6 +226,7 @@ class NFA:
         weigh = weight_of if weight_of is not None else (lambda _s: 1)
         level: dict[frozenset[State], object] = {self._initial: 1}
         for _ in range(length):
+            budget_checkpoint("counting.nfa")
             nxt: dict[frozenset[State], object] = {}
             for subset, count in level.items():
                 symbols: set[Symbol] = set()

@@ -27,6 +27,13 @@ can draw approximately-uniform samples:
   string, memoized per shared cons cell).  Only these nodes consume
   samples and introduce error.
 
+CountNFTA (:mod:`repro.automata.nfta_counting`) is the same estimator
+over trees and shares this module's union loop
+(:func:`_karp_luby_union`), counter skeleton (:class:`_CounterBase`),
+runner (:func:`_median_count`) and k-draw loop; each counter supplies
+only its plan, its membership test and its exact-node rules.  Every
+union sample and k-draw charges the active evaluation budget.
+
 Error behaviour: each union estimate has relative standard deviation
 ``O(sqrt(m / K))`` (m overlapping components, K samples), and estimates
 compound along the ≤ n levels of the recursion; the default sample count
@@ -51,7 +58,10 @@ from itertools import accumulate
 from typing import Hashable
 
 from repro.automata.nfa import NFA
+from repro.core.budget import budget_checkpoint
+from repro.core.kernels import TickBatcher
 from repro.errors import EstimationError
+from repro.obs import span
 
 __all__ = [
     "CountResult",
@@ -232,6 +242,151 @@ class _PrefixNode:
 
 
 # ----------------------------------------------------------------------
+# The shared estimator: union loop, counter skeleton, runner
+# ----------------------------------------------------------------------
+
+def _karp_luby_union(components, held_earlier, samples, rng, phase, metric):
+    """Karp–Luby estimate of the measure of a union of overlapping
+    ``components`` (nodes with a ``count`` and a ``draw(rng)``).
+
+    An attempt picks a component ∝ its count and draws from it; the
+    draw is accepted iff ``held_earlier(index, item)`` is false, i.e.
+    at the first component holding it (the drawn one holds it, so only
+    earlier ones are asked).  After ``samples`` attempts it stops at the
+    first acceptance, giving up at ``samples * (1 + len(components))``.
+    Every attempt ticks ``phase``'s budget and ``metric``.  Returns the
+    estimate, the accepted pool and the attempt count.
+    """
+    cumulative = list(accumulate(node.count for node in components))
+    total_weight = cumulative[-1]
+    pool: list = []
+    attempts = 0
+    max_attempts = samples * (1 + len(components))
+    batcher = TickBatcher(phase, metric)
+    try:
+        while attempts < samples or (not pool and attempts < max_attempts):
+            attempts += 1
+            batcher.tick()
+            index = weighted_index(cumulative, rng.random() * total_weight)
+            item = components[index].draw(rng)
+            if not held_earlier(index, item):
+                pool.append(item)
+    finally:
+        batcher.flush()
+    if not pool:
+        raise EstimationError(
+            "union estimation rejected every sample; "
+            "component estimates are inconsistent"
+        )
+    return total_weight * len(pool) / attempts, pool, attempts
+
+
+class _CounterBase:
+    """One run of the estimator over a seed-free plan, shared by
+    CountNFA and CountNFTA.
+
+    ``top_node`` builds one node per ``plan.cells`` entry, in order,
+    with a budget checkpoint before each.  A subclass supplies
+    ``_compute(cell, values)`` (a cell's node, from the nodes of the
+    cells before it), ``_root(values)``, and the budget phases and
+    counters of its unions (``_phase``, ``_metric``) and of its k-draw
+    loop (``_draw_phase``, ``_draw_metric``).
+    """
+
+    def __init__(
+        self, plan, size: int, epsilon: float, samples: int | None,
+        exact_set_cap: int, rng: random.Random, weight_of=None,
+    ):
+        self._plan = plan
+        self._size = size
+        self._samples = samples or default_sample_count(size, epsilon)
+        self._cap = exact_set_cap
+        self._rng = rng
+        self._weights = None
+        if weight_of is not None:
+            self._weights = [1.0] * len(plan.symbols)
+            for symbol in plan.used_symbols:
+                self._weights[symbol] = float(weight_of(plan.symbols[symbol]))
+        self.samples_used = 0
+
+    def _symbol_weight(self, symbol: int) -> float:
+        if self._weights is None:
+            return 1.0
+        return self._weights[symbol]
+
+    def run(self) -> CountResult:
+        top = self.top_node()
+        return CountResult(
+            estimate=top.count,
+            exact=top.exact,
+            samples_used=self.samples_used,
+        )
+
+    def top_node(self):
+        sys.setrecursionlimit(
+            max(sys.getrecursionlimit(), 10 * self._size + 10_000)
+        )
+        values: list = []
+        for cell in self._plan.cells:
+            budget_checkpoint(self._phase)
+            values.append(self._compute(cell, values))
+        return self._root(values)
+
+    def draw(self, k: int) -> list:
+        """``k`` draws from the top node, on the run's RNG."""
+        top = self.top_node()
+        if top.count <= 0:
+            raise EstimationError(
+                "language is (estimated) empty; cannot sample"
+            )
+        drawn: list = []
+        with span(self._draw_phase, k=k):
+            batcher = TickBatcher(self._draw_phase, self._draw_metric)
+            try:
+                for _ in range(k):
+                    batcher.tick()
+                    drawn.append(top.draw(self._rng))
+            finally:
+                batcher.flush()
+        return drawn
+
+
+def _median_count(
+    prepare, phase: str, epsilon: float, samples: int | None,
+    repetitions: int, seed: int | None, **tags,
+) -> CountResult:
+    """The repetition runner behind :func:`count_nfa` and
+    :func:`~repro.automata.nfta_counting.count_nfta`.
+
+    Checks the arguments they share, then calls ``prepare()`` for the
+    seed-free work: it returns the answer when no sampling is needed,
+    else a factory ``rng → counter``.  Each repetition runs a fresh
+    counter on its own RNG stream, all seeded up front from ``seed``,
+    inside one ``phase`` span; the answer is the median estimate.
+    """
+    if not 0 < epsilon < 1:
+        raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if repetitions < 1:
+        raise EstimationError("repetitions must be >= 1")
+    if samples is not None and samples < 1:
+        raise EstimationError("samples must be >= 1")
+    new_counter = prepare()
+    if isinstance(new_counter, CountResult):
+        return new_counter
+    rng = random.Random(seed)
+    seeds = [rng.randrange(2**63) for _ in range(repetitions)]
+    with span(phase, **tags, repetitions=repetitions):
+        results = [new_counter(random.Random(s)).run() for s in seeds]
+    results.sort(key=lambda r: r.estimate)
+    median = results[len(results) // 2]
+    return CountResult(
+        estimate=median.estimate,
+        exact=all(r.exact for r in results),
+        samples_used=sum(r.samples_used for r in results),
+    )
+
+
+# ----------------------------------------------------------------------
 # The seed-free plan and the counter
 # ----------------------------------------------------------------------
 
@@ -312,55 +467,22 @@ class _WordPlan:
         )
 
 
-class _Counter:
-    def __init__(
-        self,
-        plan: _WordPlan,
-        length: int,
-        epsilon: float,
-        samples: int | None,
-        exact_set_cap: int,
-        rng: random.Random,
-        weight_of=None,
-    ):
-        self._plan = plan
-        self._length = length
-        self._samples = samples or default_sample_count(length, epsilon)
-        self._cap = exact_set_cap
-        self._rng = rng
-        self._weights = None
-        if weight_of is not None:
-            self._weights = [1.0] * len(plan.symbols)
-            for sid in plan.used_symbols:
-                self._weights[sid] = float(weight_of(plan.symbols[sid]))
+class _Counter(_CounterBase):
+    """CountNFA over a :class:`_WordPlan`."""
+
+    _phase = "counting.nfa"
+    _metric = "count_nfa.samples_drawn"
+    _draw_phase = "sampling.strings"
+    _draw_metric = "sampling.strings_drawn"
+
+    def __init__(self, plan: _WordPlan, *args, **kwargs):
+        super().__init__(plan, *args, **kwargs)
         # id(cons cell) -> bitmask of states accepting that word; the
         # cells are kept alive so their ids stay unique.
         self._accepts: dict[int, int] = {}
         self._alive: list = []
-        self.samples_used = 0
 
-    def _symbol_weight(self, symbol: int) -> float:
-        if self._weights is None:
-            return 1.0
-        return self._weights[symbol]
-
-    # -- driver ----------------------------------------------------------
-
-    def run(self) -> CountResult:
-        top = self.top_node()
-        return CountResult(
-            estimate=top.count,
-            exact=top.exact,
-            samples_used=self.samples_used,
-        )
-
-    def top_node(self):
-        sys.setrecursionlimit(
-            max(sys.getrecursionlimit(), 10 * self._length + 10_000)
-        )
-        values: list = []
-        for cell in self._plan.cells:
-            values.append(self._compute(cell, values))
+    def _root(self, values: list):
         return self._union(
             [(state, values[pair]) for state, pair in self._plan.roots],
             prefix_symbol=None,
@@ -425,50 +547,30 @@ class _Counter:
                 )
                 return self._wrap(merged, prefix_symbol)
 
-        # Karp–Luby: sample component ∝ size, accept iff it is the
-        # canonically-first component containing the sampled word.
-        cumulative = list(accumulate(value.count for _, value in components))
-        total_weight = cumulative[-1]
+        # Component i holds a word iff its state accepts the word;
+        # earlier[i] has the states of the components before i.
+        earlier = [0]
+        for state, _value in components[:-1]:
+            earlier.append(earlier[-1] | 1 << state)
 
-        accepted_words: list = []
-        attempts = 0
-        accepted = 0
-        budget = self._samples
-        max_attempts = budget * (1 + len(components))
-        rng = self._rng
-        while attempts < budget or (
-            accepted == 0 and attempts < max_attempts
-        ):
-            attempts += 1
-            self.samples_used += 1
-            pick = rng.random() * total_weight
-            index = weighted_index(cumulative, pick)
-            word = components[index][1].draw(rng)
-            # Accept iff the drawn component is the first containing
-            # the word; it contains it, so only earlier ones count.
-            if not self._accepted_by_any(components[:index], word):
-                accepted += 1
-                accepted_words.append(
-                    word if prefix_symbol is None
-                    else (prefix_symbol, word)
-                )
-            if attempts >= budget and accepted > 0:
-                break
-        if accepted == 0:
-            raise EstimationError(
-                "union estimation rejected every sample; "
-                "component estimates are inconsistent"
+        def held_earlier(index: int, word) -> bool:
+            return index > 0 and bool(
+                self._accepting_states(word) & earlier[index]
             )
-        estimate = total_weight * accepted / attempts
-        if prefix_symbol is not None:
-            estimate *= self._symbol_weight(prefix_symbol)
-        return _PoolNode(estimate, accepted_words)
 
-    def _accepted_by_any(self, components, word) -> bool:
-        if not components:
-            return False
-        accepts = self._accepting_states(word)
-        return any(accepts >> state & 1 for state, _value in components)
+        estimate, pool, attempts = _karp_luby_union(
+            [value for _, value in components], held_earlier,
+            self._samples, self._rng, self._phase, self._metric,
+        )
+        self.samples_used += attempts
+        if prefix_symbol is None:
+            return _PoolNode(estimate, pool)
+        # The letter's weight scales the union's estimate, and accepted
+        # words get their letter, after the loop.
+        return _PoolNode(
+            estimate * self._symbol_weight(prefix_symbol),
+            [(prefix_symbol, word) for word in pool],
+        )
 
     def _accepting_states(self, word) -> int:
         """Bitmask of the states accepting ``word``, memoized per cons
@@ -499,7 +601,6 @@ class _Counter:
         return mask
 
 
-
 def count_nfa(
     nfa: NFA,
     length: int,
@@ -517,7 +618,7 @@ def count_nfa(
     epsilon:
         Target relative error; drives the default per-union sample count.
     samples:
-        Override the per-union sample count directly.
+        Override the per-union sample count directly (at least 1).
     exact_set_cap:
         Languages at most this large are tracked exactly instead of
         sampled (0 disables the hybrid and forces sampling everywhere).
@@ -536,46 +637,40 @@ def count_nfa(
         ``estimate`` is within ``(1 ± ε)`` of ``|L_n|`` with high
         probability; ``exact`` marks runs whose value involved no
         sampling at all.
+
+    The sweep, the plan cells and the union samples all charge the
+    active evaluation budget under the phase ``counting.nfa``.
     """
-    if not 0 < epsilon < 1:
-        raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if repetitions < 1:
-        raise EstimationError("repetitions must be >= 1")
-    if length < 0:
-        raise EstimationError(f"length must be >= 0, got {length}")
-    if exact_set_cap > 0:
-        # Bounded exact sweep first: languages whose determinized
-        # frontier stays tiny (notably the structurally-trivial cases —
-        # empty languages, and total/self-loop-only automata whose
-        # weighted measure pins the probability at 0 or 1) get the true
-        # count, never an estimate.  The frontier bound keeps the
-        # attempt O(cap · n · |Σ|), so nontrivial automata bail out
-        # after a few layers and sample as before.
-        measure = nfa.count_exact(
-            length,
-            weight_of=weight_of,
-            max_subsets=min(_EXACT_SWEEP_FRONTIER, exact_set_cap),
-        )
-        if measure is not None:
-            return CountResult(
-                estimate=float(measure), exact=True, samples_used=0
+
+    def prepare():
+        if length < 0:
+            raise EstimationError(f"length must be >= 0, got {length}")
+        if exact_set_cap > 0:
+            # Bounded exact sweep first: languages whose determinized
+            # frontier stays tiny (notably the structurally-trivial
+            # cases — empty languages, and total/self-loop-only automata
+            # whose weighted measure pins the probability at 0 or 1) get
+            # the true count, never an estimate.  The frontier bound
+            # keeps the attempt O(cap · n · |Σ|), so nontrivial automata
+            # bail out after a few layers and sample as before.
+            measure = nfa.count_exact(
+                length,
+                weight_of=weight_of,
+                max_subsets=min(_EXACT_SWEEP_FRONTIER, exact_set_cap),
             )
-    plan = _WordPlan(nfa, length)
-    rng = random.Random(seed)
-    results = [
-        _Counter(
-            plan, length, epsilon, samples, exact_set_cap,
-            random.Random(rng.randrange(2**63)),
+            if measure is not None:
+                return CountResult(
+                    estimate=float(measure), exact=True, samples_used=0
+                )
+        plan = _WordPlan(nfa, length)
+        return lambda rng: _Counter(
+            plan, length, epsilon, samples, exact_set_cap, rng,
             weight_of=weight_of,
-        ).run()
-        for _ in range(repetitions)
-    ]
-    results.sort(key=lambda r: r.estimate)
-    median = results[len(results) // 2]
-    return CountResult(
-        estimate=median.estimate,
-        exact=all(r.exact for r in results),
-        samples_used=sum(r.samples_used for r in results),
+        )
+
+    return _median_count(
+        prepare, "counting.nfa", epsilon, samples, repetitions, seed,
+        length=length,
     )
 
 
@@ -595,16 +690,12 @@ def sample_accepted_strings(
     ``weight_of``, draws are approximately weight-proportional.
     """
     plan = _WordPlan(nfa, length)
-    rng = random.Random(seed)
     counter = _Counter(
-        plan, length, epsilon, None, exact_set_cap, rng,
+        plan, length, epsilon, None, exact_set_cap, random.Random(seed),
         weight_of=weight_of,
     )
-    top = counter.top_node()
-    if top.count <= 0:
-        raise EstimationError("language is (estimated) empty; cannot sample")
     symbols = plan.symbols
     return [
-        tuple(symbols[s] for s in _materialize(top.draw(rng)))
-        for _ in range(k)
+        tuple(symbols[s] for s in _materialize(word))
+        for word in counter.draw(k)
     ]

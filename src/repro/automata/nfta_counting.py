@@ -26,7 +26,11 @@ by an NFTA.  This module provides:
 Like the string counter, the evaluator is a DAG of lazy nodes: exact
 nodes (full language as a set, up to ``exact_set_cap``), lazy product
 and disjoint-sum nodes whose counts combine arithmetically, and
-Karp–Luby pool nodes — the only place sampling error enters.  Two rules
+Karp–Luby pool nodes — the only place sampling error enters.  The
+union loop that fills the pools, the counter skeleton, the
+median-of-repetitions runner and the k-draw loop are the string
+counter's (:mod:`repro.automata.nfa_counting`); this module supplies
+the plan, the tree stores' membership tests and the rules below.  Two rules
 fix what an exact node holds: merged members are deduplicated in
 first-seen order, and a member weighs its symbol's weight times its
 children's weights, left to right (the rule lazy products use for
@@ -54,25 +58,25 @@ across every backend name and both layer tables.
 from __future__ import annotations
 
 import random
-import sys
-from itertools import accumulate, product
+from itertools import product
 from typing import Hashable, Iterator
 
 from repro.automata.nfa_counting import (
     CountResult,
+    _CounterBase,
     _disjoint_sum,
     _distinct,
     _ExactNode,
+    _karp_luby_union,
+    _median_count,
     _PoolNode,
     _ZERO,
-    default_sample_count,
-    weighted_index,
 )
 from repro.automata.nfta import NFTA
 from repro.automata.optimize import DenseNFTA, optimize_nfta
 from repro.automata.trees import LabeledTree
 from repro.core.budget import budget_checkpoint
-from repro.errors import AutomatonError, EstimationError
+from repro.errors import AutomatonError
 from repro.obs import metric_inc, span
 from repro.testing.faults import fault_point
 
@@ -618,62 +622,27 @@ class _ProductNode:
         )
 
 
-class _TreeCounter:
-    def __init__(
-        self,
-        plan: _CounterPlan,
-        store,
-        size: int,
-        epsilon: float,
-        samples: int | None,
-        exact_set_cap: int,
-        rng: random.Random,
-        weight_of=None,
-    ):
-        self._plan = plan
+class _TreeCounter(_CounterBase):
+    """CountNFTA over a :class:`_CounterPlan`; sampled trees live in
+    ``store``."""
+
+    _phase = "counting.nfta"
+    _metric = "count_nfta.samples_drawn"
+    _draw_phase = "sampling.trees"
+    _draw_metric = "sampling.trees_drawn"
+
+    def __init__(self, plan: _CounterPlan, store, *args, **kwargs):
+        super().__init__(plan, *args, **kwargs)
         self._store = store
-        self._size = size
-        self._samples = samples or default_sample_count(size, epsilon)
-        self._cap = exact_set_cap
-        self._rng = rng
-        self._weights = None
-        if weight_of is not None:
-            self._weights = [1.0] * len(plan.symbols)
-            for symbol in plan.used_symbols:
-                self._weights[symbol] = float(weight_of(plan.symbols[symbol]))
-        self.samples_used = 0
 
-    def _symbol_weight(self, symbol: int) -> float:
-        if self._weights is None:
-            return 1.0
-        return self._weights[symbol]
-
-    # -- driver ----------------------------------------------------------
-
-    def run(self) -> CountResult:
-        top = self.top_node()
-        return CountResult(
-            estimate=top.count,
-            exact=top.exact,
-            samples_used=self.samples_used,
-        )
-
-    def top_node(self):
-        sys.setrecursionlimit(
-            max(sys.getrecursionlimit(), 10 * self._size + 10_000)
-        )
-        if self._plan.root is None:
-            return _ZERO
-        values: list = []
-        for groups in self._plan.cells:
-            budget_checkpoint("counting.nfta")
-            metric_inc("count_nfta.dp_cells")
-            values.append(self._compute(groups, values))
-        return values[self._plan.root]
+    def _root(self, values: list):
+        root = self._plan.root
+        return _ZERO if root is None else values[root]
 
     # -- per-(state, size) computation ------------------------------------
 
     def _compute(self, groups, values: list):
+        metric_inc("count_nfta.dp_cells")
         # Groups (symbol, arity, split) are disjoint; members within a
         # group overlap.
         group_nodes = []
@@ -714,51 +683,20 @@ class _TreeCounter:
                     self._weights is not None,
                 )
 
-        from repro.core.kernels import TickBatcher
-
         symbol_weight = self._symbol_weight(symbol)
         make = self._store.make
-        product_nodes = [
-            _ProductNode(make, symbol, child_values, symbol_weight)
-            for _, child_values in components
-        ]
-        cumulative = list(accumulate(node.count for node in product_nodes))
-        total_weight = cumulative[-1]
         keys = [children for children, _ in components]
         derived_by_any = self._store.derived_by_any
-        rng = self._rng
-
-        accepted_trees: list = []
-        attempts = 0
-        accepted = 0
-        budget = self._samples
-        max_attempts = budget * (1 + len(components))
-        batcher = TickBatcher("counting.nfta", "count_nfta.samples_drawn")
-        try:
-            while attempts < budget or (
-                accepted == 0 and attempts < max_attempts
-            ):
-                attempts += 1
-                self.samples_used += 1
-                batcher.tick()
-                pick = rng.random() * total_weight
-                index = weighted_index(cumulative, pick)
-                tree = product_nodes[index].draw(rng)
-                # Accept iff the drawn component is the first containing
-                # the tree; it contains it, so only earlier ones count.
-                if not derived_by_any(keys[:index], tree):
-                    accepted += 1
-                    accepted_trees.append(tree)
-                if attempts >= budget and accepted > 0:
-                    break
-        finally:
-            batcher.flush()
-        if accepted == 0:
-            raise EstimationError(
-                "tree union estimation rejected every sample"
-            )
-        estimate = total_weight * accepted / attempts
-        return _PoolNode(estimate, accepted_trees)
+        estimate, pool, attempts = _karp_luby_union(
+            [
+                _ProductNode(make, symbol, child_values, symbol_weight)
+                for _, child_values in components
+            ],
+            lambda index, tree: derived_by_any(keys[:index], tree),
+            self._samples, self._rng, self._phase, self._metric,
+        )
+        self.samples_used += attempts
+        return _PoolNode(estimate, pool)
 
     # -- products and sums -------------------------------------------------
 
@@ -821,15 +759,12 @@ def count_nfta(
 ) -> CountResult:
     """Estimate ``|L_n(T)|`` — the paper's CountNFTA black box.
 
-    Same knobs and guarantees as
+    Same knobs, guarantees and repetition runner as
     :func:`repro.automata.nfa_counting.count_nfa`; see the module
     docstring for the estimator design.  With ``weight_of`` the
     estimate targets the weighted tree measure instead (see
     :func:`count_nfta_exact`); the ``exact`` flag then certifies the
     measure up to float rounding.
-
-    Every median-of-``repetitions`` run draws from its own RNG stream
-    whose seed is derived up front from ``seed``.
 
     Every backend runs the same loop over the same plan and differs
     only in its tree store: ``reference`` keeps :class:`LabeledTree`
@@ -842,33 +777,19 @@ def count_nfta(
     from repro.core import kernels
 
     backend = kernels.resolve_backend(backend)
-    if not 0 < epsilon < 1:
-        raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if repetitions < 1:
-        raise EstimationError("repetitions must be >= 1")
-    fault_point("counting.nfta")
-    plan, new_store = _sampler(nfta, size, backend)
-    rng = random.Random(seed)
-    repetition_seeds = [rng.randrange(2**63) for _ in range(repetitions)]
 
-    def run_one(repetition_seed: int) -> CountResult:
-        return _TreeCounter(
-            plan, new_store(), size, epsilon, samples, exact_set_cap,
-            random.Random(repetition_seed),
-            weight_of=weight_of,
-        ).run()
-
-    with span(
-        "counting.nfta", size=size, repetitions=repetitions
-    ):
+    def prepare():
+        fault_point("counting.nfta")
+        plan, new_store = _sampler(nfta, size, backend)
         metric_inc("count_nfta.repetitions", repetitions)
-        results = [run_one(s) for s in repetition_seeds]
-    results.sort(key=lambda r: r.estimate)
-    median = results[len(results) // 2]
-    return CountResult(
-        estimate=median.estimate,
-        exact=all(r.exact for r in results),
-        samples_used=sum(r.samples_used for r in results),
+        return lambda rng: _TreeCounter(
+            plan, new_store(), size, epsilon, samples, exact_set_cap, rng,
+            weight_of=weight_of,
+        )
+
+    return _median_count(
+        prepare, "counting.nfta", epsilon, samples, repetitions, seed,
+        size=size,
     )
 
 
@@ -891,24 +812,11 @@ def sample_accepted_trees(
     """
     from repro.core import kernels
 
-    backend = kernels.resolve_backend(backend)
-    plan, new_store = _sampler(nfta, size, backend)
+    plan, new_store = _sampler(nfta, size, kernels.resolve_backend(backend))
     store = new_store()
-    rng = random.Random(seed)
-    top = _TreeCounter(
-        plan, store, size, epsilon, None, exact_set_cap, rng,
+    counter = _TreeCounter(
+        plan, store, size, epsilon, None, exact_set_cap, random.Random(seed),
         weight_of=weight_of,
-    ).top_node()
-    if top.count <= 0:
-        raise EstimationError("language is (estimated) empty; cannot sample")
-    drawn: list = []
-    with span("sampling.trees", k=k):
-        batcher = kernels.TickBatcher("sampling.trees", "sampling.trees_drawn")
-        try:
-            for _ in range(k):
-                batcher.tick()
-                drawn.append(top.draw(rng))
-        finally:
-            batcher.flush()
+    )
     # Only the k results leave the store.
-    return [store.labeled(tree) for tree in drawn]
+    return [store.labeled(tree) for tree in counter.draw(k)]

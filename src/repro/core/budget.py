@@ -14,7 +14,8 @@ instances.  An :class:`EvaluationBudget` bounds one evaluation with
 
 Enforcement is *cooperative*: threads cannot be killed, so the long
 loops in :mod:`repro.decomposition.search`, :mod:`repro.lineage.build`,
-:mod:`repro.lineage.karp_luby`, :mod:`repro.automata.nfta_counting`,
+:mod:`repro.lineage.karp_luby`, :mod:`repro.automata.nfa_counting`
+(whose union loop CountNFTA shares), :mod:`repro.automata.nfta_counting`,
 :mod:`repro.core.sampling` and :mod:`repro.core.monte_carlo` call
 :func:`budget_tick` once per iteration.  When no budget is active the
 call is a single context-variable read; when one is active, exceeding a

@@ -885,9 +885,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 - stdlib casing
         if self.path not in ("/evaluate", "/delta"):
-            self._send_json(
-                404, {"ok": False, "message": f"no route {self.path}"}
-            )
+            self._reject_body(404, "not_found", f"no route {self.path}")
             return
         try:
             length = int(self.headers.get("Content-Length", 0))

@@ -1,6 +1,7 @@
 """Tests for the CountNFA FPRAS (hybrid and pure-sampling regimes)."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,18 @@ from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
 from repro.automata.nfa_counting import (
+    _ExactNode,
+    _karp_luby_union,
     count_nfa,
     default_sample_count,
     sample_accepted_strings,
 )
-from repro.errors import EstimationError
+from repro.core.budget import EvaluationBudget, budget_scope
+from repro.errors import BudgetExceededError, EstimationError
+from repro.graphs.product import build_rpq_nfa, make_weight_of
+from repro.graphs.rpq import RPQQuery
+from repro.obs import EvaluationTelemetry, telemetry_scope
+from repro.workloads import grid_graph
 
 
 def _random_nfa(seed: int, states: int = 6) -> NFA:
@@ -86,9 +94,50 @@ class TestSamplingRegime:
         with pytest.raises(EstimationError):
             count_nfa(_random_nfa(0), 3, repetitions=0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_sample_counts_below_one(self, samples):
+        with pytest.raises(EstimationError, match="samples must be >= 1"):
+            count_nfa(_random_nfa(5), 7, seed=42, exact_set_cap=0,
+                      samples=samples)
+
     def test_default_sample_count_scales(self):
         assert default_sample_count(10, 0.1) > default_sample_count(10, 0.5)
         assert default_sample_count(100, 0.2) > default_sample_count(4, 0.2)
+
+
+class TestUnionLoop:
+    """The one Karp–Luby union loop both counters run."""
+
+    COMPONENTS = [_ExactNode(("x",)), _ExactNode(("y",))]
+
+    @staticmethod
+    def _union(samples, rejections):
+        """Run the loop with a membership test that rejects the first
+        ``rejections`` draws; return its result and the draw count."""
+        asked = []
+
+        def held_earlier(index, item):
+            asked.append(item)
+            return len(asked) <= rejections
+
+        result = _karp_luby_union(
+            TestUnionLoop.COMPONENTS, held_earlier, samples,
+            random.Random(0), "counting.nfa", "count_nfa.samples_drawn",
+        )
+        return result, len(asked)
+
+    def test_draws_past_the_sample_count_until_one_is_accepted(self):
+        (estimate, pool, attempts), asked = self._union(3, rejections=5)
+        assert (attempts, asked, len(pool)) == (6, 6, 1)
+        assert estimate == 2.0 * 1 / 6
+
+    def test_gives_up_at_the_attempt_cap(self):
+        with pytest.raises(EstimationError, match="rejected every sample"):
+            self._union(4, rejections=10**6)
+
+    def test_attempt_cap_is_samples_times_one_plus_components(self):
+        (_, pool, attempts), _ = self._union(4, rejections=4 * 3 - 1)
+        assert (attempts, len(pool)) == (4 * 3, 1)
 
 
 class TestSampling:
@@ -244,3 +293,72 @@ class TestAdversarialAmbiguity:
             nfa, n, epsilon=0.2, seed=1, exact_set_cap=0
         )
         assert abs(result.estimate - 1) < 0.3
+
+
+def _grid_rpq(side: int, regex: str):
+    """The RPQ product NFA of ``regex`` corner to corner on a
+    ``side × side`` grid (labels k/16), with its literal weights."""
+    graph = grid_graph(side, side)
+    corner = f"n{side - 1}_{side - 1}"
+    reduction = build_rpq_nfa(graph, RPQQuery(regex, "n0_0", corner))
+    return reduction, make_weight_of(graph)
+
+
+def _grid6_counter(**kwargs):
+    """count_nfa on the 6×6 ``(a|b)*`` product, built up front so that
+    only the counting runs under a test's budget."""
+    reduction, weight_of = _grid_rpq(6, "(a|b)*")
+    return lambda: count_nfa(
+        reduction.nfa, reduction.string_length, epsilon=0.3, seed=0,
+        exact_set_cap=0, weight_of=weight_of, **kwargs,
+    )
+
+
+def _expired_deadline():
+    return budget_scope(
+        EvaluationBudget(deadline=0.05), started=time.perf_counter() - 1.0
+    )
+
+
+class TestBudget:
+    """CountNFA obeys the evaluation budget: plan cells and exact DP
+    layers are deadline checkpoints, and every union sample is a work
+    unit, all under the phase ``counting.nfa``."""
+
+    def test_expired_deadline_stops_the_sampler(self):
+        count = _grid6_counter()
+        with _expired_deadline(), pytest.raises(BudgetExceededError) as info:
+            count()
+        assert info.value.phase == "counting.nfa"
+
+    def test_expired_deadline_stops_the_exact_dp(self):
+        reduction, weight_of = _grid_rpq(8, "(a|b)*a(a|b)(a|b)")
+        assert reduction.string_length == 112
+        with _expired_deadline(), pytest.raises(BudgetExceededError) as info:
+            reduction.nfa.count_exact(
+                reduction.string_length, weight_of=weight_of
+            )
+        assert info.value.phase == "counting.nfa"
+
+    def test_work_units_cap_the_samples(self):
+        count = _grid6_counter(samples=64)
+        budget = EvaluationBudget(max_work_units=100)
+        with budget_scope(budget), pytest.raises(BudgetExceededError) as info:
+            count()
+        assert info.value.phase == "counting.nfa"
+        assert info.value.used == 101
+
+    def test_ample_work_units_change_nothing(self):
+        count = _grid6_counter(samples=64)
+        unbudgeted = count()
+        telemetry = EvaluationTelemetry()
+        with telemetry_scope(telemetry), budget_scope(
+            EvaluationBudget(max_work_units=1_000_000)
+        ):
+            budgeted = count()
+        assert budgeted == unbudgeted
+        assert not budgeted.exact
+        assert (
+            telemetry.counter("count_nfa.samples_drawn")
+            == budgeted.samples_used
+        )

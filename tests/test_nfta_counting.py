@@ -165,6 +165,14 @@ class TestFPRAS:
         with pytest.raises(EstimationError):
             count_nfta(_catalan_automaton(), 3, epsilon=0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_sample_counts_below_one(self, samples):
+        with pytest.raises(EstimationError, match="samples must be >= 1"):
+            count_nfta(
+                _catalan_automaton(), 9, seed=3, exact_set_cap=0,
+                samples=samples,
+            )
+
     def test_determinism(self):
         nfta = _random_nfta(2, states=3)
         a = count_nfta(nfta, 6, seed=9, exact_set_cap=0)

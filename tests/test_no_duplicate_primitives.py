@@ -1,6 +1,6 @@
 """Lint: one memo store, one durable-write path, one weighted pick,
-one backend table, one scalar layer DP and one Hoeffding bound in
-``src/repro/``.
+one backend table, one scalar layer DP, one Hoeffding bound and one
+Karp–Luby union loop in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache`, of which the kernel stores and
@@ -13,10 +13,14 @@ samplers draw an index from cumulative weights with one helper,
 layer table runs, and it owns the scalar per-arity loops both tables
 use (:func:`repro.core.kernels.add_layer_terms`).  The additive
 Monte-Carlo sample count is
-:func:`repro.core.monte_carlo.additive_sample_bound`.  A hand-copied
-LRU, log, bisection, backend choice, DP loop or bound elsewhere drifts
-from the original: its counters, its eviction, its crash safety, its
-tie-breaking or its answers stop being the ones the tests check.  So
+:func:`repro.core.monte_carlo.additive_sample_bound`.  CountNFA and
+CountNFTA estimate their overlapping unions with one loop,
+:func:`repro.automata.nfa_counting._karp_luby_union`, the only owner of
+the ``max_attempts`` fallback.  A hand-copied LRU, log, bisection,
+backend choice, DP loop, bound or union loop elsewhere drifts from the
+original: its counters, its eviction, its crash safety, its
+tie-breaking, its budget charges or its answers stop being the ones
+the tests check.  So
 this test greps the source tree for the tell-tale code outside the
 modules that own it.
 """
@@ -44,6 +48,8 @@ _OWNED = {
     re.compile(r"\bdef _combinations\b"): {"core/kernels.py"},
     # The Hoeffding sample bound for additive error.
     re.compile(r"2 \* epsilon\s*\*\*\s*2"): {"core/monte_carlo.py"},
+    # The Karp–Luby union loop's give-up bound: a second union loop.
+    re.compile(r"\bmax_attempts\s*=(?!=)"): {"automata/nfa_counting.py"},
 }
 
 
@@ -73,7 +79,9 @@ def test_no_second_lru_or_fsync_path():
         "LRU eviction belongs to repro.core.cache.ReductionCache, "
         "fsync'd appends to repro.core.journal.RecordLog, weighted "
         "picks to repro.automata.nfa_counting.weighted_index, backend "
-        "names and the scalar layer DP to repro.core.kernels and the "
-        "additive sample bound to repro.core.monte_carlo; build on "
-        "them instead:\n" + "\n".join(violations)
+        "names and the scalar layer DP to repro.core.kernels, the "
+        "additive sample bound to repro.core.monte_carlo and the "
+        "Karp-Luby union loop to "
+        "repro.automata.nfa_counting._karp_luby_union; build on them "
+        "instead:\n" + "\n".join(violations)
     )

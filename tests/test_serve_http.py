@@ -63,21 +63,24 @@ def post(server, path, payload, *, raw=None):
         return failure.code, json.loads(failure.read())
 
 
-def raw_post(server, content_length):
-    """POST headers announcing ``content_length`` and no body, then read
-    until the server closes the connection (a 3 s timeout fails the
-    test if it never does).  Returns (status, lower-cased head, body)."""
+def raw_post(server, content_length, path="/evaluate", body=b""):
+    """POST headers announcing ``content_length``, then ``body``, and
+    read until the server closes the connection (a 3 s timeout fails
+    the test if it never does).  Asserts that exactly one response came
+    back; returns (status, lower-cased head, body)."""
     with socket.create_connection(
         ("127.0.0.1", server.port), timeout=3
     ) as sock:
         sock.sendall(
-            b"POST /evaluate HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-            b"Content-Type: application/json\r\n"
+            f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n".encode()
+            + b"Content-Type: application/json\r\n"
             + f"Content-Length: {content_length}\r\n\r\n".encode()
+            + body
         )
         response = b""
         while chunk := sock.recv(65536):
             response += chunk
+    assert response.count(b"HTTP/1.") == 1, response
     head, _, blob = response.partition(b"\r\n\r\n")
     return int(head.split()[1]), head.lower(), json.loads(blob)
 
@@ -134,6 +137,17 @@ class TestEndpoints:
         assert status == 413
         assert body["rejected"] is True
         assert body["reason"] == "body_too_large"
+        assert b"connection: close" in head
+        assert get(server, "/healthz")[0] == 200
+
+    def test_post_to_unknown_route_is_rejected_and_closed(self, server):
+        # The body is a whole request: left unread on a kept-alive
+        # connection, it would be answered as a second request.
+        body = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, head, reply = raw_post(server, len(body), "/nope", body)
+        assert status == 404
+        assert reply["rejected"] is True
+        assert reply["reason"] == "not_found"
         assert b"connection: close" in head
         assert get(server, "/healthz")[0] == 200
 

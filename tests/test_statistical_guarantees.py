@@ -18,6 +18,7 @@ import statistics
 import pytest
 
 from repro.core.exact import exact_probability, exact_uniform_reliability
+from repro.core.path_estimate import path_pqe_estimate
 from repro.core.pqe_estimate import pqe_estimate
 from repro.core.ur_estimate import ur_estimate
 from repro.db.fact import Fact
@@ -52,25 +53,41 @@ INSTANCE = DatabaseInstance([
 ])
 
 
-def _pqe_trial(seed: int, repetitions: int = 1) -> float:
+#: The approximate PQE routes checked on QUERY over PDB: the weighted
+#: tree measure, the gadget automaton of Theorem 1 (the route ``auto``
+#: serves) and PathEstimate's weighted string measure (Theorem 2).
+ROUTES = pytest.mark.parametrize(
+    "route", ["fpras-weighted", "fpras", "path-fpras"]
+)
+
+
+def _run(route: str, seed: int, repetitions: int = 1):
+    if route == "path-fpras":
+        return path_pqe_estimate(
+            QUERY, PDB, epsilon=EPSILON, seed=seed, exact_set_cap=0,
+            repetitions=repetitions,
+        )
     return pqe_estimate(
-        QUERY, PDB, epsilon=EPSILON, seed=seed, method="fpras-weighted",
+        QUERY, PDB, epsilon=EPSILON, seed=seed, method=route,
         exact_set_cap=0, repetitions=repetitions,
-    ).estimate
-
-
-def test_trials_are_really_sampled():
-    result = pqe_estimate(
-        QUERY, PDB, epsilon=EPSILON, seed=0, method="fpras-weighted",
-        exact_set_cap=0,
     )
+
+
+def _pqe_trial(seed: int, repetitions: int = 1) -> float:
+    return _run("fpras-weighted", seed, repetitions).estimate
+
+
+@ROUTES
+def test_trials_are_really_sampled(route):
+    result = _run(route, seed=0)
     assert not result.exact
     assert result.count_result.samples_used > 0
 
 
-def test_pqe_fpras_meets_epsilon_delta_empirically():
+@ROUTES
+def test_pqe_fpras_meets_epsilon_delta_empirically(route):
     truth = float(exact_probability(QUERY, PDB, method="lineage"))
-    estimates = [_pqe_trial(seed) for seed in range(TRIALS)]
+    estimates = [_run(route, seed).estimate for seed in range(TRIALS)]
     assert all(0.0 <= estimate <= 1.0 for estimate in estimates)
     failures = sum(
         1 for estimate in estimates
