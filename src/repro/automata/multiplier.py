@@ -32,6 +32,7 @@ from typing import Hashable, Iterable
 
 from repro.automata.nfta import NFTA, Transition
 from repro.automata.symbols import BIT_ONE, BIT_ZERO
+from repro.core.budget import budget_checkpoint
 from repro.errors import AutomatonError
 
 __all__ = [
@@ -180,6 +181,7 @@ class MultiplierNFTA:
         for index, (source, symbol, multiplier, bits, children) in enumerate(
             self._transitions
         ):
+            budget_checkpoint("reduction.pqe")
             if multiplier == 0:
                 continue
             if bits == 0:

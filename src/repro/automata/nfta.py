@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Hashable, Iterable
 
 from repro.automata.trees import LabeledTree
+from repro.core.budget import budget_checkpoint
 from repro.errors import AutomatonError
 
 __all__ = ["NFTA", "LAMBDA", "Transition"]
@@ -44,6 +45,11 @@ LAMBDA = _Lambda()
 
 # A transition is (state, symbol-or-LAMBDA, children tuple).
 Transition = tuple[State, Symbol, tuple[State, ...]]
+
+#: The budget phase the fixpoint analyses below report.  They run inside
+#: the reduction build and the counters alike; each round is one
+#: deadline checkpoint.
+_PHASE = "counting.nfta"
 
 
 class NFTA:
@@ -316,6 +322,7 @@ class NFTA:
         productive: set[State] = set()
         changed = True
         while changed:
+            budget_checkpoint(_PHASE)
             changed = False
             for source, symbol, children in self._transitions:
                 if symbol is LAMBDA:
@@ -338,6 +345,7 @@ class NFTA:
         changed = True
         useful_transitions: list[Transition] = []
         while changed:
+            budget_checkpoint(_PHASE)
             changed = False
             for source, symbol, children in self._transitions:
                 if source in reachable and all(
@@ -370,6 +378,7 @@ class NFTA:
         masks: dict[State, int] = {state: 0 for state in self._states}
         changed = True
         while changed:
+            budget_checkpoint(_PHASE)
             changed = False
             for source, symbol, children in self._transitions:
                 combined = 1  # sizes sum starts at {0}

@@ -287,6 +287,7 @@ class _CounterPlan:
             pair = stack.pop()
             if pair in needed:
                 continue
+            budget_checkpoint("counting.nfta")
             needed.add(pair)
             state, s = pair
             for _symbol, children in rules(state):
@@ -300,6 +301,7 @@ class _CounterPlan:
         used: set[int] = set()
         cells = []
         for state, s in pairs:
+            budget_checkpoint("counting.nfta")
             grouped: dict[tuple, list] = {}
             for symbol, children in rules(state):
                 for split in splits(children, s - 1):

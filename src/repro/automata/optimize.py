@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.automata.nfta import NFTA, Transition
+from repro.core.budget import budget_checkpoint
 from repro.errors import AutomatonError
 from repro.obs import metric_inc
 
@@ -233,6 +234,7 @@ def optimize_nfta(nfta: NFTA) -> DenseNFTA:
         reachable: set[State] = {nfta.initial}
         changed = True
         while changed:
+            budget_checkpoint("counting.nfta")
             changed = False
             for source, _symbol, children in nfta.transitions:
                 if source in reachable and all(

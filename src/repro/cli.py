@@ -757,11 +757,7 @@ def _print_drained(items, failure: BatchDrainedError, args) -> int:
 def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
     with open(args.batch, encoding="utf-8") as stream:
         items = load_batch_file(stream, pdb, source=args.batch)
-    engine = PQEEngine(
-        epsilon=args.epsilon,
-        seed=args.seed,
-        repetitions=args.repetitions,
-    )
+    engine = _engine(args)
     cache = None
     if args.cache_dir:
         from repro.core.diskcache import DiskCache
@@ -1003,11 +999,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--method",
         default="auto",
-        choices=[
-            "auto", "lifted", "fpras", "fpras-weighted",
-            "lineage-exact", "karp-luby", "monte-carlo", "enumerate",
-            "exact",
-        ],
+        choices=list(dict.fromkeys(
+            method for task in TASKS.values() for method in task.methods
+        )),
         help="evaluation method (default: auto routing, which takes "
              "the exact lifted fast path whenever the query is safe); "
              "'exact' is the RPQ product DP and applies only to --rpq",
@@ -1097,28 +1091,42 @@ def _graph_from_pdb(pdb: ProbabilisticDatabase):
 
 def _run_rpq(args, pdb: ProbabilisticDatabase) -> int:
     graph = _graph_from_pdb(pdb)
-    engine = PQEEngine(
+    answer = _engine(args).rpq_probability(
+        graph, args.rpq, source=args.source, target=args.target,
+        method=args.method, budget=_budget(args),
+        telemetry=bool(args.profile or args.metrics_out),
+    )
+    return _print_answer(
+        args, answer, "Pr_G",
+        f"rpq:     {args.source} -[{args.rpq}]-> {args.target}",
+        f"edges:   {len(graph)}",
+    )
+
+
+def _engine(args) -> PQEEngine:
+    return PQEEngine(
         epsilon=args.epsilon,
         seed=args.seed,
         repetitions=args.repetitions,
     )
-    budget = (
-        EvaluationBudget(deadline=args.timeout)
-        if args.timeout is not None
-        else None
-    )
-    profiled = bool(args.profile or args.metrics_out)
-    answer = engine.rpq_probability(
-        graph, args.rpq, source=args.source, target=args.target,
-        method=args.method, budget=budget, telemetry=profiled,
-    )
-    print(f"rpq:     {args.source} -[{args.rpq}]-> {args.target}")
-    print(f"edges:   {len(graph)}")
+
+
+def _budget(args) -> EvaluationBudget | None:
+    if args.timeout is None:
+        return None
+    return EvaluationBudget(deadline=args.timeout)
+
+
+def _print_answer(args, answer, label: str, *header: str) -> int:
+    """Print one evaluation: the ``header`` lines, the method, the
+    value under ``label`` and any ``--profile``/``--metrics-out``."""
+    for line in header:
+        print(line)
     print(f"method:  {answer.method}" + (" (exact)" if answer.exact else ""))
     if answer.rational is not None:
-        print(f"Pr_G = {answer.value} ({answer.rational})")
+        print(f"{label} = {answer.value} ({answer.rational})")
     else:
-        print(f"Pr_G = {answer.value}")
+        print(f"{label} = {answer.value}")
     if answer.telemetry is not None:
         meta = {"seed": args.seed, "method": args.method}
         if args.profile:
@@ -1168,18 +1176,16 @@ def main(argv: Iterable[str] | None = None) -> int:
             parser.error("--reliability does not apply to --rpq")
         if args.explain:
             parser.error("--explain does not apply to --rpq")
-        from repro.graphs import RPQ_METHODS
-
-        if args.method not in RPQ_METHODS:
+        if args.method not in TASKS["rpq"].methods:
             parser.error(
-                f"--rpq accepts methods {', '.join(RPQ_METHODS)}; "
+                f"--rpq accepts methods {', '.join(TASKS['rpq'].methods)}; "
                 f"got {args.method!r}"
             )
     else:
         if args.source is not None or args.target is not None:
             parser.error("--source/--target only apply to --rpq")
-        if args.method == "exact":
-            parser.error("method 'exact' only applies to --rpq")
+        if args.method not in TASKS["probability"].methods:
+            parser.error(f"method {args.method!r} only applies to --rpq")
     try:
         with open(args.data, encoding="utf-8") as stream:
             pdb = load_facts_csv(stream, source=args.data)
@@ -1195,52 +1201,21 @@ def main(argv: Iterable[str] | None = None) -> int:
         else:
             query = parse_query(args.query)
 
-        engine = PQEEngine(
-            epsilon=args.epsilon,
-            seed=args.seed,
-            repetitions=args.repetitions,
-        )
+        engine = _engine(args)
         if args.explain:
             print(f"plan:    {engine.explain(query, pdb).describe()}")
-        budget = (
-            EvaluationBudget(deadline=args.timeout)
-            if args.timeout is not None
-            else None
+        task = "reliability" if args.reliability else "probability"
+        answer = TASKS[task].evaluate(
+            engine, query, pdb, method=args.method, budget=_budget(args),
+            telemetry=bool(args.profile or args.metrics_out),
         )
-        profiled = bool(args.profile or args.metrics_out)
-        if args.reliability:
-            answer = engine.uniform_reliability(
-                query, pdb.instance, method=args.method, budget=budget,
-                telemetry=profiled,
-            )
-            label = "UR(Q, D)"
-        else:
-            answer = engine.probability(
-                query, pdb, method=args.method, budget=budget,
-                telemetry=profiled,
-            )
-            label = "Pr_H(Q)"
     except (ReproError, OSError) as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1
-
-    print(f"query:   {query}")
-    print(f"facts:   {len(pdb)}")
-    print(f"method:  {answer.method}" + (" (exact)" if answer.exact else ""))
-    if answer.rational is not None:
-        print(f"{label} = {answer.value} ({answer.rational})")
-    else:
-        print(f"{label} = {answer.value}")
-    if answer.telemetry is not None:
-        single_meta = {"seed": args.seed, "method": args.method}
-        if args.profile:
-            _print_profile(answer.telemetry, single_meta)
-        if args.metrics_out:
-            _write_metrics_file(
-                args.metrics_out, answer.telemetry, single_meta
-            )
-            print(f"trace:   written to {args.metrics_out}")
-    return 0
+    label = "UR(Q, D)" if args.reliability else "Pr_H(Q)"
+    return _print_answer(
+        args, answer, label, f"query:   {query}", f"facts:   {len(pdb)}"
+    )
 
 
 if __name__ == "__main__":

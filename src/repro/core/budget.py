@@ -17,7 +17,10 @@ loops in :mod:`repro.decomposition.search`, :mod:`repro.lineage.build`,
 :mod:`repro.lineage.karp_luby`, :mod:`repro.automata.nfa_counting`
 (whose union loop CountNFTA shares), :mod:`repro.automata.nfta_counting`,
 :mod:`repro.core.sampling` and :mod:`repro.core.monte_carlo` call
-:func:`budget_tick` once per iteration.  When no budget is active the
+:func:`budget_tick` once per iteration, and the preprocessing before
+any sampling — the Theorem 1 reduction build, the NFTA fixpoints, the
+dense compile and the sampling plan — calls :func:`budget_checkpoint`
+once per state, round or plan cell.  When no budget is active the
 call is a single context-variable read; when one is active, exceeding a
 limit raises :class:`~repro.errors.BudgetExceededError` carrying the
 phase, elapsed time and the limit hit.  A stalled evaluation therefore
@@ -240,7 +243,10 @@ def budget_scope(
 
     ``None`` (or an unlimited budget) is a no-op scope, so call sites
     can wrap unconditionally.  Scopes nest; the inner scope shadows the
-    outer for its duration.
+    outer for its duration.  An exception escaping the scope carries
+    the scope's final :class:`BudgetState` as ``budget_state`` (an
+    enclosing scope overwrites it on the way out), so a failed attempt
+    still reports the work it used.
     """
     if budget is None or budget.unlimited:
         yield None
@@ -249,6 +255,9 @@ def budget_scope(
     token = _ACTIVE.set(scope)
     try:
         yield scope
+    except BaseException as failure:
+        failure.budget_state = scope.snapshot()
+        raise
     finally:
         _ACTIVE.reset(token)
 

@@ -16,10 +16,17 @@ bounded width           instead when the lineage is tiny
 self-joins (unlifted)   lineage: exact WMC when small, Karp–Luby
                         otherwise (the FPRAS requires SJF)
 ======================  ============================================
+
+The table itself is code in :mod:`repro.core.tasks`:
+:func:`~repro.core.tasks.probability_route` decides ``auto``'s route
+(``explain`` and the degradation ladder read the same function), and
+:data:`~repro.core.tasks.TASKS` lists the methods each entry point
+accepts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +42,7 @@ from repro.obs import (
 from repro.core.exact import exact_probability, exact_uniform_reliability
 from repro.core.monte_carlo import monte_carlo_probability
 from repro.core.pqe_estimate import pqe_estimate
+from repro.core.tasks import TASKS, probability_route
 from repro.core.ur_estimate import ur_estimate
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
@@ -43,11 +51,7 @@ from repro.lineage.build import build_lineage
 from repro.lineage.exact_wmc import dnf_probability
 from repro.lineage.karp_luby import karp_luby_probability
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.lifted import (
-    classify_query,
-    evaluate_lifted_plan,
-    lifted_probability,
-)
+from repro.queries.lifted import evaluate_lifted_plan, lifted_probability
 from repro.queries.properties import is_hierarchical
 
 __all__ = ["PQEAnswer", "PQEPlan", "PQEEngine"]
@@ -55,17 +59,6 @@ __all__ = ["PQEAnswer", "PQEPlan", "PQEEngine"]
 # Distinguishes "seed not overridden" from an explicit seed=None
 # (nondeterministic) override in the per-call keyword arguments.
 _UNSET = object()
-
-_METHODS = (
-    "auto",
-    "lifted",
-    "fpras",
-    "fpras-weighted",
-    "lineage-exact",
-    "karp-luby",
-    "monte-carlo",
-    "enumerate",
-)
 
 
 def _pin_database(pdb):
@@ -269,30 +262,58 @@ class PQEEngine:
         already active (e.g. inside a profiled batch item) the call
         simply contributes to it.
         """
-        if method not in _METHODS:
-            raise ReproError(
-                f"unknown method {method!r}; choose from {_METHODS}"
-            )
         pdb = _pin_database(pdb)
-        if telemetry and active_telemetry() is None:
-            collected = EvaluationTelemetry()
-            with telemetry_scope(collected), span(
-                "probability", method=method
-            ):
-                answer = self.probability(
-                    query, pdb, method=method, seed=seed,
-                    cache=cache, budget=budget,
-                )
-            return dataclasses.replace(answer, telemetry=collected)
-        if budget is not None:
-            with budget_scope(budget):
-                return self.probability(
-                    query, pdb, method=method, seed=seed, cache=cache
-                )
-        seed = self.seed if seed is _UNSET else seed
-        cache = self.cache if cache is None else cache
+        return self._enter(
+            "probability", "probability", method, seed, cache, budget,
+            telemetry,
+            lambda seed, cache: self._probability(
+                query, pdb, method, seed, cache
+            ),
+        )
+
+    def _enter(
+        self, task, span_name, method, seed, cache, budget, telemetry, run
+    ) -> PQEAnswer:
+        """The one entry path of :meth:`probability`,
+        :meth:`uniform_reliability` and :meth:`rpq_probability`.
+
+        Checks ``method`` against the task table, opens the telemetry
+        scope (rooted at a ``span_name`` span) and the budget scope,
+        fills in the seed and cache defaults, then returns
+        ``run(seed, cache)``.
+        """
+        TASKS[task].check_method(method)
+        collected = (
+            EvaluationTelemetry()
+            if telemetry and active_telemetry() is None
+            else None
+        )
+        with telemetry_scope(collected), (
+            contextlib.nullcontext()
+            if collected is None
+            else span(span_name, method=method)
+        ), budget_scope(budget):
+            answer = run(
+                self.seed if seed is _UNSET else seed,
+                self.cache if cache is None else cache,
+            )
+        if collected is None:
+            return answer
+        return dataclasses.replace(answer, telemetry=collected)
+
+    def _probability(self, query, pdb, method, seed, cache) -> PQEAnswer:
         if method == "auto":
-            return self._auto_probability(query, pdb, seed, cache)
+            route = probability_route(query, pdb, self.lineage_budget)
+            if route.method == "lifted":
+                with span("route.lifted"):
+                    value = evaluate_lifted_plan(
+                        route.classification.plan, pdb, query.relation_names
+                    )
+                return PQEAnswer(float(value), "lifted", True, value)
+            if route.method == "lineage-exact":
+                value = dnf_probability(route.formula, route.probabilities)
+                return PQEAnswer(float(value), "lineage-exact", True, value)
+            method = route.method
         if method == "lifted":
             # Exact lifted inference; raises UnsafeQueryError /
             # UnknownSafetyError when no safe plan exists, which the
@@ -341,49 +362,6 @@ class PQEEngine:
             value = exact_probability(query, pdb, method="enumerate")
         return PQEAnswer(float(value), "enumerate", True, value)
 
-    def _auto_probability(
-        self,
-        query: ConjunctiveQuery,
-        pdb: ProbabilisticDatabase,
-        seed,
-        cache: ReductionCache | None,
-    ) -> PQEAnswer:
-        classification = classify_query(query)
-        if classification.safe:
-            with span("route.lifted"):
-                value = evaluate_lifted_plan(
-                    classification.plan, pdb, query.relation_names
-                )
-            return PQEAnswer(float(value), "lifted", True, value)
-        if query.is_self_join_free:
-            small = self._try_small_lineage(query, pdb)
-            if small is not None:
-                return small
-            return self.probability(
-                query, pdb, method="fpras", seed=seed, cache=cache
-            )
-        # Self-joins: the combined FPRAS does not apply (open per
-        # Table 1); fall back to the intensional route.
-        small = self._try_small_lineage(query, pdb)
-        if small is not None:
-            return small
-        return self.probability(
-            query, pdb, method="karp-luby", seed=seed, cache=cache
-        )
-
-    def _try_small_lineage(
-        self, query: ConjunctiveQuery, pdb: ProbabilisticDatabase
-    ) -> PQEAnswer | None:
-        projected = pdb.project_to_query(query)
-        try:
-            formula = build_lineage(
-                query, projected.instance, budget=self.lineage_budget
-            )
-        except LineageSizeBudgetExceeded:
-            return None
-        value = dnf_probability(formula, projected.probabilities)
-        return PQEAnswer(float(value), "lineage-exact", True, value)
-
     # ------------------------------------------------------------------
 
     def rpq_probability(
@@ -415,11 +393,6 @@ class PQEEngine:
         ``seed``/``cache``/``budget``/``telemetry`` behave exactly as
         in :meth:`probability`.
         """
-        from repro.graphs.estimate import (
-            RPQ_METHODS,
-            repetitions_for_delta,
-            rpq_probability_estimate,
-        )
         from repro.graphs.rpq import RPQQuery
 
         if isinstance(rpq, RPQQuery):
@@ -431,29 +404,22 @@ class PQEEngine:
                     "(or a pre-built RPQQuery)"
                 )
             query = RPQQuery(str(rpq), source, target)
-        if method not in RPQ_METHODS:
-            raise ReproError(
-                f"unknown RPQ method {method!r}; "
-                f"choose from {RPQ_METHODS}"
-            )
-        if telemetry and active_telemetry() is None:
-            collected = EvaluationTelemetry()
-            with telemetry_scope(collected), span(
-                "rpq_probability", method=method
-            ):
-                answer = self.rpq_probability(
-                    graph, query, method=method, delta=delta,
-                    seed=seed, cache=cache, budget=budget,
-                )
-            return dataclasses.replace(answer, telemetry=collected)
-        if budget is not None:
-            with budget_scope(budget):
-                return self.rpq_probability(
-                    graph, query, method=method, delta=delta,
-                    seed=seed, cache=cache,
-                )
-        seed = self.seed if seed is _UNSET else seed
-        cache = self.cache if cache is None else cache
+        return self._enter(
+            "rpq", "rpq_probability", method, seed, cache, budget,
+            telemetry,
+            lambda seed, cache: self._rpq_probability(
+                graph, query, method, delta, seed, cache
+            ),
+        )
+
+    def _rpq_probability(
+        self, graph, query, method, delta, seed, cache
+    ) -> PQEAnswer:
+        from repro.graphs.estimate import (
+            repetitions_for_delta,
+            rpq_probability_estimate,
+        )
+
         with span("rpq.compile", backend=self.kernel_backend):
             query.rpq.nfa  # parse + Glushkov, cached on the query
         estimate = rpq_probability_estimate(
@@ -483,18 +449,17 @@ class PQEEngine:
     ) -> PQEPlan:
         """Structural analysis + routing decision, without evaluating.
 
-        Builds the Theorem 1 automaton (cheap, polynomial) to report its
-        size, and counts lineage clauses up to the configured budget.
+        The route is :func:`~repro.core.tasks.probability_route`'s, the
+        one ``auto`` takes.  Also builds the Theorem 1 automaton (cheap,
+        polynomial) to report its size, and counts the lineage clauses
+        of a safe query up to the configured budget.
         """
         from repro.core.pqe_estimate import build_pqe_reduction
+        from repro.core.resilience import degradation_ladder
         from repro.decomposition import generalized_hypertree_width, is_acyclic
-        from repro.errors import LineageSizeBudgetExceeded
         from repro.lineage.build import lineage_clause_count
 
         sjf = query.is_self_join_free
-        hierarchical = is_hierarchical(query) if sjf else None
-        acyclic = is_acyclic(query)
-
         width: int | None = None
         nfta_states = nfta_transitions = tree_size = None
         if sjf:
@@ -507,31 +472,26 @@ class PQEEngine:
             nfta_transitions = reduction.nfta.num_transitions
             tree_size = reduction.tree_size
 
-        projected = pdb.project_to_query(query)
-        try:
-            clauses: int | None = lineage_clause_count(
-                query, projected.instance, budget=self.lineage_budget
-            )
-        except LineageSizeBudgetExceeded:
-            clauses = None
-
-        classification = classify_query(query)
-        if classification.safe:
-            method = "lifted"
-        elif sjf:
-            method = "lineage-exact" if clauses is not None else "fpras"
-        else:
-            method = "lineage-exact" if clauses is not None else "karp-luby"
-
-        from repro.core.resilience import degradation_ladder
+        route = probability_route(query, pdb, self.lineage_budget)
+        clauses: int | None = None
+        if route.formula is not None:
+            clauses = len(route.formula)
+        elif route.method == "lifted":
+            # Report-only: the lifted route never builds the lineage.
+            with contextlib.suppress(LineageSizeBudgetExceeded):
+                clauses = lineage_clause_count(
+                    query,
+                    pdb.project_to_query(query).instance,
+                    budget=self.lineage_budget,
+                )
 
         return PQEPlan(
             fallbacks=degradation_ladder(query),
-            safety=classification.status,
-            method=method,
+            safety=route.classification.status,
+            method=route.method,
             self_join_free=sjf,
-            hierarchical=hierarchical,
-            acyclic=acyclic,
+            hierarchical=is_hierarchical(query) if sjf else None,
+            acyclic=is_acyclic(query),
             hypertree_width=width,
             lineage_clauses=clauses,
             nfta_states=nfta_states,
@@ -583,32 +543,20 @@ class PQEEngine:
     ) -> PQEAnswer:
         """``UR(Q, D)``: number of satisfying subinstances."""
         instance = _pin_instance(instance)
-        if telemetry and active_telemetry() is None:
-            collected = EvaluationTelemetry()
-            with telemetry_scope(collected), span(
-                "uniform_reliability", method=method
-            ):
-                answer = self.uniform_reliability(
-                    query, instance, method=method, seed=seed,
-                    cache=cache, budget=budget,
-                )
-            return dataclasses.replace(answer, telemetry=collected)
-        if budget is not None:
-            with budget_scope(budget):
-                return self.uniform_reliability(
-                    query, instance, method=method, seed=seed, cache=cache
-                )
-        seed = self.seed if seed is _UNSET else seed
-        cache = self.cache if cache is None else cache
+        return self._enter(
+            "reliability", "uniform_reliability", method, seed, cache,
+            budget, telemetry,
+            lambda seed, cache: self._uniform_reliability(
+                query, instance, method, seed, cache
+            ),
+        )
+
+    def _uniform_reliability(
+        self, query, instance, method, seed, cache
+    ) -> PQEAnswer:
         if method in ("auto", "lifted", "lineage-exact"):
             pdb = ProbabilisticDatabase.uniform(instance)
-            answer = self.probability(
-                query,
-                pdb,
-                method="auto" if method == "auto" else method,
-                seed=seed,
-                cache=cache,
-            )
+            answer = self._probability(query, pdb, method, seed, cache)
             scale = Fraction(2) ** len(instance)
             if answer.rational is not None:
                 count = answer.rational * scale
@@ -631,15 +579,12 @@ class PQEEngine:
                     backend=self.kernel_backend,
                 )
             return PQEAnswer(estimate.estimate, "fpras", estimate.exact)
-        if method == "enumerate":
-            with span("route.enumerate", task="reliability"):
-                count = exact_uniform_reliability(
-                    query, instance, method="enumerate"
-                )
-            return PQEAnswer(float(count), "enumerate", True, Fraction(count))
-        raise ReproError(
-            f"unknown method {method!r} for uniform reliability"
-        )
+        # method == "enumerate"
+        with span("route.enumerate", task="reliability"):
+            count = exact_uniform_reliability(
+                query, instance, method="enumerate"
+            )
+        return PQEAnswer(float(count), "enumerate", True, Fraction(count))
 
     # ------------------------------------------------------------------
 

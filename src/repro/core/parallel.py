@@ -123,7 +123,7 @@ from repro.core.resilience import (
 from repro.core.tasks import TASKS, infer_task
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
-from repro.errors import BudgetExceededError, EstimationError, ReproError
+from repro.errors import EstimationError, ReproError
 from repro.graphs.model import ProbabilisticGraph
 from repro.testing.faults import fault_scope
 
@@ -484,7 +484,7 @@ class ItemRunner:
             budget=self.item_budget,
             policy=self.policy,
         )
-        return answer, answer.retries, None
+        return answer, answer.retries
 
     def _run_retrying(
         self, item: BatchItem, item_seed: int | None, item_started: float
@@ -492,13 +492,11 @@ class ItemRunner:
         attempt = 0
         while True:
             try:
-                with budget_scope(
-                    self.item_budget, started=item_started
-                ) as scope:
+                with budget_scope(self.item_budget, started=item_started):
                     answer = self._call_engine(
                         item, derive_retry_seed(item_seed, attempt)
                     )
-                return answer, attempt, scope
+                return answer, attempt
             except TRANSIENT_ERRORS:
                 # BudgetExceededError is not an EstimationError, so
                 # budget exhaustion never consumes retries.
@@ -517,7 +515,6 @@ class ItemRunner:
         item_seed = derive_item_seed(self.seed, index)
         item_started = time.perf_counter()
         retries = 0
-        scope = None
         # Worker threads have their own ContextVar contexts, so the
         # collector must be installed here, not by the caller.  The
         # ``item`` root span closes when this block unwinds — including
@@ -529,20 +526,21 @@ class ItemRunner:
                     "item", index=index, task=item.task, method=item.method
                 ):
                     if self.on_error == "degrade":
-                        answer, retries, scope = self._run_degrading(
+                        answer, retries = self._run_degrading(
                             item, item_seed
                         )
                     else:
-                        answer, retries, scope = self._run_retrying(
+                        answer, retries = self._run_retrying(
                             item, item_seed, item_started
                         )
             except BaseException as failure:
                 elapsed = time.perf_counter() - item_started
                 self.causes[index] = failure
                 retries = getattr(failure, "retries", retries)
-                if scope is not None:
-                    budget_state = scope.snapshot()
-                elif self.item_budget is not None:
+                # The failed attempt's scope stamped its usage on the
+                # failure; an unlimited budget opens no scope.
+                budget_state = getattr(failure, "budget_state", None)
+                if budget_state is None and self.item_budget is not None:
                     budget_state = BudgetState(
                         deadline=self.item_budget.deadline,
                         max_work_units=self.item_budget.max_work_units,
@@ -550,13 +548,8 @@ class ItemRunner:
                             self.item_budget.lineage_clause_cap
                         ),
                         elapsed=elapsed,
-                        work_units=getattr(failure, "used", 0)
-                        if isinstance(failure, BudgetExceededError)
-                        and failure.kind == "work_units"
-                        else 0,
+                        work_units=0,
                     )
-                else:
-                    budget_state = None
                 return BatchItemResult(
                     index=index,
                     answer=None,

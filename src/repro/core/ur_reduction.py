@@ -41,6 +41,7 @@ from typing import Hashable, Mapping, Sequence
 from repro.automata.augmented import AnnotatedSymbol, AugmentedNFTA
 from repro.automata.nfta import NFTA
 from repro.automata.symbols import PAD
+from repro.core.budget import budget_checkpoint
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.decomposition import HypertreeDecomposition, decompose
@@ -302,6 +303,7 @@ def _build_ur_reduction_body(
             child_vars.append(c_atom_vars)
 
         for assignment in states_at[node.node_id]:
+            budget_checkpoint("reduction.ur")
             assignment_map = dict(assignment)
             annotation = _annotation_for(
                 covered, assignment_map, projected, contract_mode

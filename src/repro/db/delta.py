@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.core.journal import RecordLog, check_fingerprint, read_records
-from repro.db.fact import Fact
+from repro.db.fact import Fact, fact_from_json
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.db.tokens import (
@@ -61,7 +61,7 @@ from repro.db.tokens import (
     line_summand,
     weighted_fact_line,
 )
-from repro.errors import DeltaError, JournalError
+from repro.errors import DeltaError, JournalError, SchemaError
 from repro.obs import metric_inc
 
 __all__ = [
@@ -151,7 +151,7 @@ class DeltaOp:
     @classmethod
     def from_record(cls, record: dict) -> "DeltaOp":
         try:
-            fact = Fact(record["relation"], tuple(record["constants"]))
+            fact = fact_from_json(record["relation"], record["constants"])
             probability = record.get("probability")
             return cls(
                 record["op"],
@@ -317,7 +317,12 @@ def apply_delta(
         # Rebuilding the instance revalidates the schema (e.g. an
         # insert reusing a relation name at a different arity fails
         # here, before anything is journalled) …
-        instance = DatabaseInstance(probabilities)
+        try:
+            instance = DatabaseInstance(probabilities)
+        except SchemaError as failure:
+            raise DeltaError(
+                f"delta conflicts with the schema: {failure}"
+            ) from failure
         # … and its unweighted accumulators are seeded incrementally
         # from the parent's, mirroring the weighted ones above.
         unweighted = dict(base.instance._accumulators)

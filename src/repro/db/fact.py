@@ -13,7 +13,7 @@ from typing import Hashable
 
 from repro.errors import SchemaError
 
-__all__ = ["Fact"]
+__all__ = ["Fact", "fact_from_json"]
 
 Constant = Hashable
 
@@ -60,3 +60,28 @@ class Fact:
         constructions only need *some* fixed total order per relation.
         """
         return (self.relation, tuple(str(c) for c in self.constants))
+
+
+def fact_from_json(relation, constants) -> Fact:
+    """The fact a JSON fact record names, checked field by field.
+
+    The one record check behind :func:`repro.io.load_pdb_json` and
+    :meth:`repro.db.delta.DeltaOp.from_record`: ``relation`` must be a
+    non-empty string and ``constants`` an array of strings or numbers —
+    a bare string would silently explode into one constant per
+    character.  Raises :class:`~repro.errors.SchemaError` naming the
+    offending field.
+    """
+    if not isinstance(relation, str) or not relation:
+        raise SchemaError(
+            f"'relation' must be a non-empty string, got {relation!r}"
+        )
+    if not isinstance(constants, (list, tuple)) or not all(
+        isinstance(c, (str, int, float)) and not isinstance(c, bool)
+        for c in constants
+    ):
+        raise SchemaError(
+            f"'constants' must be an array of strings or numbers, got "
+            f"{constants!r}"
+        )
+    return Fact(relation, tuple(constants))

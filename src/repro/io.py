@@ -36,9 +36,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
 
-from repro.db.fact import Fact
+from repro.db.fact import Fact, fact_from_json
 from repro.db.probabilistic import ProbabilisticDatabase
-from repro.errors import ContextualError, ParseError, ReproError
+from repro.errors import ContextualError, ParseError, ReproError, SchemaError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_query
 
@@ -138,15 +138,12 @@ def load_pdb_json(
                 f"{entry!r}",
                 phase="io.load",
             )
-        constants = entry["constants"]
-        if not isinstance(constants, list):
-            # A bare string would silently explode into characters.
+        try:
+            fact = fact_from_json(entry["relation"], entry["constants"])
+        except SchemaError as failure:
             raise ContextualError(
-                f"{name}: {record} 'constants' must be an array, got "
-                f"{constants!r}",
-                phase="io.load",
-            )
-        fact = Fact(entry["relation"], tuple(constants))
+                f"{name}: {record} {failure}", phase="io.load"
+            ) from failure
         if fact in labels:
             raise ContextualError(
                 f"{name}: {record} duplicates fact {fact}",

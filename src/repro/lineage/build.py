@@ -45,19 +45,8 @@ def build_lineage(
     witness charges one work unit against the deadline/work caps.
     """
     fault_point("lineage.build")
-    budget = effective_clause_budget(budget)
-    clauses: set[frozenset] = set()
     with span("lineage.build"):
-        for witness in witness_sets(query, instance):
-            budget_tick("lineage.build")
-            metric_inc("lineage.witnesses_enumerated")
-            before = len(clauses)
-            clauses.add(witness)
-            if len(clauses) > before:
-                metric_inc("lineage.clauses_built")
-            if budget is not None and len(clauses) > budget:
-                raise LineageSizeBudgetExceeded(budget, len(clauses))
-        formula = DNF(clauses)
+        formula = DNF(_distinct_witnesses(query, instance, budget))
         if minimize:
             formula = formula.minimized()
     return formula
@@ -68,21 +57,28 @@ def lineage_clause_count(
     instance: DatabaseInstance,
     budget: int | None = None,
 ) -> int:
-    """Count distinct lineage clauses without storing the formula.
+    """Count distinct lineage clauses without building the formula.
 
     Streaming variant for the blow-up benchmarks; same budget semantics
-    as :func:`build_lineage`.
+    as :func:`build_lineage`, whose witness loop it runs.
     """
+    with span("lineage.build", streaming=True):
+        return len(_distinct_witnesses(query, instance, budget))
+
+
+def _distinct_witnesses(query, instance, budget) -> set[frozenset]:
+    """The witness loop behind both entry points: the distinct clauses,
+    charging one work unit per witness and raising
+    :class:`~repro.errors.LineageSizeBudgetExceeded` past the budget."""
     budget = effective_clause_budget(budget)
     clauses: set[frozenset] = set()
-    with span("lineage.build", streaming=True):
-        for witness in witness_sets(query, instance):
-            budget_tick("lineage.build")
-            metric_inc("lineage.witnesses_enumerated")
-            before = len(clauses)
-            clauses.add(witness)
-            if len(clauses) > before:
-                metric_inc("lineage.clauses_built")
-            if budget is not None and len(clauses) > budget:
-                raise LineageSizeBudgetExceeded(budget, len(clauses))
-    return len(clauses)
+    for witness in witness_sets(query, instance):
+        budget_tick("lineage.build")
+        metric_inc("lineage.witnesses_enumerated")
+        before = len(clauses)
+        clauses.add(witness)
+        if len(clauses) > before:
+            metric_inc("lineage.clauses_built")
+        if budget is not None and len(clauses) > budget:
+            raise LineageSizeBudgetExceeded(budget, len(clauses))
+    return clauses

@@ -56,6 +56,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import signal
 import threading
 import time
@@ -390,6 +391,10 @@ class PQEServer:
         }
         if unknown:
             raise ReproError(f"unknown request fields {sorted(unknown)}")
+        if not isinstance(payload["query"], str):
+            raise ReproError(
+                f"query must be a string, got {payload['query']!r}"
+            )
         query = parse_query(payload["query"])
         task = payload.get("task", "probability")
         if task not in _TASKS:
@@ -399,17 +404,25 @@ class PQEServer:
         method = payload.get("method", "auto")
         if not isinstance(method, str):
             raise ReproError(f"method must be a string, got {method!r}")
+        TASKS[task].check_method(method)
         deadline = payload.get("deadline", self.config.default_deadline)
         if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
+            # JSON booleans are Python ints, and Python's decoder
+            # accepts NaN/Infinity, so both are excluded by hand.
+            if (
+                isinstance(deadline, bool)
+                or not isinstance(deadline, (int, float))
+                or not 0 < deadline < math.inf
+            ):
                 raise ReproError(
-                    f"deadline must be > 0, got {deadline}"
+                    f"deadline must be > 0 and finite (seconds), got "
+                    f"{deadline!r}"
                 )
+            deadline = float(deadline)
         seed = payload.get("seed")
         if seed is None:
             seed = self._request_seed(query, task, method)
-        elif not isinstance(seed, int):
+        elif isinstance(seed, bool) or not isinstance(seed, int):
             raise ReproError(f"seed must be an integer, got {seed!r}")
         return query, task, method, deadline, seed
 

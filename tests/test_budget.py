@@ -6,9 +6,11 @@ the real evaluation loops via :class:`PQEEngine` ``budget=`` arguments.
 
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
+from repro.automata.nfta_counting import count_nfta
 from repro.core.budget import (
     BudgetScope,
     EvaluationBudget,
@@ -19,10 +21,15 @@ from repro.core.budget import (
     effective_clause_budget,
 )
 from repro.core.estimator import PQEEngine
+from repro.core.kernels import clear_kernel_caches
+from repro.core.pqe_estimate import build_pqe_reduction
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import BudgetExceededError, EstimationError, ReproError
+from repro.obs import EvaluationTelemetry, telemetry_scope
+from repro.queries.builders import path_query
 from repro.queries.parser import parse_query
+from repro.workloads import complete_layered_path_instance
 
 QUERY = parse_query("Q :- R1(x, y), R2(y, z)")
 
@@ -210,3 +217,45 @@ def test_lineage_clause_cap_reroutes_auto():
     assert free.method == "lineage-exact"
     assert boxed.method == "fpras"
     assert boxed.value == pytest.approx(free.value, rel=0.6)
+
+
+# ---------------------------------------------------------------------
+# Preprocessing checkpoints: reduction build, fixpoints, plan build
+# ---------------------------------------------------------------------
+
+def _expired_scope():
+    """A scope whose deadline passed a second ago: the first checkpoint
+    reached raises."""
+    return budget_scope(
+        EvaluationBudget(deadline=0.01), started=time.perf_counter() - 1.0
+    )
+
+
+def _layered_pdb():
+    return ProbabilisticDatabase({
+        fact: Fraction(1, 3)
+        for fact in complete_layered_path_instance(3, 2)
+    })
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_reduction_build_checks_the_deadline(weighted):
+    with _expired_scope(), pytest.raises(BudgetExceededError) as info:
+        build_pqe_reduction(path_query(3), _layered_pdb(), weighted=weighted)
+    assert info.value.kind == "deadline"
+    assert info.value.phase == "reduction.ur"
+
+
+def test_count_nfta_checks_the_deadline_before_caching_its_plan():
+    reduction = build_pqe_reduction(path_query(3), _layered_pdb())
+    clear_kernel_caches()
+    with _expired_scope(), pytest.raises(BudgetExceededError) as info:
+        count_nfta(reduction.nfta, reduction.tree_size, exact_set_cap=0)
+    assert info.value.phase == "counting.nfta"
+    # The aborted call left no sampling plan behind: this one builds it.
+    telemetry = EvaluationTelemetry()
+    with telemetry_scope(telemetry):
+        count_nfta(
+            reduction.nfta, reduction.tree_size, seed=1, exact_set_cap=0
+        )
+    assert telemetry.counter("kernels.plan_cache.misses") == 1

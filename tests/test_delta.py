@@ -99,8 +99,17 @@ def test_empty_delta_is_rejected():
 
 
 def test_malformed_record_is_a_delta_error():
-    with pytest.raises(DeltaError, match="malformed delta op record"):
-        DeltaOp.from_record({"op": "insert"})
+    for record in (
+        {"op": "insert"},
+        {"op": "insert", "relation": 7, "constants": ["a"],
+         "probability": "1/2"},
+        {"op": "insert", "relation": "R1", "constants": [["x"]],
+         "probability": "1/2"},
+        {"op": "insert", "relation": "R1", "constants": "ab",
+         "probability": "1/2"},
+    ):
+        with pytest.raises(DeltaError, match="malformed delta op record"):
+            DeltaOp.from_record(record)
 
 
 def test_record_round_trip():

@@ -294,11 +294,36 @@ class TestExplain:
         assert plan.method == "fpras"
         assert "over budget" in plan.describe()
 
-    def test_plan_matches_auto_route(self):
-        # The plan's predicted method must match what auto actually runs.
-        query = path_query(3)
-        pdb = _pdb_for(query, seed=4)
-        engine = PQEEngine(seed=0)
+    @pytest.mark.parametrize(
+        "query, pdb, lineage_budget, route",
+        [
+            (star_query(2), _pdb_for(star_query(2), seed=2), 10_000,
+             "lifted"),
+            (path_query(3), _pdb_for(path_query(3), seed=4), 10_000,
+             "lineage-exact"),
+            (path_query(3), _pdb_for(path_query(3), seed=4), 0, "fpras"),
+            (
+                parse_query("R(x, y), R(y, z)"),
+                ProbabilisticDatabase({
+                    Fact("R", ("a", "b")): "1/2",
+                    Fact("R", ("b", "c")): "1/2",
+                }),
+                0,
+                "karp-luby",
+            ),
+        ],
+        ids=["safe", "small-lineage", "over-budget-sjf", "over-budget-sj"],
+    )
+    def test_plan_matches_auto_route(self, query, pdb, lineage_budget, route):
+        # explain, auto and the ladder read one router: the plan's
+        # predicted method is what auto runs, and an over-budget unsafe
+        # query lands on the ladder's randomized rung.
+        from repro.core.resilience import degradation_ladder
+
+        engine = PQEEngine(seed=0, lineage_budget=lineage_budget)
         plan = engine.explain(query, pdb)
         answer = engine.probability(query, pdb)
-        assert answer.method == plan.method
+        assert plan.method == answer.method == route
+        assert plan.fallbacks == degradation_ladder(query)
+        if route in ("fpras", "karp-luby"):
+            assert plan.fallbacks[:2] == ("auto", route)

@@ -15,6 +15,7 @@ checkpoint granularity (the timeout smoke test).
 
 import pytest
 
+from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import BatchError, BatchItem, evaluate_batch
@@ -25,6 +26,7 @@ from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import EstimationError, ReproError
 from repro.graphs import Edge, ProbabilisticGraph
 from repro.lineage.build import build_lineage
+from repro.queries.builders import path_query
 from repro.queries.parser import parse_query
 from repro.testing import (
     FAULT_SITES,
@@ -34,6 +36,7 @@ from repro.testing import (
     fault_scope,
     inject_faults,
 )
+from repro.workloads import complete_layered_path_instance
 
 pytestmark = pytest.mark.faults
 
@@ -413,3 +416,21 @@ def test_stalled_item_is_cut_off_at_the_deadline():
     assert stalled.elapsed < 2.0
     assert stalled.error.budget is not None
     assert stalled.error.budget.deadline == 0.25
+
+
+def test_failed_item_reports_the_work_its_attempt_used():
+    pdb = ProbabilisticDatabase({
+        fact: "1/3" for fact in complete_layered_path_instance(3, 2)
+    })
+    item = BatchItem(path_query(3), pdb, method="karp-luby")
+    with inject_faults(FaultSpec("lineage.karp_luby", times=1)):
+        batch = evaluate_batch(
+            PQEEngine(), [item], max_workers=1, seed=1,
+            budget=EvaluationBudget(max_work_units=10**9),
+            on_error="skip", telemetry=True,
+        )
+    error = batch.results[0].error
+    # The lineage build ticked before the injected fault; the record
+    # carries the attempt's own count, not a rebuilt zero.
+    assert error.budget.work_units == error.telemetry.counter("budget.ticks")
+    assert error.budget.work_units > 0

@@ -139,18 +139,28 @@ class TestBrokenFixtures:
             load_pdb(path)
 
     def test_malformed_entry_names_record(self, tmp_path):
-        path = self._write(
-            tmp_path, "bad-entry.json",
-            '{"facts": ['
-            '{"relation": "R", "constants": ["a"], "probability": "1/2"},'
-            '{"relation": "S"}]}',
-        )
-        with pytest.raises(ContextualError) as failure:
-            load_pdb(path)
-        message = str(failure.value)
-        assert "bad-entry.json" in message
-        assert "facts[1]" in message
-        assert "missing" in message
+        for entry, reason in (
+            ('{"relation": "S"}', "missing"),
+            # Wrong field types: never a bare TypeError.
+            ('{"relation": 7, "constants": ["a"], "probability": "1/2"}',
+             "'relation'"),
+            ('{"relation": "", "constants": ["a"], "probability": "1/2"}',
+             "'relation'"),
+            ('{"relation": "S", "constants": [["x"]], '
+             '"probability": "1/2"}', "'constants'"),
+        ):
+            path = self._write(
+                tmp_path, "bad-entry.json",
+                '{"facts": ['
+                '{"relation": "R", "constants": ["a"], "probability": "1/2"},'
+                + entry + "]}",
+            )
+            with pytest.raises(ContextualError) as failure:
+                load_pdb(path)
+            message = str(failure.value)
+            assert "bad-entry.json" in message
+            assert "facts[1]" in message
+            assert reason in message
 
     def test_string_constants_rejected_not_exploded(self, tmp_path):
         # A bare string would silently become one fact per character.

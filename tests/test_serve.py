@@ -362,6 +362,17 @@ class TestHandle:
         ({"query": BASE, "deadline": -1}, "deadline must be > 0"),
         ({"query": BASE, "seed": "x"}, "seed must be an integer"),
         ({"query": "not a query"}, ""),
+        ({"query": 5}, "query must be a string"),
+        ({"query": [BASE]}, "query must be a string"),
+        ({"query": BASE, "method": "nope"}, "unknown method"),
+        ({"query": BASE, "task": "reliability", "method": "karp-luby"},
+         "unknown method"),
+        ({"query": BASE, "deadline": "soon"}, "deadline must be > 0"),
+        ({"query": BASE, "deadline": [1]}, "deadline must be > 0"),
+        ({"query": BASE, "deadline": "nan"}, "deadline must be > 0"),
+        ({"query": BASE, "deadline": float("nan")}, "deadline must be > 0"),
+        ({"query": BASE, "deadline": True}, "deadline must be > 0"),
+        ({"query": BASE, "seed": True}, "seed must be an integer"),
     ])
     def test_bad_requests_are_400s(self, pdb, payload, match):
         server = make_server(pdb)
@@ -604,6 +615,22 @@ class TestDeltaEndpoint:
                       "constants": ["a", "b"]}]}
         )
         assert status == 400
+        # Malformed fact fields: never an unhandled TypeError, and a
+        # bare string is not exploded into one constant per character.
+        for relation, constants in (
+            (7, ["a", "b"]), ("P", [["x"]]), ("R", "ab"),
+        ):
+            status, body = server.handle_delta(
+                {"ops": [{"op": "insert", "relation": relation,
+                          "constants": constants, "probability": "1/2"}]}
+            )
+            assert status == 400 and body["reason"] == "bad_request"
+        # An insert at the wrong arity for its relation: a 409.
+        status, body = server.handle_delta(
+            {"ops": [{"op": "insert", "relation": "R",
+                      "constants": ["a", "b"], "probability": "1/2"}]}
+        )
+        assert status == 409 and body["reason"] == "delta_conflict"
         # Deleting a fact that is not there: a 409, head untouched.
         status, body = server.handle_delta(
             {"ops": [{"op": "delete", "relation": "P",

@@ -152,9 +152,15 @@ class TestEndpoints:
         assert get(server, "/healthz")[0] == 200
 
     def test_evaluate_rejects_bad_payload(self, server):
-        status, body = post(server, "/evaluate", {"nope": 1})
-        assert status == 400
-        assert body["reason"] == "bad_request"
+        # Wrong field types get a 400 too, not an empty reply.
+        for payload in (
+            {"nope": 1},
+            {"query": BASE, "deadline": "soon"},
+            {"query": 5},
+        ):
+            status, body = post(server, "/evaluate", payload)
+            assert status == 400
+            assert body["reason"] == "bad_request"
 
     def test_stats_endpoint(self, server):
         post(server, "/evaluate", {"query": BASE})

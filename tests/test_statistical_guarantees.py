@@ -18,12 +18,15 @@ import statistics
 import pytest
 
 from repro.core.exact import exact_probability, exact_uniform_reliability
+from repro.core.monte_carlo import monte_carlo_probability
 from repro.core.path_estimate import path_pqe_estimate
 from repro.core.pqe_estimate import pqe_estimate
 from repro.core.ur_estimate import ur_estimate
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
+from repro.lineage.build import build_lineage
+from repro.lineage.karp_luby import karp_luby_probability
 from repro.queries.parser import parse_query
 
 pytestmark = pytest.mark.statistical
@@ -55,9 +58,10 @@ INSTANCE = DatabaseInstance([
 
 #: The approximate PQE routes checked on QUERY over PDB: the weighted
 #: tree measure, the gadget automaton of Theorem 1 (the route ``auto``
-#: serves) and PathEstimate's weighted string measure (Theorem 2).
+#: serves), PathEstimate's weighted string measure (Theorem 2) and
+#: Karp–Luby over the 5-clause lineage (the self-join route).
 ROUTES = pytest.mark.parametrize(
-    "route", ["fpras-weighted", "fpras", "path-fpras"]
+    "route", ["fpras-weighted", "fpras", "path-fpras", "karp-luby"]
 )
 
 
@@ -66,6 +70,12 @@ def _run(route: str, seed: int, repetitions: int = 1):
         return path_pqe_estimate(
             QUERY, PDB, epsilon=EPSILON, seed=seed, exact_set_cap=0,
             repetitions=repetitions,
+        )
+    if route == "karp-luby":
+        projected = PDB.project_to_query(QUERY)
+        return karp_luby_probability(
+            build_lineage(QUERY, projected.instance),
+            projected.probabilities, epsilon=EPSILON, seed=seed,
         )
     return pqe_estimate(
         QUERY, PDB, epsilon=EPSILON, seed=seed, method=route,
@@ -80,6 +90,10 @@ def _pqe_trial(seed: int, repetitions: int = 1) -> float:
 @ROUTES
 def test_trials_are_really_sampled(route):
     result = _run(route, seed=0)
+    if route == "karp-luby":
+        # Never exact: the estimate is an acceptance rate.
+        assert 0 < result.accepted < result.samples
+        return
     assert not result.exact
     assert result.count_result.samples_used > 0
 
@@ -94,6 +108,21 @@ def test_pqe_fpras_meets_epsilon_delta_empirically(route):
         if abs(estimate - truth) > EPSILON * truth
     )
     assert failures / TRIALS <= DELTA
+
+
+def test_monte_carlo_meets_its_additive_bound_empirically():
+    # Monte-Carlo promises additive error only; the engine runs it at
+    # ε/4, so |est − truth| ≤ ε/4 must hold in ≥ 95% of trials.
+    truth = float(exact_probability(QUERY, PDB, method="lineage"))
+    failures = sum(
+        1 for seed in range(TRIALS)
+        if abs(
+            monte_carlo_probability(
+                QUERY, PDB, epsilon=EPSILON / 4, seed=seed
+            ).estimate - truth
+        ) > EPSILON / 4
+    )
+    assert failures / TRIALS <= 0.05
 
 
 def test_ur_fpras_meets_epsilon_delta_empirically():
