@@ -1,6 +1,7 @@
-"""RPQ benchmarks — grid scaling and CountNFA vs naive Monte-Carlo.
+"""RPQ benchmarks — grid scaling, CountNFA vs naive Monte-Carlo, and
+the exact product DP vs a frozenset subset sweep.
 
-Two gates for the probabilistic-graph RPQ route
+Three gates for the probabilistic-graph RPQ route
 (:func:`~repro.graphs.rpq_probability_estimate`):
 
 1. **Polynomial scaling.**  The layered product + exact CountNFA DP is
@@ -15,6 +16,11 @@ Two gates for the probabilistic-graph RPQ route
    PODS 2023).  Monte-Carlo cost is projected from a timed pilot
    (running the full schedule would take seconds); the CountNFA route
    must win by ≥ 10×.
+3. **Exact DP vs a frozenset sweep.**  On the 8×8 corner-to-corner
+   ``(a|b)*`` grid, :meth:`~repro.automata.nfa.NFA.count_exact` (the
+   integer subset DP, its compile included) must return the same
+   integer as :func:`frozenset_sweep`, the same layered subset
+   construction over frozensets of states, at least 3× faster.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from repro.bench.harness import (
     timed,
 )
 from repro.graphs import RPQQuery, rpq_monte_carlo, rpq_probability_estimate
+from repro.graphs.product import build_rpq_nfa, make_weight_of
 from repro.workloads.graphs import grid_graph
 
 SEED = 2023
@@ -37,6 +44,8 @@ EPSILON = 0.1
 DELTA = 0.05
 #: Timed Monte-Carlo pilot used to price one world sample.
 PILOT_SAMPLES = 2000
+#: Grid side of the exact-DP gate.
+DP_GRID = 8
 
 
 def _corner_query(rows: int, cols: int, regex: str) -> RPQQuery:
@@ -132,6 +141,65 @@ def run_speedup() -> tuple[ResultTable, float]:
     return table, speedup
 
 
+def frozenset_sweep(nfa, length: int, weight_of) -> int:
+    """The weighted ``|L_n|`` by a layered subset sweep whose subsets
+    are frozensets of states and whose moves are :meth:`NFA.move` — the
+    exact DP's algorithm before its integer form, kept as the gate's
+    baseline."""
+    level = {nfa.initial: 1}
+    for _ in range(length):
+        nxt: dict = {}
+        for subset, count in level.items():
+            symbols: set = set()
+            for state in subset:
+                symbols.update(nfa.successors(state))
+            for symbol in symbols:
+                weight = weight_of(symbol)
+                if not weight:
+                    continue
+                target = nfa.move(subset, symbol)
+                if target:
+                    nxt[target] = nxt.get(target, 0) + weight * count
+        level = nxt
+        if not level:
+            return 0
+    return sum(
+        count for subset, count in level.items() if subset & nfa.accepting
+    )
+
+
+def run_exact_dp_speedup(repeats: int = 3) -> tuple[ResultTable, float]:
+    graph = grid_graph(DP_GRID, DP_GRID, seed=SEED)
+    query = _corner_query(DP_GRID, DP_GRID, "(a|b)*")
+    weight_of = make_weight_of(graph)
+    sweep_best = dp_best = math.inf
+    for _ in range(repeats):
+        # A fresh product each time, so the DP pays its compile.
+        reduction = build_rpq_nfa(graph, query)
+        nfa, length = reduction.nfa, reduction.string_length
+        expected, seconds = timed(
+            lambda: frozenset_sweep(nfa, length, weight_of)
+        )
+        sweep_best = min(sweep_best, seconds)
+        measure, seconds = timed(
+            lambda: nfa.count_exact(length, weight_of=weight_of)
+        )
+        dp_best = min(dp_best, seconds)
+        assert measure == expected, "the exact DP and the sweep disagree"
+    table = ResultTable(
+        f"Exact product DP vs frozenset subset sweep, {DP_GRID}x{DP_GRID}"
+        f" grid, '(a|b)*' corner to corner (best of {repeats})",
+        ["counter", "product states", "layers", "time (s)"],
+    )
+    table.add_row([
+        "frozenset sweep", reduction.nfa_states, length, sweep_best,
+    ])
+    table.add_row([
+        "NFA.count_exact", reduction.nfa_states, length, dp_best,
+    ])
+    return table, sweep_best / dp_best
+
+
 def test_grid_scaling_is_polynomial():
     _table, exponent = run_scaling()
     # Layered DP is low-order polynomial in the edge count; 4 leaves
@@ -142,6 +210,11 @@ def test_grid_scaling_is_polynomial():
 def test_countnfa_beats_naive_monte_carlo_10x():
     _table, speedup = run_speedup()
     assert speedup >= 10
+
+
+def test_exact_dp_speedup():
+    _table, speedup = run_exact_dp_speedup()
+    assert speedup >= 3
 
 
 def test_largest_grid_exact_run(benchmark):
@@ -166,3 +239,7 @@ if __name__ == "__main__":
     print(f"CountNFA speedup over naive Monte-Carlo: {speedup:.0f}x")
     print("(naive MC pays a 1/p factor for relative accuracy; the")
     print(" CountNFA route does not — that is the FPRAS claim)")
+    print()
+    table, speedup = run_exact_dp_speedup()
+    table.print()
+    print(f"exact DP speedup over the frozenset sweep: {speedup:.1f}x")

@@ -3,14 +3,16 @@
 The warm-up construction of Section 3 reduces uniform reliability of a
 path query to counting the strings of length |D| accepted by an NFA.
 This module provides the NFA structure itself, membership testing (also
-*from* a given state), trimming, and an
-**exact** counter for ``|L_n(M)|`` based on the layered subset
-construction — the ground truth that the FPRAS in
+*from* a given state), trimming, an integer form (:class:`CompiledNFA`,
+built once per NFA on first use) and an **exact** counter for
+``|L_n(M)|`` based on the layered subset construction, run on that
+integer form — the ground truth that the FPRAS in
 :mod:`repro.automata.nfa_counting` is validated against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -21,6 +23,24 @@ __all__ = ["NFA"]
 
 State = Hashable
 Symbol = Hashable
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledNFA:
+    """An NFA numbered for integer work (:attr:`NFA.compiled`).
+
+    States and symbols are numbered in ``str`` order, so sorting by id
+    is deterministic across hash seeds.  ``letters[s]`` lists state
+    ``s``'s transitions as ``(symbol id, sorted target ids)`` pairs in
+    symbol-id order; ``initial`` holds the sorted initial ids and bit
+    ``s`` of ``accepting_mask`` is set iff state ``s`` accepts.
+    """
+
+    states: tuple
+    symbols: tuple
+    letters: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    initial: tuple[int, ...]
+    accepting_mask: int
 
 
 class NFA:
@@ -98,6 +118,33 @@ class NFA:
     def successors(self, state: State) -> Mapping[Symbol, frozenset[State]]:
         """Outgoing transitions of a state, grouped by symbol."""
         return self._delta.get(state, {})
+
+    @cached_property
+    def compiled(self) -> CompiledNFA:
+        """The integer form the exact counter and the CountNFA plan run
+        on, built on first use (so an NFA pickled before it is counted
+        pickles without it)."""
+        states = tuple(sorted(self._states, key=str))
+        state_id = {state: index for index, state in enumerate(states)}
+        symbols = tuple(sorted(self._alphabet, key=str))
+        symbol_id = {symbol: index for index, symbol in enumerate(symbols)}
+        letters = tuple(
+            tuple(sorted(
+                (symbol_id[symbol], tuple(sorted(state_id[t] for t in targets)))
+                for symbol, targets in self._delta.get(state, {}).items()
+            ))
+            for state in states
+        )
+        accepting_mask = 0
+        for state in self._accepting:
+            accepting_mask |= 1 << state_id[state]
+        return CompiledNFA(
+            states=states,
+            symbols=symbols,
+            letters=letters,
+            initial=tuple(sorted(state_id[q] for q in self._initial)),
+            accepting_mask=accepting_mask,
+        )
 
     def transitions(self) -> Iterator[tuple[State, Symbol, State]]:
         for source, by_symbol in self._delta.items():
@@ -200,10 +247,20 @@ class NFA:
         Worst-case exponential in |S| but fast on the automata this
         library constructs, whose reachable subsets stay small.
 
+        The sweep runs on :attr:`compiled`, over integers.  Each layer
+        numbers only the states its frontier holds, as local bits in
+        first-seen order, so a subset is a small ``int`` mask, and gives
+        each symbol it reads a slot of that many bits.  An active state's
+        row packs its ``(symbol, next-layer target mask)`` pairs into one
+        ``int``, one mask per slot, so a subset's move on every symbol at
+        once is the OR of its states' rows.
+
         With ``weight_of`` (symbol → weight), each string contributes
         the product of its symbols' weights instead of 1 — the weighted
         string measure used by the gadget-free path-query PQE pipeline
-        (:func:`repro.core.path_estimate.path_pqe_estimate`).
+        (:func:`repro.core.path_estimate.path_pqe_estimate`).  It is
+        called once per symbol the sweep meets, and symbols of falsy
+        weight are skipped.
 
         ``max_subsets`` bounds the determinized frontier: when some
         level holds more than this many distinct state subsets the
@@ -223,20 +280,57 @@ class NFA:
             raise AutomatonError(
                 f"max_subsets must be >= 1, got {max_subsets}"
             )
-        weigh = weight_of if weight_of is not None else (lambda _s: 1)
-        level: dict[frozenset[State], object] = {self._initial: 1}
+        compiled = self.compiled
+        letters = compiled.letters
+        symbols = compiled.symbols
+        weights: dict[int, object] = {}
+        # active[i] is the state id behind local bit i of this layer.
+        active = compiled.initial
+        level: dict[int, object] = {(1 << len(active)) - 1: 1}
         for _ in range(length):
             budget_checkpoint("counting.nfa")
-            nxt: dict[frozenset[State], object] = {}
-            for subset, count in level.items():
-                symbols: set[Symbol] = set()
-                for state in subset:
-                    symbols.update(self._delta.get(state, {}))
-                for symbol in symbols:
-                    weight = weigh(symbol)
-                    if not weight:
+            local: dict[int, int] = {}
+            slots: dict[int, int] = {}
+            pairs = []
+            for state in active:
+                row = []
+                for symbol, targets in letters[state]:
+                    if symbol not in weights:
+                        weights[symbol] = (
+                            1 if weight_of is None
+                            else weight_of(symbols[symbol])
+                        )
+                    if not weights[symbol]:
                         continue
-                    target = self.move(subset, symbol)
+                    slot = slots.setdefault(symbol, len(slots))
+                    mask = 0
+                    for target in targets:
+                        bit = local.get(target)
+                        if bit is None:
+                            bit = local[target] = len(local)
+                        mask |= 1 << bit
+                    row.append((slot, mask))
+                pairs.append(row)
+            width = len(local)
+            rows = [
+                sum(mask << slot * width for slot, mask in row)
+                for row in pairs
+            ]
+            reads = [
+                (weights[symbol], slot * width)
+                for symbol, slot in slots.items()
+            ]
+            full = (1 << width) - 1
+            active = tuple(local)
+            nxt: dict[int, object] = {}
+            for subset, count in level.items():
+                moved = 0
+                while subset:
+                    low = subset & -subset
+                    moved |= rows[low.bit_length() - 1]
+                    subset ^= low
+                for weight, shift in reads:
+                    target = moved >> shift & full
                     if target:
                         nxt[target] = nxt.get(target, 0) + weight * count
             level = nxt
@@ -244,10 +338,12 @@ class NFA:
                 return None
             if not level:
                 return 0
+        accepting = 0
+        for bit, state in enumerate(active):
+            if compiled.accepting_mask >> state & 1:
+                accepting |= 1 << bit
         return sum(
-            count
-            for subset, count in level.items()
-            if subset & self._accepting
+            count for subset, count in level.items() if subset & accepting
         )
 
     def enumerate_language(self, length: int) -> Iterator[tuple[Symbol, ...]]:

@@ -394,13 +394,15 @@ class _WordPlan:
     """Seed-free preprocessing of one (NFA, length), shared by the
     repetitions of a :func:`count_nfa` call.
 
-    States and symbols are numbered in ``str`` order, so sorting by id
-    is the deterministic order the evaluator visits them in.
-    ``cells[i]`` describes the i-th needed (state, remaining) pair in
-    evaluation order: for ``remaining == 0`` whether the state accepts,
-    otherwise its letters as ``(symbol id, ((target id, pair index),
-    …))``.  ``backward[a][t]`` is the bitmask of states reaching state
-    ``t`` on symbol ``a`` — one step of the acceptance masks.
+    States, symbols, letters, initial states and the accepting mask
+    come from :attr:`NFA.compiled <repro.automata.nfa.NFA.compiled>`,
+    numbered in ``str`` order, so sorting by id is the deterministic
+    order the evaluator visits them in.  ``cells[i]`` describes the
+    i-th needed (state, remaining) pair in evaluation order: for
+    ``remaining == 0`` whether the state accepts, otherwise its letters
+    as ``(symbol id, ((target id, pair index), …))``.  ``backward[a][t]``
+    is the bitmask of states reaching state ``t`` on symbol ``a`` — one
+    step of the acceptance masks.
     """
 
     __slots__ = (
@@ -409,30 +411,21 @@ class _WordPlan:
     )
 
     def __init__(self, nfa: NFA, length: int):
-        self.states = states = tuple(sorted(nfa.states, key=str))
-        state_id = {state: index for index, state in enumerate(states)}
-        self.symbols = tuple(sorted(nfa.alphabet, key=str))
-        symbol_id = {symbol: index for index, symbol in enumerate(self.symbols)}
-        self.accepting_mask = 0
-        for state in nfa.accepting:
-            self.accepting_mask |= 1 << state_id[state]
+        compiled = nfa.compiled
+        self.states = compiled.states
+        self.symbols = compiled.symbols
+        self.accepting_mask = compiled.accepting_mask
+        letters = compiled.letters
         backward: list[dict[int, int]] = [{} for _ in self.symbols]
-        letters: list[list] = [[] for _ in states]
-        for state in states:
-            successors = nfa.successors(state)
-            for symbol in sorted(successors, key=symbol_id.__getitem__):
-                targets = sorted(state_id[t] for t in successors[symbol])
-                sid = symbol_id[symbol]
-                letters[state_id[state]].append((sid, targets))
+        for state, state_letters in enumerate(letters):
+            for sid, targets in state_letters:
                 table = backward[sid]
                 for target in targets:
-                    table[target] = (
-                        table.get(target, 0) | 1 << state_id[state]
-                    )
+                    table[target] = table.get(target, 0) | 1 << state
         self.backward = backward
 
         needed: set[tuple[int, int]] = set()
-        stack = [(state_id[q], length) for q in nfa.initial]
+        stack = [(q, length) for q in compiled.initial]
         while stack:
             pair = stack.pop()
             if pair in needed:
@@ -462,8 +455,7 @@ class _WordPlan:
         self.cells = tuple(cells)
         self.used_symbols = tuple(sorted(used))
         self.roots = tuple(
-            (state, index[(state, length)])
-            for state in sorted(state_id[q] for q in nfa.initial)
+            (state, index[(state, length)]) for state in compiled.initial
         )
 
 

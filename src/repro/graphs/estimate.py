@@ -6,7 +6,8 @@ seeding, caching, budgets and telemetry plumbing).  Methods:
 
 ``exact``
     Weighted layered subset DP over the product NFA
-    (:meth:`~repro.automata.nfa.NFA.count_exact`) — integer arithmetic
+    (:meth:`~repro.automata.nfa.NFA.count_exact`, on integer state ids
+    with each layer's subsets as small bitmasks) — integer arithmetic
     end to end, so the answer is an exact :class:`~fractions.Fraction`
     bitwise-comparable to the brute-force oracle.  DAGs only.
 ``fpras``
@@ -176,10 +177,10 @@ def rpq_probability_estimate(
 
     ``backend`` is the counting-kernel knob (see
     :mod:`repro.core.kernels`), validated here; both RPQ routes are
-    backend-independent — the exact product DP is the scalar subset
-    sweep of :meth:`repro.automata.nfa.NFA.count_exact` and the FPRAS
-    one shared RNG-order-bound loop — so the exact-count cache key
-    omits it.
+    backend-independent — the exact product DP is the one integer
+    subset DP of :meth:`repro.automata.nfa.NFA.count_exact` and the
+    FPRAS one shared RNG-order-bound loop — so the exact-count cache
+    key omits it.
     """
     if method not in RPQ_METHODS:
         raise EstimationError(

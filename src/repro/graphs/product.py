@@ -97,30 +97,34 @@ def relevant_edges(
     reachable from its target — all over label-compatible edges.
     Everything else marginalises to probability mass 1 and is sound to
     drop (the brute-force oracle enumerates only relevant edges for the
-    same reason).
+    same reason).  Both reachability passes walk adjacency lists, so
+    the whole filter is linear in the edge count.
     """
     labels = query.rpq.labels
     candidates = [e for e in graph.edges if e.label in labels]
-    forward: set[str] = {query.source}
-    changed = True
-    while changed:
-        changed = False
-        for edge in candidates:
-            if edge.source in forward and edge.target not in forward:
-                forward.add(edge.target)
-                changed = True
-    backward: set[str] = {query.target}
-    changed = True
-    while changed:
-        changed = False
-        for edge in candidates:
-            if edge.target in backward and edge.source not in backward:
-                backward.add(edge.source)
-                changed = True
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
+    for edge in candidates:
+        successors.setdefault(edge.source, []).append(edge.target)
+        predecessors.setdefault(edge.target, []).append(edge.source)
+    forward = _reachable(query.source, successors)
+    backward = _reachable(query.target, predecessors)
     return tuple(
         e for e in candidates
         if e.source in forward and e.target in backward
     )
+
+
+def _reachable(start: str, adjacency: dict[str, list[str]]) -> set[str]:
+    """The nodes reachable from ``start`` (itself included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for node in adjacency.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,22 @@ def build_rpq_nfa(
                     )
         states_by_layer = nxt
 
-    # Flatten layer-0 initial states to match the transition encoding.
-    product = NFA(
-        transitions,
-        initial=initial,
-        accepting=[(m, done)],
-    ).trimmed()
+    # Every state built above is reachable, and each layer's
+    # transitions precede the next layer's, so one reverse pass finds
+    # the states that reach acceptance and keeps exactly the
+    # transitions between them: the trimmed product, built once.
+    useful = {(m, done)}
+    kept = []
+    for transition in reversed(transitions):
+        if transition[2] in useful:
+            useful.add(transition[0])
+            kept.append(transition)
+    kept.reverse()
+    initial &= useful
+    product = (
+        NFA(kept, initial=initial, accepting=[(m, done)])
+        if initial else _dead_nfa()
+    )
     return RPQReduction(
         nfa=product,
         string_length=m,

@@ -10,15 +10,18 @@ generators.  The heavyweight cross-oracle comparisons live in the
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import BatchItem
 from repro.core.resilience import degradation_ladder, evaluate_with_policy
 from repro.errors import (
+    BudgetExceededError,
     EstimationError,
     GraphError,
     ProbabilityError,
@@ -181,6 +184,40 @@ def test_relevant_edges_prunes_labels_and_corridors():
     # The chord u→c→v is label-irrelevant for "a b".
     assert Edge("u", "c", "v") not in rel
     assert len(rel) == 4
+
+
+def test_relevant_edges_is_linear_and_keeps_its_deadline():
+    # A descending chain v{i+1} -a-> v{i}: a fixpoint that rescans the
+    # candidates once per node it adds is quadratic here, and overran
+    # this deadline before the first world was sampled.
+    chain = ProbabilisticGraph({
+        Edge(f"v{i + 1:05d}", "a", f"v{i:05d}"): "1/2" for i in range(8000)
+    })
+    deadline = 0.5
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        PQEEngine(seed=1).rpq_probability(
+            chain, "a*", "v08000", "v00000", method="monte-carlo",
+            budget=EvaluationBudget(deadline=deadline),
+        )
+    assert time.perf_counter() - started < 2 * deadline
+
+
+def test_product_is_built_trim():
+    grid = grid_graph(4, 4, seed=0)
+    for graph, query in (
+        (DIAMOND, AB),
+        (grid, RPQQuery("(a|b)*", "n0_0", "n3_3")),
+        (grid, RPQQuery("a+ b+ a+", "n0_0", "n3_3")),
+    ):
+        nfa = build_rpq_nfa(graph, query).nfa
+        trimmed = nfa.trimmed()
+        assert nfa.accepting
+        assert trimmed.states == nfa.states
+        assert set(trimmed.transitions()) == set(nfa.transitions())
+        assert (trimmed.initial, trimmed.accepting) == (
+            nfa.initial, nfa.accepting
+        )
 
 
 def test_trivial_cases_short_circuit():

@@ -1,6 +1,8 @@
 """Unit and property tests for the NFA substrate."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -76,12 +78,48 @@ class TestCounting:
     @settings(max_examples=25, deadline=None)
     def test_count_matches_enumeration(self, seed):
         nfa = _random_nfa(seed)
+        rng = random.Random(seed)
+        weight_maps = (
+            {"a": rng.randint(0, 3), "b": rng.randint(0, 3)},
+            {"a": 0, "b": rng.randint(1, 3)},
+            # "b" is missing: weights.get gives None, a falsy weight.
+            {"a": rng.randint(1, 3)},
+        )
         for n in range(0, 5):
             enumerated = list(nfa.enumerate_language(n))
             assert nfa.count_exact(n) == len(enumerated)
             assert len(set(enumerated)) == len(enumerated)
             for word in enumerated:
                 assert nfa.accepts(word)
+            for weights in weight_maps:
+                expected = sum(
+                    math.prod(weights.get(symbol) or 0 for symbol in word)
+                    for word in enumerated
+                )
+                assert nfa.count_exact(n, weight_of=weights.get) == expected
+                self._check_frontier_bound(nfa, n, weights, expected)
+
+    @staticmethod
+    def _check_frontier_bound(nfa, n, weights, expected):
+        """``max_subsets=c`` gives up exactly when some layer reaches
+        more than ``c`` distinct non-empty subsets by words over the
+        nonzero-weight symbols, and otherwise returns the full count."""
+        symbols = sorted(s for s in nfa.alphabet if weights.get(s))
+        widest = 1
+        for k in range(1, n + 1):
+            frontier = set()
+            for word in product(symbols, repeat=k):
+                reached = nfa.initial
+                for symbol in word:
+                    reached = nfa.move(reached, symbol)
+                if reached:
+                    frontier.add(reached)
+            widest = max(widest, len(frontier))
+        for cap in range(1, widest + 2):
+            bounded = nfa.count_exact(
+                n, weight_of=weights.get, max_subsets=cap
+            )
+            assert bounded == (None if widest > cap else expected)
 
 
 class TestTrim:

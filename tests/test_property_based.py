@@ -598,7 +598,8 @@ def test_glushkov_nfa_agrees_with_reference_matcher(seed):
 def test_product_accepts_exactly_the_satisfying_subsets(seed):
     """Layered-product language soundness: the reduction's NFA accepts
     a literal string iff the corresponding edge subset satisfies the
-    RPQ (per the automaton-free product-BFS oracle)."""
+    RPQ (per the automaton-free product-BFS oracle).  The product is
+    built trim: trimming it again changes nothing."""
     rng = random.Random(seed)
     graph = _random_dag(rng)
     nodes = sorted(graph.nodes)
@@ -611,6 +612,19 @@ def test_product_accepts_exactly_the_satisfying_subsets(seed):
         world = list(relevant_edges(graph, query))
         assert rpq_holds(world, query) == (reduction.trivial == 1)
         return
+    nfa = reduction.nfa
+    trimmed = nfa.trimmed()
+    if nfa.accepting:
+        assert trimmed.states == nfa.states
+        assert set(trimmed.transitions()) == set(nfa.transitions())
+        assert trimmed.initial == nfa.initial
+        assert trimmed.accepting == nfa.accepting
+    else:
+        # Nothing reaches acceptance: the product is the one-state dead
+        # NFA, the same size as the empty NFA ``trimmed()`` returns.
+        for dead in (nfa, trimmed):
+            assert len(dead.states) == 1 and dead.states == dead.initial
+            assert dead.num_transitions == 0 and not dead.accepting
     for mask in range(1 << len(edges)):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         word = tuple(
