@@ -149,13 +149,6 @@ class NFTA:
         return digest.hexdigest()[:32]
 
     @cached_property
-    def by_source(self) -> dict[State, tuple[Transition, ...]]:
-        out: dict[State, list[Transition]] = {}
-        for transition in self._transitions:
-            out.setdefault(transition[0], []).append(transition)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def by_symbol(self) -> dict[Symbol, tuple[Transition, ...]]:
         out: dict[Symbol, list[Transition]] = {}
         for transition in self._transitions:

@@ -110,7 +110,7 @@ def load_facts_csv(
     if source is None:
         name = getattr(stream, "name", None)
         source = name if isinstance(name, str) else "<csv>"
-    labels: dict[Fact, str] = {}
+    labels: dict[Fact, Fraction] = {}
     reader = csv.reader(
         line for line in stream
         if line.strip() and not line.lstrip().startswith("#")
@@ -127,13 +127,19 @@ def load_facts_csv(
         relation = row[0].strip()
         probability = row[1].strip()
         try:
-            Fraction(probability)
+            label = Fraction(probability)
         except (ValueError, ZeroDivisionError) as failure:
             raise ContextualError(
                 f"{source}: row {row_number}: invalid probability "
                 f"{probability!r} (expected a rational like '1/2')",
                 phase="io.load",
             ) from failure
+        if not 0 <= label <= 1:
+            raise ContextualError(
+                f"{source}: row {row_number}: probability "
+                f"{probability!r} outside [0, 1]",
+                phase="io.load",
+            )
         constants = tuple(value.strip() for value in row[2:])
         fact = Fact(relation, constants)
         if fact in labels:
@@ -141,7 +147,7 @@ def load_facts_csv(
                 f"{source}: row {row_number}: duplicate fact {fact}",
                 phase="io.load",
             )
-        labels[fact] = probability
+        labels[fact] = label
     if not labels:
         raise ContextualError(
             f"{source}: no facts found in CSV input", phase="io.load"
@@ -771,7 +777,7 @@ def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
             max_workers=args.workers,
             seed=args.seed,
             cache=cache,
-            timeout=args.timeout,
+            budget=_budget(args),
             max_retries=args.max_retries,
             on_error=args.on_error,
             telemetry=profiled,

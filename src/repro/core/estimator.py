@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,6 +114,15 @@ class PQEAnswer:
 
     def __float__(self) -> float:
         return self.value
+
+
+def _float(value: Fraction) -> float:
+    """``float(value)``, or ``math.inf`` once a reliability count
+    (up to ``2^|D|``) leaves the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -420,7 +430,7 @@ class PQEEngine:
             rpq_probability_estimate,
         )
 
-        with span("rpq.compile", backend=self.kernel_backend):
+        with span("rpq.compile"):
             query.rpq.nfa  # parse + Glushkov, cached on the query
         estimate = rpq_probability_estimate(
             graph,
@@ -433,7 +443,6 @@ class PQEEngine:
                 delta, floor=self.repetitions
             ),
             cache=cache,
-            backend=self.kernel_backend,
         )
         return PQEAnswer(
             estimate.estimate,
@@ -455,7 +464,6 @@ class PQEEngine:
         of a safe query up to the configured budget.
         """
         from repro.core.pqe_estimate import build_pqe_reduction
-        from repro.core.resilience import degradation_ladder
         from repro.decomposition import generalized_hypertree_width, is_acyclic
         from repro.lineage.build import lineage_clause_count
 
@@ -486,7 +494,7 @@ class PQEEngine:
                 )
 
         return PQEPlan(
-            fallbacks=degradation_ladder(query),
+            fallbacks=TASKS["probability"].ladder(query, "auto"),
             safety=route.classification.status,
             method=route.method,
             self_join_free=sjf,
@@ -557,14 +565,16 @@ class PQEEngine:
         if method in ("auto", "lifted", "lineage-exact"):
             pdb = ProbabilisticDatabase.uniform(instance)
             answer = self._probability(query, pdb, method, seed, cache)
-            scale = Fraction(2) ** len(instance)
+            scale = 2 ** len(instance)
             if answer.rational is not None:
                 count = answer.rational * scale
                 return PQEAnswer(
-                    float(count), answer.method, True, count
+                    _float(count), answer.method, True, count
                 )
             return PQEAnswer(
-                answer.value * float(scale), answer.method, answer.exact
+                _float(Fraction(answer.value) * scale),
+                answer.method,
+                answer.exact,
             )
         if method == "fpras":
             with span("route.fpras", task="reliability"):
@@ -598,14 +608,17 @@ class PQEEngine:
         seed=_UNSET,
         cache: ReductionCache | None = None,
         budget: EvaluationBudget | None = None,
-        policy=None,
+        max_retries: int = 1,
+        routes: tuple[str, ...] | None = None,
     ) -> PQEAnswer:
         """Evaluate with bounded retries and graceful route degradation.
 
         On budget exhaustion or estimation failure the route falls back
-        along exact-WMC → FPRAS → Monte-Carlo with widened ε; the
-        answer's ``degradations``/``retries`` fields record the path
-        taken.  See :func:`repro.core.resilience.evaluate_with_policy`.
+        along exact-WMC → FPRAS → Monte-Carlo (or along ``routes``)
+        with widened ε, retrying transient failures up to
+        ``max_retries`` times per rung; the answer's
+        ``degradations``/``retries`` fields record the path taken.  See
+        :func:`repro.core.resilience.evaluate_with_policy`.
         """
         from repro.core.resilience import evaluate_with_policy
 
@@ -618,7 +631,8 @@ class PQEEngine:
             seed=self.seed if seed is _UNSET else seed,
             cache=cache if cache is not None else self.cache,
             budget=budget,
-            policy=policy,
+            max_retries=max_retries,
+            routes=routes,
         )
 
     # ------------------------------------------------------------------
@@ -630,11 +644,10 @@ class PQEEngine:
         max_workers: int | None = None,
         seed=_UNSET,
         cache: ReductionCache | None = None,
-        timeout: float | None = None,
         budget: EvaluationBudget | None = None,
         max_retries: int = 0,
         on_error: str = "fail",
-        policy=None,
+        routes: tuple[str, ...] | None = None,
         telemetry: bool = False,
         isolation: str = "thread",
         memory_limit: int | None = None,
@@ -652,10 +665,11 @@ class PQEEngine:
         ``max_workers``, and matches a sequential loop that calls
         :meth:`probability` with the same per-item seeds.
 
-        ``timeout``/``budget`` bound each item, ``max_retries`` retries
-        transient estimation failures on deterministically derived
-        seeds, and ``on_error`` selects the fault-isolation mode
-        (``'fail'``, ``'skip'`` or ``'degrade'``).  See
+        ``budget`` bounds each item (its ``deadline`` is the item's one
+        deadline), ``max_retries`` retries transient estimation failures
+        on deterministically derived seeds, and ``on_error`` selects the
+        fault-isolation mode (``'fail'``, ``'skip'`` or ``'degrade'``,
+        which walks ``routes`` when given).  See
         :mod:`repro.core.parallel` for the full contract.
 
         ``telemetry=True`` records spans and metrics per item — attached
@@ -677,11 +691,10 @@ class PQEEngine:
             max_workers=max_workers,
             seed=self.seed if seed is _UNSET else seed,
             cache=cache if cache is not None else self.cache,
-            timeout=timeout,
             budget=budget,
             max_retries=max_retries,
             on_error=on_error,
-            policy=policy,
+            routes=routes,
             telemetry=telemetry,
             isolation=isolation,
             memory_limit=memory_limit,

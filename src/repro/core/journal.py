@@ -80,6 +80,7 @@ __all__ = [
     "load_journal",
     "load_request_journal",
     "read_records",
+    "restore_answer",
 ]
 
 JOURNAL_VERSION = 1
@@ -257,7 +258,9 @@ def _answer_payload(answer) -> dict:
     }
 
 
-def _restore_answer(payload: dict):
+def restore_answer(payload: dict):
+    """Rebuild the :class:`~repro.core.estimator.PQEAnswer` an answer
+    record holds."""
     from repro.core.estimator import PQEAnswer
 
     rational = payload.get("rational")
@@ -380,10 +383,6 @@ class LoadedRequestJournal:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def restore_answer(self, key: str):
-        """Rebuild the recorded :class:`PQEAnswer` for ``key``."""
-        return _restore_answer(self.requests[key]["answer"])
-
     def deps(self, key: str) -> dict | None:
         """The recorded data dependencies for ``key`` (``None`` for
         records written before deps tracking existed)."""
@@ -447,7 +446,7 @@ class LoadedJournal:
         record = self.items[index]
         return BatchItemResult(
             index=index,
-            answer=_restore_answer(record["answer"]),
+            answer=restore_answer(record["answer"]),
             seed=record["seed"],
             elapsed=record["elapsed"],
             retries=record["retries"],

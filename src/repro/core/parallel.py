@@ -56,14 +56,15 @@ Fault isolation contract
     Like ``'skip'``, but each item is evaluated through
     :func:`repro.core.resilience.evaluate_with_policy` first: routes
     fall back along exact-WMC → FPRAS → Monte-Carlo with widened ε
-    before an error record is produced, and answers carry their
-    degradation provenance.
+    (or along ``routes``, when given) before an error record is
+    produced, and answers carry their degradation provenance.
 
-``timeout``/``budget`` bound each item via cooperative checkpoints
-(:mod:`repro.core.budget`): the deadline is absolute per item — shared
+``budget`` bounds each item via cooperative checkpoints
+(:mod:`repro.core.budget`): its deadline is absolute per item — shared
 across its retries and degradation rungs — so a stalled item cannot
 overrun it by more than the checkpoint granularity.  ``max_retries``
-bounds deterministic retry of transient estimation failures.
+bounds the retries of transient estimation failures, each run at once
+on a deterministically derived seed.
 
 Durability contract
 -------------------
@@ -73,8 +74,9 @@ pool cannot contain:
 ``isolation='process'``
     Items run in subprocess workers supervised by
     :mod:`repro.core.procpool`: a worker that dies without reporting —
-    segfault, OOM kill, ``SIGKILL``, hard watchdog timeout — becomes a
-    structured :class:`BatchItemError` carrying
+    segfault, OOM kill, ``SIGKILL``, a watchdog kill past
+    ``2 × budget.deadline + 1 s`` — becomes a structured
+    :class:`BatchItemError` carrying
     :class:`~repro.errors.WorkerCrashError`, and the batch continues
     under the same ``on_error`` semantics.  Answers and seeds are
     bitwise-identical to the thread backend (same
@@ -115,7 +117,6 @@ from repro.obs import (
     telemetry_scope,
 )
 from repro.core.resilience import (
-    DegradationPolicy,
     TRANSIENT_ERRORS,
     derive_retry_seed,
     evaluate_with_policy,
@@ -392,20 +393,6 @@ def _coerce_items(items: Iterable) -> list[BatchItem]:
     return coerced
 
 
-def _combine_budget(
-    budget: EvaluationBudget | None, timeout: float | None
-) -> EvaluationBudget | None:
-    """Fold a ``timeout`` shorthand into the per-item budget."""
-    if timeout is None:
-        return budget
-    if budget is None:
-        return EvaluationBudget(deadline=timeout)
-    deadline = (
-        timeout if budget.deadline is None else min(budget.deadline, timeout)
-    )
-    return dataclasses.replace(budget, deadline=deadline)
-
-
 def _error_record(
     failure: BaseException,
     elapsed: float,
@@ -432,8 +419,8 @@ class ItemRunner:
     calls :meth:`run` from pool threads, the process backend
     (:mod:`repro.core.procpool`) forks workers that call it in their own
     process.  Everything an item needs — engine, coerced batch, derived
-    seeds, budget, retry/degradation policy, shared cache, telemetry
-    flag — is captured at construction, so ``run(index)`` is
+    seeds, budget, retry count, degradation routes, shared cache,
+    telemetry flag — is captured at construction, so ``run(index)`` is
     self-contained and scheduling-independent.
     """
 
@@ -445,7 +432,8 @@ class ItemRunner:
         seed: int | None,
         cache: ReductionCache,
         item_budget: EvaluationBudget | None,
-        policy: DegradationPolicy,
+        max_retries: int,
+        routes: tuple[str, ...] | None,
         on_error: str,
         telemetry: bool,
     ):
@@ -454,7 +442,8 @@ class ItemRunner:
         self.seed = seed
         self.cache = cache
         self.item_budget = item_budget
-        self.policy = policy
+        self.max_retries = max_retries
+        self.routes = routes
         self.on_error = on_error
         self.telemetry = telemetry
         #: index → terminal exception, for ``BatchError.__cause__``.
@@ -482,7 +471,8 @@ class ItemRunner:
             seed=item_seed,
             cache=self.cache,
             budget=self.item_budget,
-            policy=self.policy,
+            max_retries=self.max_retries,
+            routes=self.routes,
         )
         return answer, answer.retries
 
@@ -497,16 +487,16 @@ class ItemRunner:
                         item, derive_retry_seed(item_seed, attempt)
                     )
                 return answer, attempt
-            except TRANSIENT_ERRORS:
+            except BaseException as failure:
                 # BudgetExceededError is not an EstimationError, so
                 # budget exhaustion never consumes retries.
-                if attempt >= self.policy.max_retries:
+                transient = isinstance(failure, TRANSIENT_ERRORS)
+                if not transient or attempt >= self.max_retries:
+                    # The error record reads the attempts this item used.
+                    failure.retries = attempt
                     raise
                 attempt += 1
                 metric_inc("resilience.retries")
-                delay = self.policy.backoff(attempt, seed=item_seed)
-                if delay:
-                    time.sleep(delay)
 
     # -- the per-item entry point ---------------------------------------
 
@@ -588,11 +578,10 @@ def evaluate_batch(
     max_workers: int | None = None,
     seed: int | None = None,
     cache: ReductionCache | None = None,
-    timeout: float | None = None,
     budget: EvaluationBudget | None = None,
     max_retries: int = 0,
     on_error: str = "fail",
-    policy: DegradationPolicy | None = None,
+    routes: tuple[str, ...] | None = None,
     telemetry: bool = False,
     isolation: str = "thread",
     memory_limit: int | None = None,
@@ -621,22 +610,21 @@ def evaluate_batch(
         across batches; ``BatchResult.cache_stats`` always reports only
         this batch's traffic.  Failed builds are never stored (the
         cache retries them), so aborted items cannot poison siblings.
-    timeout:
-        Per-item wall-clock deadline in seconds — shorthand for (and
-        combined with) ``budget``'s deadline; the tighter wins.
     budget:
         Per-item :class:`~repro.core.budget.EvaluationBudget`, enforced
-        at cooperative checkpoints inside the evaluation loops.
+        at cooperative checkpoints inside the evaluation loops.  Its
+        ``deadline`` is the item's one deadline: under
+        ``isolation='process'`` it also arms the watchdog.
     max_retries:
-        Retries per item for transient estimation failures, each on a
+        Retries per item (per ladder rung in ``'degrade'`` mode) for
+        transient estimation failures, each run at once on a
         deterministically derived seed (``derive_retry_seed``).
     on_error:
         ``'fail'``, ``'skip'`` or ``'degrade'`` — see the module
         docstring's fault-isolation contract.
-    policy:
-        :class:`~repro.core.resilience.DegradationPolicy` for
-        ``'degrade'`` mode (and retry backoff); defaults to
-        ``DegradationPolicy(max_retries=max_retries)``.
+    routes:
+        ``'degrade'`` mode only: the ladder every item walks, in place
+        of its task's (``TASKS[task].ladder(query, method)``).
     telemetry:
         When true, every item records spans and metrics into its own
         :class:`~repro.obs.EvaluationTelemetry` (installed on the worker
@@ -679,6 +667,8 @@ def evaluate_batch(
         )
     if max_retries < 0:
         raise ReproError(f"max_retries must be >= 0, got {max_retries}")
+    if routes is not None and on_error != "degrade":
+        raise ReproError("routes requires on_error='degrade'")
     if max_workers is None:
         max_workers = max(1, min(len(batch), os.cpu_count() or 1))
     if max_workers < 1:
@@ -692,9 +682,6 @@ def evaluate_batch(
         raise ReproError("resume=True requires a journal")
     if cache is None:
         cache = ReductionCache()
-    if policy is None:
-        policy = DegradationPolicy(max_retries=max_retries)
-    item_budget = _combine_budget(budget, timeout)
 
     stats_before = cache.stats
     started = time.perf_counter()
@@ -741,8 +728,9 @@ def evaluate_batch(
         batch,
         seed=seed,
         cache=cache,
-        item_budget=item_budget,
-        policy=policy,
+        item_budget=budget,
+        max_retries=max_retries,
+        routes=routes,
         on_error=on_error,
         telemetry=telemetry,
     )
@@ -770,7 +758,6 @@ def evaluate_batch(
             pending,
             max_workers=max_workers,
             memory_limit=memory_limit,
-            timeout=timeout,
             on_settled=record,
         )
     elif max_workers == 1 or len(pending) <= 1:

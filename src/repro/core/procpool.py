@@ -16,10 +16,10 @@ layer ``evaluate_batch(..., isolation='process')`` runs on:
   detected immediately, recorded as a
   :class:`~repro.errors.WorkerCrashError` error record for exactly the
   item it was evaluating, and replaced so the batch continues;
-- a watchdog backstops cooperative deadlines: when the batch has a
-  per-item ``timeout``, a worker that blows well past it (stuck in
-  native code where no :mod:`~repro.core.budget` checkpoint can fire)
-  is hard-killed and recorded the same way.
+- a watchdog backstops cooperative deadlines: when the item budget has
+  a ``deadline``, a worker that blows well past it (stuck in native
+  code where no :mod:`~repro.core.budget` checkpoint can fire) is
+  hard-killed and recorded the same way.
 
 Reproducibility: workers run the same :class:`~repro.core.parallel.
 ItemRunner` with the same SHA-256 per-item seed streams as the thread
@@ -68,7 +68,7 @@ __all__ = ["run_process_batch"]
 #: Supervisor poll interval while watchdog deadlines are armed.
 _POLL_SECONDS = 0.05
 
-#: Slack multiplier over the cooperative per-item timeout before the
+#: Slack multiplier over the cooperative per-item deadline before the
 #: watchdog hard-kills a worker: the budget layer should always fire
 #: first, so the watchdog only triggers when checkpoints cannot run
 #: (wedged native code, a stopped process).
@@ -241,7 +241,6 @@ def run_process_batch(
     *,
     max_workers: int,
     memory_limit: int | None = None,
-    timeout: float | None = None,
     on_settled=None,
 ):
     """Evaluate ``pending`` item indexes in supervised subprocess workers.
@@ -251,6 +250,8 @@ def run_process_batch(
     records) and the summed per-worker cache traffic.  ``on_settled``
     is invoked in the supervisor, once per item, as each settles — the
     journal hook, so completions are durable before the batch moves on.
+    The watchdog arms from ``runner.item_budget.deadline``: a worker
+    still busy ``2 × deadline + 1 s`` after taking its item is killed.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ReproError(
@@ -263,9 +264,10 @@ def run_process_batch(
     computed: dict[int, BatchItemResult] = {}
     total = len(pending)
     hits = misses = evictions = 0
+    budget = runner.item_budget
     watchdog = (
-        timeout * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
-        if timeout is not None
+        budget.deadline * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
+        if budget is not None and budget.deadline is not None
         else None
     )
     if on_settled is None:

@@ -10,6 +10,7 @@ k the accepted-tree size reported by the reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.automata.nfa_counting import CountResult
@@ -132,8 +133,14 @@ def ur_estimate(
             count_result = run_count()
     else:
         raise ValueError(f"unknown method {method!r}")
+    try:
+        estimate = count_result.estimate * reduction.scale
+    except OverflowError:
+        # 2^|D \ D'| is past the float range, and so is any nonzero
+        # count it scales.
+        estimate = math.inf if count_result.estimate else 0.0
     return UREstimate(
-        estimate=count_result.estimate * reduction.scale,
+        estimate=estimate,
         count_result=count_result,
         reduction=reduction,
     )

@@ -207,10 +207,6 @@ class Delta:
             op.fact.relation for op in self._ops if op.op != "reweight"
         )
 
-    @cached_property
-    def touched_facts(self) -> frozenset[Fact]:
-        return frozenset(op.fact for op in self._ops)
-
     def to_records(self) -> list[dict]:
         return [op.to_record() for op in self._ops]
 

@@ -46,10 +46,6 @@ class HypertreeNode:
     chi: frozenset[Variable]
     xi: tuple[Atom, ...]
 
-    @property
-    def xi_set(self) -> frozenset[Atom]:
-        return frozenset(self.xi)
-
     def covers(self, atom: Atom) -> bool:
         """Is this vertex a covering vertex for ``atom``?"""
         return atom in self.xi and atom.variables <= self.chi

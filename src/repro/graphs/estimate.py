@@ -160,7 +160,6 @@ def rpq_probability_estimate(
     exact_set_cap: int = 4096,
     repetitions: int = 1,
     cache=None,
-    backend=None,
 ) -> RPQEstimate:
     """``Pr_G(source ⟶_regex target)`` via the chosen route.
 
@@ -175,21 +174,14 @@ def rpq_probability_estimate(
     (seed-independent) DP counts under a matching ``("count", "rpq",
     …)`` key; sampled counts are never stored.
 
-    ``backend`` is the counting-kernel knob (see
-    :mod:`repro.core.kernels`), validated here; both RPQ routes are
-    backend-independent — the exact product DP is the one integer
+    No kernel backend applies: the exact route is the one integer
     subset DP of :meth:`repro.automata.nfa.NFA.count_exact` and the
-    FPRAS one shared RNG-order-bound loop — so the exact-count cache
-    key omits it.
+    FPRAS one RNG-order-bound loop.
     """
     if method not in RPQ_METHODS:
         raise EstimationError(
             f"unknown RPQ method {method!r}; choose from {RPQ_METHODS}"
         )
-    from repro.core import kernels
-
-    backend = kernels.resolve_backend(backend)
-
     if method == "monte-carlo":
         with span("rpq.count", method=method):
             fault_point("rpq.count")
@@ -229,7 +221,7 @@ def rpq_probability_estimate(
         return rpq_probability_estimate(
             graph, query, method=fallback, epsilon=epsilon, seed=seed,
             samples=samples, exact_set_cap=exact_set_cap,
-            repetitions=repetitions, cache=cache, backend=backend,
+            repetitions=repetitions, cache=cache,
         )
 
     with span("rpq.product"):

@@ -68,13 +68,19 @@ def _checked_probability(value, source: str, record: str):
     error names the record instead of surfacing later from the
     database constructor with no provenance."""
     try:
-        Fraction(str(value))
+        probability = Fraction(str(value))
     except (ValueError, ZeroDivisionError, TypeError) as failure:
         raise ContextualError(
             f"{source}: {record} has invalid probability {value!r} "
             f"(expected a rational like '1/2')",
             phase="io.load",
         ) from failure
+    if not 0 <= probability <= 1:
+        raise ContextualError(
+            f"{source}: {record} has probability {value!r} outside "
+            f"[0, 1]",
+            phase="io.load",
+        )
     return value
 
 

@@ -208,11 +208,6 @@ class Tracer:
         """Spans with no parent, in id order."""
         return tuple(r for r in self.records if r.parent_id is None)
 
-    def children_of(self, span_id: int) -> tuple[SpanRecord, ...]:
-        return tuple(
-            r for r in self.records if r.parent_id == span_id
-        )
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)

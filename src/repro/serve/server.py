@@ -15,7 +15,7 @@ layers built in PRs 1–6 plus this package's serving primitives:
    <repro.core.budget.EvaluationBudget.consume_wait>`);
 4. **load shedding** (:mod:`repro.serve.shedding`) — the pressure
    signal picks the degradation-ladder rung the evaluation *starts* at,
-   with ε widened per :class:`~repro.core.resilience.DegradationPolicy`
+   with ε widened per :func:`~repro.core.resilience.widened_epsilon`
    and the response labelling ``ladder_rung``/``epsilon``/``shed``;
 5. **fault containment** — evaluation runs through
    :func:`~repro.core.parallel.evaluate_batch` (``on_error='degrade'``,
@@ -52,7 +52,6 @@ without sockets.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -70,9 +69,10 @@ from repro.core.journal import (
     RequestJournal,
     check_fingerprint,
     load_request_journal,
+    restore_answer,
 )
 from repro.core.parallel import BatchItem, evaluate_batch
-from repro.core.resilience import DegradationPolicy, degradation_ladder
+from repro.core.resilience import widened_epsilon
 from repro.core.tasks import TASKS
 from repro.db.delta import Delta, VersionedDatabase
 from repro.errors import (
@@ -200,7 +200,6 @@ class PQEServer:
             window=self.config.breaker_window,
             cooldown=self.config.breaker_cooldown,
         )
-        self.policy = DegradationPolicy()
         self.telemetry = EvaluationTelemetry()
         self._trace_ids = itertools.count(1)
         self._settle_lock = threading.Lock()
@@ -316,7 +315,7 @@ class PQEServer:
             record = None
         if record is not None:
             self._inc("serve.replays")
-            answer = _restore(record)
+            answer = restore_answer(record["answer"])
             return 200, self._success_body(
                 answer,
                 trace_id=trace_id,
@@ -587,16 +586,15 @@ class PQEServer:
     ) -> tuple[int, dict]:
         fault_point("serve.request")
         decision = self.shedder.decide(ticket.queue_fraction)
-        ladder = degradation_ladder(query, task, method)
+        ladder = TASKS[task].ladder(query, method)
         rung = min(decision.rung, len(ladder) - 1)
         engine = self.engine
-        epsilon = self.policy.widened_epsilon(engine.epsilon, rung)
+        epsilon = widened_epsilon(engine.epsilon, rung)
         if rung:
             self._inc("serve.shed")
             self._inc(f"serve.rung.{rung}")
             engine = copy.copy(engine)
             engine.epsilon = epsilon
-        policy = dataclasses.replace(self.policy, routes=ladder[rung:])
         # Pin the version head exactly once: the whole evaluation (and
         # the journalled deps token below) sees one immutable snapshot,
         # even if a delta publishes mid-flight.
@@ -610,8 +608,9 @@ class PQEServer:
             seed=seed,
             cache=self.registry.cache,
             budget=budget,
+            max_retries=1,
             on_error="degrade",
-            policy=policy,
+            routes=ladder[rung:],
             telemetry=True,
             isolation=self.config.isolation,
             memory_limit=self.config.memory_limit,
@@ -836,12 +835,6 @@ class PQEServer:
             self._httpd.server_close()
         self._drained.set()
         return clean
-
-
-def _restore(record: dict):
-    from repro.core.journal import _restore_answer
-
-    return _restore_answer(record["answer"])
 
 
 class _RequestHandler(BaseHTTPRequestHandler):

@@ -2,7 +2,8 @@
 
 Classic load shedding drops requests.  This daemon's requests are
 *approximation* queries, so it has a better lever — the resilience
-ladder (:func:`repro.core.resilience.degradation_ladder`):
+ladder (``TASKS[task].ladder(query, method)``, see
+:mod:`repro.core.tasks`):
 
     lifted → exact WMC → FPRAS / Karp–Luby → Monte-Carlo
 

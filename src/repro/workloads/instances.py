@@ -14,7 +14,6 @@ from fractions import Fraction
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
-from repro.db.semantics import homomorphisms
 from repro.errors import ReproError
 from repro.queries.cq import ConjunctiveQuery
 
@@ -105,9 +104,3 @@ def uniform_half(instance: DatabaseInstance) -> ProbabilisticDatabase:
     """Every fact at probability 1/2 — the uniform-reliability setting."""
     return ProbabilisticDatabase.uniform(instance)
 
-
-def satisfying_fraction(
-    query: ConjunctiveQuery, instance: DatabaseInstance
-) -> bool:
-    """Whether the full instance satisfies the query at all."""
-    return next(homomorphisms(query, instance), None) is not None

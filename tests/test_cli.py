@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import load_facts_csv, main
 from repro.db.fact import Fact
-from repro.errors import ReproError
+from repro.errors import ContextualError, ReproError
 
 CSV = """\
 relation,probability,constant1,constant2
@@ -43,6 +43,16 @@ class TestLoadFactsCsv:
     def test_short_row_rejected(self):
         with pytest.raises(ReproError):
             load_facts_csv(io.StringIO("R1,1/2\n"))
+
+    @pytest.mark.parametrize("label", ["3/2", "-1/2"])
+    def test_out_of_range_probability_names_row(self, label):
+        with pytest.raises(ContextualError) as failure:
+            load_facts_csv(
+                io.StringIO(f"R,1/2,a\nR,{label},b\n"), source="f.csv"
+            )
+        assert failure.value.phase == "io.load"
+        assert "f.csv: row 2" in str(failure.value)
+        assert label in str(failure.value)
 
     def test_duplicate_fact_rejected(self):
         with pytest.raises(ReproError):
@@ -93,6 +103,21 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "UR(Q, D) = 1" in out  # only the full instance satisfies
+
+    def test_reliability_past_the_float_range(self, tmp_path, capsys):
+        # 1,101 facts: UR = 2^1100 is no float, but it is an answer.
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "R,1/2,a,b\n"
+            + "".join(f"S,1/2,c{i}\n" for i in range(1100))
+        )
+        code = main(
+            ["--data", str(path), "--query", "Q :- R(x, y)",
+             "--reliability"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"UR(Q, D) = inf ({2**1100})" in out
 
     def test_query_file(self, data_file, tmp_path, capsys):
         query_path = tmp_path / "query.txt"
@@ -700,6 +725,19 @@ class TestLoadErrorProvenance:
         assert "broken.csv" in err
         assert "row 2" in err
         assert "not-a-probability" in err
+
+    @pytest.mark.parametrize("label", ["3/2", "-1/2"])
+    def test_csv_out_of_range_probability_names_file_and_row(
+        self, tmp_path, capsys, label
+    ):
+        path = tmp_path / "broken.csv"
+        path.write_text(f"R1,1/2,a,b\nR2,{label},b,c\n")
+        code = main(["--data", str(path), "--query", "Q :- R1(x,y)"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "broken.csv: row 2" in err
+        assert f"probability '{label}' outside [0, 1]" in err
+        assert "Traceback" not in err
 
     def test_batch_error_names_file_and_entry(self, tmp_path, capsys):
         data = tmp_path / "facts.csv"

@@ -1,9 +1,12 @@
 """Tests for the PQEEngine facade and its routing logic."""
 
+import math
+
 import pytest
 
 from repro.core.estimator import PQEEngine, PQEPlan
 from repro.db.fact import Fact
+from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import ReproError
 from repro.queries.builders import path_query, star_query
@@ -138,6 +141,32 @@ class TestUniformReliability:
         assert answer.value == pytest.approx(
             enum.value, rel=0.4, abs=0.5
         )
+
+    # 1,101 facts: 2^|D| leaves the float range (2^1024).
+    FAR_INSTANCE = DatabaseInstance(
+        [Fact("R", ("a", "b"))]
+        + [Fact("S", (f"c{i}",)) for i in range(1100)]
+    )
+
+    @pytest.mark.parametrize("method", ["auto", "lineage-exact", "fpras"])
+    def test_count_past_the_float_range_is_inf(self, method):
+        # Every subinstance holding R(a, b) satisfies Q: 2^1100 of them.
+        answer = PQEEngine(seed=0).uniform_reliability(
+            parse_query("Q :- R(x, y)"), self.FAR_INSTANCE, method=method
+        )
+        assert answer.value == math.inf
+        if method == "fpras":
+            assert answer.rational is None
+        else:
+            assert answer.exact
+            assert answer.rational == 2**1100
+
+    @pytest.mark.parametrize("method", ["auto", "lineage-exact", "fpras"])
+    def test_zero_count_past_the_float_range_is_zero(self, method):
+        answer = PQEEngine(seed=0).uniform_reliability(
+            parse_query("Q :- R(x, x)"), self.FAR_INSTANCE, method=method
+        )
+        assert answer.value == 0.0
 
 
 class TestValidation:
@@ -318,12 +347,12 @@ class TestExplain:
         # explain, auto and the ladder read one router: the plan's
         # predicted method is what auto runs, and an over-budget unsafe
         # query lands on the ladder's randomized rung.
-        from repro.core.resilience import degradation_ladder
+        from repro.core.tasks import TASKS
 
         engine = PQEEngine(seed=0, lineage_budget=lineage_budget)
         plan = engine.explain(query, pdb)
         answer = engine.probability(query, pdb)
         assert plan.method == answer.method == route
-        assert plan.fallbacks == degradation_ladder(query)
+        assert plan.fallbacks == TASKS["probability"].ladder(query, "auto")
         if route in ("fpras", "karp-luby"):
             assert plan.fallbacks[:2] == ("auto", route)

@@ -260,6 +260,55 @@ def test_faulted_batch_is_identical_across_worker_counts():
         assert canon(batch) == canon(first)
 
 
+@pytest.mark.parametrize("on_error", ["fail", "skip"])
+def test_failed_item_reports_the_retries_it_used(on_error):
+    # Three faults outlast one retry: the item fails after using it.
+    item = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")]
+    with inject_faults(FaultSpec("counting.nfta", times=3)):
+        try:
+            batch = evaluate_batch(
+                sampled_engine(), item, max_workers=1, seed=7,
+                max_retries=1, on_error=on_error, telemetry=True,
+            )
+        except BatchError as failure:
+            batch = failure.result
+    failed = batch.results[0]
+    assert not failed.ok
+    assert failed.retries == 1
+    assert failed.error.retries == 1
+    assert failed.error.telemetry.counter("resilience.retries") == 1
+
+
+def test_degrade_mode_retries_up_to_max_retries():
+    # Two faults, three retries: the preferred route still answers.
+    item = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")]
+    with inject_faults(FaultSpec("counting.nfta", times=2)):
+        batch = evaluate_batch(
+            sampled_engine(), item, max_workers=1, seed=7,
+            max_retries=3, on_error="degrade",
+        )
+    answer = batch.results[0].answer
+    assert answer.method == "fpras"
+    assert answer.retries == 2
+    assert batch.results[0].retries == 2
+
+
+def test_degrade_mode_walks_the_given_routes():
+    item = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")]
+    with inject_faults(FaultSpec("counting.nfta")):
+        batch = evaluate_batch(
+            sampled_engine(), item, max_workers=1, seed=7,
+            on_error="degrade", routes=("fpras", "karp-luby"),
+        )
+    answer = batch.results[0].answer
+    assert answer.method == "karp-luby"
+    assert answer.degradations[0].startswith("fpras:")
+    with pytest.raises(ReproError, match="routes"):
+        evaluate_batch(
+            sampled_engine(), item, on_error="skip", routes=("fpras",)
+        )
+
+
 def test_retry_outcomes_are_identical_across_worker_counts():
     engine = sampled_engine()
     items = acceptance_items()[:6]
@@ -405,7 +454,7 @@ def test_stalled_item_is_cut_off_at_the_deadline():
     with inject_faults(FaultSpec("counting.nfta", scope=1, stall=30.0)):
         batch = evaluate_batch(
             engine, items, max_workers=2, seed=7,
-            timeout=0.25, on_error="skip",
+            budget=EvaluationBudget(deadline=0.25), on_error="skip",
         )
     assert batch.results[0].ok
     stalled = batch.results[1]

@@ -19,7 +19,8 @@ from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import BatchItem
-from repro.core.resilience import degradation_ladder, evaluate_with_policy
+from repro.core.resilience import evaluate_with_policy
+from repro.core.tasks import TASKS
 from repro.errors import (
     BudgetExceededError,
     EstimationError,
@@ -333,18 +334,11 @@ def test_engine_rpq_telemetry_spans():
 
 
 def test_rpq_degradation_ladder_shape():
-    assert degradation_ladder(AB, "rpq", "auto") == (
-        "auto", "fpras", "monte-carlo"
-    )
-    assert degradation_ladder(AB, "rpq", "exact") == (
-        "exact", "fpras", "monte-carlo"
-    )
-    assert degradation_ladder(AB, "rpq", "fpras") == (
-        "fpras", "monte-carlo"
-    )
-    assert degradation_ladder(AB, "rpq", "monte-carlo") == (
-        "monte-carlo",
-    )
+    ladder = TASKS["rpq"].ladder
+    assert ladder(AB, "auto") == ("auto", "fpras", "monte-carlo")
+    assert ladder(AB, "exact") == ("exact", "fpras", "monte-carlo")
+    assert ladder(AB, "fpras") == ("fpras", "monte-carlo")
+    assert ladder(AB, "monte-carlo") == ("monte-carlo",)
 
 
 def test_cyclic_fpras_degrades_to_monte_carlo():

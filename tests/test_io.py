@@ -213,6 +213,35 @@ class TestBrokenFixtures:
             load_pdb(path)
         assert "row 2" in str(failure.value)
 
+    @pytest.mark.parametrize("label", ["3/2", "-1/2"])
+    def test_csv_out_of_range_probability_names_row(self, tmp_path, label):
+        path = self._write(
+            tmp_path, "range.csv", f"R,1/2,a\nS,{label},b\n"
+        )
+        with pytest.raises(ContextualError) as failure:
+            load_pdb(path)
+        message = str(failure.value)
+        assert "range.csv: row 2" in message
+        assert "outside [0, 1]" in message
+        assert failure.value.phase == "io.load"
+
+    @pytest.mark.parametrize("label", ['"3/2"', '"-1/2"', "2"])
+    def test_out_of_range_probability_names_record(self, tmp_path, label):
+        path = self._write(
+            tmp_path, "range.json",
+            '{"facts": ['
+            '{"relation": "R", "constants": ["a"], "probability": "1/2"},'
+            '{"relation": "R", "constants": ["b"], "probability": '
+            + label + "}]}",
+        )
+        with pytest.raises(ContextualError) as failure:
+            load_pdb(path)
+        message = str(failure.value)
+        assert "range.json" in message
+        assert "facts[1]" in message
+        assert "outside [0, 1]" in message
+        assert failure.value.phase == "io.load"
+
     def test_empty_query_file_named(self, tmp_path):
         path = self._write(tmp_path, "empty-query.txt", "   \n")
         with pytest.raises(ContextualError, match="empty-query.txt"):

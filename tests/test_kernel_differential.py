@@ -21,9 +21,8 @@ backend name on the repository's existing corpus:
 - Karp–Luby over random monotone DNFs, a path lineage wider than one
   machine word, DNFs mixing clause lengths (one clause containing
   another) with facts at probability 0 and 1, and under a work budget;
-- RPQ product automata: the exact product-DP route of
-  ``rpq_probability_estimate`` over the handcrafted adversarial graph
-  corpus;
+- RPQ product automata: the engine's RPQ routes, which no backend
+  changes, over the handcrafted adversarial graph corpus;
 - whole batches at workers 1 and 4, where answers *and* the merged
   deterministic counters must agree across both worker counts and
   every backend.
@@ -390,42 +389,39 @@ def test_karp_luby_budget_bitwise():
 
 @pytest.mark.parametrize("case", range(8))
 def test_rpq_exact_product_dp_bitwise(case):
-    from repro.graphs import rpq_probability_estimate
     from test_rpq_differential import _handcrafted_cases
 
     name, graph, query = _handcrafted_cases()[case]
-    estimates = [
-        rpq_probability_estimate(
-            graph, query, method="exact", backend=backend
+    answers = [
+        PQEEngine(kernel_backend=backend).rpq_probability(
+            graph, query, method="exact"
         )
         for backend in BACKENDS
     ]
-    for other in estimates[1:]:
-        assert other.exact is estimates[0].exact, name
-        assert other.rational == estimates[0].rational, name
-        assert other.estimate == estimates[0].estimate, name
+    for other in answers[1:]:
+        assert other.exact is answers[0].exact, name
+        assert other.rational == answers[0].rational, name
+        assert other.value == answers[0].value, name
 
 
 @pytest.mark.parametrize("case", range(8))
 def test_rpq_auto_frontier_bailout_parity(case):
-    # 'auto' with a tiny frontier cap: whether the DP bails to the
-    # FPRAS must be backend-independent, and the fallback estimates
-    # (fixed seed) bitwise-equal.
-    from repro.graphs import rpq_probability_estimate
+    # 'auto': whether the DP bails to the FPRAS must be
+    # backend-independent, and the fallback estimates (fixed seed)
+    # bitwise-equal.
     from test_rpq_differential import _handcrafted_cases
 
     name, graph, query = _handcrafted_cases()[case]
-    estimates = [
-        rpq_probability_estimate(
-            graph, query, method="auto", epsilon=0.3, seed=case,
-            backend=backend,
+    answers = [
+        PQEEngine(epsilon=0.3, kernel_backend=backend).rpq_probability(
+            graph, query, method="auto", seed=case
         )
         for backend in BACKENDS
     ]
-    for other in estimates[1:]:
-        assert other.method == estimates[0].method, name
-        assert other.estimate == estimates[0].estimate, name
-        assert other.rational == estimates[0].rational, name
+    for other in answers[1:]:
+        assert other.method == answers[0].method, name
+        assert other.value == answers[0].value, name
+        assert other.rational == answers[0].rational, name
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ import pytest
 from repro.core.estimator import PQEEngine
 from repro.core.exact import exact_probability
 from repro.core.parallel import BatchItem
-from repro.core.resilience import degradation_ladder, evaluate_with_policy
+from repro.core.resilience import evaluate_with_policy
+from repro.core.tasks import TASKS
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import UnknownSafetyError, UnsafeQueryError
@@ -234,7 +235,8 @@ def test_unsafe_queries_are_proved_hard_and_skipped_by_the_ladder():
         with pytest.raises(UnsafeQueryError):
             build_lifted_plan(query)
         # The auto ladder never carries a lifted rung for them.
-        assert degradation_ladder(query)[0] == "auto", str(query)
+        ladder = TASKS["probability"].ladder(query, "auto")
+        assert ladder[0] == "auto", str(query)
 
 
 def test_unsafe_corpus_queries_record_classification_in_fallbacks():

@@ -1,6 +1,6 @@
 """Lint: one memo store, one durable-write path, one weighted pick,
-one backend table, one scalar layer DP, one Hoeffding bound and one
-Karp–Luby union loop in ``src/repro/``.
+one backend table, one scalar layer DP, one Hoeffding bound, one
+Karp–Luby union loop and no sleep before a retry in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache`, of which the kernel stores and
@@ -20,9 +20,11 @@ the ``max_attempts`` fallback.  A hand-copied LRU, log, bisection,
 backend choice, DP loop, bound or union loop elsewhere drifts from the
 original: its counters, its eviction, its crash safety, its
 tie-breaking, its budget charges or its answers stop being the ones
-the tests check.  So
-this test greps the source tree for the tell-tale code outside the
-modules that own it.
+the tests check.  Nothing sleeps but the fault injector's stall and
+crash waits (:mod:`repro.testing.faults`): a retry re-runs CPU-bound
+sampling on a fresh seed, so a delay before it would only spend the
+item's deadline.  So this test greps the source tree for the
+tell-tale code outside the modules that own it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _OWNED = {
     re.compile(r"2 \* epsilon\s*\*\*\s*2"): {"core/monte_carlo.py"},
     # The Karp–Luby union loop's give-up bound: a second union loop.
     re.compile(r"\bmax_attempts\s*=(?!=)"): {"automata/nfa_counting.py"},
+    # A wait: retries run at once, so only injected stalls sleep.
+    re.compile(r"\btime\.sleep\s*\("): {"testing/faults.py"},
 }
 
 
@@ -80,8 +84,9 @@ def test_no_second_lru_or_fsync_path():
         "fsync'd appends to repro.core.journal.RecordLog, weighted "
         "picks to repro.automata.nfa_counting.weighted_index, backend "
         "names and the scalar layer DP to repro.core.kernels, the "
-        "additive sample bound to repro.core.monte_carlo and the "
+        "additive sample bound to repro.core.monte_carlo, the "
         "Karp-Luby union loop to "
-        "repro.automata.nfa_counting._karp_luby_union; build on them "
-        "instead:\n" + "\n".join(violations)
+        "repro.automata.nfa_counting._karp_luby_union and sleeps to "
+        "repro.testing.faults; build on them instead:\n"
+        + "\n".join(violations)
     )

@@ -10,14 +10,14 @@ Covers the contracts documented in :mod:`repro.core.parallel` and
   the build deduplication and the ``cache_if`` (exact-counts-only)
   storage predicate;
 - worker failures surfacing as :class:`EstimationError` naming the item;
-- retry backoff jitter drawn from each item's own seed.
+- retries run at once, each on the item's own derived seed.
 """
 
 import threading
+import time
 
 import pytest
 
-import repro.core.parallel as parallel
 from repro.core.cache import CacheStats, ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import (
@@ -25,7 +25,7 @@ from repro.core.parallel import (
     derive_item_seed,
     evaluate_batch,
 )
-from repro.core.resilience import DegradationPolicy
+from repro.core.resilience import derive_retry_seed
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
@@ -304,21 +304,22 @@ def test_engine_seed_is_the_default_batch_seed():
 
 
 @pytest.mark.parametrize("on_error", ["fail", "skip"])
-def test_retry_jitter_uses_each_items_seed(monkeypatch, on_error):
-    """Two items retrying the same attempt sleep different, seed-derived
-    amounts — the jitter stream is the item's, not seed 0's."""
-    delays = []
-    monkeypatch.setattr(parallel.time, "sleep", delays.append)
-    policy = DegradationPolicy(max_retries=1, backoff_base=0.05, jitter=1.0)
+def test_retries_never_sleep(monkeypatch, on_error):
+    """A retry re-runs at once on the item's derived retry seed: a wait
+    before it could not change its outcome."""
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
     items = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")] * 2
     with inject_faults(FaultSpec("counting.nfta", times=1)):
         batch = evaluate_batch(
             sampled_engine(), items, seed=5, max_workers=1,
-            policy=policy, on_error=on_error,
+            max_retries=1, on_error=on_error,
         )
+    assert sleeps == []
     assert [result.retries for result in batch.results] == [1, 1]
-    assert sorted(delays) == sorted(
-        policy.backoff(1, seed=derive_item_seed(5, index))
-        for index in range(2)
-    )
-    assert delays[0] != delays[1]
+    for index, result in enumerate(batch.results):
+        expected = sampled_engine().probability(
+            QUERY, DIAMOND_PDB, method="fpras",
+            seed=derive_retry_seed(derive_item_seed(5, index), 1),
+        )
+        assert result.answer.value == expected.value

@@ -12,12 +12,14 @@ import time
 
 import pytest
 
+from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
 from repro.core.parallel import (
     BatchError,
     BatchItem,
     BatchItemResult,
+    ItemRunner,
     derive_item_seed,
 )
 from repro.core.procpool import run_process_batch
@@ -179,6 +181,7 @@ class _WedgedRunner:
         self.seed = 5
         self.cache = ReductionCache()
         self.causes = {}
+        self.item_budget = EvaluationBudget(deadline=0.2)
 
     def run(self, index: int) -> BatchItemResult:
         time.sleep(30)  # no budget checkpoints fire in here
@@ -194,6 +197,7 @@ class _HungryRunner:
         self.seed = 5
         self.cache = ReductionCache()
         self.causes = {}
+        self.item_budget = None
 
     def run(self, index: int) -> BatchItemResult:
         from repro.core.parallel import _error_record
@@ -215,18 +219,50 @@ class _HungryRunner:
             )
 
 
+class _StuckEngine(PQEEngine):
+    """An engine whose evaluation sleeps past any deadline without
+    reaching a budget checkpoint."""
+
+    def probability(self, *args, **kwargs):
+        time.sleep(30)
+        return super().probability(*args, **kwargs)
+
+
 @pytest.mark.faults
 class TestSupervisor:
     def test_watchdog_kills_wedged_worker(self):
         runner = _WedgedRunner()
         started = time.perf_counter()
-        computed, _ = run_process_batch(
-            runner, [0], max_workers=1, timeout=0.2
-        )
+        computed, _ = run_process_batch(runner, [0], max_workers=1)
         elapsed = time.perf_counter() - started
         assert elapsed < 10  # killed by the watchdog, not the sleep
         assert not computed[0].ok
         assert "watchdog timeout" in computed[0].error.message
+
+    def test_budget_deadline_arms_the_watchdog(self, items):
+        # No timeout anywhere: the item budget's deadline is the one
+        # deadline, and 2 x 0.2 s + 1 s later the watchdog kills the
+        # worker the 30 s sleep wedged.
+        budget = EvaluationBudget(deadline=0.2)
+        runner = ItemRunner(
+            _StuckEngine(), [items[0].validated(0)], seed=5,
+            cache=ReductionCache(), item_budget=budget, max_retries=0,
+            routes=None, on_error="skip", telemetry=False,
+        )
+        started = time.perf_counter()
+        computed, _ = run_process_batch(runner, [0], max_workers=1)
+        assert time.perf_counter() - started < 10
+        assert computed[0].error.exception == "WorkerCrashError"
+        assert "watchdog timeout" in computed[0].error.message
+
+        started = time.perf_counter()
+        batch = _StuckEngine().evaluate_batch(
+            items[:1], seed=5, max_workers=1, isolation="process",
+            budget=budget, on_error="skip",
+        )
+        assert time.perf_counter() - started < 10
+        assert batch.results[0].error.exception == "WorkerCrashError"
+        assert "watchdog timeout" in batch.results[0].error.message
 
     def test_memory_cap_degrades_to_memory_error(self):
         # The cap turns an OOM kill (host-fatal) into a recoverable
@@ -238,14 +274,11 @@ class TestSupervisor:
         assert computed[0].error.exception == "MemoryError"
 
     def test_on_settled_sees_every_item_once(self, engine, items):
-        from repro.core.parallel import ItemRunner
-        from repro.core.resilience import DegradationPolicy
-
         seen = []
         runner = ItemRunner(
             engine, [item.validated(i) for i, item in enumerate(items)],
             seed=5, cache=ReductionCache(), item_budget=None,
-            policy=DegradationPolicy(), on_error="skip", telemetry=False,
+            max_retries=1, routes=None, on_error="skip", telemetry=False,
         )
 
         def settle(result):

@@ -1,20 +1,22 @@
-"""Route degradation, retry seeds, and the resilience policy layer.
+"""Route degradation, retry seeds, and the resilience layer.
 
-Covers :mod:`repro.core.resilience`: ladder construction, deterministic
-retry seed derivation, provenance stamping on answers and terminal
-failures, and the deadline-aborts / work-cap-degrades asymmetry.
+Covers :mod:`repro.core.resilience`: ladder construction, ε widening,
+deterministic retry seed derivation, provenance stamping on answers
+and terminal failures, and the deadline-aborts / work-cap-degrades
+asymmetry.
 """
 
 import pytest
 
 from repro.core.budget import EvaluationBudget
 from repro.core.estimator import PQEEngine
+from repro.core.parallel import evaluate_batch
 from repro.core.resilience import (
-    DegradationPolicy,
-    degradation_ladder,
     derive_retry_seed,
     evaluate_with_policy,
+    widened_epsilon,
 )
+from repro.core.tasks import TASKS
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import BudgetExceededError, ReproError
@@ -37,7 +39,7 @@ def sampled_engine(seed=None):
 
 
 # ---------------------------------------------------------------------
-# Seeds, policy, ladder
+# Seeds, ε widening, ladder
 # ---------------------------------------------------------------------
 
 def test_derive_retry_seed_contract():
@@ -49,90 +51,45 @@ def test_derive_retry_seed_contract():
     assert derive_retry_seed(7, 1) != derive_retry_seed(8, 1)
 
 
-def test_policy_validation_and_backoff():
-    with pytest.raises(ReproError):
-        DegradationPolicy(max_retries=-1)
-    with pytest.raises(ReproError):
-        DegradationPolicy(epsilon_widening=0.5)
-    policy = DegradationPolicy(backoff_base=0.1, backoff_cap=0.3)
-    assert policy.backoff(1) == pytest.approx(0.1)
-    assert policy.backoff(2) == pytest.approx(0.2)
-    assert policy.backoff(5) == pytest.approx(0.3)   # capped
-    assert DegradationPolicy().backoff(9) == 0.0
-
-
-def test_backoff_jitter_is_deterministic_and_bounded():
-    policy = DegradationPolicy(
-        backoff_base=0.1, backoff_cap=0.3, jitter=0.5
-    )
-    delays = [policy.backoff(attempt, seed=7) for attempt in (1, 2, 5)]
-    # Same seed → same jittered schedule, always.
-    assert delays == [
-        policy.backoff(attempt, seed=7) for attempt in (1, 2, 5)
-    ]
-    # A different seed decorrelates the schedule (the point of jitter:
-    # retrying peers must not re-collide).
-    assert delays != [
-        policy.backoff(attempt, seed=8) for attempt in (1, 2, 5)
-    ]
-    # Jitter only ever *shrinks* the delay, within the jitter fraction.
-    for attempt, delay in zip((1, 2, 5), delays):
-        ceiling = min(0.1 * 2 ** (attempt - 1), 0.3)
-        assert ceiling * (1 - 0.5) <= delay <= ceiling
-
-
-def test_backoff_jitter_derives_from_retry_seed_stream():
-    # The jitter stream is derive_retry_seed(seed, attempt + 1) — the
-    # +1 matters because attempt 0 returns the seed unchanged (not a
-    # hash output, so not uniform).
-    policy = DegradationPolicy(backoff_base=1.0, jitter=1.0)
-    stream = derive_retry_seed(7, 2)
-    unit = (stream >> 11) / float(1 << 53)
-    assert policy.backoff(1, seed=7) == pytest.approx(1.0 - unit)
-    # seed=None falls back to stream 0, still deterministic.
-    assert policy.backoff(1) == policy.backoff(1, seed=None)
-    assert 0.0 <= policy.backoff(1) <= 1.0
-
-
-def test_backoff_jitter_validation_and_default_off():
-    with pytest.raises(ReproError):
-        DegradationPolicy(jitter=-0.1)
-    with pytest.raises(ReproError):
-        DegradationPolicy(jitter=1.5)
-    # jitter defaults to 0: the un-jittered schedule is unchanged.
-    policy = DegradationPolicy(backoff_base=0.1, backoff_cap=0.3)
-    assert policy.backoff(2, seed=7) == pytest.approx(0.2)
+def test_negative_max_retries_is_rejected():
+    with pytest.raises(ReproError, match="max_retries"):
+        evaluate_with_policy(PQEEngine(), QUERY, PDB, max_retries=-1)
+    with pytest.raises(ReproError, match="max_retries"):
+        evaluate_batch(PQEEngine(), [(QUERY, PDB)], max_retries=-1)
 
 
 def test_epsilon_widening_is_capped():
-    policy = DegradationPolicy(epsilon_widening=2.0, epsilon_max=0.5)
-    assert policy.widened_epsilon(0.1, 0) == 0.1
-    assert policy.widened_epsilon(0.1, 1) == pytest.approx(0.2)
-    assert policy.widened_epsilon(0.1, 3) == 0.5     # capped at max
+    assert widened_epsilon(0.1, 0) == 0.1
+    assert widened_epsilon(0.1, 1) == pytest.approx(0.2)
+    assert widened_epsilon(0.1, 3) == 0.5     # capped at max
+
+
+def _ladder(query, task="probability", method="auto"):
+    return TASKS[task].ladder(query, method)
 
 
 def test_degradation_ladder_shapes():
     # QUERY is hierarchical, so its auto ladder starts at the lifted
     # rung (which subsumes auto for safe queries).
-    assert degradation_ladder(QUERY) == ("lifted", "fpras", "monte-carlo")
-    assert degradation_ladder(SELF_JOIN) == (
+    assert _ladder(QUERY) == ("lifted", "fpras", "monte-carlo")
+    assert _ladder(SELF_JOIN) == (
         "auto", "karp-luby", "monte-carlo"
     )
     unsafe = parse_query("Q :- R1(x), R2(x, y), R3(y)")
-    assert degradation_ladder(unsafe) == ("auto", "fpras", "monte-carlo")
-    assert degradation_ladder(QUERY, method="fpras") == (
+    assert _ladder(unsafe) == ("auto", "fpras", "monte-carlo")
+    assert _ladder(QUERY, method="fpras") == (
         "fpras", "monte-carlo"
     )
-    assert degradation_ladder(QUERY, method="monte-carlo") == (
+    assert _ladder(QUERY, method="monte-carlo") == (
         "monte-carlo",
     )
-    assert degradation_ladder(QUERY, method="lifted") == (
+    assert _ladder(QUERY, method="lifted") == (
         "lifted", "fpras", "monte-carlo"
     )
-    assert degradation_ladder(unsafe, method="lifted") == (
+    assert _ladder(unsafe, method="lifted") == (
         "lifted", "fpras", "monte-carlo"
     )
-    assert degradation_ladder(QUERY, task="reliability") == (
+    assert _ladder(QUERY, task="reliability") == (
         "auto", "fpras"
     )
 
@@ -184,7 +141,7 @@ def test_transient_fault_is_retried_on_a_derived_seed():
     with inject_faults(FaultSpec("counting.nfta", times=1)):
         answer = evaluate_with_policy(
             engine, QUERY, PDB, method="fpras", seed=11,
-            policy=DegradationPolicy(max_retries=1),
+            max_retries=1,
         )
     assert answer.retries == 1
     assert answer.degraded
@@ -202,7 +159,7 @@ def test_persistent_fault_degrades_to_the_next_route():
     with inject_faults(FaultSpec("counting.nfta")):
         answer = evaluate_with_policy(
             engine, QUERY, PDB, method="fpras", seed=4,
-            policy=DegradationPolicy(max_retries=1),
+            max_retries=1,
         )
     assert answer.method == "monte-carlo"
     assert answer.degraded
@@ -222,7 +179,7 @@ def test_ladder_exhaustion_raises_the_last_failure_with_provenance():
         with pytest.raises(ReproError) as info:
             evaluate_with_policy(
                 engine, QUERY, PDB, method="fpras", seed=4,
-                policy=DegradationPolicy(max_retries=0),
+                max_retries=0,
             )
     failure = info.value
     assert failure.degradations[0].startswith("fpras:")
@@ -272,7 +229,7 @@ def test_engine_facade_evaluate_resilient():
     with inject_faults(FaultSpec("counting.nfta", times=1)):
         answer = engine.evaluate_resilient(
             QUERY, PDB, method="fpras",
-            policy=DegradationPolicy(max_retries=1),
+            max_retries=1,
         )
     assert answer.retries == 1
     assert answer.degraded

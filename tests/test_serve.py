@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core.resilience import EPSILON_MAX
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import (
@@ -409,7 +410,7 @@ class TestHandle:
         for _ in range(8):
             server.shedder.observe(5.0)
         _, body = server.handle({"query": BASE})
-        assert body["epsilon"] <= server.policy.epsilon_max
+        assert body["epsilon"] <= EPSILON_MAX
 
     def test_persistent_failure_is_a_structured_500(self, pdb):
         server = make_server(pdb)
