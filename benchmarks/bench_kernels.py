@@ -6,9 +6,11 @@ numpy one (:mod:`repro.core.vectorized`) when numpy is importable, the
 scalar one otherwise — and both must earn their keep: this bench times
 the exact CountNFTA DP through the Theorem 1 weighted reduction on the
 Table-1-style workloads — reference vs scalar table vs numpy table —
-*cold* (kernel caches cleared before every pass, so plan compilation,
-layer fills and memo-table fills are paid, not amortised away).  The
-scalar passes hide numpy, as on a host without it.
+*cold*: every pass counts a fresh copy of the automaton (trimmed before
+the clock starts, as a reduction build leaves it), which has no
+compiled form yet, so plan compilation, layer fills and memo-table
+fills are paid, not amortised away.  The scalar passes hide numpy, as
+on a host without it.
 
 The measurements double as CI perf-regression gates (run by the
 ``benchmarks`` job next to the telemetry/durability overhead guards):
@@ -50,9 +52,9 @@ import random
 from fractions import Fraction
 
 import repro.core.vectorized as vectorized
+from repro.automata.nfta import NFTA
 from repro.automata.optimize import optimize_nfta
 from repro.bench.harness import ResultTable, timed
-from repro.core.kernels import clear_kernel_caches
 from repro.core.pqe_estimate import build_pqe_reduction
 from repro.automata.nfta_counting import count_nfta, count_nfta_exact
 from repro.db.fact import Fact
@@ -103,18 +105,28 @@ def _best_of(fn, repeats=REPEATS, check=True):
     return value, best
 
 
+def _cold_copies(nfta: NFTA, count: int = REPEATS):
+    """``count`` copies of ``nfta`` with no compiled form, each trimmed
+    as a reduction build leaves it: counting one is a cold count."""
+    return iter([
+        NFTA(nfta.transitions, nfta.initial).trimmed()
+        for _ in range(count)
+    ])
+
+
 def _cold_pass(reduction, table):
     """One cold exact DP pass on the ``"scalar"`` or ``"numpy"`` layer
-    table; the scalar pass hides numpy, as on a host without it."""
+    table per call (``REPEATS`` calls); the scalar pass hides numpy, as
+    on a host without it."""
+    copies = _cold_copies(reduction.nfta)
 
     def run():
-        clear_kernel_caches()
         saved = vectorized._np
         if table == "scalar":
             vectorized._np = None
         try:
             return count_nfta_exact(
-                reduction.nfta, reduction.tree_size,
+                next(copies), reduction.tree_size,
                 weight_of=reduction.weight_of, backend="optimized",
             )
         finally:
@@ -273,16 +285,19 @@ def _sampler_workloads():
 
 def _measure_sampler():
     """(reference seconds, optimized seconds, estimates), best-of, cold:
-    the kernel caches are cleared before every count."""
+    every count runs on a fresh copy of its automaton."""
     workloads = _sampler_workloads()
 
     def sampler_pass(backend):
+        copies = [_cold_copies(workload[0].nfta) for workload in workloads]
+
         def run():
             results = []
-            for reduction, weight_of, epsilon in workloads:
-                clear_kernel_caches()
+            for (reduction, weight_of, epsilon), pool in zip(
+                workloads, copies
+            ):
                 results.append(count_nfta(
-                    reduction.nfta, reduction.tree_size, epsilon=epsilon,
+                    next(pool), reduction.tree_size, epsilon=epsilon,
                     seed=SEED, weight_of=weight_of, backend=backend,
                 ))
             return results

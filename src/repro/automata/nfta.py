@@ -65,6 +65,9 @@ class NFTA:
         The initial state ``s_init``.
     """
 
+    #: Set on an automaton known to be trim (see :meth:`trimmed`).
+    _trim = False
+
     def __init__(
         self,
         transitions: Iterable[Transition],
@@ -126,27 +129,22 @@ class NFTA:
         )
 
     @cached_property
-    def fingerprint(self) -> str:
-        """Order-insensitive digest of ``(s_init, Δ)``.
+    def compiled(self) -> "DenseNFTA":
+        """The dense form the optimized counters run on
+        (:func:`~repro.automata.optimize.optimize_nfta`), built on first
+        use.  It lives as long as this automaton, and so do the sampling
+        plans and exact layer tables memoized on it; it is never pickled
+        (see :meth:`__getstate__`)."""
+        from repro.automata.optimize import optimize_nfta
 
-        Lets callers check that two automata are structurally identical
-        without comparing transition tables — the reduction cache's
-        tests use it to certify that a cached reduction is the same
-        automaton a fresh build would produce.
-        """
-        import hashlib
+        return optimize_nfta(self)
 
-        canonical = "\x1f".join(
-            sorted(
-                f"{source!r}|{symbol!r}|{children!r}"
-                for source, symbol, children in self._transitions
-            )
-        )
-        digest = hashlib.sha256()
-        digest.update(repr(self._initial).encode("utf-8"))
-        digest.update(b"\x1e")
-        digest.update(canonical.encode("utf-8"))
-        return digest.hexdigest()[:32]
+    def __getstate__(self) -> dict:
+        # The compiled form holds locks and memo tables; an unpickled
+        # automaton compiles afresh on first use.
+        state = dict(self.__dict__)
+        state.pop("compiled", None)
+        return state
 
     @cached_property
     def by_symbol(self) -> dict[Symbol, tuple[Transition, ...]]:
@@ -328,12 +326,19 @@ class NFTA:
         return frozenset(productive)
 
     def trimmed(self) -> "NFTA":
-        """Drop transitions involving unproductive or unreachable states."""
+        """Drop transitions involving unproductive or unreachable states.
+
+        An automaton that is already trim is returned unchanged, and a
+        result of this method answers its own ``trimmed()`` without
+        rerunning the fixpoints.
+        """
+        if self._trim:
+            return self
         if self.has_lambda:
             raise AutomatonError("trim after λ-elimination")
         productive = self.productive_states
         if self._initial not in productive:
-            return NFTA((), self._initial)
+            return NFTA((), self._initial)._mark_trim()
         reachable: set[State] = {self._initial}
         changed = True
         useful_transitions: list[Transition] = []
@@ -353,7 +358,13 @@ class NFTA:
                 c in productive for c in children
             ):
                 useful_transitions.append((source, symbol, children))
-        return NFTA(useful_transitions, self._initial)
+        if len(useful_transitions) == self.num_transitions:
+            return self._mark_trim()
+        return NFTA(useful_transitions, self._initial)._mark_trim()
+
+    def _mark_trim(self) -> "NFTA":
+        self._trim = True
+        return self
 
     # ------------------------------------------------------------------
     # Size reachability

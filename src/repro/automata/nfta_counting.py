@@ -40,9 +40,9 @@ Every entry point takes a ``backend`` name (default ``"optimized"``;
 see :mod:`repro.core.kernels` and ``docs/performance.md``).  For the
 exact DP the optimized backend runs the layer table
 :func:`repro.core.kernels.layer_table` picks over dense pruned bitmask
-indexes with process-wide memoized layers — the numpy table when numpy
-is importable, the scalar one otherwise; exact arithmetic keeps both
-bitwise-equal to the reference (float weights fall back to the
+indexes with layers memoized on the automaton — the numpy table when
+numpy is importable, the scalar one otherwise; exact arithmetic keeps
+both bitwise-equal to the reference (float weights fall back to the
 reference DP).  The sampler is one loop over one seed-free plan
 (:class:`_CounterPlan`, built on the compiled
 :class:`~repro.automata.optimize.DenseNFTA`); a backend only picks how
@@ -108,8 +108,8 @@ def count_nfta_exact(nfta: NFTA, size: int, weight_of=None, backend=None):
 
     ``backend='optimized'`` (the default; ``'vectorized'`` is another
     spelling of it) runs the layer DP of :mod:`repro.core.kernels` over
-    the pruned dense automaton, with layers memoized under the
-    automaton fingerprint: the numpy table when numpy is importable,
+    the pruned dense automaton, with layers memoized on the automaton's
+    compiled form: the numpy table when numpy is importable,
     the scalar one otherwise.  Exact arithmetic makes the result
     bitwise-equal to the reference.  Float weights (whose summation
     order matters) automatically use the reference DP.  The
@@ -231,9 +231,9 @@ class _CounterPlan:
     ``(s_init, size)`` (``None``: no accepted tree of that size).  Pairs
     sort by (size, ``str(state)``), groups by (``str(symbol)``, arity,
     split) and members by their children's ``str``: orders of the
-    original labels, hence the same for every automaton sharing the
-    fingerprint the optimized backends key the plan on
-    (:func:`repro.core.kernels.shared_plan`).  ``derivations[q]`` maps
+    original labels, hence the same on every backend; the optimized
+    ones keep it on :attr:`NFTA.compiled
+    <repro.automata.nfta.NFTA.compiled>`.  ``derivations[q]`` maps
     a symbol id to the child-state tuples of state q's rules — the
     interned tree store's membership tables.
     """
@@ -584,11 +584,9 @@ def _sampler(nfta: NFTA, size: int, backend: str):
     if backend == "reference":
         plan = _CounterPlan(nfta, optimize_nfta(nfta), size)
         return plan, lambda: _LabeledTrees(plan, nfta)
-    from repro.core import kernels
-
-    plan = kernels.shared_plan(
-        ("plan", nfta.fingerprint, size),
-        lambda: _CounterPlan(nfta, kernels.dense_automaton(nfta), size),
+    dense = nfta.compiled
+    plan = dense.memoized(
+        ("plan", size), lambda: _CounterPlan(nfta, dense, size)
     )
     return plan, lambda: _InternedTrees(plan)
 
@@ -772,7 +770,7 @@ def count_nfta(
     only in its tree store: ``reference`` keeps :class:`LabeledTree`
     objects and frozenset derivability, ``optimized`` (also spelled
     ``vectorized``) interns trees as integer ids with dense-state
-    bitmasks and shares the plan across repetitions and batch items.
+    bitmasks and keeps the plan on the automaton for later counts.
     Estimates, exact flags and sample counts are bitwise-identical
     across backends.
     """

@@ -8,13 +8,14 @@ right substrate for correctness arguments but a poor one for speed.
 
 :func:`optimize_nfta` compiles an NFTA into a :class:`DenseNFTA`:
 
-- **pruning** — transitions touching unproductive or unreachable states
-  are dropped (the same closure as :meth:`NFTA.trimmed`).  Unproductive
-  states never occur in any tree's evaluated-state set, and unreachable
-  states can only *merge* DP cells whose membership of ``s_init`` is
-  unchanged, so every count the kernels derive from the pruned
-  automaton equals the count over the original one (the property-based
-  suite checks ``|L_k(T)|`` preservation directly);
+- **pruning** — it compiles :meth:`NFTA.trimmed
+  <repro.automata.nfta.NFTA.trimmed>`, without the transitions touching
+  unproductive or unreachable states (a reduction automaton is already
+  trim).  Unproductive states never occur in any tree's evaluated-state
+  set, and unreachable states can only *merge* DP cells whose
+  membership of ``s_init`` is unchanged, so every count the kernels
+  derive from the pruned automaton equals the count over the original
+  one (the property-based suite checks ``|L_k(T)|`` preservation);
 - **dedup** — duplicate ``(source, symbol, children)`` triples collapse
   to their first occurrence.  The reference DP already frozensets them
   away per cell; dropping them up front removes the rescans entirely;
@@ -26,13 +27,11 @@ right substrate for correctness arguments but a poor one for speed.
   each distinct child-subset combination is resolved against the rules
   once per automaton rather than once per DP cell.
 
-Everything here is seed-free preprocessing: the compiled form is shared
-process-wide by :mod:`repro.core.kernels` under the automaton's
-order-insensitive :attr:`~repro.automata.nfta.NFTA.fingerprint`.  The
-numpy layer table (:mod:`repro.core.vectorized`) consumes the same
-:class:`DenseNFTA` — its packed source-mask columns are built straight
-from each group's ``(bit, children)`` rules, so both layer tables
-share one compilation.
+Everything here is seed-free preprocessing.  An automaton compiles once,
+on first use, into :attr:`NFTA.compiled
+<repro.automata.nfta.NFTA.compiled>`, which keeps the CountNFTA
+sampling plans and both exact layer tables (:meth:`DenseNFTA.memoized`)
+for as long as the automaton lives.
 Telemetry (``kernels.states_pruned`` / ``kernels.transitions_deduped``
 / ``kernels.transitions_pruned``) is attributed to whichever evaluation
 first compiles the automaton; like all ``kernels.*`` counters it is
@@ -42,11 +41,11 @@ outside the bitwise determinism contract (see
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Callable, Hashable
 
-from repro.automata.nfta import NFTA, Transition
-from repro.core.budget import budget_checkpoint
+from repro.automata.nfta import NFTA
 from repro.errors import AutomatonError
 from repro.obs import metric_inc
 
@@ -167,11 +166,11 @@ class DenseNFTA:
 
     Immutable after construction except for the per-group evaluated-mask
     memos, whose entries are deterministic functions of their key (a
-    concurrent duplicate computation is redundant, never wrong).
+    concurrent duplicate computation is redundant, never wrong), and the
+    plans and layer tables kept by :meth:`memoized`.
     """
 
     __slots__ = (
-        "fingerprint",
         "states",
         "symbols",
         "initial_bit",
@@ -179,11 +178,12 @@ class DenseNFTA:
         "transitions",
         "initial",
         "report",
+        "_memo",
+        "_lock",
     )
 
     def __init__(
         self,
-        fingerprint: str,
         states: tuple,
         symbols: tuple,
         groups: tuple,
@@ -191,7 +191,6 @@ class DenseNFTA:
         initial,
         report: OptimizationReport,
     ):
-        self.fingerprint = fingerprint
         self.states = states          # dense id -> original state
         self.symbols = symbols        # dense id -> original symbol
         self.initial_bit = 1          # initial state is always interned as 0
@@ -199,10 +198,27 @@ class DenseNFTA:
         self.transitions = transitions  # pruned+deduped, original labels
         self.initial = initial
         self.report = report
+        self._memo: dict = {}
+        self._lock = threading.Lock()
 
     @property
     def num_states(self) -> int:
         return len(self.states)
+
+    def memoized(self, key: Hashable, build: Callable[[], object]):
+        """The value kept under ``key``, built by ``build()`` on first
+        use: a CountNFTA sampling plan per tree size, an exact layer
+        table per table kind and weight vector.
+
+        Builds run under one lock, so concurrent counts of this
+        automaton build each value once.  A build that raises — a
+        budget cut, say — keeps nothing, and the next call rebuilds.
+        """
+        with self._lock:
+            value = self._memo.get(key)
+            if value is None:
+                value = self._memo[key] = build()
+            return value
 
     def as_nfta(self) -> NFTA:
         """The pruned/deduped automaton over the *original* labels —
@@ -228,42 +244,8 @@ def optimize_nfta(nfta: NFTA) -> DenseNFTA:
     if nfta.has_lambda:
         raise AutomatonError("optimize_nfta requires a λ-free NFTA")
 
-    kept: list[Transition] = []
-    productive = nfta.productive_states
-    if nfta.initial in productive:
-        reachable: set[State] = {nfta.initial}
-        changed = True
-        while changed:
-            budget_checkpoint("counting.nfta")
-            changed = False
-            for source, _symbol, children in nfta.transitions:
-                if source in reachable and all(
-                    c in productive for c in children
-                ):
-                    for child in children:
-                        if child not in reachable:
-                            reachable.add(child)
-                            changed = True
-        seen: set[Transition] = set()
-        for transition in nfta.transitions:
-            source, _symbol, children = transition
-            if (
-                source in reachable
-                and source in productive
-                and all(c in productive for c in children)
-                and transition not in seen
-            ):
-                seen.add(transition)
-                kept.append(transition)
-        deduped = sum(
-            1
-            for transition in nfta.transitions
-            if transition[0] in reachable
-            and transition[0] in productive
-            and all(c in productive for c in transition[2])
-        ) - len(kept)
-    else:
-        deduped = 0
+    trim = nfta.trimmed()
+    kept = list(dict.fromkeys(trim.transitions))
 
     state_id: dict[State, int] = {nfta.initial: 0}
     symbol_id: dict[Symbol, int] = {}
@@ -300,7 +282,7 @@ def optimize_nfta(nfta: NFTA) -> DenseNFTA:
         states_after=len(state_id),
         transitions_before=nfta.num_transitions,
         transitions_after=len(kept),
-        transitions_deduped=deduped,
+        transitions_deduped=trim.num_transitions - len(kept),
     )
     metric_inc("kernels.states_pruned", report.states_pruned)
     metric_inc("kernels.transitions_pruned", report.transitions_pruned)
@@ -314,7 +296,6 @@ def optimize_nfta(nfta: NFTA) -> DenseNFTA:
         symbols[dense] = symbol
 
     return DenseNFTA(
-        fingerprint=nfta.fingerprint,
         states=tuple(states),
         symbols=tuple(symbols),
         groups=tuple(groups),

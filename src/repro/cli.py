@@ -66,6 +66,7 @@ from fractions import Fraction
 from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
+from repro.core.journal import fraction_text
 from repro.core.parallel import (
     BatchDrainedError,
     BatchError,
@@ -230,6 +231,7 @@ def load_batch_file(
                 query = RPQQuery(
                     entry["query"], entry["source"], entry["target"]
                 )
+                query.rpq  # parse the regex now: reject it at load
             except ReproError as failure:
                 raise ContextualError(
                     f"{source}: batch entry {index}: {failure}",
@@ -1130,7 +1132,8 @@ def _print_answer(args, answer, label: str, *header: str) -> int:
         print(line)
     print(f"method:  {answer.method}" + (" (exact)" if answer.exact else ""))
     if answer.rational is not None:
-        print(f"{label} = {answer.value} ({answer.rational})")
+        exact = fraction_text(answer.rational)
+        print(f"{label} = {answer.value} ({exact})")
     else:
         print(f"{label} = {answer.value}")
     if answer.telemetry is not None:

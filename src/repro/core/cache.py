@@ -52,14 +52,15 @@ the request multiset, not on thread scheduling, which is what makes the
 cache accounting in ``tests/test_parallel.py`` deterministic across
 ``max_workers`` settings.
 
-:class:`ReductionCache` is the process's one memo store: the counting
-kernels' compiled-automaton, sampling-plan and DP-layer stores
-(:mod:`repro.core.kernels`) and the lifted router's plan memo
-(:mod:`repro.queries.lifted`) are instances of it too, told apart only
-by their size bound and their counter ``name``.  ``cache.*`` counters
-are deterministic per item; the process-wide ``kernels.*`` and
-``lifted.plan_cache.*`` families depend on process history (see
-:mod:`repro.obs.metrics`).
+:class:`ReductionCache` is the process's one memo store: the lifted
+router's plan memo (:mod:`repro.queries.lifted`) is an instance of it
+too, told apart only by its size bound and its counter ``name``.  A
+reduction's compiled automaton, sampling plans and exact layer tables
+are not entries: they live on the automaton
+(:attr:`repro.automata.nfta.NFTA.compiled`), so they share the
+lifetime of the entry holding it.  ``cache.*`` counters are
+deterministic per item; the process-wide ``lifted.plan_cache.*``
+family depends on process history (see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class ReductionCache:
         ``relations`` registers the relation names the entry's keyed
         inputs depend on, for :meth:`invalidate_relations`.  Pass an
         empty frozenset for query-only artifacts (decompositions,
-        compiled automata) — they survive every database delta.
+        lifted plans) — they survive every database delta.
         ``None`` leaves the entry unregistered, which invalidation
         treats conservatively (evicted by any delta).
 
@@ -305,24 +306,6 @@ class ReductionCache:
         with self._lock:
             return CacheStats(self._hits, self._misses, self._evictions)
 
-    def evict(self, stale: Callable[[Key], bool]) -> tuple[list, int]:
-        """Drop every entry whose key satisfies ``stale``.
-
-        Returns the dropped ``(key, value)`` pairs and the number of
-        entries kept.  ``stale`` runs under the cache lock, so it must
-        not call back into the cache.
-        """
-        with self._lock:
-            dropped = [
-                (key, self._entries.pop(key))
-                for key in list(self._entries)
-                if stale(key)
-            ]
-            for key, _value in dropped:
-                self._relations.pop(key, None)
-                self._unweighted.discard(key)
-            return dropped, len(self._entries)
-
     def invalidate_relations(self, touched, structural=None) -> dict:
         """Reclaim entries whose registered relations were touched.
 
@@ -338,48 +321,37 @@ class ReductionCache:
         changed (insert/delete ops, :attr:`repro.db.delta.Delta.
         structural_relations`).  Entries registered ``weighted=False``
         are only matched against it: a reweight-only delta leaves every
-        unweighted artifact — UR reductions, their exact counts, and
-        the kernel memos hanging off their automata — in place.
-        ``None`` (a caller without op-level knowledge) conservatively
-        treats every touch as structural.
+        unweighted artifact — UR reductions and their exact counts — in
+        place.  ``None`` (a caller without op-level knowledge)
+        conservatively treats every touch as structural.
 
-        Evicted values that expose an ``nfta`` attribute contribute the
-        automaton's fingerprint to a process-wide kernel-memo eviction
-        (:func:`repro.core.kernels.evict_fingerprints`), and evicted
-        keys are deleted from the durable tier.  Returns the counts
-        ``{"cache": …, "diskcache": …, "kernels": …, "survived": …}``.
-        This is reclamation and accounting only — content-addressed
-        keys already make stale hits impossible.
+        Evicted keys are deleted from the durable tier too; a compiled
+        automaton goes with the reduction holding it.  Returns the
+        counts ``{"cache": …, "diskcache": …, "survived": …}``.  This
+        is reclamation and accounting only — content-addressed keys
+        already make stale hits impossible.
         """
         touched = frozenset(touched)
         structural = (
             touched if structural is None else frozenset(structural)
         )
-
-        def stale(key) -> bool:
-            deps = self._relations.get(key)
-            guard = structural if key in self._unweighted else touched
-            return deps is None or bool(deps & guard)
-
-        evicted, survived = self.evict(stale)
-        fingerprints = set()
+        with self._lock:
+            evicted = []
+            for key in list(self._entries):
+                deps = self._relations.get(key)
+                guard = structural if key in self._unweighted else touched
+                if deps is None or deps & guard:
+                    del self._entries[key]
+                    self._relations.pop(key, None)
+                    self._unweighted.discard(key)
+                    evicted.append(key)
+            survived = len(self._entries)
         disk_deleted = 0
-        for key, value in evicted:
-            nfta = getattr(value, "nfta", None)
-            fingerprint = getattr(nfta, "fingerprint", None)
-            if fingerprint is not None:
-                fingerprints.add(fingerprint)
-            if self._disk is not None and self._disk.delete(key):
-                disk_deleted += 1
-        kernels_evicted = 0
-        if fingerprints:
-            from repro.core.kernels import evict_fingerprints
-
-            kernels_evicted = evict_fingerprints(fingerprints)
+        if self._disk is not None:
+            disk_deleted = sum(1 for key in evicted if self._disk.delete(key))
         return {
             "cache": len(evicted),
             "diskcache": disk_deleted,
-            "kernels": kernels_evicted,
             "survived": survived,
         }
 

@@ -59,9 +59,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -77,8 +79,10 @@ __all__ = [
     "RequestJournal",
     "batch_fingerprint",
     "check_fingerprint",
+    "fraction_text",
     "load_journal",
     "load_request_journal",
+    "parse_fraction",
     "read_records",
     "restore_answer",
 ]
@@ -246,13 +250,46 @@ def batch_fingerprint(items, seed, engine) -> str:
     return digest.hexdigest()
 
 
+def fraction_text(value: Fraction) -> str:
+    """``value`` as ``"num/den"`` text (``"num"`` when whole), exactly
+    and at any size.
+
+    ``str`` refuses integers past the interpreter's digit limit
+    (``sys.get_int_max_str_digits``, 4,300 by default), which a uniform
+    reliability count over a large relation passes.  Going through
+    :class:`decimal.Decimal` converts exactly without touching that
+    limit, which is process-wide and so belongs to the caller.
+    """
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
+
+
+_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The :class:`~fractions.Fraction` that :func:`fraction_text` (or
+    ``str``) wrote, at any size."""
+    match = _FRACTION_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a fraction: {text[:40]!r}")
+    numerator, denominator = match.groups()
+    return Fraction(
+        int(Decimal(numerator)), int(Decimal(denominator or "1"))
+    )
+
+
 def _answer_payload(answer) -> dict:
     rational = answer.rational
     return {
         "value": answer.value,
         "method": answer.method,
         "exact": answer.exact,
-        "rational": str(rational) if rational is not None else None,
+        "rational": (
+            fraction_text(rational) if rational is not None else None
+        ),
         "degradations": list(answer.degradations),
         "retries": answer.retries,
     }
@@ -268,7 +305,7 @@ def restore_answer(payload: dict):
         value=payload["value"],
         method=payload["method"],
         exact=payload["exact"],
-        rational=Fraction(rational) if rational is not None else None,
+        rational=parse_fraction(rational) if rational is not None else None,
         degradations=tuple(payload.get("degradations", ())),
         retries=payload.get("retries", 0),
     )

@@ -1,7 +1,7 @@
 """Optimized counting kernels: backend names, shared layer DP, batching.
 
-This module is the process-wide home of the ``optimized`` counting
-backend (see ``docs/performance.md``):
+This module is the home of the ``optimized`` counting backend (see
+``docs/performance.md``):
 
 - :func:`resolve_backend` — validates the
   ``backend="reference"|"optimized"|"vectorized"`` name threaded
@@ -14,48 +14,37 @@ backend (see ``docs/performance.md``):
   :class:`~repro.automata.optimize.DenseNFTA` bitmask indexes, and the
   only place that decides which table runs it: the numpy
   :class:`~repro.core.vectorized.VectorLayerTable` when numpy is
-  importable, the scalar :class:`_LayerTable` otherwise.  A table's
-  per-size layers are memoized under the automaton
-  :attr:`~repro.automata.nfta.NFTA.fingerprint` (plus the symbol-weight
-  vector) and *extended in place*, so repeated counts — across
-  ``count_nfta`` repetitions, batch items, and whatever the
-  :class:`~repro.core.cache.ReductionCache`/disk tier did not already
-  absorb — pay only for sizes never seen before.  Integer and
+  importable, the scalar :class:`_LayerTable` otherwise.  A table is
+  memoized on the automaton's compiled form
+  (:attr:`~repro.automata.nfta.NFTA.compiled`) per table kind and
+  symbol-weight vector, and its per-size layers are *extended in
+  place*, so repeated counts of one automaton — across ``count_nfta``
+  repetitions, and across batch items or daemon requests that share
+  its reduction through a :class:`~repro.core.cache.ReductionCache` —
+  pay only for sizes never seen before.  Integer and
   :class:`fractions.Fraction` weights sum order-independently, which is
   what makes the reorganized DP *bitwise* equal to the reference;
   float weights are order-sensitive, so there is no table for them and
   the caller runs the reference DP;
-- :func:`shared_plan` — fingerprint-keyed seed-free sampling plans
-  (per (state, size) cell of the compiled automaton: the group order,
-  the member order and the child cells, plus the per-state rule tables
-  membership runs on) built once and reused by every CountNFTA run
-  over the same automaton.  Every backend runs the same sampling loop
-  over such a plan, consuming the per-item SHA-256 seed streams in one
-  fixed order, so answers are bitwise-identical at any worker count;
 - :class:`TickBatcher` — chunked budget/metric accounting for the
   sampling hot loops (one ``budget_tick(phase, n)`` per chunk instead
   of ``n`` calls).  Totals are unchanged; with an active budget scope
   the chunk size drops to 1 so deadline/work enforcement keeps its
   per-sample granularity.
 
-The three stores (compiled automata, sampling plans, DP layer tables)
-are :class:`~repro.core.cache.ReductionCache` instances counting as
-``kernels.dense_cache.*``, ``kernels.plan_cache.*`` and
-``kernels.layer_cache.*``.  They are *global to the process* — their
-hit/miss counters depend on process history, not on the item, so every
-``kernels.*`` counter sits outside the bitwise determinism contract
-(see :mod:`repro.obs.metrics`).
+The module keeps no state of its own: a compiled form, its sampling
+plans (:mod:`repro.automata.nfta_counting`) and its layer tables live
+exactly as long as the automaton that holds them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Hashable
+from typing import Callable
 
 from repro.automata.nfta import NFTA
-from repro.automata.optimize import DenseNFTA, optimize_nfta
+from repro.automata.optimize import DenseNFTA
 from repro.core.budget import active_budget, budget_tick
-from repro.core.cache import ReductionCache
 from repro.errors import ReproError
 from repro.obs import metric_inc
 
@@ -65,11 +54,8 @@ __all__ = [
     "TickBatcher",
     "add_layer_terms",
     "clear_kernel_caches",
-    "dense_automaton",
-    "evict_fingerprints",
     "layer_table",
     "resolve_backend",
-    "shared_plan",
 ]
 
 #: ``"vectorized"`` names the same backend as ``"optimized"``; it stays
@@ -94,69 +80,10 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
-# ----------------------------------------------------------------------
-# Process-wide keyed stores with build deduplication
-# ----------------------------------------------------------------------
-
-_dense_store = ReductionCache(256, name="kernels.dense_cache")
-_plan_store = ReductionCache(256, name="kernels.plan_cache")
-_layer_store = ReductionCache(128, name="kernels.layer_cache")
-_STORES = (_dense_store, _plan_store, _layer_store)
-
-
 def clear_kernel_caches() -> None:
-    """Drop every compiled automaton, sampling plan and layer table.
-
-    Benchmarks call this to measure cold passes; tests call it to make
-    kernel-cache counter assertions independent of ordering."""
-    for store in _STORES:
-        store.clear()
-
-
-def evict_fingerprints(fingerprints) -> int:
-    """Drop kernel memos compiled from the given automaton fingerprints.
-
-    The structure-aware arm of delta invalidation
-    (:meth:`repro.core.cache.ReductionCache.invalidate_relations`):
-    when a reduction over touched relations is evicted, the dense
-    automaton, sampling plans and DP layer tables compiled from its
-    NFTA go with it; kernels for untouched automata survive.  Returns
-    the number of entries dropped across the three stores.
-
-    Every store key is a tuple carrying the automaton fingerprint
-    (``("dense", fp)``, ``("plan", fp, size)``, ``("layers", fp,
-    weights)``, ``("vlayers", fp, weights)``), so membership anywhere
-    in the tuple identifies the artefacts compiled from that automaton.
-    """
-    wanted = frozenset(fingerprints)
-    if not wanted:
-        return 0
-
-    def compiled_from_wanted(key) -> bool:
-        return any(part in wanted for part in key)
-
-    dropped = sum(
-        len(store.evict(compiled_from_wanted)[0]) for store in _STORES
-    )
-    if dropped:
-        metric_inc("kernels.delta_evicted", dropped)
-    return dropped
-
-
-def dense_automaton(nfta: NFTA) -> DenseNFTA:
-    """The compiled (pruned/deduped/interned) form of ``nfta``, shared
-    process-wide under its fingerprint."""
-    return _dense_store.get_or_build(
-        ("dense", nfta.fingerprint), lambda: optimize_nfta(nfta)
-    )
-
-
-def shared_plan(key: Hashable, builder: Callable[[], object]):
-    """Memoize a seed-free sampling plan under ``key``.
-
-    The caller (``nfta_counting``) owns the plan contents; this module
-    only provides the fingerprint-keyed sharing and build dedup."""
-    return _plan_store.get_or_build(key, builder)
+    """Nothing to clear: compiled forms, plans and layer tables live on
+    their automata, so a freshly built automaton counts cold.  Kept
+    because the repository benchmark calls it before every cold op."""
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +169,12 @@ class _LayerTable:
     name = "scalar"
 
     __slots__ = (
-        "_dense", "_lock", "_layers", "_items", "_leaf_groups", "_by_arity",
+        "_initial_bit", "_lock", "_layers", "_items", "_leaf_groups",
+        "_by_arity",
     )
 
     def __init__(self, dense: DenseNFTA, weights: tuple):
-        self._dense = dense
+        self._initial_bit = dense.initial_bit
         self._lock = threading.Lock()
         self._layers: list[dict[int, object]] = [{}]  # size 0 is empty
         self._items: list[list] = [[]]  # snapshot lists for enumeration
@@ -273,7 +201,7 @@ class _LayerTable:
                 checkpoint()
                 self._append_layer()
             layer = self._layers[size]
-        initial_bit = self._dense.initial_bit
+        initial_bit = self._initial_bit
         total = 0
         for mask, weight in layer.items():
             if mask & initial_bit:
@@ -304,24 +232,24 @@ def layer_table(nfta: NFTA, weigh):
     ``name`` says which.  Its ``count(size, checkpoint)`` is
     bitwise-equal to the reference DP for int/Fraction weights: both
     sum exactly the same per-tree weight terms, and exact arithmetic
-    makes the grouping irrelevant.  The two kinds are stored under
-    different keys (``("vlayers", …)`` / ``("layers", …)``), so a
-    process that stops seeing numpy never reads a numpy table.
+    makes the grouping irrelevant.  The two kinds are kept under
+    different keys on :attr:`NFTA.compiled
+    <repro.automata.nfta.NFTA.compiled>`, so a process that stops
+    seeing numpy never reads a numpy table.
     """
     from repro.core import vectorized
 
-    dense = dense_automaton(nfta)
+    dense = nfta.compiled
     weights = tuple(weigh(symbol) for symbol in dense.symbols)
     if any(isinstance(weight, float) for weight in weights):
         return None
     if vectorized.available():
-        return _layer_store.get_or_build(
-            ("vlayers", dense.fingerprint, weights),
+        return dense.memoized(
+            ("numpy", weights),
             lambda: vectorized.VectorLayerTable(dense, weights),
         )
-    return _layer_store.get_or_build(
-        ("layers", dense.fingerprint, weights),
-        lambda: _LayerTable(dense, weights),
+    return dense.memoized(
+        ("scalar", weights), lambda: _LayerTable(dense, weights)
     )
 
 

@@ -304,13 +304,13 @@ class VectorLayerTable:
     the table :func:`repro.core.kernels.layer_table` builds whenever
     numpy is importable: ``count(size)`` extends the layer arrays on
     demand and sums the counts of rows containing the initial state.
-    Shared process-wide under ``("vlayers", fingerprint, weights)``.
+    Kept on the automaton's compiled form under ``("numpy", weights)``.
     """
 
     name = "numpy"
 
     __slots__ = (
-        "_dense", "_lock", "_layers", "_totals",
+        "_nstates", "_lock", "_layers", "_totals",
         "_leaf_cell", "_unary", "_binary", "_scalar_by_arity",
         "_pyitems", "_npad", "_nwords", "_nbytes", "_ucols", "_ucolw",
         "_uoffsets", "_uweights", "_binkeys", "_object_mode",
@@ -318,9 +318,8 @@ class VectorLayerTable:
     )
 
     def __init__(self, dense, weights: tuple):
-        self._dense = dense
         self._lock = threading.Lock()
-        n_states = dense.num_states
+        n_states = self._nstates = dense.num_states
         self._nbytes = max(1, (n_states + 7) // 8)
         self._nwords = (self._nbytes + 7) // 8
         self._npad = self._nwords * 8
@@ -437,7 +436,7 @@ class VectorLayerTable:
     def _unpacked(self, packed):
         return _np.unpackbits(
             packed[:, :self._nbytes], axis=1, bitorder="little"
-        )[:, :self._dense.num_states]
+        )[:, :self._nstates]
 
     def _append_layer(self) -> None:
         s = len(self._layers)

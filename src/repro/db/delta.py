@@ -35,7 +35,7 @@ can only cause misses, never a stale-wrong answer.  Invalidation is
 reclamation and accounting; correctness never depends on it.
 
 Counters: ``delta.applied``, ``delta.ops``,
-``delta.invalidated.{cache,diskcache,kernels,journal,registry}``,
+``delta.invalidated.{cache,diskcache,journal,registry}``,
 ``delta.survived`` (classified scheduling-sensitive — invalidation
 totals depend on what earlier traffic cached).
 """
@@ -198,9 +198,8 @@ class Delta:
         """Relations whose fact *set* changes (insert/delete ops).
 
         A relation touched only by reweights keeps its fact set —
-        artifacts keyed on unweighted projection tokens (UR reductions,
-        exact UR counts, their kernel memos) stay valid, and
-        invalidation spares them
+        artifacts keyed on unweighted projection tokens (UR reductions
+        and exact UR counts) stay valid, and invalidation spares them
         (:meth:`repro.core.cache.ReductionCache.invalidate_relations`).
         """
         return frozenset(
@@ -621,8 +620,8 @@ class VersionedDatabase:
 
     def attach_cache(self, cache) -> None:
         """Convenience: reclaim a
-        :class:`~repro.core.cache.ReductionCache` (memory + disk +
-        kernel memos) on every delta."""
+        :class:`~repro.core.cache.ReductionCache` (memory + disk) on
+        every delta."""
         self.attach_invalidator(
             "cache",
             lambda touched, structural: cache.invalidate_relations(

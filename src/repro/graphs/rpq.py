@@ -32,6 +32,7 @@ from repro.automata.nfa import NFA
 from repro.errors import ParseError
 
 __all__ = [
+    "MAX_RPQ_NESTING",
     "Concat",
     "Epsilon",
     "Label",
@@ -69,7 +70,7 @@ class Concat:
     parts: tuple
 
     def __str__(self) -> str:
-        return " ".join(_wrap(p) for p in self.parts)
+        return " ".join(map(_wrap, self.parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +78,7 @@ class Union:
     parts: tuple
 
     def __str__(self) -> str:
-        return " | ".join(str(p) for p in self.parts)
+        return " | ".join(map(str, self.parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +108,7 @@ class Opt:
 def _wrap(node) -> str:
     """Parenthesise non-atomic operands so rendering round-trips."""
     if isinstance(node, (Union, Concat)):
-        return f"({node})"
+        return "(" + str(node) + ")"
     return str(node)
 
 
@@ -134,11 +135,22 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+#: The deepest nesting a regex may have; each group and each postfix
+#: operator is one level.  The parser and the AST walks recurse once
+#: per level, so this keeps them inside the interpreter's recursion
+#: limit.
+MAX_RPQ_NESTING = 100
+
+
 class _Parser:
+    """Each parse method returns ``(node, depth)``: the node and its
+    nesting depth in groups and postfix operators."""
+
     def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
         self.index = 0
         self.text = text
+        self.groups = 0  # groups open around the current token
 
     def peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -152,8 +164,16 @@ class _Parser:
         self.index += 1
         return token
 
+    def nested(self, depth: int) -> int:
+        if depth > MAX_RPQ_NESTING:
+            raise ParseError(
+                f"RPQ nests deeper than {MAX_RPQ_NESTING} levels of "
+                f"groups and postfix operators"
+            )
+        return depth
+
     def parse(self):
-        node = self.union()
+        node, _depth = self.union()
         if self.peek() is not None:
             raise ParseError(
                 f"trailing {self.peek()!r} in RPQ {self.text!r}"
@@ -161,53 +181,65 @@ class _Parser:
         return node
 
     def union(self):
-        parts = [self.concat()]
+        node, depth = self.concat()
+        parts = [node]
         while self.peek() == "|":
             self.take()
-            parts.append(self.concat())
+            node, part_depth = self.concat()
+            parts.append(node)
+            depth = max(depth, part_depth)
         if len(parts) == 1:
-            return parts[0]
-        return Union(tuple(parts))
+            return parts[0], depth
+        return Union(tuple(parts)), depth
 
     def concat(self):
         parts = []
+        depth = 0
         while self.peek() is not None and self.peek() not in ("|", ")"):
-            parts.append(self.postfix())
+            node, part_depth = self.postfix()
+            parts.append(node)
+            depth = max(depth, part_depth)
         if not parts:
-            return Epsilon()
+            return Epsilon(), 0
         if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+            return parts[0], depth
+        return Concat(tuple(parts)), depth
 
     def postfix(self):
-        node = self.atom()
+        node, depth = self.atom()
         while self.peek() in ("*", "+", "?"):
             operator = self.take()
+            depth = self.nested(depth + 1)
             if operator == "*":
                 node = Star(node)
             elif operator == "+":
                 node = Plus(node)
             else:
                 node = Opt(node)
-        return node
+        return node, depth
 
     def atom(self):
         token = self.take()
         if token == "(":
-            node = self.union()
+            self.groups = self.nested(self.groups + 1)
+            node, depth = self.union()
             if self.peek() != ")":
                 raise ParseError(f"unbalanced '(' in RPQ {self.text!r}")
             self.take()
-            return node
+            self.groups -= 1
+            return node, self.nested(depth + 1)
         if token in (")", "|", "*", "+", "?"):
             raise ParseError(
                 f"unexpected {token!r} in RPQ {self.text!r}"
             )
-        return Label(token)
+        return Label(token), 0
 
 
 def parse_rpq(text: str):
     """Parse an RPQ expression into its AST.
+
+    Raises :class:`~repro.errors.ParseError` on malformed text and on
+    nesting deeper than :data:`MAX_RPQ_NESTING`.
 
     >>> parse_rpq("a (b|c)* d")
     Concat(parts=(Label(name='a'), Star(child=Union(parts=(Label(name='b'), Label(name='c')))), Label(name='d')))

@@ -44,12 +44,14 @@ __all__ = [
 SCHEDULING_SENSITIVE = frozenset({"cache.inflight_waits"})
 
 #: Counter-name *prefixes* outside the bitwise contract.  The
-#: ``kernels.`` family instruments the optimized counting backend's
-#: process-global stores (:mod:`repro.core.kernels`): whether a plan or
-#: DP layer is a hit or a freshly built miss — and therefore which
-#: evaluation the preprocessing/layer-fill work is attributed to —
-#: depends on everything that ran earlier in the process, not on the
-#: item and its seed.  The *answers* those kernels produce remain
+#: ``kernels.`` family instruments the optimized counting backend
+#: (:mod:`repro.core.kernels`), whose compiled form, sampling plans and
+#: DP layers live on the automaton
+#: (:attr:`repro.automata.nfta.NFTA.compiled`): when a reduction is
+#: shared through a cache, which evaluation compiles it, builds a plan
+#: or fills a layer — and so is charged that work — depends on what
+#: ran earlier in the process, not on the item and its seed.  The
+#: *answers* those kernels produce remain
 #: bitwise-identical to the reference backend; only this bookkeeping is
 #: history-dependent.  ``lifted.plan_cache.`` / ``lifted.classified.``
 #: instrument the lifted router's process-wide plan memo

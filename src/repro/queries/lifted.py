@@ -32,9 +32,12 @@ classical lifted-inference rules:
 
 Plans depend on the query only — never on the database — so they are
 memoized process-wide under the query's ``cache_token`` digest in a
-bounded :class:`~repro.core.cache.ReductionCache`, exactly like the
-counting-kernel layer memos (:func:`clear_lifted_caches` resets the
-memo, mirroring ``clear_kernel_caches``).
+bounded :class:`~repro.core.cache.ReductionCache`, the package's one
+process-global memo (:func:`clear_lifted_caches` resets it).  The
+minimization search that shatters self-joins is exponential in the
+worst case, so it checks the active evaluation budget (phase
+``lifted.classify``) once per backtracking step; a classification the
+budget cuts off is not memoized.
 
 Every safe answer is certified by the three-oracle differential
 harness in ``tests/test_lifted_differential.py``: lifted output equals
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from repro.core.budget import budget_tick
+from repro.core.budget import budget_checkpoint, budget_tick
 from repro.core.cache import ReductionCache
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
@@ -289,6 +292,7 @@ def _ga_contained(
         by_relation.setdefault(relation, []).append(terms)
 
     def extend(index: int, binding: dict[str, _Term]) -> bool:
+        budget_checkpoint("lifted.classify")
         if index == len(outer):
             return True
         relation, terms = outer[index]
@@ -511,8 +515,8 @@ _plan_memo = ReductionCache(PLAN_MEMO_SIZE, name="lifted.plan_cache")
 
 
 def clear_lifted_caches() -> None:
-    """Drop every memoized classification/plan (mirrors
-    :func:`repro.core.kernels.clear_kernel_caches`)."""
+    """Drop every memoized classification/plan (benchmarks call it to
+    measure cold classifications)."""
     _plan_memo.clear()
 
 

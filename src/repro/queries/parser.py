@@ -9,6 +9,12 @@ notation used throughout the probabilistic-database literature::
     atom   := identifier "(" var ("," var)* ")"
     var    := identifier
 
+Query text is capped at :data:`MAX_QUERY_ATOMS` atoms: parsing rejects
+a longer body with a :class:`~repro.errors.ParseError`, so no later
+stage (the lifted classifier's containment search, the decomposition,
+the reduction) is handed a query far past anything the engine is built
+to evaluate.
+
 Examples
 --------
 >>> q = parse_query("Q :- R(x, y), S(y, z)")
@@ -26,7 +32,12 @@ from repro.errors import ParseError
 from repro.queries.atoms import Atom, Variable
 from repro.queries.cq import ConjunctiveQuery
 
-__all__ = ["parse_query"]
+__all__ = ["MAX_QUERY_ATOMS", "parse_query"]
+
+#: The most atoms query text may have: 8× the largest query the
+#: repository builds (``path_query(32)``), far below the depth at which
+#: any stage's recursion gives out.
+MAX_QUERY_ATOMS = 256
 
 # Identifiers are Unicode-aware: a letter or underscore followed by
 # word characters or primes (so "Straße", "x'" and "北京" all work).
@@ -98,6 +109,10 @@ class _Parser:
                     f"in {self._source!r}"
                 )
             self._advance()
+            if len(atoms) == MAX_QUERY_ATOMS:
+                raise ParseError(
+                    f"query has more than {MAX_QUERY_ATOMS} atoms"
+                )
             atoms.append(self._parse_atom())
         return ConjunctiveQuery(atoms)
 

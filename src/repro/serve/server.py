@@ -63,11 +63,12 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.core.budget import EvaluationBudget
+from repro.core.budget import EvaluationBudget, budget_scope
 from repro.core.estimator import PQEEngine
 from repro.core.journal import (
     RequestJournal,
     check_fingerprint,
+    fraction_text,
     load_request_journal,
     restore_answer,
 )
@@ -551,15 +552,15 @@ class PQEServer:
 
     def _invalidate_registry(self, touched, structural) -> dict:
         """Reclaim warm registry artifacts keyed on a touched relation
-        (L1 entries, their disk shadows, their kernel memos).
-        Unweighted artifacts only match ``structural`` touches."""
+        (L1 entries and their disk shadows; a compiled automaton goes
+        with the reduction holding it).  Unweighted artifacts only
+        match ``structural`` touches."""
         counts = self.registry.cache.invalidate_relations(
             touched, structural=structural
         )
         return {
             "registry": counts["cache"],
             "diskcache": counts["diskcache"],
-            "kernels": counts["kernels"],
             "survived": counts["survived"],
         }
 
@@ -586,7 +587,16 @@ class PQEServer:
     ) -> tuple[int, dict]:
         fault_point("serve.request")
         decision = self.shedder.decide(ticket.queue_fraction)
-        ladder = TASKS[task].ladder(query, method)
+        # The ladder classifies the query, which can take long on a big
+        # self-join: it runs under the request's deadline and its time
+        # is charged to it, like the queue wait.
+        classifying = time.perf_counter()
+        with budget_scope(budget):
+            ladder = TASKS[task].ladder(query, method)
+        if budget is not None:
+            budget = budget.consume_wait(
+                time.perf_counter() - classifying, phase="lifted.classify"
+            )
         rung = min(decision.rung, len(ladder) - 1)
         engine = self.engine
         epsilon = widened_epsilon(engine.epsilon, rung)
@@ -697,11 +707,13 @@ class PQEServer:
     ) -> dict:
         body = {
             "ok": True,
-            "value": answer.value,
+            # Strict JSON has no Infinity: a count past the float range
+            # answers null here, exactly in ``rational``.
+            "value": answer.value if math.isfinite(answer.value) else None,
             "method": answer.method,
             "exact": answer.exact,
             "rational": (
-                str(answer.rational)
+                fraction_text(answer.rational)
                 if answer.rational is not None
                 else None
             ),

@@ -21,12 +21,10 @@ from repro.core.budget import (
     effective_clause_budget,
 )
 from repro.core.estimator import PQEEngine
-from repro.core.kernels import clear_kernel_caches
 from repro.core.pqe_estimate import build_pqe_reduction
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import BudgetExceededError, EstimationError, ReproError
-from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query
 from repro.queries.parser import parse_query
 from repro.workloads import complete_layered_path_instance
@@ -248,14 +246,38 @@ def test_reduction_build_checks_the_deadline(weighted):
 
 def test_count_nfta_checks_the_deadline_before_caching_its_plan():
     reduction = build_pqe_reduction(path_query(3), _layered_pdb())
-    clear_kernel_caches()
+    plan_key = ("plan", reduction.tree_size)
     with _expired_scope(), pytest.raises(BudgetExceededError) as info:
         count_nfta(reduction.nfta, reduction.tree_size, exact_set_cap=0)
     assert info.value.phase == "counting.nfta"
     # The aborted call left no sampling plan behind: this one builds it.
-    telemetry = EvaluationTelemetry()
-    with telemetry_scope(telemetry):
-        count_nfta(
-            reduction.nfta, reduction.tree_size, seed=1, exact_set_cap=0
+    assert plan_key not in reduction.nfta.compiled._memo
+    count_nfta(reduction.nfta, reduction.tree_size, seed=1, exact_set_cap=0)
+    assert plan_key in reduction.nfta.compiled._memo
+
+
+def _self_join_path():
+    """``Q :- R(x0, x1), …, R(x63, x64)`` over a four-fact cycle: the
+    lifted classifier's minimization of this self-join takes seconds."""
+    query = parse_query(
+        "Q :- " + ", ".join(f"R(x{i}, x{i + 1})" for i in range(64))
+    )
+    pdb = ProbabilisticDatabase({
+        Fact("R", pair): "1/2"
+        for pair in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))
+    })
+    return query, pdb
+
+
+def test_lifted_classification_checks_the_deadline():
+    from repro.queries.lifted import clear_lifted_caches
+
+    query, pdb = _self_join_path()
+    clear_lifted_caches()
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        PQEEngine(seed=1).probability(
+            query, pdb, budget=EvaluationBudget(deadline=0.5)
         )
-    assert telemetry.counter("kernels.plan_cache.misses") == 1
+    assert time.perf_counter() - started < 1.0
+    assert info.value.phase == "lifted.classify"

@@ -28,9 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.vectorized as vectorized
+from repro.automata.nfta import NFTA
 from repro.automata.nfta_counting import count_nfta_exact
 from repro.core.estimator import PQEEngine
-from repro.core.kernels import clear_kernel_caches, resolve_backend
+from repro.core.kernels import resolve_backend
 from repro.errors import ReproError
 from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query
@@ -95,7 +96,6 @@ def test_pinned_straddling_regression():
         reduction.nfta, reduction.tree_size, weight_of=scaled,
         backend="reference",
     )
-    clear_kernel_caches()
     telemetry = EvaluationTelemetry()
     with telemetry_scope(telemetry):
         actual = count_nfta_exact(
@@ -133,10 +133,9 @@ def test_fraction_weights_use_object_mode_from_the_start():
 @contextlib.contextmanager
 def numpy_hidden():
     """Run the body as on a host without numpy, so the exact DP builds
-    the scalar layer table.  Clears the kernel caches on entry."""
+    the scalar layer table."""
     saved = vectorized._np
     vectorized._np = None
-    clear_kernel_caches()
     try:
         yield
     finally:
@@ -145,12 +144,13 @@ def numpy_hidden():
 
 def _cold_exact(nfta, size, backend, weight_of=None):
     """(count, ``table`` span tag, numpy layers computed) of one cold
-    exact count."""
-    clear_kernel_caches()
+    exact count: over a fresh copy of ``nfta``, which has no compiled
+    form and so no layer table yet."""
+    fresh = NFTA(nfta.transitions, nfta.initial)
     telemetry = EvaluationTelemetry()
     with telemetry_scope(telemetry):
         count = count_nfta_exact(
-            nfta, size, weight_of=weight_of, backend=backend
+            fresh, size, weight_of=weight_of, backend=backend
         )
     [record] = [
         r for r in telemetry.spans if r.name == "counting.nfta_exact"

@@ -1,12 +1,16 @@
-"""Lint: one memo store, one durable-write path, one weighted pick,
-one backend table, one scalar layer DP, one Hoeffding bound, one
-Karp–Luby union loop and no sleep before a retry in ``src/repro/``.
+"""Lint: one memo store and one process-global memo, one durable-write
+path, one weighted pick, one backend table, one scalar layer DP, one
+Hoeffding bound, one Karp–Luby union loop and no sleep before a retry
+in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
-:class:`repro.core.cache.ReductionCache`, of which the kernel stores and
-the lifted plan memo are instances — and one fsync'd append path for
-its logs, :class:`repro.core.journal.RecordLog` (plus the durable
-cache tier's atomic file writes in :mod:`repro.core.diskcache`).  The
+:class:`repro.core.cache.ReductionCache` — and one module-level
+instance of it, the lifted plan memo of :mod:`repro.queries.lifted`,
+whose plans depend on the query alone; a compiled automaton and what
+is memoized on it live on the automaton instead.  It has one fsync'd
+append path for its logs, :class:`repro.core.journal.RecordLog` (plus
+the durable cache tier's atomic file writes in
+:mod:`repro.core.diskcache`).  The
 samplers draw an index from cumulative weights with one helper,
 :func:`repro.automata.nfa_counting.weighted_index`.  Only
 :mod:`repro.core.kernels` knows the backend names and which exact
@@ -39,6 +43,10 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 _OWNED = {
     # LRU eviction of the oldest entry.
     re.compile(r"\.popitem\(\s*last\s*=\s*False\s*\)"): {"core/cache.py"},
+    # A process-global memo store.
+    re.compile(r"^\w+\s*(:[^=]*)?=\s*ReductionCache\("): {
+        "queries/lifted.py"
+    },
     # Forcing file contents to disk.
     re.compile(r"\bos\.fsync\s*\("): {"core/journal.py", "core/diskcache.py"},
     # A hand-written bisection over cumulative weights: use
@@ -80,7 +88,8 @@ def test_owners_exist():
 def test_no_second_lru_or_fsync_path():
     violations = _violations()
     assert not violations, (
-        "LRU eviction belongs to repro.core.cache.ReductionCache, "
+        "LRU eviction belongs to repro.core.cache.ReductionCache and "
+        "the one process-global memo to repro.queries.lifted, "
         "fsync'd appends to repro.core.journal.RecordLog, weighted "
         "picks to repro.automata.nfa_counting.weighted_index, backend "
         "names and the scalar layer DP to repro.core.kernels, the "

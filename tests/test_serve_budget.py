@@ -7,6 +7,8 @@ expired in the queue is rejected without touching the engine, and
 rejected requests leave no trace in the request journal.
 """
 
+import time
+
 import pytest
 
 from repro.core.budget import EvaluationBudget
@@ -112,6 +114,27 @@ class TestServingBoundary:
         status, body = server.handle({"query": BASE})
         assert status == 504
         assert body["reason"] == "deadline_expired"
+
+    def test_classification_runs_under_the_request_deadline(self):
+        from repro.queries.lifted import clear_lifted_caches
+
+        # A 64-atom self-join path over a four-fact cycle: the lifted
+        # classifier's minimization of it takes seconds.
+        query = "Q :- " + ", ".join(f"R(x{i}, x{i + 1})" for i in range(64))
+        server = PQEServer(
+            ProbabilisticDatabase({
+                Fact("R", pair): "1/2"
+                for pair in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))
+            }),
+            ServerConfig(),
+        )
+        clear_lifted_caches()
+        started = time.perf_counter()
+        status, body = server.handle({"query": query, "deadline": 0.5})
+        assert time.perf_counter() - started < 1.0
+        assert status == 500
+        assert body["error"]["exception"] == "BudgetExceededError"
+        assert body["error"]["phase"] == "lifted.classify"
 
     def test_deadline_free_requests_never_expire_in_queue(self, pdb):
         server = PQEServer(pdb, ServerConfig())

@@ -162,6 +162,17 @@ class TestEndpoints:
             assert status == 400
             assert body["reason"] == "bad_request"
 
+    def test_oversized_query_is_a_400(self, server):
+        # A 1,200-atom self-join star, 13 kB: under the body cap, over
+        # the query-size cap.  The parser rejects it before any stage
+        # recurses once per atom.
+        query = "Q :- " + ", ".join(f"R(x, y{i})" for i in range(1200))
+        status, body = post(server, "/evaluate", {"query": query})
+        assert status == 400
+        assert body["reason"] == "bad_request"
+        assert "256" in body["message"]
+        assert get(server, "/healthz")[0] == 200
+
     def test_stats_endpoint(self, server):
         post(server, "/evaluate", {"query": BASE})
         status, body = get(server, "/stats")
