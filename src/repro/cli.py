@@ -66,7 +66,7 @@ from fractions import Fraction
 from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
 from repro.core.estimator import PQEEngine
-from repro.core.journal import fraction_text
+from repro.core.journal import answer_record, error_record, fraction_text
 from repro.core.parallel import (
     BatchDrainedError,
     BatchError,
@@ -687,27 +687,12 @@ def _batch_payload(args, items, batch) -> dict:
             "replayed": result.replayed,
         }
         if result.ok:
-            answer = result.answer
-            record.update(
-                value=answer.value,
-                method=answer.method,
-                exact=answer.exact,
-            )
-            if answer.degradations:
-                record["degradations"] = list(answer.degradations)
+            record.update(answer_record(result.answer))
         else:
             error = result.error
-            record["error"] = {
-                "exception": error.exception,
-                "message": error.message,
-                "phase": error.phase,
-                "elapsed": error.elapsed,
-                "retries": error.retries,
-            }
+            record["error"] = error_record(error)
             if error.budget is not None:
                 record["error"]["budget"] = error.budget.describe()
-            if error.degradations:
-                record["error"]["degradations"] = list(error.degradations)
         records.append(record)
     return {
         "items": len(batch),
@@ -736,24 +721,31 @@ def _install_drain_on_sigterm():
         return None
 
 
+def _print_item(item, result) -> None:
+    """One batch item's line: its value and route, or its failure."""
+    label = TASKS[item.task].label
+    if not result.ok:
+        print(
+            f"[{result.index}] {label} = FAILED "
+            f"({result.error.describe()})  {item.query}"
+        )
+        return
+    answer = result.answer
+    exact = " (exact)" if answer.exact else ""
+    degraded = (
+        f" degraded×{len(answer.degradations)}" if answer.degradations else ""
+    )
+    print(
+        f"[{result.index}] {label} = {answer.value:<22g} "
+        f"method={answer.method}{exact}{degraded}  {item.query}"
+    )
+
+
 def _print_drained(items, failure: BatchDrainedError, args) -> int:
     partial = failure.result
     print(f"drained: {failure}", file=sys.stderr)
     for result in partial.results:
-        item = items[result.index]
-        label = TASKS[item.task].label
-        if result.ok:
-            answer = result.answer
-            exact = " (exact)" if answer.exact else ""
-            print(
-                f"[{result.index}] {label} = {answer.value:<22g} "
-                f"method={answer.method}{exact}  {item.query}"
-            )
-        else:
-            print(
-                f"[{result.index}] {label} = FAILED "
-                f"({result.error.describe()})  {item.query}"
-            )
+        _print_item(items[result.index], result)
     if args.journal:
         print(
             f"resume:  {len(partial)} settled items journalled in "
@@ -825,7 +817,7 @@ def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
                     )
                 )
             )
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(payload, sys.stdout, indent=2, allow_nan=False)
         print()
         return _batch_exit_code(batch)
 
@@ -841,24 +833,7 @@ def _run_batch(args, pdb: ProbabilisticDatabase) -> int:
             f"{args.journal}"
         )
     for item, result in zip(items, batch.results):
-        label = TASKS[item.task].label
-        if result.ok:
-            answer = result.answer
-            exact = " (exact)" if answer.exact else ""
-            degraded = (
-                f" degraded×{len(answer.degradations)}"
-                if answer.degradations
-                else ""
-            )
-            print(
-                f"[{result.index}] {label} = {answer.value:<22g} "
-                f"method={answer.method}{exact}{degraded}  {item.query}"
-            )
-        else:
-            print(
-                f"[{result.index}] {label} = FAILED "
-                f"({result.error.describe()})  {item.query}"
-            )
+        _print_item(item, result)
     if not batch.ok:
         print(
             f"failed:  {len(batch.errors)} of {len(batch)} items "

@@ -245,6 +245,15 @@ class PQEEngine:
         self.exact_set_cap = exact_set_cap
         self.kernel_backend = resolve_backend(kernel_backend)
 
+    @property
+    def identity(self) -> str:
+        """The knobs that steer routing and sampling, as the text the
+        batch and request journal fingerprints hash."""
+        return (
+            f"{self.epsilon!r}:{self.repetitions}:{self.lineage_budget}:"
+            f"{self.exact_set_cap}:{self.kernel_backend}"
+        )
+
     # ------------------------------------------------------------------
 
     def probability(

@@ -40,7 +40,13 @@ Exactness across the round trip: probabilities are stored as JSON
 floats (Python's ``repr``-based float serialisation is shortest-round-
 trip exact) plus the exact ``Fraction`` as a ``"num/den"`` string when
 present, so a replayed :class:`~repro.core.estimator.PQEAnswer` is
-bitwise-identical to the recorded one.  ``counters`` holds the item's
+bitwise-identical to the recorded one.  Every record is strict JSON: a
+count past the float range (``+inf``) is written ``"value": null`` and
+read back as ``inf``, its exact value in ``rational``; a NaN or
+``-inf`` raises when written.  :func:`answer_record` and
+:func:`error_record` are the package's one JSON form of an answer and
+of an error — the daemon's response bodies and ``repro eval --batch
+--json`` write them too.  ``counters`` holds the item's
 *replay-stable* deterministic counters (see
 :data:`repro.obs.metrics.REPLAY_SENSITIVE_PREFIXES`), so a resumed
 batch's merged deterministic telemetry matches an uninterrupted run's.
@@ -58,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import threading
@@ -77,8 +84,10 @@ __all__ = [
     "JournalWarning",
     "RecordLog",
     "RequestJournal",
+    "answer_record",
     "batch_fingerprint",
     "check_fingerprint",
+    "error_record",
     "fraction_text",
     "load_journal",
     "load_request_journal",
@@ -127,7 +136,10 @@ class RecordLog:
 
     def _append(self, record: dict) -> None:
         line = json.dumps(
-            _checksummed(record), sort_keys=True, separators=(",", ":")
+            _checksummed(record),
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
         )
         with self._lock:
             if self._stream is None:
@@ -237,10 +249,7 @@ def batch_fingerprint(items, seed, engine) -> str:
     """
     digest = hashlib.sha256()
     digest.update(
-        f"repro-journal:{JOURNAL_VERSION}:{seed}:"
-        f"{engine.epsilon!r}:{engine.repetitions}:"
-        f"{engine.lineage_budget}:{engine.exact_set_cap}:"
-        f"{engine.kernel_backend}".encode()
+        f"repro-journal:{JOURNAL_VERSION}:{seed}:{engine.identity}".encode()
     )
     for item in items:
         digest.update(
@@ -281,10 +290,15 @@ def parse_fraction(text: str) -> Fraction:
     )
 
 
-def _answer_payload(answer) -> dict:
+def answer_record(answer) -> dict:
+    """The JSON form of a :class:`~repro.core.estimator.PQEAnswer`.
+
+    Strict JSON has no ``Infinity``: a count past the float range is
+    written ``"value": null``, exactly in ``rational``.
+    """
     rational = answer.rational
     return {
-        "value": answer.value,
+        "value": None if answer.value == math.inf else answer.value,
         "method": answer.method,
         "exact": answer.exact,
         "rational": (
@@ -295,23 +309,25 @@ def _answer_payload(answer) -> dict:
     }
 
 
-def restore_answer(payload: dict):
-    """Rebuild the :class:`~repro.core.estimator.PQEAnswer` an answer
-    record holds."""
+def restore_answer(record: dict):
+    """Rebuild the :class:`~repro.core.estimator.PQEAnswer` that
+    :func:`answer_record` wrote."""
     from repro.core.estimator import PQEAnswer
 
-    rational = payload.get("rational")
+    value = record["value"]
+    rational = record.get("rational")
     return PQEAnswer(
-        value=payload["value"],
-        method=payload["method"],
-        exact=payload["exact"],
+        value=math.inf if value is None else value,
+        method=record["method"],
+        exact=record["exact"],
         rational=parse_fraction(rational) if rational is not None else None,
-        degradations=tuple(payload.get("degradations", ())),
-        retries=payload.get("retries", 0),
+        degradations=tuple(record.get("degradations", ())),
+        retries=record.get("retries", 0),
     )
 
 
-def _error_payload(error) -> dict:
+def error_record(error) -> dict:
+    """The JSON form of a :class:`~repro.core.parallel.BatchItemError`."""
     return {
         "exception": error.exception,
         "message": error.message,
@@ -349,9 +365,9 @@ class BatchJournal(RecordLog):
             "counters": counters,
         }
         if result.ok:
-            record["answer"] = _answer_payload(result.answer)
+            record["answer"] = answer_record(result.answer)
         else:
-            record["error"] = _error_payload(result.error)
+            record["error"] = error_record(result.error)
         self._append(record)
 
 
@@ -402,7 +418,7 @@ class RequestJournal(RecordLog):
             "key": key,
             "seed": seed,
             "elapsed": elapsed,
-            "answer": _answer_payload(answer),
+            "answer": answer_record(answer),
         }
         if deps is not None:
             record["deps"] = deps
@@ -481,12 +497,15 @@ class LoadedJournal:
         from repro.core.parallel import BatchItemResult
 
         record = self.items[index]
+        # The item-level count: a journal written before a retried
+        # answer carried its retries holds the count only there.
         return BatchItemResult(
             index=index,
-            answer=restore_answer(record["answer"]),
+            answer=restore_answer(
+                {**record["answer"], "retries": record["retries"]}
+            ),
             seed=record["seed"],
             elapsed=record["elapsed"],
-            retries=record["retries"],
             replayed=True,
         )
 

@@ -100,7 +100,6 @@ pool cannot contain:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import threading
 import time
@@ -119,6 +118,7 @@ from repro.obs import (
 from repro.core.resilience import (
     TRANSIENT_ERRORS,
     derive_retry_seed,
+    derive_seed,
     evaluate_with_policy,
 )
 from repro.core.tasks import TASKS, infer_task
@@ -172,16 +172,14 @@ def clear_drain() -> None:
 def derive_item_seed(seed: int | None, index: int) -> int | None:
     """The RNG-stream seed for batch item ``index`` under batch ``seed``.
 
-    SHA-256 over ``(seed, index)`` — deterministic across processes and
-    platforms (unlike ``hash``), and statistically independent between
-    indices.  ``None`` stays ``None`` (nondeterministic items).
+    A :func:`~repro.core.resilience.derive_seed` derivation of
+    ``(seed, index)`` — deterministic across processes and platforms
+    (unlike ``hash``), and statistically independent between indices.
+    ``None`` stays ``None`` (nondeterministic items).
     """
     if seed is None:
         return None
-    digest = hashlib.sha256(
-        f"repro-batch:{seed}:{index}".encode("ascii")
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+    return derive_seed("repro-batch", seed, index)
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,6 @@ class BatchItemResult:
     seed: int | None             # the derived per-item stream seed
     elapsed: float               # worker wall seconds for this item
     error: BatchItemError | None = None
-    retries: int = 0
     #: True when this result was restored from a batch journal rather
     #: than computed in this run.  Excluded from equality: a replayed
     #: answer is the recorded answer.
@@ -277,6 +274,12 @@ class BatchItemResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def retries(self) -> int:
+        """Retry attempts the item used, as its answer or error
+        records them."""
+        return (self.answer if self.ok else self.error).retries
 
 
 class BatchError(EstimationError):
@@ -462,7 +465,7 @@ class ItemRunner:
         )
 
     def _run_degrading(self, item: BatchItem, item_seed: int | None):
-        answer = evaluate_with_policy(
+        return evaluate_with_policy(
             self.engine,
             item.query,
             item.database,
@@ -474,7 +477,6 @@ class ItemRunner:
             max_retries=self.max_retries,
             routes=self.routes,
         )
-        return answer, answer.retries
 
     def _run_retrying(
         self, item: BatchItem, item_seed: int | None, item_started: float
@@ -486,7 +488,11 @@ class ItemRunner:
                     answer = self._call_engine(
                         item, derive_retry_seed(item_seed, attempt)
                     )
-                return answer, attempt
+                if attempt:
+                    # The answer records the attempts it took, as a
+                    # degraded answer does.
+                    answer = dataclasses.replace(answer, retries=attempt)
+                return answer
             except BaseException as failure:
                 # BudgetExceededError is not an EstimationError, so
                 # budget exhaustion never consumes retries.
@@ -504,7 +510,6 @@ class ItemRunner:
         item = self.batch[index]
         item_seed = derive_item_seed(self.seed, index)
         item_started = time.perf_counter()
-        retries = 0
         # Worker threads have their own ContextVar contexts, so the
         # collector must be installed here, not by the caller.  The
         # ``item`` root span closes when this block unwinds — including
@@ -516,17 +521,15 @@ class ItemRunner:
                     "item", index=index, task=item.task, method=item.method
                 ):
                     if self.on_error == "degrade":
-                        answer, retries = self._run_degrading(
-                            item, item_seed
-                        )
+                        answer = self._run_degrading(item, item_seed)
                     else:
-                        answer, retries = self._run_retrying(
+                        answer = self._run_retrying(
                             item, item_seed, item_started
                         )
             except BaseException as failure:
                 elapsed = time.perf_counter() - item_started
                 self.causes[index] = failure
-                retries = getattr(failure, "retries", retries)
+                retries = getattr(failure, "retries", 0)
                 # The failed attempt's scope stamped its usage on the
                 # failure; an unlimited budget opens no scope.
                 budget_state = getattr(failure, "budget_state", None)
@@ -549,7 +552,6 @@ class ItemRunner:
                         failure, elapsed, retries, budget_state,
                         telemetry=item_telemetry,
                     ),
-                    retries=retries,
                 )
         if item_telemetry is not None:
             answer = dataclasses.replace(answer, telemetry=item_telemetry)
@@ -558,7 +560,6 @@ class ItemRunner:
             answer=answer,
             seed=item_seed,
             elapsed=time.perf_counter() - item_started,
-            retries=retries,
         )
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "TRANSIENT_ERRORS",
     "DEGRADABLE_ERRORS",
     "derive_retry_seed",
+    "derive_seed",
     "evaluate_with_policy",
     "widened_epsilon",
 ]
@@ -92,22 +93,33 @@ def widened_epsilon(epsilon: float, rung: int) -> float:
     return min(epsilon * EPSILON_WIDENING**rung, EPSILON_MAX)
 
 
+def derive_seed(*parts) -> int:
+    """A 64-bit RNG seed derived from ``parts``: the first 8 bytes,
+    big-endian, of the SHA-256 of their ``:``-joined text.
+
+    Deterministic across processes and platforms (unlike ``hash``) and
+    statistically independent between distinct ``parts``.  Batch item
+    streams, retry streams and the daemon's request seeds all derive
+    here, each under its own leading tag.
+    """
+    text = ":".join(map(str, parts))
+    digest = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def derive_retry_seed(seed: int | None, attempt: int) -> int | None:
     """The RNG seed for retry ``attempt`` of an evaluation seeded with
     ``seed``.
 
-    Attempt 0 is the original stream.  Later attempts are SHA-256
-    derivations of ``(seed, attempt)`` — the same construction as
+    Attempt 0 is the original stream.  Later attempts are
+    :func:`derive_seed` derivations of ``(seed, attempt)``, like
     :func:`~repro.core.parallel.derive_item_seed`, so retried batch
     items stay deterministic across processes and worker counts.
     ``None`` stays ``None`` (nondeterministic evaluations).
     """
     if seed is None or attempt == 0:
         return seed
-    digest = hashlib.sha256(
-        f"repro-retry:{seed}:{attempt}".encode("ascii")
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+    return derive_seed("repro-retry", seed, attempt)
 
 
 def _engine_with_epsilon(engine, epsilon: float):

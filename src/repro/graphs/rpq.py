@@ -135,16 +135,18 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-#: The deepest nesting a regex may have; each group and each postfix
-#: operator is one level.  The parser and the AST walks recurse once
-#: per level, so this keeps them inside the interpreter's recursion
-#: limit.
+#: The deepest nesting a regex may have; each group, union,
+#: concatenation and postfix operator is one level.  The parser and
+#: every AST walk (rendering, ``repr``, ``==``, ``hash``, the Glushkov
+#: sets) recurse a few frames per level, so this keeps them well inside
+#: the interpreter's recursion limit.
 MAX_RPQ_NESTING = 100
 
 
 class _Parser:
     """Each parse method returns ``(node, depth)``: the node and its
-    nesting depth in groups and postfix operators."""
+    nesting depth in groups, unions, concatenations and postfix
+    operators."""
 
     def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
@@ -168,7 +170,7 @@ class _Parser:
         if depth > MAX_RPQ_NESTING:
             raise ParseError(
                 f"RPQ nests deeper than {MAX_RPQ_NESTING} levels of "
-                f"groups and postfix operators"
+                f"groups, unions, concatenations and postfix operators"
             )
         return depth
 
@@ -190,7 +192,7 @@ class _Parser:
             depth = max(depth, part_depth)
         if len(parts) == 1:
             return parts[0], depth
-        return Union(tuple(parts)), depth
+        return Union(tuple(parts)), self.nested(depth + 1)
 
     def concat(self):
         parts = []
@@ -203,7 +205,7 @@ class _Parser:
             return Epsilon(), 0
         if len(parts) == 1:
             return parts[0], depth
-        return Concat(tuple(parts)), depth
+        return Concat(tuple(parts)), self.nested(depth + 1)
 
     def postfix(self):
         node, depth = self.atom()

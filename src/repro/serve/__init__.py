@@ -9,10 +9,9 @@ long-lived service (see ``docs/serving.md``):
   shedding down the degradation ladder with widened ε;
 - :mod:`~repro.serve.breaker` — per-query circuit breaker quarantining
   repeat worker-killers;
-- :mod:`~repro.serve.registry` — the warm artifact registry (shared
-  reduction cache + disk L2) with hit/miss accounting;
 - :mod:`~repro.serve.server` — :class:`PQEServer`: HTTP endpoints,
-  request path, graceful drain.
+  request path, the warm registry (one reduction cache every request
+  shares, behind an optional disk tier), graceful drain.
 
 Start one with ``repro serve --facts data.csv`` or embed
 :class:`PQEServer` directly.
@@ -20,14 +19,12 @@ Start one with ``repro serve --facts data.csv`` or embed
 
 from repro.serve.admission import AdmissionController, AdmissionTicket
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.registry import ArtifactRegistry
 from repro.serve.server import PQEServer, ServerConfig
 from repro.serve.shedding import LoadShedder, SheddingDecision
 
 __all__ = [
     "AdmissionController",
     "AdmissionTicket",
-    "ArtifactRegistry",
     "CircuitBreaker",
     "LoadShedder",
     "PQEServer",

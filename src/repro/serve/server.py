@@ -64,16 +64,19 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.core.budget import EvaluationBudget, budget_scope
+from repro.core.cache import ReductionCache
+from repro.core.diskcache import DiskCache
 from repro.core.estimator import PQEEngine
 from repro.core.journal import (
     RequestJournal,
+    answer_record,
     check_fingerprint,
-    fraction_text,
+    error_record,
     load_request_journal,
     restore_answer,
 )
-from repro.core.parallel import BatchItem, evaluate_batch
-from repro.core.resilience import widened_epsilon
+from repro.core.parallel import BatchItem, _error_record, evaluate_batch
+from repro.core.resilience import derive_seed, widened_epsilon
 from repro.core.tasks import TASKS
 from repro.db.delta import Delta, VersionedDatabase
 from repro.errors import (
@@ -89,7 +92,6 @@ from repro.obs.export import write_trace
 from repro.queries.parser import parse_query
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.registry import ArtifactRegistry
 from repro.serve.shedding import LoadShedder
 from repro.testing.faults import fault_point
 
@@ -101,6 +103,10 @@ _TASKS = ("probability", "reliability")
 #: Largest request body the daemon reads; a longer ``Content-Length``
 #: gets 413 before a byte of the body is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Entries the warm registry (the daemon's one reduction cache) holds
+#: before least-recently-used eviction.
+REGISTRY_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,7 @@ class ServerConfig:
     seed: int = 2023
     isolation: str = "thread"          # 'process' contains crashes
     memory_limit: int | None = None
-    # breaker
-    breaker_threshold: int = 3
-    breaker_window: float = 60.0
-    breaker_cooldown: float = 30.0
     # durability
-    registry_size: int = 256
     disk_cache: str | None = None
     journal: str | None = None
     delta_journal: str | None = None
@@ -138,13 +139,49 @@ class ServerConfig:
     max_requests: int | None = None
 
 
-def _rejection_body(rejection: ServeRejection, trace_id: str) -> dict:
+def _rejection_body(
+    reason: str, message: str, trace_id: str | None = None
+) -> dict:
+    """Every rejection's body: the request was refused before (or
+    instead of) evaluating.  A request rejected before it has a trace id
+    (an unread or unparseable HTTP body) gets none."""
+    body = {"ok": False, "rejected": True, "reason": reason,
+            "message": message}
+    if trace_id is not None:
+        body["trace_id"] = trace_id
+    return body
+
+
+def _rejected(rejection: ServeRejection, trace_id: str) -> tuple[int, dict]:
+    """A raised rejection's status and body."""
+    return rejection.status, _rejection_body(
+        rejection.reason, str(rejection), trace_id
+    )
+
+
+def _answer_body(answer, trace_id: str, rung: int, **context) -> dict:
+    """Every answer's body: the answer record the journals write, the
+    ladder rung it ran at and the serving fields in ``context``."""
+    return {
+        "ok": True,
+        **answer_record(answer),
+        "ladder_rung": rung,
+        "shed": rung > 0,
+        "trace_id": trace_id,
+        **context,
+    }
+
+
+def _error_body(error, trace_id: str, **context) -> dict:
+    """Every failed evaluation's or mutation's body: ``error`` is the
+    :class:`~repro.core.parallel.BatchItemError` it ended in, and
+    ``context`` the serving fields known at that point."""
     return {
         "ok": False,
-        "rejected": True,
-        "reason": rejection.reason,
-        "message": str(rejection),
+        "rejected": False,
         "trace_id": trace_id,
+        **context,
+        "error": error_record(error),
     }
 
 
@@ -169,9 +206,12 @@ class PQEServer:
             self.versioned = VersionedDatabase(
                 database, journal=self.config.delta_journal
             )
-        self.registry = ArtifactRegistry(
-            maxsize=self.config.registry_size,
-            disk=self.config.disk_cache,
+        # The warm registry: one reduction cache every request shares,
+        # behind the optional durable disk tier.
+        disk = self.config.disk_cache
+        self.cache = ReductionCache(
+            maxsize=REGISTRY_SIZE,
+            disk=DiskCache(disk) if disk is not None else None,
         )
         # Structure-aware invalidation: a published delta reclaims the
         # warm artifacts and replayable journal records whose keyed
@@ -186,7 +226,7 @@ class PQEServer:
         self.engine = PQEEngine(
             epsilon=self.config.epsilon,
             seed=self.config.seed,
-            cache=self.registry.cache,
+            cache=self.cache,
         )
         self.admission = AdmissionController(
             max_concurrency=self.config.max_concurrency,
@@ -196,11 +236,7 @@ class PQEServer:
             target_p95=self.config.shed_target_p95,
             thresholds=self.config.shed_thresholds,
         )
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            window=self.config.breaker_window,
-            cooldown=self.config.breaker_cooldown,
-        )
+        self.breaker = CircuitBreaker()
         self.telemetry = EvaluationTelemetry()
         self._trace_ids = itertools.count(1)
         self._settle_lock = threading.Lock()
@@ -235,11 +271,8 @@ class PQEServer:
         *lineage* (version 0's token, stable across deltas — per-record
         ``deps`` tokens carry the version-sensitive part, so one journal
         serves the daemon across mutations)."""
-        engine = self.engine
         return hashlib.sha256(
-            f"repro-serve:{engine.epsilon!r}:{engine.repetitions}:"
-            f"{engine.lineage_budget}:{engine.exact_set_cap}:"
-            f"{engine.kernel_backend}:"
+            f"repro-serve:{self.engine.identity}:"
             f"{self.versioned.base_token}".encode()
         ).hexdigest()
 
@@ -253,11 +286,9 @@ class PQEServer:
         """Content-derived seed: identical requests draw identical RNG
         streams, so repeat answers are bitwise-identical and the
         request journal can replay them."""
-        digest = hashlib.sha256(
-            f"serve-seed:{self.config.seed}:{task}:{method}:"
-            f"{query.cache_token}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big")
+        return derive_seed(
+            "serve-seed", self.config.seed, task, method, query.cache_token
+        )
 
     # -- metrics helpers ------------------------------------------------
 
@@ -282,23 +313,17 @@ class PQEServer:
             query, task, method, deadline, seed = self._parse(payload)
         except ReproError as failure:
             self._inc("serve.rejected.bad_request")
-            return 400, {
-                "ok": False,
-                "rejected": True,
-                "reason": "bad_request",
-                "message": str(failure),
-                "trace_id": trace_id,
-            }
+            return 400, _rejection_body("bad_request", str(failure), trace_id)
         key = self._request_key(query, task, method, seed)
 
         # 1. Circuit breaker: known worker-killers cost nothing.
         if not self.breaker.allow(key):
             self._inc("serve.rejected.quarantined")
-            return 503, _rejection_body(
+            return _rejected(
                 QuarantineRejection(
                     f"query {query.cache_token[:12]} is quarantined "
                     f"after repeated worker crashes; retry after "
-                    f"{self.config.breaker_cooldown:g}s",
+                    f"{self.breaker.cooldown:g}s",
                     phase="serve.breaker",
                 ),
                 trace_id,
@@ -317,10 +342,10 @@ class PQEServer:
         if record is not None:
             self._inc("serve.replays")
             answer = restore_answer(record["answer"])
-            return 200, self._success_body(
+            return 200, _answer_body(
                 answer,
-                trace_id=trace_id,
-                rung=0,
+                trace_id,
+                0,
                 pressure=0.0,
                 epsilon=self.engine.epsilon,
                 seed=record["seed"],
@@ -334,7 +359,7 @@ class PQEServer:
             ticket = self.admission.admit(deadline)
         except ServeRejection as rejection:
             self._inc(f"serve.rejected.{rejection.reason}")
-            return rejection.status, _rejection_body(rejection, trace_id)
+            return _rejected(rejection, trace_id)
         self._inc("serve.admitted")
         self._observe("serve.queue_seconds", ticket.queue_seconds)
         try:
@@ -346,15 +371,16 @@ class PQEServer:
                     ).consume_wait(ticket.queue_seconds)
                 except BudgetExceededError:
                     self._inc("serve.rejected.deadline_expired")
-                    rejection = DeadlineRejection(
-                        f"deadline ({deadline:g}s) consumed by "
-                        f"{ticket.queue_seconds:.3f}s of queueing",
-                        phase="serve.admit",
-                        elapsed=ticket.queue_seconds,
+                    return _rejected(
+                        DeadlineRejection(
+                            f"deadline ({deadline:g}s) consumed by "
+                            f"{ticket.queue_seconds:.3f}s of queueing",
+                            phase="serve.admit",
+                            elapsed=ticket.queue_seconds,
+                        ),
+                        trace_id,
                     )
-                    return rejection.status, _rejection_body(
-                        rejection, trace_id
-                    )
+            started = time.perf_counter()
             try:
                 return self._evaluate(
                     query, task, method, seed, key, budget, ticket,
@@ -365,18 +391,12 @@ class PQEServer:
                 # raise here is a serving-layer fault (e.g. an injected
                 # ``serve.request`` fault) — still a structured body.
                 self._inc("serve.errors")
-                return 500, {
-                    "ok": False,
-                    "rejected": False,
-                    "trace_id": trace_id,
-                    "error": {
-                        "exception": type(failure).__name__,
-                        "message": str(failure),
-                        "phase": getattr(failure, "phase", None),
-                        "retries": 0,
-                        "degradations": [],
-                    },
-                }
+                return 500, _error_body(
+                    _error_record(
+                        failure, time.perf_counter() - started, 0, None
+                    ),
+                    trace_id,
+                )
         finally:
             self.admission.release()
             self._maybe_request_limit()
@@ -459,39 +479,27 @@ class PQEServer:
             delta = self._parse_delta(payload)
         except ReproError as failure:
             self._inc("serve.rejected.bad_request")
-            return 400, {
-                "ok": False,
-                "rejected": True,
-                "reason": "bad_request",
-                "message": str(failure),
-                "trace_id": trace_id,
-            }
+            return 400, _rejection_body("bad_request", str(failure), trace_id)
         with self._delta_lock:
             if self._drained.is_set() or self.admission.draining:
                 self._inc("serve.rejected.draining")
-                return 503, {
-                    "ok": False,
-                    "rejected": True,
-                    "reason": "draining",
-                    "message": "the daemon is draining; mutations are "
-                               "closed",
-                    "trace_id": trace_id,
-                }
+                return 503, _rejection_body(
+                    "draining",
+                    "the daemon is draining; mutations are closed",
+                    trace_id,
+                )
             idle = self.admission.pause(self.config.drain_deadline)
             try:
                 if not idle:
                     self._inc("serve.rejected.delta_barrier")
-                    return 503, {
-                        "ok": False,
-                        "rejected": True,
-                        "reason": "delta_barrier",
-                        "message": (
-                            f"in-flight requests did not settle within "
-                            f"{self.config.drain_deadline:g}s; delta "
-                            f"aborted before the commit point"
-                        ),
-                        "trace_id": trace_id,
-                    }
+                    return 503, _rejection_body(
+                        "delta_barrier",
+                        f"in-flight requests did not settle within "
+                        f"{self.config.drain_deadline:g}s; delta "
+                        f"aborted before the commit point",
+                        trace_id,
+                    )
+                started = time.perf_counter()
                 try:
                     # The apply path emits ``delta.*`` counters through
                     # the ambient telemetry — collect them with the
@@ -500,27 +508,17 @@ class PQEServer:
                         version = self.versioned.apply(delta)
                 except DeltaError as failure:
                     self._inc("serve.delta.rejected")
-                    return 409, {
-                        "ok": False,
-                        "rejected": True,
-                        "reason": "delta_conflict",
-                        "message": str(failure),
-                        "trace_id": trace_id,
-                    }
+                    return 409, _rejection_body(
+                        "delta_conflict", str(failure), trace_id
+                    )
                 except ReproError as failure:
                     self._inc("serve.errors")
-                    return 500, {
-                        "ok": False,
-                        "rejected": False,
-                        "trace_id": trace_id,
-                        "error": {
-                            "exception": type(failure).__name__,
-                            "message": str(failure),
-                            "phase": getattr(failure, "phase", None),
-                            "retries": 0,
-                            "degradations": [],
-                        },
-                    }
+                    return 500, _error_body(
+                        _error_record(
+                            failure, time.perf_counter() - started, 0, None
+                        ),
+                        trace_id,
+                    )
             finally:
                 if not self._drained.is_set():
                     self.admission.resume()
@@ -555,7 +553,7 @@ class PQEServer:
         (L1 entries and their disk shadows; a compiled automaton goes
         with the reduction holding it).  Unweighted artifacts only
         match ``structural`` touches."""
-        counts = self.registry.cache.invalidate_relations(
+        counts = self.cache.invalidate_relations(
             touched, structural=structural
         )
         return {
@@ -616,7 +614,7 @@ class PQEServer:
             [BatchItem(query, database, task=task, method=method)],
             max_workers=1,
             seed=seed,
-            cache=self.registry.cache,
+            cache=self.cache,
             budget=budget,
             max_retries=1,
             on_error="degrade",
@@ -627,16 +625,21 @@ class PQEServer:
         )
         elapsed = time.perf_counter() - started
         item = result.results[0]
+        # The request's registry traffic is its own lookups, as its
+        # telemetry counted them — in a forked worker too.
+        counters = result.telemetry.metrics.counters
+        registry = {
+            "hits": counters.get("cache.hits", 0),
+            "misses": counters.get("cache.misses", 0),
+        }
         with self._settle_lock:
             self._requests_settled += 1
-            registry_delta = self.registry.delta()
-            if result.telemetry is not None:
-                self.telemetry.merge(result.telemetry)
+            self.telemetry.merge(result.telemetry)
         self.shedder.observe(elapsed)
         self._observe("serve.latency", elapsed)
         self.telemetry.metrics.gauge("serve.pressure", decision.pressure)
-        self._inc("serve.registry.hits", registry_delta.hits)
-        self._inc("serve.registry.misses", registry_delta.misses)
+        self._inc("serve.registry.hits", registry["hits"])
+        self._inc("serve.registry.misses", registry["misses"])
 
         if item.ok:
             self.breaker.record_success(key)
@@ -655,17 +658,17 @@ class PQEServer:
                         "token": pdb.projection_token(relations),
                     },
                 )
-            return 200, self._success_body(
+            return 200, _answer_body(
                 answer,
-                trace_id=trace_id,
-                rung=rung,
+                trace_id,
+                rung,
                 pressure=decision.pressure,
                 epsilon=epsilon,
                 seed=seed,
                 queue_seconds=ticket.queue_seconds,
                 elapsed=elapsed,
                 replayed=False,
-                registry=registry_delta,
+                registry=registry,
             )
 
         error = item.error
@@ -674,79 +677,34 @@ class PQEServer:
             self.breaker.record_crash(key)
         else:
             self._inc("serve.errors")
-        return 500, {
-            "ok": False,
-            "rejected": False,
-            "trace_id": trace_id,
-            "ladder_rung": rung,
-            "pressure": decision.pressure,
-            "queue_seconds": ticket.queue_seconds,
-            "elapsed": elapsed,
-            "error": {
-                "exception": error.exception,
-                "message": error.message,
-                "phase": error.phase,
-                "retries": error.retries,
-                "degradations": list(error.degradations),
-            },
-        }
-
-    def _success_body(
-        self,
-        answer,
-        *,
-        trace_id,
-        rung,
-        pressure,
-        epsilon,
-        seed,
-        queue_seconds,
-        elapsed,
-        replayed,
-        registry=None,
-    ) -> dict:
-        body = {
-            "ok": True,
-            # Strict JSON has no Infinity: a count past the float range
-            # answers null here, exactly in ``rational``.
-            "value": answer.value if math.isfinite(answer.value) else None,
-            "method": answer.method,
-            "exact": answer.exact,
-            "rational": (
-                fraction_text(answer.rational)
-                if answer.rational is not None
-                else None
-            ),
-            "degradations": list(answer.degradations),
-            "retries": answer.retries,
-            "ladder_rung": rung,
-            "shed": rung > 0,
-            "pressure": pressure,
-            "epsilon": epsilon,
-            "seed": seed,
-            "trace_id": trace_id,
-            "queue_seconds": queue_seconds,
-            "elapsed": elapsed,
-            "replayed": replayed,
-        }
-        if registry is not None:
-            body["registry"] = {
-                "hits": registry.hits,
-                "misses": registry.misses,
-            }
-        return body
+        return 500, _error_body(
+            error,
+            trace_id,
+            ladder_rung=rung,
+            pressure=decision.pressure,
+            queue_seconds=ticket.queue_seconds,
+            elapsed=elapsed,
+        )
 
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
         head = self.versioned.current
+        cache = self.cache.stats
+        registry = {
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "evictions": cache.evictions,
+        }
+        if self.cache.disk is not None:
+            registry["disk"] = self.cache.disk.tier_stats()
         return {
             "requests": self.telemetry.metrics.counters,
             "settled": self._requests_settled,
             "admission": self.admission.snapshot(),
             "shedder": self.shedder.snapshot(),
             "breaker": self.breaker.snapshot(),
-            "registry": self.registry.snapshot(),
+            "registry": registry,
             "database": {
                 "version": head.version,
                 "token": head.token,
@@ -862,7 +820,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, body: dict, *, close: bool = False
     ) -> None:
-        blob = json.dumps(body, sort_keys=True).encode()
+        blob = json.dumps(body, sort_keys=True, allow_nan=False).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
@@ -872,16 +830,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(blob)
 
-    def _reject_body(self, status: int, reason: str, message: str) -> None:
+    def _reject_unread(self, status: int, reason: str, message: str) -> None:
         """Answer a request whose body is left unread, then close the
         connection: the body would otherwise be parsed as the next
         request."""
-        self._send_json(
-            status,
-            {"ok": False, "rejected": True, "reason": reason,
-             "message": message},
-            close=True,
-        )
+        self._send_json(status, _rejection_body(reason, message), close=True)
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         server = self.pqe_server
@@ -898,25 +851,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, server.stats())
         else:
             self._send_json(
-                404, {"ok": False, "message": f"no route {self.path}"}
+                404, _rejection_body("not_found", f"no route {self.path}")
             )
 
     def do_POST(self):  # noqa: N802 - stdlib casing
         if self.path not in ("/evaluate", "/delta"):
-            self._reject_body(404, "not_found", f"no route {self.path}")
+            self._reject_unread(404, "not_found", f"no route {self.path}")
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if length < 0:
-            self._reject_body(
+            self._reject_unread(
                 400, "bad_request",
                 "Content-Length must be a non-negative integer",
             )
             return
         if length > MAX_BODY_BYTES:
-            self._reject_body(
+            self._reject_unread(
                 413, "body_too_large",
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
@@ -927,12 +880,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as failure:
             self._send_json(
                 400,
-                {
-                    "ok": False,
-                    "rejected": True,
-                    "reason": "bad_request",
-                    "message": f"request body is not JSON: {failure}",
-                },
+                _rejection_body(
+                    "bad_request", f"request body is not JSON: {failure}"
+                ),
             )
             return
         if self.path == "/delta":

@@ -328,6 +328,25 @@ def test_retry_outcomes_are_identical_across_worker_counts():
     assert recovered.retries == 1
 
 
+@pytest.mark.parametrize("on_error", ["fail", "skip"])
+def test_a_retried_answer_records_its_retry_once(on_error, tmp_path):
+    from repro.core.journal import load_journal
+
+    journal = tmp_path / "batch.jsonl"
+    items = [BatchItem(QUERY, DIAMOND_PDB, method="fpras-weighted")]
+    with inject_faults(FaultSpec("counting.nfta", times=1)):
+        batch = evaluate_batch(
+            sampled_engine(), items, max_workers=1, seed=7,
+            on_error=on_error, max_retries=1, journal=journal,
+        )
+    (result,) = batch.results
+    assert result.retries == 1
+    assert result.answer.retries == 1
+    record = load_journal(journal).items[0]
+    assert record["retries"] == 1
+    assert record["answer"]["retries"] == 1
+
+
 @pytest.mark.parametrize(
     "step,rolls_forward",
     [(0, False), (1, False), (2, True), (3, True)],

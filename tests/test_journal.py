@@ -119,6 +119,24 @@ class TestRecordFormat:
         assert 0 in loaded.items          # recorded ...
         assert loaded.completed() == {}   # ... but never replayed
 
+    def test_an_item_level_retry_count_restores_onto_the_answer(
+        self, tmp_path
+    ):
+        # Before a retried answer carried its retries, a fail/skip batch
+        # journalled the count only at item level.
+        path = tmp_path / "retried.jsonl"
+        with BatchJournal(path) as journal:
+            journal._append({
+                "type": "item", "index": 0, "ok": True, "seed": 1,
+                "elapsed": 0.1, "retries": 1, "counters": None,
+                "answer": {"value": 0.5, "method": "fpras", "exact": False,
+                           "rational": None, "degradations": [],
+                           "retries": 0},
+            })
+        restored = load_journal(path).restore_result(0)
+        assert restored.retries == 1
+        assert restored.answer.retries == 1
+
 
 class TestTailQuarantine:
     def _journal(self, tmp_path, engine, rs_items):

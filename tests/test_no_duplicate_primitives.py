@@ -1,7 +1,7 @@
 """Lint: one memo store and one process-global memo, one durable-write
-path, one weighted pick, one backend table, one scalar layer DP, one
-Hoeffding bound, one Karp–Luby union loop and no sleep before a retry
-in ``src/repro/``.
+path, one JSON form of an answer and of an error, one weighted pick,
+one backend table, one scalar layer DP, one Hoeffding bound, one
+Karp–Luby union loop and no sleep before a retry in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache` — and one module-level
@@ -10,7 +10,12 @@ whose plans depend on the query alone; a compiled automaton and what
 is memoized on it live on the automaton instead.  It has one fsync'd
 append path for its logs, :class:`repro.core.journal.RecordLog` (plus
 the durable cache tier's atomic file writes in
-:mod:`repro.core.diskcache`).  The
+:mod:`repro.core.diskcache`).  An answer and an error have one JSON
+form, :func:`repro.core.journal.answer_record` and
+:func:`repro.core.journal.error_record`, which the journals, the serve
+daemon's bodies and ``repro eval --batch --json`` all write; a dict
+literal spelling ``"degradations"``, ``"exception"`` or ``"rational"``
+elsewhere is a second writer.  The
 samplers draw an index from cumulative weights with one helper,
 :func:`repro.automata.nfa_counting.weighted_index`.  Only
 :mod:`repro.core.kernels` knows the backend names and which exact
@@ -21,10 +26,10 @@ Monte-Carlo sample count is
 CountNFTA estimate their overlapping unions with one loop,
 :func:`repro.automata.nfa_counting._karp_luby_union`, the only owner of
 the ``max_attempts`` fallback.  A hand-copied LRU, log, bisection,
-backend choice, DP loop, bound or union loop elsewhere drifts from the
-original: its counters, its eviction, its crash safety, its
-tie-breaking, its budget charges or its answers stop being the ones
-the tests check.  Nothing sleeps but the fault injector's stall and
+backend choice, record writer, DP loop, bound or union loop elsewhere
+drifts from the original: its counters, its eviction, its crash
+safety, its strict JSON, its tie-breaking, its budget charges or its
+answers stop being the ones the tests check.  Nothing sleeps but the fault injector's stall and
 crash waits (:mod:`repro.testing.faults`): a retry re-runs CPU-bound
 sampling on a fresh seed, so a delay before it would only spend the
 item's deadline.  So this test greps the source tree for the
@@ -49,6 +54,10 @@ _OWNED = {
     },
     # Forcing file contents to disk.
     re.compile(r"\bos\.fsync\s*\("): {"core/journal.py", "core/diskcache.py"},
+    # An answer's or an error's JSON fields: a second record writer.
+    re.compile(r'"(degradations|exception|rational)"\s*:'): {
+        "core/journal.py"
+    },
     # A hand-written bisection over cumulative weights: use
     # ``weighted_index`` (``bisect.bisect_left``, clamped) instead.
     re.compile(r"\bdef _bisect\b"): set(),
@@ -90,7 +99,9 @@ def test_no_second_lru_or_fsync_path():
     assert not violations, (
         "LRU eviction belongs to repro.core.cache.ReductionCache and "
         "the one process-global memo to repro.queries.lifted, "
-        "fsync'd appends to repro.core.journal.RecordLog, weighted "
+        "fsync'd appends to repro.core.journal.RecordLog, the JSON "
+        "form of answers and errors to repro.core.journal.answer_record "
+        "and error_record, weighted "
         "picks to repro.automata.nfa_counting.weighted_index, backend "
         "names and the scalar layer DP to repro.core.kernels, the "
         "additive sample bound to repro.core.monte_carlo, the "

@@ -114,6 +114,12 @@ def test_derive_item_seed_is_stable_and_spread():
     assert derive_item_seed(7, 0) != derive_item_seed(8, 0)
 
 
+def test_derive_item_seed_is_pinned():
+    # The seed ``tests/golden/journals/batch.jsonl`` records for item 0
+    # of a seed-7 batch: a changed derivation cannot resume it.
+    assert derive_item_seed(7, 0) == 5133625181573711982
+
+
 # ---------------------------------------------------------------------
 # Cache accounting
 # ---------------------------------------------------------------------

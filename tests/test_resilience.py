@@ -49,6 +49,7 @@ def test_derive_retry_seed_contract():
     seeds = {derive_retry_seed(7, attempt) for attempt in range(50)}
     assert len(seeds) == 50
     assert derive_retry_seed(7, 1) != derive_retry_seed(8, 1)
+    assert derive_retry_seed(5, 1) == 824457757507031170  # pinned
 
 
 def test_negative_max_retries_is_rejected():

@@ -6,6 +6,7 @@ in-process.  Socket-level coverage lives in ``test_serve_http.py``;
 the overload/chaos acceptance scenarios in ``test_serve_overload.py``.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -20,9 +21,9 @@ from repro.errors import (
     QueueFullRejection,
     ReproError,
 )
+from repro.queries import parse_query
 from repro.serve import (
     AdmissionController,
-    ArtifactRegistry,
     CircuitBreaker,
     LoadShedder,
     PQEServer,
@@ -287,26 +288,45 @@ class TestBreaker:
 
 
 # ---------------------------------------------------------------------------
-# ArtifactRegistry
+# The warm registry in PQEServer.stats()
 
 
 class TestRegistry:
-    def test_delta_isolates_per_request_traffic(self):
-        registry = ArtifactRegistry(maxsize=8)
-        registry.cache.get_or_build("k1", lambda: "v1")
-        first = registry.delta()
-        assert (first.hits, first.misses) == (0, 1)
-        registry.cache.get_or_build("k1", lambda: "v1")
-        second = registry.delta()
-        assert (second.hits, second.misses) == (1, 0)
-        third = registry.delta()
-        assert (third.hits, third.misses) == (0, 0)
+    def test_stats_count_the_registry_traffic(self, pdb):
+        server = make_server(pdb, epsilon=0.5)
+        bodies = [
+            server.handle({"query": BASE, "method": "fpras"})[1]
+            for _ in range(2)
+        ]
+        registry = server.stats()["registry"]
+        assert registry["hits"] == sum(b["registry"]["hits"] for b in bodies)
+        assert registry["misses"] == sum(
+            b["registry"]["misses"] for b in bodies
+        )
+        assert registry["evictions"] == 0
 
-    def test_disk_tier_appears_in_snapshot(self, tmp_path):
-        registry = ArtifactRegistry(disk=str(tmp_path / "cache"))
-        snapshot = registry.snapshot()
-        assert snapshot["disk"]["records"] == 0
-        assert ArtifactRegistry().snapshot().get("disk") is None
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process isolation forks its workers",
+    )
+    def test_a_forked_request_reports_its_own_traffic(self, pdb):
+        # Each request forks its worker from a parent cache that never
+        # fills, so every one misses; the worker's own counters say so.
+        server = make_server(pdb, isolation="process", epsilon=0.5)
+        bodies = [
+            server.handle({"query": BASE, "method": "fpras"})[1]
+            for _ in range(3)
+        ]
+        assert all(body["registry"]["misses"] > 0 for body in bodies)
+        counters = server.telemetry.metrics.counters
+        assert counters["serve.registry.misses"] == sum(
+            body["registry"]["misses"] for body in bodies
+        )
+
+    def test_disk_tier_appears_in_stats(self, pdb, tmp_path):
+        server = make_server(pdb, disk_cache=str(tmp_path / "cache"))
+        assert server.stats()["registry"]["disk"]["records"] == 0
+        assert make_server(pdb).stats()["registry"].get("disk") is None
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +463,23 @@ class TestHandle:
         # The slot was released despite the fault.
         assert server.admission.snapshot()["running"] == 0
 
+    def test_request_seed_and_fingerprint_are_pinned(self):
+        # Derived seeds and the journal fingerprint are durable: a
+        # changed derivation would stop a restarted daemon replaying
+        # the request journal an earlier one wrote.
+        server = make_server(ProbabilisticDatabase({
+            Fact("R", ("a", "b")): "1/2",
+            Fact("S", ("b", "c")): "1/3",
+        }))
+        query = parse_query("Q :- R(x, y), S(y, z)")
+        assert server._request_seed(query, "probability", "auto") == (
+            1341801428741392030
+        )
+        assert server.fingerprint() == (
+            "786756845b9a116118c2bd2ba0f48e46"
+            "aadf1a92a267eb6499cee773479e83d1"
+        )
+
     def test_explicit_seed_wins_over_derived(self, pdb):
         server = make_server(pdb, epsilon=0.5)
         _, body = server.handle(
@@ -453,7 +490,8 @@ class TestHandle:
 
 class TestBreakerIntegration:
     def test_repeated_crashes_quarantine_the_query(self, pdb):
-        server = make_server(pdb, breaker_threshold=2)
+        server = make_server(pdb)
+        server.breaker = CircuitBreaker(threshold=2)
         key = server._request_key(
             *server._parse({"query": BASE})[:3],
             server._parse({"query": BASE})[4],

@@ -34,7 +34,7 @@ from repro.core.estimator import PQEEngine
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.queries.parser import parse_query
-from repro.serve import PQEServer, ServerConfig
+from repro.serve import CircuitBreaker, PQEServer, ServerConfig
 from repro.testing.faults import FaultSpec, inject_faults, request_burst
 
 pytestmark = pytest.mark.serve
@@ -184,7 +184,6 @@ class TestOverloadWithCrashes:
         server = PQEServer(pdb, ServerConfig(
             max_concurrency=CONCURRENCY, max_queue=QUEUE,
             isolation="process", epsilon=0.5,
-            breaker_threshold=3,
         ))
         truths = {
             BASE: truth(pdb, BASE),
@@ -227,8 +226,9 @@ class TestOverloadWithCrashes:
 
     def test_repeat_crashes_trip_the_breaker(self, pdb):
         server = PQEServer(pdb, ServerConfig(
-            isolation="process", epsilon=0.5, breaker_threshold=2,
+            isolation="process", epsilon=0.5,
         ))
+        server.breaker = CircuitBreaker(threshold=2)
         with inject_faults(
             FaultSpec("lineage.karp_luby", crash="sigkill")
         ):
