@@ -87,8 +87,11 @@ def _materialize(cons) -> list:
 
 
 def default_sample_count(length: int, epsilon: float) -> int:
-    """Heuristic per-union sample count; see module docstring."""
-    return max(64, int(round(8.0 * math.sqrt(length + 1) / epsilon**2)))
+    """Heuristic per-union sample count; see module docstring.  A
+    length below 0 counts as 0 (nothing that short is ever drawn)."""
+    return max(
+        64, int(round(8.0 * math.sqrt(max(length, 0) + 1) / epsilon**2))
+    )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ CountNFTA sampler's compiled membership oracle to it).
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from typing import Hashable, Iterable
 
@@ -47,9 +48,12 @@ LAMBDA = _Lambda()
 Transition = tuple[State, Symbol, tuple[State, ...]]
 
 #: The budget phase the fixpoint analyses below report.  They run inside
-#: the reduction build and the counters alike; each round is one
-#: deadline checkpoint.
+#: the reduction build and the counters alike.
 _PHASE = "counting.nfta"
+
+#: The fixpoint analyses check the deadline once per this many
+#: transitions processed (and once on entry).
+_CHECK_EVERY = 1024
 
 
 class NFTA:
@@ -309,28 +313,62 @@ class NFTA:
 
     @cached_property
     def productive_states(self) -> frozenset[State]:
-        """States from which at least one finite tree is derivable."""
+        """States from which at least one finite tree is derivable.
+
+        A worklist fixpoint, linear in the transitions: each transition
+        counts its children not yet known to be productive, and a state
+        that turns productive decrements the counts of the transitions
+        that read it (once per occurrence); a count reaching zero makes
+        its source productive.  The deadline is checked on entry and once
+        every :data:`_CHECK_EVERY` transitions processed.
+        """
         productive: set[State] = set()
-        changed = True
-        while changed:
-            budget_checkpoint(_PHASE)
-            changed = False
-            for source, symbol, children in self._transitions:
-                if symbol is LAMBDA:
-                    continue
-                if source not in productive and all(
-                    c in productive for c in children
-                ):
+        queue: list[State] = []
+        sources: list[State] = []
+        waiting: list[int] = []
+        readers: dict[State, list[int]] = {}
+        for index, (source, symbol, children) in enumerate(
+            self._transitions
+        ):
+            if not index % _CHECK_EVERY:  # index 0: on entry
+                budget_checkpoint(_PHASE)
+            if symbol is LAMBDA:
+                continue
+            if not children:
+                if source not in productive:
                     productive.add(source)
-                    changed = True
+                    queue.append(source)
+                continue
+            rule = len(sources)
+            sources.append(source)
+            waiting.append(len(children))
+            for child in children:
+                readers.setdefault(child, []).append(rule)
+        processed = 0
+        while queue:
+            for rule in readers.get(queue.pop(), ()):
+                processed += 1
+                if not processed % _CHECK_EVERY:
+                    budget_checkpoint(_PHASE)
+                waiting[rule] -= 1
+                if not waiting[rule]:
+                    source = sources[rule]
+                    if source not in productive:
+                        productive.add(source)
+                        queue.append(source)
         return frozenset(productive)
 
     def trimmed(self) -> "NFTA":
         """Drop transitions involving unproductive or unreachable states.
 
-        An automaton that is already trim is returned unchanged, and a
-        result of this method answers its own ``trimmed()`` without
-        rerunning the fixpoints.
+        After :attr:`productive_states`, one depth-first search from the
+        initial state over the transitions whose children are all
+        productive (grouped by source) collects the reachable states;
+        the kept transitions stay in their original order.  The
+        deadline is checked once every :data:`_CHECK_EVERY` transitions
+        processed.  An automaton that is already trim is returned
+        unchanged, and a result of this method answers its own
+        ``trimmed()`` without rerunning the fixpoints.
         """
         if self._trim:
             return self
@@ -339,25 +377,31 @@ class NFTA:
         productive = self.productive_states
         if self._initial not in productive:
             return NFTA((), self._initial)._mark_trim()
+        candidates: list[Transition] = []
+        by_source: dict[State, list[tuple[State, ...]]] = {}
+        for index, transition in enumerate(self._transitions):
+            if not index % _CHECK_EVERY:  # index 0: on entry
+                budget_checkpoint(_PHASE)
+            source, _symbol, children = transition
+            if all(c in productive for c in children):
+                candidates.append(transition)
+                by_source.setdefault(source, []).append(children)
         reachable: set[State] = {self._initial}
-        changed = True
-        useful_transitions: list[Transition] = []
-        while changed:
-            budget_checkpoint(_PHASE)
-            changed = False
-            for source, symbol, children in self._transitions:
-                if source in reachable and all(
-                    c in productive for c in children
-                ):
-                    for child in children:
-                        if child not in reachable:
-                            reachable.add(child)
-                            changed = True
-        for source, symbol, children in self._transitions:
-            if source in reachable and source in productive and all(
-                c in productive for c in children
-            ):
-                useful_transitions.append((source, symbol, children))
+        stack = [self._initial]
+        processed = 0
+        while stack:
+            for children in by_source.get(stack.pop(), ()):
+                processed += 1
+                if not processed % _CHECK_EVERY:
+                    budget_checkpoint(_PHASE)
+                for child in children:
+                    if child not in reachable:
+                        reachable.add(child)
+                        stack.append(child)
+        useful_transitions = [
+            transition for transition in candidates
+            if transition[0] in reachable
+        ]
         if len(useful_transitions) == self.num_transitions:
             return self._mark_trim()
         return NFTA(useful_transitions, self._initial)._mark_trim()
@@ -374,38 +418,57 @@ class NFTA:
         """Bitmask (bit s set ⟺ some derivable tree has size s) per state.
 
         Used by the counters to prune impossible size splits; bounded by
-        ``max_size``.
+        ``max_size`` (below 1 every mask is 0: no tree is that small).
+        A worklist fixpoint of the sumset equations: every transition is
+        evaluated once, and a transition is re-queued only when the mask
+        of one of its children grew.  The deadline is checked on entry
+        and once every :data:`_CHECK_EVERY` transitions processed.
         """
         if self.has_lambda:
             raise AutomatonError("size analysis requires a λ-free NFTA")
+        masks: dict[State, int] = dict.fromkeys(self._states, 0)
+        if max_size < 1:
+            return masks
         limit_mask = (1 << (max_size + 1)) - 1
-        masks: dict[State, int] = {state: 0 for state in self._states}
-        changed = True
-        while changed:
-            budget_checkpoint(_PHASE)
-            changed = False
-            for source, symbol, children in self._transitions:
-                combined = 1  # sizes sum starts at {0}
-                for child in children:
-                    child_mask = masks[child]
-                    if child_mask == 0:
-                        combined = 0
-                        break
-                    shifted = 0
-                    remaining = combined
-                    offset = 0
-                    while remaining:
-                        if remaining & 1:
-                            shifted |= child_mask << offset
-                        remaining >>= 1
-                        offset += 1
-                    combined = shifted & limit_mask
-                if combined == 0:
-                    continue
-                new_mask = (masks[source] | (combined << 1)) & limit_mask
-                if new_mask != masks[source]:
-                    masks[source] = new_mask
-                    changed = True
+        transitions = self._transitions
+        readers: dict[State, list[int]] = {}
+        for index, (_source, _symbol, children) in enumerate(transitions):
+            if not index % _CHECK_EVERY:  # index 0: on entry
+                budget_checkpoint(_PHASE)
+            for child in children:
+                readers.setdefault(child, []).append(index)
+        queue = deque(range(len(transitions)))
+        queued = [True] * len(transitions)
+        processed = 0
+        while queue:
+            index = queue.popleft()
+            queued[index] = False
+            processed += 1
+            if not processed % _CHECK_EVERY:
+                budget_checkpoint(_PHASE)
+            source, _symbol, children = transitions[index]
+            combined = 1  # sizes sum starts at {0}
+            for child in children:
+                child_mask = masks[child]
+                if child_mask == 0:
+                    combined = 0
+                    break
+                shifted = 0
+                remaining = combined
+                while remaining:
+                    lowest = remaining & -remaining
+                    shifted |= child_mask * lowest
+                    remaining ^= lowest
+                combined = shifted & limit_mask
+            if combined == 0:
+                continue
+            new_mask = (masks[source] | (combined << 1)) & limit_mask
+            if new_mask != masks[source]:
+                masks[source] = new_mask
+                for reader in readers.get(source, ()):
+                    if not queued[reader]:
+                        queued[reader] = True
+                        queue.append(reader)
         return masks
 
     def __repr__(self) -> str:

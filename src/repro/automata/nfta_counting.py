@@ -261,9 +261,11 @@ class _CounterPlan:
         self.used_symbols: tuple[int, ...] = ()
         self.cells: tuple = ()
         self.root: int | None = None
+        if size < 1:  # no tree is that small
+            return
         sizes = nfta.possible_sizes(size)
         masks = [sizes.get(state, 0) for state in dense.states]
-        if size < 1 or not masks[0] >> size & 1:
+        if not masks[0] >> size & 1:
             return
         memo: dict = {}
 

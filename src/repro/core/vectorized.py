@@ -5,22 +5,27 @@ three places: resolving each (child-subset, rule-group) pair to the
 evaluated source mask, multiplying weights into counts, and merging the
 contributions of every group into the next layer.  This module lowers
 all three to batched numpy array operations over a *columnar* layer
-representation:
+representation, and it does only the work of the pairs that fire:
 
 - a layer is a pair of arrays — packed little-endian state-bitmask rows
   (``uint8``, padded to whole 64-bit words) and a parallel count
   vector — instead of a ``{int mask: count}`` dict;
-- each unary rule group keys a layer by the satisfied *child columns*
-  (one fused ``reduceat`` computes every group's keys at once) and
-  resolves keys through a lazily filled direct-address memo whose rows
-  are built by vectorized ORs of per-column packed source masks — the
-  array mirror of :meth:`DenseRuleGroup.evaluated1`'s memo; the
-  per-group tables are fused into one :class:`_UnaryBank` so a whole
-  layer's rows resolve with a single gather;
+- the table keeps the rules of its vectorized groups as flat arrays
+  (source state, child states, group), built from all the rules in one
+  pass; an evaluated row is written by OR-ing the firing rules' source
+  bits into a zeroed row block with one ``bitwise_or.at``;
+- unary groups work from the layer's set bits: each (row, state) bit
+  satisfies the unary rules reading that state (a by-child index), and
+  each such hit names its (row, group) pair.  Only pairs with a hit are
+  evaluated and weighted — a pair with none evaluates to the empty set,
+  the reference DP's ``if evaluated:`` guard — so a layer costs what
+  its firing pairs cost, not |rows| × |groups| (on the repository
+  benchmark's ``path3-d4-f7`` automaton 16,145 of 339,486 pairs fire);
 - binary groups key *pairs* of layers by fired-rule bitmasks
-  (``bitwise_and.outer`` of per-side rule-satisfaction words) through
-  the same memo machinery; arities ≥ 3 — and any group whose key would
-  not fit 63 bits — run the scalar per-arity loops of
+  (``bitwise_and.outer`` of per-side rule-satisfaction words, over the
+  rows whose side word is nonzero) and evaluate only the nonzero keys;
+  arities ≥ 3 — and any binary group whose key would not fit 63 bits —
+  run the scalar per-arity loops of
   :func:`repro.core.kernels.add_layer_terms`, feeding the same
   per-layer aggregation;
 - the merged contributions collapse to unique next-layer rows with one
@@ -48,6 +53,7 @@ module imports with or without it, and
 from __future__ import annotations
 
 import threading
+from itertools import accumulate, chain
 from typing import Callable
 
 try:  # pragma: no cover - exercised via both CI matrix legs
@@ -63,17 +69,9 @@ __all__ = [
     "available",
 ]
 
-#: Direct-address memo tables are used up to this many key bits (2^20
-#: int32 slots = 4 MiB); wider keys fall back to a dict-backed memo.
-_DIRECT_TABLE_BITS = 20
-
-#: Keys are packed into int64 words, so groups needing more key bits
-#: take the scalar path.
+#: Binary keys are packed into int64 words, so binary groups with more
+#: rules take the scalar path.
 _MAX_KEY_BITS = 63
-
-#: Combined size cap for the fused unary memo bank (int32 slots;
-#: 2^22 = 16 MiB).  Groups beyond the cap keep per-group memos.
-_MAX_BANK_SLOTS = 1 << 22
 
 #: int64 counts are abandoned once a layer's conservative bound on any
 #: intermediate value reaches this (2^63 would wrap).
@@ -89,31 +87,42 @@ def _is_exact_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pack_mask(mask: int, npad: int):
-    """One Python-int bitmask as a padded little-endian byte row."""
+def _pack_masks(masks, npad: int):
+    """Python-int bitmasks as padded little-endian byte rows, in one
+    ``frombuffer``."""
     return _np.frombuffer(
-        mask.to_bytes(npad, "little"), dtype=_np.uint8
-    ).copy()
+        b"".join(mask.to_bytes(npad, "little") for mask in masks),
+        dtype=_np.uint8,
+    ).reshape(-1, npad)
+
+
+def _rule_arrays(groups):
+    """The rules of ``groups`` (``(group, weight)`` pairs) in one pass:
+    each rule's source state id, then its child state ids, as one intp
+    array per field."""
+    bits, *children = zip(*chain.from_iterable(g.rules for g, _w in groups))
+    sources = _np.fromiter(
+        map(int.bit_length, bits), dtype=_np.intp, count=len(bits)
+    ) - 1
+    return (sources, *(_np.array(c, dtype=_np.intp) for c in children))
+
+
+def _ragged_range(starts, lengths):
+    """``starts[i] + 0 … lengths[i] - 1`` for every ``i``, concatenated."""
+    ends = _np.cumsum(lengths)
+    return _np.arange(ends[-1]) + _np.repeat(starts - ends + lengths, lengths)
 
 
 def _aggregate(rows, vals, nwords: int):
     """Collapse duplicate packed rows, summing their values exactly.
 
-    ``rows`` is ``(m, nwords * 8)`` uint8; rows whose mask is empty are
-    dropped first (the reference DP's ``if evaluated:`` guard).
-    Returns unique packed rows and their per-row sums — for int64 and
-    for object (Python int / Fraction) value dtypes alike, since
-    ``np.add.reduceat`` reduces object arrays with exact Python
-    addition.
+    ``rows`` is ``(m, nwords * 8)`` uint8 and holds no empty mask: each
+    producer keeps only the pairs that fire.  Returns unique packed
+    rows and their per-row sums — for int64 and for object (Python int
+    / Fraction) value dtypes alike, since ``np.add.reduceat`` reduces
+    object arrays with exact Python addition.
     """
     words = rows.view(_np.uint64).reshape(len(rows), nwords)
-    nonzero = words.any(axis=1)
-    if not nonzero.all():
-        words = words[nonzero]
-        rows = rows[nonzero]
-        vals = vals[nonzero]
-    if not len(rows):
-        return rows, vals
     order = _np.lexsort(tuple(words[:, k] for k in range(nwords)))
     sorted_words = words[order]
     changed = (sorted_words[1:] != sorted_words[:-1]).any(axis=1)
@@ -124,177 +133,30 @@ def _aggregate(rows, vals, nwords: int):
     return rows[order[starts]], sums
 
 
-class _EvalMemo:
-    """Lazily filled key → evaluated-row memo for one rule group.
+class _Rules:
+    """The source bits of a set of rules, as the packed rows they write.
 
-    ``src_packed[j]`` is the packed OR of source bits that fire when
-    key bit ``j`` is set; the evaluated row for a key is the OR over
-    its set bits.  Keys at most :data:`_DIRECT_TABLE_BITS` wide resolve
-    through a direct-address int32 table; wider (≤ 63-bit) keys through
-    a dict.  Rows for missing keys are built in one vectorized pass
-    per batch — entries are deterministic functions of their key, so
-    the memo is shared across threads the same way the dense group
-    memos are (a duplicate fill is redundant, never wrong).
+    ``byte[r]`` and ``bit[r]`` locate rule ``r``'s source state in a
+    packed row; :meth:`rows` ORs the source bits of many (pair, rule)
+    hits into one zeroed row block in one ``bitwise_or.at``.
     """
 
-    __slots__ = ("_src", "_bits", "_table", "_dict", "_rows", "_nrows")
+    __slots__ = ("_byte", "_bit", "_npad")
 
-    def __init__(self, src_packed):
-        self._src = src_packed
-        self._bits = len(src_packed)
-        if self._bits <= _DIRECT_TABLE_BITS:
-            self._table = _np.full(1 << self._bits, -1, dtype=_np.int32)
-            self._dict = None
-        else:
-            self._table = None
-            self._dict: dict[int, int] = {}
-        npad = src_packed.shape[1] if self._bits else 8
-        self._rows = _np.zeros((max(16, self._bits), npad), dtype=_np.uint8)
-        self._nrows = 0
+    def __init__(self, sources, npad: int):
+        self._byte = sources >> 3
+        self._bit = (1 << (sources & 7)).astype(_np.uint8)
+        self._npad = npad
 
-    def _build(self, new_keys):
-        count = len(new_keys)
-        while self._nrows + count > len(self._rows):
-            self._rows = _np.concatenate([self._rows, _np.zeros_like(self._rows)])
-        block = self._rows[self._nrows:self._nrows + count]
-        block[:] = 0
-        for j in range(self._bits):
-            block[(new_keys >> j) & 1 == 1] |= self._src[j]
-        first = self._nrows
-        self._nrows += count
-        return first
-
-    def rows_for(self, keys):
-        """Evaluated packed rows for an int64 key array."""
-        if self._table is not None:
-            idx = self._table[keys]
-            miss = idx < 0
-            if miss.any():
-                new_keys = _np.unique(keys[miss])
-                first = self._build(new_keys)
-                self._table[new_keys] = _np.arange(
-                    first, self._nrows, dtype=_np.int32
-                )
-                idx = self._table[keys]
-        else:
-            table = self._dict
-            new_list = sorted(
-                {int(k) for k in keys.tolist() if k not in table}
-            )
-            if new_list:
-                new_keys = _np.array(new_list, dtype=_np.int64)
-                first = self._build(new_keys)
-                for offset, key in enumerate(new_list):
-                    table[key] = first + offset
-            idx = _np.array(
-                [table[int(k)] for k in keys.tolist()], dtype=_np.int32
-            )
-        return self._rows[idx]
-
-
-class _UnaryGroup:
-    """One vector-eligible unary (symbol, arity=1) rule group."""
-
-    __slots__ = ("weight", "abs_weight", "cols", "src", "memo")
-
-    def __init__(self, group, weight, npad: int):
-        self.weight = weight
-        self.abs_weight = abs(weight)
-        by_child: dict[int, int] = {}
-        for source_bit, child in group.rules:
-            by_child[child] = by_child.get(child, 0) | source_bit
-        cols = sorted(by_child)
-        self.cols = cols
-        src = _np.zeros((len(cols), npad), dtype=_np.uint8)
-        for j, child in enumerate(cols):
-            src[j] = _pack_mask(by_child[child], npad)
-        self.src = src
-        self.memo: _EvalMemo | None = None  # set when not bank-resident
-
-
-class _UnaryBank:
-    """Fused direct-address memo across many unary groups.
-
-    The per-group direct tables are laid out back to back in one int32
-    array (group ``g``'s key ``k`` lives at ``bases[g] + k``) over a
-    shared row store, so a whole layer's rows for *every* banked group
-    resolve with a single gather — the per-call overhead of ~|groups| ×
-    |layers| separate lookups was the vectorized DP's largest fixed
-    cost.  Fills are batched per layer and, like :class:`_EvalMemo`,
-    idempotent (duplicate fills are redundant, never wrong).
-    """
-
-    __slots__ = ("_srcs", "_bases", "_table", "_rows", "_nrows")
-
-    def __init__(self, groups: list[_UnaryGroup], npad: int):
-        self._srcs = [g.src for g in groups]
-        sizes = [1 << len(g.src) for g in groups]
-        bases = [0]
-        for size in sizes[:-1]:
-            bases.append(bases[-1] + size)
-        self._bases = _np.array(bases, dtype=_np.int64)
-        self._table = _np.full(sum(sizes), -1, dtype=_np.int32)
-        self._rows = _np.zeros((max(64, len(groups)), npad), dtype=_np.uint8)
-        self._nrows = 0
-
-    def rows_for_all(self, keys):
-        """Rows for an ``(n, G)`` key matrix, flattened group-major."""
-        flat = (keys + self._bases).T.ravel()
-        idx = self._table[flat]
-        miss = idx < 0
-        if miss.any():
-            self._fill(flat[miss])
-            idx = self._table[flat]
-        return self._rows[idx]
-
-    def _fill(self, missing) -> None:
-        new = _np.unique(missing)
-        grp = _np.searchsorted(self._bases, new, side="right") - 1
-        count = len(new)
-        while self._nrows + count > len(self._rows):
-            self._rows = _np.concatenate(
-                [self._rows, _np.zeros_like(self._rows)]
-            )
-        block = self._rows[self._nrows:self._nrows + count]
-        block[:] = 0
-        for g, src in enumerate(self._srcs):
-            positions = _np.flatnonzero(grp == g)
-            if not len(positions):
-                continue
-            local = new[positions] - self._bases[g]
-            for j in range(len(src)):
-                block[positions[(local >> j) & 1 == 1]] |= src[j]
-        self._table[new] = _np.arange(
-            self._nrows, self._nrows + count, dtype=_np.int32
+    def rows(self, count: int, pair, rule):
+        """``count`` packed rows; row ``pair[i]`` gains the source bit
+        of rule ``rule[i]``."""
+        npad = self._npad
+        block = _np.zeros(count * npad, dtype=_np.uint8)
+        _np.bitwise_or.at(
+            block, pair * npad + self._byte[rule], self._bit[rule]
         )
-        self._nrows += count
-
-
-class _BinaryGroup:
-    """One vector-eligible binary (symbol, arity=2) rule group.
-
-    Keys are fired-*rule* bitmasks: side words mark which rules see
-    their child state satisfied, and their AND is exactly the set of
-    rules that fire on the pair.
-    """
-
-    __slots__ = ("weight", "left_cols", "right_cols", "pow2", "memo")
-
-    def __init__(self, group, weight, npad: int):
-        self.weight = weight
-        self.left_cols = _np.array(
-            [c1 for _bit, c1, _c2 in group.rules], dtype=_np.intp
-        )
-        self.right_cols = _np.array(
-            [c2 for _bit, _c1, c2 in group.rules], dtype=_np.intp
-        )
-        self.pow2 = (
-            _np.int64(1) << _np.arange(len(group.rules), dtype=_np.int64)
-        )
-        src = _np.zeros((len(group.rules), npad), dtype=_np.uint8)
-        for j, (source_bit, _c1, _c2) in enumerate(group.rules):
-            src[j] = _pack_mask(source_bit, npad)
-        self.memo = _EvalMemo(src)
+        return block.reshape(count, npad)
 
 
 class VectorLayerTable:
@@ -311,10 +173,12 @@ class VectorLayerTable:
 
     __slots__ = (
         "_nstates", "_lock", "_layers", "_totals",
-        "_leaf_cell", "_unary", "_binary", "_scalar_by_arity",
-        "_pyitems", "_npad", "_nwords", "_nbytes", "_ucols", "_ucolw",
-        "_uoffsets", "_uweights", "_binkeys", "_object_mode",
-        "_wsum_by_arity", "_ubank", "_nbanked",
+        "_leaf_cell", "_scalar_by_arity", "_wsum_by_arity",
+        "_pyitems", "_npad", "_nwords", "_nbytes", "_object_mode",
+        "_ngroups", "_urules", "_ugroup", "_ureaders", "_ufirst",
+        "_udegree", "_uweights", "_uweights64",
+        "_binary", "_brules", "_bcols", "_bpow2", "_boffsets",
+        "_binkeys",
     )
 
     def __init__(self, dense, weights: tuple):
@@ -332,8 +196,8 @@ class VectorLayerTable:
         )
 
         self._leaf_cell: dict[int, object] = {}
-        self._unary: list[_UnaryGroup] = []
-        self._binary: list[_BinaryGroup] = []
+        unary: list = []
+        binary: list = []
         self._scalar_by_arity: dict[int, list] = {}
         self._wsum_by_arity: dict[int, int] = {}
         for group in dense.groups:
@@ -350,55 +214,67 @@ class VectorLayerTable:
                 self._wsum_by_arity[group.arity] = (
                     self._wsum_by_arity.get(group.arity, 0) + abs(weight)
                 )
-            if group.arity == 1 and len(
-                {child for _bit, child in group.rules}
-            ) <= _MAX_KEY_BITS:
-                self._unary.append(_UnaryGroup(group, weight, self._npad))
+            if group.arity == 1:
+                unary.append((group, weight))
             elif group.arity == 2 and len(group.rules) <= _MAX_KEY_BITS:
-                self._binary.append(_BinaryGroup(group, weight, self._npad))
+                binary.append((group, weight))
             else:
                 self._scalar_by_arity.setdefault(group.arity, []).append(
                     (group, weight)
                 )
-
-        # Bank the leading unary groups whose direct tables fit the
-        # combined cap; the rest resolve through per-group memos.
-        banked: list[_UnaryGroup] = []
-        rest: list[_UnaryGroup] = []
-        slots = 0
-        for ugroup in self._unary:
-            size = 1 << len(ugroup.src)
-            if not rest and slots + size <= _MAX_BANK_SLOTS:
-                banked.append(ugroup)
-                slots += size
-            else:
-                rest.append(ugroup)
-                ugroup.memo = _EvalMemo(ugroup.src)
-        self._unary = banked + rest
-        self._nbanked = len(banked)
-        self._ubank = (
-            _UnaryBank(banked, self._npad) if banked else None
-        )
-
-        # Fused unary keying: one gather + one reduceat computes every
-        # group's keys for a whole layer.
-        cols: list[int] = []
-        colw: list[int] = []
-        offsets: list[int] = []
-        for ugroup in self._unary:
-            offsets.append(len(cols))
-            cols.extend(ugroup.cols)
-            colw.extend(1 << j for j in range(len(ugroup.cols)))
-        self._ucols = _np.array(cols, dtype=_np.intp)
-        self._ucolw = _np.array(colw, dtype=_np.int64)
-        self._uoffsets = _np.array(offsets, dtype=_np.intp)
-        self._uweights = [g.weight for g in self._unary]
+        self._init_unary(unary)
+        self._init_binary(binary)
 
         empty = self._empty_layer()
         self._layers: list = [empty]  # size 0 has no trees
         self._totals: list[int] = [0]
         self._pyitems: list = [[]]
         self._binkeys: dict = {}
+
+    def _init_unary(self, unary: list) -> None:
+        """The unary groups' rules as flat arrays, plus the by-child
+        index: the rules reading state ``q`` are
+        ``_ureaders[_ufirst[q]:_ufirst[q] + _udegree[q]]``."""
+        self._ngroups = len(unary)
+        weights = [weight for _group, weight in unary]
+        self._uweights = _np.empty(len(weights), dtype=object)
+        self._uweights[:] = weights
+        self._uweights64 = (
+            None if self._object_mode
+            else _np.array(weights, dtype=_np.int64)
+        )
+        if not unary:
+            return
+        sources, children = _rule_arrays(unary)
+        self._urules = _Rules(sources, self._npad)
+        self._ugroup = _np.repeat(
+            _np.arange(len(unary)), [len(g.rules) for g, _w in unary]
+        )
+        self._ureaders = _np.argsort(children, kind="stable")
+        self._udegree = _np.bincount(children, minlength=self._nstates)
+        self._ufirst = _np.cumsum(self._udegree) - self._udegree
+
+    def _init_binary(self, binary: list) -> None:
+        """The binary groups' rules as flat arrays, group ``g``'s from
+        ``_boffsets[g]`` on.  A binary key is a fired-*rule* bitmask:
+        side words mark which rules see their child state satisfied,
+        and their AND is exactly the set of rules that fire on the
+        pair."""
+        self._binary = [weight for _group, weight in binary]
+        if not binary:
+            return
+        sources, lefts, rights = _rule_arrays(binary)
+        self._brules = _Rules(sources, self._npad)
+        sizes = [len(g.rules) for g, _w in binary]
+        self._boffsets = _np.array(
+            [0, *accumulate(sizes[:-1])], dtype=_np.intp
+        )
+        self._bcols = (lefts, rights)
+        self._bpow2 = _np.left_shift(
+            1,
+            _np.arange(len(sources)) - _np.repeat(self._boffsets, sizes),
+            dtype=_np.int64,
+        )
 
     # -- public API ----------------------------------------------------
 
@@ -438,6 +314,16 @@ class VectorLayerTable:
             packed[:, :self._nbytes], axis=1, bitorder="little"
         )[:, :self._nstates]
 
+    def _set_bits(self, packed):
+        """``(row, state)`` of every set bit of a packed layer."""
+        nonzero_bytes = _np.flatnonzero(packed)
+        bits = _np.flatnonzero(_np.unpackbits(
+            packed.ravel()[nonzero_bytes], bitorder="little"
+        ))
+        return _np.divmod(
+            nonzero_bytes[bits >> 3] * 8 + (bits & 7), self._npad * 8
+        )
+
     def _append_layer(self) -> None:
         s = len(self._layers)
         if not self._object_mode and self._layer_bound(s) >= _INT64_CEILING:
@@ -450,49 +336,11 @@ class VectorLayerTable:
         if s == 1:
             self._add_cell(self._leaf_cell, rows_list, vals_list)
 
-        if self._unary and total >= 1:
-            prev_packed, prev_counts = self._layers[total]
-            if len(prev_counts):
-                matrix = self._unpacked(prev_packed)
-                keyed = matrix[:, self._ucols] * self._ucolw
-                keys = _np.add.reduceat(keyed, self._uoffsets, axis=1)
-                counts = self._counts_for_math(prev_counts)
-                if counts.dtype == object:
-                    scaled = [g.weight * counts for g in self._unary]
-                else:
-                    scaled = _np.multiply.outer(
-                        _np.array(self._uweights, dtype=_np.int64), counts
-                    )
-                nbanked = self._nbanked
-                if nbanked:
-                    rows_list.append(
-                        self._ubank.rows_for_all(keys[:, :nbanked])
-                    )
-                    if counts.dtype == object:
-                        vals_list.extend(scaled[:nbanked])
-                    else:
-                        vals_list.append(scaled[:nbanked].ravel())
-                for gi in range(nbanked, len(self._unary)):
-                    ugroup = self._unary[gi]
-                    rows_list.append(ugroup.memo.rows_for(keys[:, gi]))
-                    vals_list.append(scaled[gi])
+        if self._ngroups and total >= 1:
+            self._add_unary_terms(total, rows_list, vals_list)
 
         if self._binary and total >= 2:
-            for left in range(1, total):
-                left_packed, left_counts = self._layers[left]
-                right_packed, right_counts = self._layers[total - left]
-                if not len(left_counts) or not len(right_counts):
-                    continue
-                lc = self._counts_for_math(left_counts)
-                rc = self._counts_for_math(right_counts)
-                pair_counts = _np.multiply.outer(lc, rc).ravel()
-                for gi, bgroup in enumerate(self._binary):
-                    fired = _np.bitwise_and.outer(
-                        self._side_keys(left, gi, 0),
-                        self._side_keys(total - left, gi, 1),
-                    ).ravel()
-                    rows_list.append(bgroup.memo.rows_for(fired))
-                    vals_list.append(bgroup.weight * pair_counts)
+            self._add_binary_terms(total, rows_list, vals_list)
 
         if self._scalar_by_arity:
             cell: dict[int, object] = {}
@@ -520,14 +368,76 @@ class VectorLayerTable:
         metric_inc("kernels.layers_computed")
         metric_inc("kernels.vectorized_layers")
 
+    def _add_unary_terms(self, total: int, rows_list, vals_list) -> None:
+        """The unary groups' terms over layer ``total``.
+
+        Every set bit (row, state) hits the unary rules reading that
+        state; the hits, grouped by their (row, group) pair, are the
+        pairs that fire, and only those are evaluated and weighted.
+        """
+        packed, counts = self._layers[total]
+        row, state = self._set_bits(packed)
+        reads = self._udegree[state]
+        if not reads.any():
+            return
+        rule = self._ureaders[_ragged_range(self._ufirst[state], reads)]
+        pairs, which = _np.unique(
+            _np.repeat(row, reads) * self._ngroups + self._ugroup[rule],
+            return_inverse=True,
+        )
+        rows_list.append(self._urules.rows(len(pairs), which, rule))
+        row, group = _np.divmod(pairs, self._ngroups)
+        counts = self._counts_for_math(counts)
+        weights = (
+            self._uweights if counts.dtype == object else self._uweights64
+        )
+        vals_list.append(weights[group] * counts[row])
+
+    def _add_binary_terms(self, total: int, rows_list, vals_list) -> None:
+        """The binary groups' terms over every (left, right) layer pair
+        of sizes summing to ``total``: only the row pairs whose
+        fired-rule key is nonzero are evaluated and weighted."""
+        for left in range(1, total):
+            right = total - left
+            lc = self._layers[left][1]
+            rc = self._layers[right][1]
+            if not len(lc) or not len(rc):
+                continue
+            lc = self._counts_for_math(lc)
+            rc = self._counts_for_math(rc)
+            left_keys = self._side_keys(left)[0]
+            right_keys = self._side_keys(right)[1]
+            for gi, weight in enumerate(self._binary):
+                lrows = _np.flatnonzero(left_keys[:, gi])
+                rrows = _np.flatnonzero(right_keys[:, gi])
+                if not len(lrows) or not len(rrows):
+                    continue
+                fired = _np.bitwise_and.outer(
+                    left_keys[lrows, gi], right_keys[rrows, gi]
+                )
+                li, ri = _np.nonzero(fired)
+                if not len(li):
+                    continue
+                rows_list.append(
+                    self._binary_rows(fired[li, ri], self._boffsets[gi])
+                )
+                vals_list.append(weight * (lc[lrows[li]] * rc[rrows[ri]]))
+
+    def _binary_rows(self, keys, first_rule: int):
+        """Evaluated rows of nonzero fired-rule ``keys`` of the group
+        whose rules start at ``first_rule``: each set bit is a rule."""
+        nbytes = (int(keys.max()).bit_length() + 7) // 8
+        key_bytes = keys.astype("<u8").view(_np.uint8).reshape(-1, 8)
+        which, bit = _np.nonzero(_np.unpackbits(
+            key_bytes[:, :nbytes], axis=1, bitorder="little"
+        ))
+        return self._brules.rows(len(keys), which, first_rule + bit)
+
     def _add_cell(self, cell: dict, rows_list: list, vals_list: list):
         """Append a ``{int mask: value}`` cell as packed rows and values."""
         if not cell:
             return
-        packed = _np.zeros((len(cell), self._npad), dtype=_np.uint8)
-        for i, mask in enumerate(cell):
-            packed[i] = _pack_mask(mask, self._npad)
-        rows_list.append(packed)
+        rows_list.append(_pack_masks(cell, self._npad))
         if self._object_mode:
             vals = _np.empty(len(cell), dtype=object)
             vals[:] = list(cell.values())
@@ -539,22 +449,24 @@ class VectorLayerTable:
     def _as_object(array):
         return array if array.dtype == object else array.astype(object)
 
-    def _side_keys(self, layer_index: int, group_index: int, side: int):
-        """Per-row rule-satisfaction words for one binary group side."""
-        key = (layer_index, group_index, side)
-        cached = self._binkeys.get(key)
+    def _side_keys(self, layer_index: int):
+        """Per-row rule-satisfaction words of one layer, ``(left,
+        right)``, each ``(rows, binary groups)``."""
+        cached = self._binkeys.get(layer_index)
         if cached is None:
-            bgroup = self._binary[group_index]
-            cols = bgroup.left_cols if side == 0 else bgroup.right_cols
             matrix = self._unpacked(self._layers[layer_index][0])
-            cached = (matrix[:, cols] * bgroup.pow2).sum(axis=1)
-            self._binkeys[key] = cached
+            cached = self._binkeys[layer_index] = tuple(
+                _np.add.reduceat(
+                    matrix[:, cols] * self._bpow2, self._boffsets, axis=1
+                )
+                for cols in self._bcols
+            )
         return cached
 
     def _mask_items(self, size: int) -> list:
         """Layer ``size`` as ``(int mask, count)`` pairs: the input of
         the groups that run :func:`~repro.core.kernels.add_layer_terms`
-        (arity ≥ 3, or keys too wide)."""
+        (arity ≥ 3, or binary keys too wide)."""
         cached = self._pyitems[size]
         if cached is None:
             packed, counts = self._layers[size]

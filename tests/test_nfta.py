@@ -1,10 +1,13 @@
 """Unit tests for the NFTA substrate: membership, λ-elimination, trim."""
 
+import time
+
 import pytest
 
 from repro.automata.nfta import LAMBDA, NFTA
 from repro.automata.trees import LabeledTree, leaf, path_tree
-from repro.errors import AutomatonError
+from repro.core.budget import EvaluationBudget, budget_scope
+from repro.errors import AutomatonError, BudgetExceededError
 
 
 def _binary_tree_automaton() -> NFTA:
@@ -178,8 +181,63 @@ class TestSizeAnalysis:
         masks = nfta.possible_sizes(7)
         assert masks["q"] == 0b10101010
 
+    @pytest.mark.parametrize("max_size", [0, -1, -2, -5])
+    def test_no_size_below_one(self, max_size):
+        masks = _binary_tree_automaton().possible_sizes(max_size)
+        assert masks == {"q": 0}
+
     def test_structure_properties(self):
         nfta = _binary_tree_automaton()
         assert nfta.num_transitions == 3
         assert nfta.max_arity == 2
         assert nfta.encoding_size == (2 + 0) + (2 + 2) + (2 + 1)
+
+
+def _chain(length: int) -> NFTA:
+    """``q0 -a-> (q1) -a-> … -a-> (q{length-1})`` with a leaf rule on the
+    last state, listed root first: a pass-until-stable fixpoint over
+    this listing learns one state per pass."""
+    transitions = [
+        (f"q{i}", "a", (f"q{i + 1}",)) for i in range(length - 1)
+    ]
+    transitions.append((f"q{length - 1}", "b", ()))
+    return NFTA(transitions, initial="q0")
+
+
+class TestFixpointScaling:
+    """The three fixpoints are worklists, linear in the transitions on
+    a deep chain (as pass-until-stable loops each took seconds on this
+    4,000-state chain)."""
+
+    def _timed(self, run):
+        chain = _chain(4000)
+        started = time.perf_counter()
+        result = run(chain)
+        assert time.perf_counter() - started < 1.0
+        return result
+
+    def test_productive_states(self):
+        productive = self._timed(lambda nfta: nfta.productive_states)
+        assert len(productive) == 4000
+
+    def test_trimmed(self):
+        chain = _chain(4000)
+        assert self._timed(lambda nfta: nfta.trimmed()).transitions == (
+            chain.transitions
+        )
+
+    def test_possible_sizes(self):
+        masks = self._timed(lambda nfta: nfta.possible_sizes(4001))
+        assert masks["q0"] == 1 << 4000
+        assert masks["q3999"] == 1 << 1
+
+    def test_a_deadline_stops_a_long_trim(self):
+        chain = _chain(100_000)
+        started = time.perf_counter()
+        with budget_scope(EvaluationBudget(deadline=0.05)), pytest.raises(
+            BudgetExceededError
+        ) as info:
+            chain.trimmed()
+        assert time.perf_counter() - started < 0.5
+        assert info.value.kind == "deadline"
+        assert info.value.phase == "counting.nfta"

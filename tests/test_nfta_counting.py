@@ -203,6 +203,25 @@ class TestTreeSampling:
             sample_accepted_trees(nfta, 3, k=5, seed=0)
 
 
+@pytest.mark.parametrize("backend", ["reference", "optimized"])
+@pytest.mark.parametrize("size", [0, -1, -2, -5])
+class TestSizesBelowOne:
+    """No tree has a size below 1: every such size behaves as 0 does."""
+
+    def test_count_is_an_exact_zero(self, size, backend):
+        result = count_nfta(_catalan_automaton(), size, seed=1,
+                            backend=backend)
+        assert (result.estimate, result.exact, result.samples_used) == (
+            0, True, 0
+        )
+
+    def test_sampling_raises_an_estimation_error(self, size, backend):
+        with pytest.raises(EstimationError):
+            sample_accepted_trees(
+                _catalan_automaton(), size, k=3, seed=1, backend=backend
+            )
+
+
 class TestWeightedCounting:
     def test_exact_weighted_leaf(self):
         nfta = NFTA([("q", "a", ()), ("q", "b", ())], initial="q")

@@ -17,7 +17,10 @@ cover:
   :func:`repro.automata.optimize.optimize_nfta` must preserve
   ``|L_k(T)|`` for every k ≤ 6, and the dense layer DP — the numpy
   table and, with numpy hidden, the scalar one — must equal the
-  reference DP bit for bit (see also ``test_kernel_differential``).
+  reference DP bit for bit (see also ``test_kernel_differential``);
+  the worklist fixpoints of :class:`NFTA` (``productive_states``,
+  ``trimmed()``, ``possible_sizes``) equal the pass-until-stable loops
+  they replaced, kept here as the reference.
 - **Sampler membership oracles**: the interned tree store's
   derivability over dense state ids agrees with
   :meth:`NFTA.derivable_states`, and the CountNFA cons-cell acceptance
@@ -32,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
 from repro.automata.nfa_counting import _Counter, _WordPlan
-from repro.automata.nfta import NFTA
+from repro.automata.nfta import LAMBDA, NFTA
 from repro.automata.nfta_counting import (
     _CounterPlan,
     _InternedTrees,
@@ -278,6 +281,102 @@ def test_optimization_report_is_consistent(seed):
     if dense.num_states:
         assert dense.states[0] == nfta.initial
         assert dense.initial_bit == 1
+
+
+# The pass-until-stable loops the three NFTA fixpoints replaced, kept
+# as the reference the worklists must equal (their per-pass deadline
+# checkpoints dropped).
+
+
+def _productive_by_passes(nfta: NFTA) -> frozenset:
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for source, symbol, children in nfta.transitions:
+            if symbol is LAMBDA:
+                continue
+            if source not in productive and all(
+                c in productive for c in children
+            ):
+                productive.add(source)
+                changed = True
+    return frozenset(productive)
+
+
+def _trimmed_by_passes(nfta: NFTA) -> list:
+    productive = _productive_by_passes(nfta)
+    if nfta.initial not in productive:
+        return []
+    reachable = {nfta.initial}
+    changed = True
+    useful_transitions = []
+    while changed:
+        changed = False
+        for source, symbol, children in nfta.transitions:
+            if source in reachable and all(
+                c in productive for c in children
+            ):
+                for child in children:
+                    if child not in reachable:
+                        reachable.add(child)
+                        changed = True
+    for source, symbol, children in nfta.transitions:
+        if source in reachable and source in productive and all(
+            c in productive for c in children
+        ):
+            useful_transitions.append((source, symbol, children))
+    return useful_transitions
+
+
+def _sizes_by_passes(nfta: NFTA, max_size: int) -> dict:
+    limit_mask = (1 << (max_size + 1)) - 1
+    masks = {state: 0 for state in nfta.states}
+    changed = True
+    while changed:
+        changed = False
+        for source, symbol, children in nfta.transitions:
+            combined = 1  # sizes sum starts at {0}
+            for child in children:
+                child_mask = masks[child]
+                if child_mask == 0:
+                    combined = 0
+                    break
+                shifted = 0
+                remaining = combined
+                offset = 0
+                while remaining:
+                    if remaining & 1:
+                        shifted |= child_mask << offset
+                    remaining >>= 1
+                    offset += 1
+                combined = shifted & limit_mask
+            if combined == 0:
+                continue
+            new_mask = (masks[source] | (combined << 1)) & limit_mask
+            if new_mask != masks[source]:
+                masks[source] = new_mask
+                changed = True
+    return masks
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60, deadline=None)
+def test_worklist_fixpoints_equal_the_pass_until_stable_loops(seed):
+    """``productive_states``, ``trimmed()`` and ``possible_sizes`` are
+    worklists; each computes the least fixpoint the old loops did, and
+    the trim keeps the surviving transitions in their listed order."""
+    rng = random.Random(seed)
+    transitions = list(_messy_random_nfta(rng).transitions)
+    rng.shuffle(transitions)
+    initial = rng.choice(sorted({t[0] for t in transitions}))
+    nfta = NFTA(transitions, initial=initial)
+    assert nfta.productive_states == _productive_by_passes(nfta)
+    assert list(nfta.trimmed().transitions) == _trimmed_by_passes(nfta)
+    for max_size in range(9):
+        assert nfta.possible_sizes(max_size) == _sizes_by_passes(
+            nfta, max_size
+        )
 
 
 # ---------------------------------------------------------------------
