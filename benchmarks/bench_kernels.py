@@ -8,9 +8,9 @@ the exact CountNFTA DP through the Theorem 1 weighted reduction on the
 Table-1-style workloads — reference vs scalar table vs numpy table —
 *cold*: every pass counts a fresh copy of the automaton (trimmed before
 the clock starts, as a reduction build leaves it), which has no
-compiled form yet, so plan compilation, layer fills and memo-table
-fills are paid, not amortised away.  The scalar passes hide numpy, as
-on a host without it.
+compiled form yet, so plan compilation and layer fills are paid, not
+amortised away.  The scalar passes hide numpy, as on a host without
+it.
 
 The measurements double as CI perf-regression gates (run by the
 ``benchmarks`` job next to the telemetry/durability overhead guards):
@@ -27,19 +27,24 @@ The measurements double as CI perf-regression gates (run by the
   tier's own preprocessing costs <5% of a single cold DP pass, so it
   can never dominate a one-shot evaluation — compiling the
   :class:`~repro.automata.optimize.DenseNFTA` for the scalar tier;
-  building the :class:`~repro.core.vectorized.VectorLayerTable` from
-  the (shared, already-gated) dense compile for the numpy tier,
-  whose lazy memo tables fill during the DP, not up front;
+  building the :class:`~repro.core.vectorized.VectorLayerTable` (its
+  flat rule arrays and by-child index) from the (shared,
+  already-gated) dense compile for the numpy tier;
 - ``test_optimized_sampler_speedup``: the CountNFTA sampler (the FPRAS
   route, not the exact DP) on the optimized backend — interned tree
   ids, dense-state membership — ≥2× over reference, cold, on Q4 over
   the width-2 layered instance (``fpras``) plus the warehouse 4/4/6
   (``fpras-weighted``), timed together;
-- ``test_karp_luby_speedup``: the optimized Karp–Luby loop, which
-  decides acceptance from its dead-clause bitset, ≥8× over the
-  reference's clause scan on the 729-clause lineage of the repository
-  benchmark's Karp–Luby item (``path_query(5)`` over the complete
-  width-3 layered instance, ε = 0.4).
+- ``test_karp_luby_speedup``: the optimized Karp–Luby backend ≥8×
+  over the reference's clause scan on the 729-clause lineage of the
+  repository benchmark's Karp–Luby item (``path_query(5)`` over the
+  complete width-3 layered instance, ε = 0.4).  With numpy its
+  optimized side is the block path; without numpy it is the bitset
+  loop, which decides acceptance from its dead-clause bitset;
+- ``test_karp_luby_blocks_speedup``: with numpy, the block path — the
+  same Mersenne doubles read by numpy, acceptance decided by
+  bit-sliced clause walks — ≥2× over the bitset loop (numpy hidden),
+  end to end, on the same lineage (skips when numpy is absent).
 
 All tiers return bitwise-identical counts and estimates — asserted
 here too, on the real workloads (the differential suite covers the
@@ -238,13 +243,11 @@ def test_vectorized_speedup_on_largest_workload():
 
 def test_vectorized_preprocessing_amortized_below_5_percent():
     """The numpy tier's *own* preprocessing — building the
-    :class:`VectorLayerTable` (packed source-mask columns, the fused
-    unary memo bank) from a compiled dense automaton — is <5% of one
+    :class:`VectorLayerTable` (flat rule arrays, the by-child index of
+    the unary rules) from a compiled dense automaton — is <5% of one
     cold numpy DP pass.  The dense compile itself is shared with
     the scalar tier and separately gated by
-    ``test_preprocessing_amortized_below_5_percent``; the lazy memo
-    tables fill during the DP and are deliberately part of the pass,
-    not the prep."""
+    ``test_preprocessing_amortized_below_5_percent``."""
     import pytest
 
     if not vectorized.available():
@@ -320,10 +323,10 @@ def test_optimized_sampler_speedup():
     )
 
 
-def _measure_karp_luby():
-    """(reference seconds, optimized seconds), best-of, on the
-    repository benchmark's Karp–Luby item shape: the 729-clause lineage
-    of ``path_query(5)`` over the complete width-3 layered instance,
+def _karp_luby_runner():
+    """``run(backend)``: one Karp–Luby estimate on the repository
+    benchmark's Karp–Luby item shape — the 729-clause lineage of
+    ``path_query(5)`` over the complete width-3 layered instance,
     every fact labelled ``k/4`` with a seeded k, at ε = 0.4."""
     instance = complete_layered_path_instance(5, 3)
     rng = random.Random(SEED)
@@ -334,24 +337,73 @@ def _measure_karp_luby():
     formula = build_lineage(path_query(5), instance)
 
     def run(backend):
-        return lambda: karp_luby_probability(
+        return karp_luby_probability(
             formula, probabilities, epsilon=0.4, seed=SEED,
             backend=backend,
         )
 
-    ref_value, ref_time = _best_of(run("reference"))
-    opt_value, opt_time = _best_of(run("optimized"))
+    return run
+
+
+def _measure_karp_luby():
+    """(reference seconds, optimized seconds), best-of."""
+    run = _karp_luby_runner()
+    ref_value, ref_time = _best_of(lambda: run("reference"))
+    opt_value, opt_time = _best_of(lambda: run("optimized"))
     assert ref_value == opt_value, "backends disagree — differential bug"
     return ref_time, opt_time
 
 
+def _measure_karp_luby_blocks(repeats=5):
+    """(bitset-loop seconds, block-path seconds), best of ``repeats``
+    with the two sides interleaved; the bitset side hides numpy."""
+    run = _karp_luby_runner()
+
+    def bitset():
+        saved = vectorized._np
+        vectorized._np = None
+        try:
+            return run("optimized")
+        finally:
+            vectorized._np = saved
+
+    def blocks():
+        return run("optimized")
+
+    best = {}
+    values = {}
+    for _ in range(repeats):
+        for side, fn in (("bitset", bitset), ("blocks", blocks)):
+            value, elapsed = timed(fn)
+            assert values.setdefault(side, value) == value
+            best[side] = min(best.get(side, elapsed), elapsed)
+    assert values["bitset"] == values["blocks"], (
+        "Karp–Luby paths disagree — differential bug"
+    )
+    return best["bitset"], best["blocks"]
+
+
 def test_karp_luby_speedup():
-    """The optimized Karp–Luby loop is ≥8× over reference."""
+    """The optimized Karp–Luby backend is ≥8× over reference."""
     ref_time, opt_time = _measure_karp_luby()
     assert opt_time * 8 <= ref_time, (
         f"optimized Karp–Luby only {ref_time / opt_time:.2f}x faster "
         f"than reference (ref {ref_time:.3f}s, opt {opt_time:.3f}s); "
         "the >=8x gate failed"
+    )
+
+
+def test_karp_luby_blocks_speedup():
+    """With numpy, the Karp–Luby block path is ≥2× the bitset loop."""
+    import pytest
+
+    if not vectorized.available():
+        pytest.skip("numpy not installed")
+    bitset_time, blocks_time = _measure_karp_luby_blocks()
+    assert blocks_time * 2 <= bitset_time, (
+        f"Karp–Luby block path only {bitset_time / blocks_time:.2f}x "
+        f"faster than the bitset loop (bitset {bitset_time:.3f}s, "
+        f"blocks {blocks_time:.3f}s); the >=2x gate failed"
     )
 
 
@@ -381,3 +433,10 @@ if __name__ == "__main__":
         f"{ref_time:.3f}s, optimized {opt_time:.3f}s, "
         f"{ref_time / opt_time:.2f}x"
     )
+    if vectorized.available():
+        bitset_time, blocks_time = _measure_karp_luby_blocks()
+        print(
+            f"Karp–Luby block path vs bitset loop (same lineage): "
+            f"bitset {bitset_time:.3f}s, blocks {blocks_time:.3f}s, "
+            f"{bitset_time / blocks_time:.2f}x"
+        )

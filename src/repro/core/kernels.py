@@ -280,10 +280,18 @@ class TickBatcher:
         self._chunk = 1 if active_budget() is not None else chunk
         self._pending = 0
 
-    def tick(self) -> None:
-        self._pending += 1
-        if self._pending >= self._chunk:
+    def tick(self, units: int = 1) -> None:
+        """Charge ``units`` samples at once.  The flushes are exactly
+        those of ``units`` single ticks: whole chunks (of 1 under a
+        budget scope, so a work cap still stops at the same sample),
+        with the remainder left pending."""
+        pending = self._pending + units
+        chunk = self._chunk
+        while pending >= chunk:
+            pending -= chunk
+            self._pending = chunk
             self.flush()
+        self._pending = pending
 
     def flush(self) -> None:
         pending = self._pending

@@ -18,6 +18,16 @@ C_1 … C_m of probabilities w_i = Pr[C_i],
 ``Pr[φ] = W · Pr[accept]``, estimated by the empirical acceptance rate;
 the estimate lies within (1 ± ε)·Pr[φ] with probability ≥ 1 − δ for
 ``samples ≥ 3m·ln(2/δ)/ε²`` (we expose the standard bound as a helper).
+
+Three loops draw the same samples from one ``random.Random`` stream:
+the ``reference`` transcription (a clause scan per sample, kept as the
+oracle); the bitset loop :func:`_sample_optimized`, one interpreter
+step per (sample, free fact), which the optimized backend runs when
+numpy is absent; and :func:`_sample_blocks`, which the optimized
+backend runs when numpy is importable.  The block path reads the same
+doubles from numpy's ``MT19937`` loaded with the stream's state, so it
+needs no interpreter step per fact: a block of samples costs a few
+array passes and O(clauses · clause size) big-int operations.
 """
 
 from __future__ import annotations
@@ -26,14 +36,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, chain
+from operator import and_
 from typing import Mapping
 
 from repro.automata.nfa_counting import weighted_index
 from repro.core.budget import budget_tick
 from repro.db.fact import Fact
 from repro.errors import EstimationError
-from repro.lineage.dnf import DNF, clause_probability
+from repro.lineage.dnf import DNF
 from repro.obs import metric_gauge, metric_inc, span
 from repro.testing.faults import fault_point
 
@@ -77,13 +89,17 @@ def karp_luby_probability(
     :class:`~repro.errors.EstimationError`.
 
     ``backend='optimized'`` (the default; see
-    :mod:`repro.core.kernels`) decides acceptance from per-fact clause
-    bitsets instead of scanning the clauses, precomputes each clause's
-    free-fact list, and batches the per-sample budget/metric ticks.
-    The RNG is consulted for exactly the same facts in exactly the
-    reference order, so the estimate is bitwise-identical to
-    ``backend='reference'`` for any seed.
+    :mod:`repro.core.kernels`) never scans the clauses and batches the
+    per-sample budget/metric ticks.  With numpy importable
+    (:func:`repro.core.vectorized.available`) it decides the samples a
+    block at a time from the same Mersenne doubles, read by numpy, with
+    bit-sliced clause walks; without numpy it runs the bitset loop,
+    which ORs per-fact clause bitsets.  Both consult the random stream
+    for exactly the same facts in exactly the reference order, so the
+    estimate, the sample and acceptance counts and every work counter
+    are bitwise-identical to ``backend='reference'`` for any seed.
     """
+    from repro.core import vectorized
     from repro.core.kernels import resolve_backend
 
     if samples is not None and samples < 1:
@@ -95,11 +111,36 @@ def karp_luby_probability(
 
     rng = random.Random(seed)
     probs = {f: Fraction(p) for f, p in probabilities.items()}
-    clauses = sorted(formula.clauses, key=lambda c: sorted(map(str, c)))
+    # Facts relevant to the formula; facts outside it cannot affect
+    # satisfaction and are never sampled.
+    relevant = sorted(formula.variables, key=Fact.sort_key)
+    # Each clause read once as the positions of its facts in
+    # ``relevant``; the set-up below indexes lists, not facts.
+    position_of = {fact: position for position, fact in enumerate(relevant)}
+    unordered = list(formula.clauses)
+    positions = [tuple(map(position_of.__getitem__, c)) for c in unordered]
+    # Clauses in the order of their sorted fact names, compared through
+    # dense name ranks (equal names share one), which is the order of
+    # the names themselves.
+    names = [str(fact) for fact in relevant]
+    rank = {name: at for at, name in enumerate(sorted(set(names)))}
+    name_rank = [rank[name] for name in names]
+    order = sorted(
+        range(len(unordered)),
+        key=lambda i: sorted(map(name_rank.__getitem__, positions[i])),
+    )
+    clauses = [unordered[i] for i in order]
+    members = [positions[i] for i in order]
+    # A clause weight is ``float(clause_probability(c, probs))``: the
+    # exact product as one integer division, which rounds correctly.
     # Running left-to-right sums: ``sum`` of floats rounds differently
     # from Python 3.12 on, and the total must not depend on that.
+    numerators = [probs[fact].numerator for fact in relevant]
+    denominators = [probs[fact].denominator for fact in relevant]
     cumulative = list(accumulate(
-        float(clause_probability(c, probs)) for c in clauses
+        math.prod(map(numerators.__getitem__, c))
+        / math.prod(map(denominators.__getitem__, c))
+        for c in members
     ))
     total_weight = cumulative[-1] if cumulative else 0.0
     if total_weight == 0:
@@ -108,15 +149,17 @@ def karp_luby_probability(
     if samples is None:
         samples = required_samples(len(clauses), epsilon, delta)
 
-    # Facts relevant to the formula; facts outside it cannot affect
-    # satisfaction and are never sampled.
-    relevant = sorted(formula.variables, key=Fact.sort_key)
     float_probs = {f: float(probs[f]) for f in relevant}
 
     accepted = 0
     metric_gauge("karp_luby.clauses", len(clauses))
     with span("lineage.karp_luby", samples=samples):
-        if backend != "reference":
+        if backend != "reference" and vectorized.available():
+            accepted = _sample_blocks(
+                rng, samples, members, cumulative, total_weight,
+                [float_probs[fact] for fact in relevant],
+            )
+        elif backend != "reference":
             accepted = _sample_optimized(
                 rng, samples, clauses, cumulative, total_weight,
                 relevant, float_probs,
@@ -199,4 +242,162 @@ def _sample_optimized(
                 accepted += 1
     finally:
         batcher.flush()
+    return accepted
+
+
+#: The most (sample, fact) cells a block of the numpy path decides: its
+#: presence matrix holds this many bools and it reads at most this many
+#: doubles, so a block takes a few MiB whatever the sample count or the
+#: lineage's width.
+_BLOCK_CELLS = 1 << 18
+
+
+def _sample_blocks(
+    rng, samples, members, cumulative, total_weight, probabilities
+) -> int:
+    """The numpy sampling path of the optimized kernel backend: the
+    bitset loop's samples, decided a block at a time.
+
+    The facts are numbered by their place in ``relevant`` (the
+    formula's facts in ``Fact.sort_key`` order): ``members[j]`` lists
+    clause j's fact numbers and ``probabilities[f]`` is fact f's
+    probability.
+
+    numpy's ``MT19937``, loaded with the state of ``rng``, returns the
+    doubles ``rng.random()`` would, in the same order (both compute
+    genrand_res53).  A sample reads one double to pick its clause, then
+    one per free fact of that clause in ``relevant`` order, and a fact
+    is present iff it is in the clause or its double is below its
+    probability — so a sample depends on the ones before it only
+    through how many doubles they read.  When every clause has the
+    same free count, a block is one reshape; otherwise a Python walk
+    finds where each sample starts (one ``weighted_index`` per sample,
+    not per fact) and the block's unread doubles carry into the next.
+
+    Acceptance is bit-sliced: the block's samples are grouped by
+    clause, each fact's presence across the block becomes one Python
+    int, and :func:`_accepted` walks the clauses — O(clauses · clause
+    size) big-int operations a block.
+
+    Budget and metric ticks are charged once per block, before it is
+    drawn, with the flushes of as many single ticks: the counters are
+    those of the bitset loop, a work cap stops at the same sample, and
+    a deadline is checked as each block starts.
+    """
+    import numpy as np
+    from numpy.random import MT19937, Generator
+
+    from repro.core.kernels import TickBatcher
+
+    _, internal, _ = rng.getstate()
+    bit_generator = MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(internal[:624], dtype=np.uint32),
+            "pos": internal[624],
+        },
+    }
+    draw = Generator(bit_generator).random
+
+    width = len(probabilities)
+    sizes = list(map(len, members))
+    member = np.zeros((len(members), width), dtype=bool)
+    member[
+        np.repeat(np.arange(len(members)), sizes),
+        list(chain.from_iterable(members)),
+    ] = True
+    cumulative_array = np.array(cumulative)
+    probabilities = np.array(probabilities)
+    strides = [1 + width - size for size in sizes]
+    stride = max(strides)
+    uniform = stride == min(strides)
+    tail = np.empty(0)
+
+    def decide(size: int) -> int:
+        """Draw and decide the next ``size`` samples; the block's arrays
+        die with the call."""
+        nonlocal tail
+        if uniform:
+            drawn = draw(size * stride).reshape(size, stride)
+            pick_draws, free_draws = drawn[:, 0], drawn[:, 1:]
+        else:
+            # The block holds enough doubles for ``size`` samples of
+            # the widest stride.
+            drawn = np.concatenate((
+                tail, draw(max(0, size * stride - len(tail)))
+            ))
+            doubles = memoryview(drawn)
+            starts = []
+            end = 0
+            for _ in range(size):
+                starts.append(end)
+                end += strides[weighted_index(
+                    cumulative, doubles[end] * total_weight
+                )]
+            tail = drawn[end:].copy()
+            pick_draws = drawn[starts]
+            free_draws = np.delete(drawn[:end], starts)
+        picks = np.minimum(
+            np.searchsorted(cumulative_array, pick_draws * total_weight),
+            len(members) - 1,
+        )
+        present = member[picks]
+        # Each sample's free doubles belong to its free facts, which
+        # row-major order visits in ``relevant`` order.
+        free = ~present
+        thresholds = np.broadcast_to(probabilities, present.shape)[free]
+        present[free] = (
+            free_draws < thresholds.reshape(free_draws.shape)
+        ).ravel()
+        # One packed row per fact, its samples grouped by clause (the
+        # order within a clause does not change the count).
+        packed = np.packbits(
+            np.ascontiguousarray(present[np.argsort(picks)].T),
+            axis=1, bitorder="little",
+        )
+        rows = packed.tobytes()
+        step = packed.shape[1]
+        return _accepted(
+            [
+                int.from_bytes(rows[at:at + step], "little")
+                for at in range(0, len(rows), step)
+            ],
+            np.bincount(picks).tolist(),
+            members,
+        )
+
+    accepted = 0
+    block = max(1, _BLOCK_CELLS // width)
+    batcher = TickBatcher("lineage.karp_luby", "karp_luby.samples_drawn")
+    try:
+        for done in range(0, samples, block):
+            size = min(block, samples - done)
+            batcher.tick(size)
+            accepted += decide(size)
+    finally:
+        batcher.flush()
+    return accepted
+
+
+def _accepted(present: list, counts: list, members: list) -> int:
+    """The accepted samples of one block grouped by picked clause.
+
+    ``present[f]`` has bit s set iff sample s has fact f,
+    ``counts[j]`` samples picked clause j (so they hold the next
+    ``counts[j]`` bits), and ``members[j]`` lists clause j's facts.
+    ``found`` is the OR of the satisfaction ints of the clauses before
+    the current one: a sample is accepted iff its bit there is clear,
+    which is the reference's "its clause is the first one the world
+    satisfies".
+    """
+    accepted = 0
+    found = 0
+    start = 0
+    for clause, count in enumerate(counts):
+        if count:
+            mask = (1 << count) - 1
+            accepted += count - ((found >> start) & mask).bit_count()
+            start += count
+        found |= reduce(and_, map(present.__getitem__, members[clause]))
     return accepted

@@ -813,6 +813,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
     pqe_server: PQEServer = None  # patched onto a subclass per server
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two sends, headers then body; with Nagle on,
+    # the body waits for the client's delayed ACK (~40 ms a reply on a
+    # keep-alive connection).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # the daemon's telemetry replaces access logs

@@ -20,7 +20,12 @@ backend name on the repository's existing corpus:
   method;
 - Karp–Luby over random monotone DNFs, a path lineage wider than one
   machine word, DNFs mixing clause lengths (one clause containing
-  another) with facts at probability 0 and 1, and under a work budget;
+  another) with facts at probability 0 and 1, runs of three blocks and
+  more of the numpy block path with equal and with unequal free
+  counts, clauses with no free fact, a one-fact DNF and zero-weight
+  clauses, under a work budget and under a deadline — with a leg that
+  hides numpy, so the bitset loop and the block path are both held to
+  the reference, work counters included;
 - RPQ product automata: the engine's RPQ routes, which no backend
   changes, over the handcrafted adversarial graph corpus;
 - whole batches at workers 1 and 4, where answers *and* the merged
@@ -34,6 +39,7 @@ type), full result dataclasses, and tree lists — never ``approx``.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +50,7 @@ from repro.automata.nfta_counting import (
     count_nfta_exact,
     sample_accepted_trees,
 )
+from repro.core import kernels
 from repro.core.budget import EvaluationBudget, budget_scope
 from repro.core.estimator import PQEEngine
 from repro.core.pqe_estimate import pqe_estimate
@@ -52,7 +59,7 @@ from repro.db.fact import Fact
 from repro.errors import BudgetExceededError
 from repro.lineage.build import build_lineage
 from repro.lineage.dnf import DNF
-from repro.lineage.karp_luby import karp_luby_probability
+from repro.lineage.karp_luby import _BLOCK_CELLS, karp_luby_probability
 from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query, star_query
 from repro.workloads.graphs import complete_layered_path_instance
@@ -70,10 +77,15 @@ BACKENDS = ("reference", "optimized", "vectorized")
 #: backend with numpy hidden, which runs the scalar layer table.
 EXACT_LEGS = BACKENDS + ("scalar",)
 
+#: Karp–Luby legs: every backend name, plus ``"bitset"`` — the optimized
+#: backend with numpy hidden, which runs the bitset loop instead of the
+#: numpy block path.
+KARP_LUBY_LEGS = BACKENDS + ("bitset",)
+
 
 def _leg(run, leg):
-    """``run(backend)`` on one exact-DP leg."""
-    if leg == "scalar":
+    """``run(backend)`` on one exact-DP or Karp–Luby leg."""
+    if leg in ("scalar", "bitset"):
         with numpy_hidden():
             return run("optimized")
     return run(leg)
@@ -347,20 +359,85 @@ def _karp_luby_inputs():
         yield DNF(clauses), probs, rng.randint(0, 10**6), rng.randint(1, 300)
 
 
-def test_karp_luby_random_dnfs_bitwise():
-    for formula, probs, seed, samples in _karp_luby_inputs():
-        results = [
-            karp_luby_probability(
+def _karp_luby_block_inputs():
+    """``(formula, probabilities, seed, samples)`` for the corners of
+    the numpy block path."""
+    rng = random.Random(31)
+    # Three blocks and more: unequal free counts (the walk carries each
+    # block's unread doubles into the next), then equal ones (one
+    # reshape a block); probabilities in tenths make some clauses weigh
+    # 0.
+    for low, high in ((1, 6), (4, 4)):
+        facts = [Fact("R", (f"b{i}",)) for i in range(120)]
+        formula = DNF(
+            frozenset(rng.sample(facts, rng.randint(low, high)))
+            for _ in range(30)
+        )
+        probs = {f: Fraction(rng.randint(0, 10), 10) for f in facts}
+        block = _BLOCK_CELLS // len(formula.variables)
+        yield formula, probs, rng.randint(0, 10**6), (
+            3 * block + rng.randint(1, block)
+        )
+    facts = [Fact("R", (f"c{i}",)) for i in range(5)]
+    probs = {f: Fraction(i + 1, 7) for i, f in enumerate(facts)}
+    everything = frozenset(facts)
+    # A clause holding every fact has no free fact, beside clauses that
+    # have some; alone, it is a DNF whose every sample reads one double.
+    yield DNF([everything, {facts[1]}, {facts[2], facts[3]}]), probs, 5, 2000
+    yield DNF([everything]), probs, 6, 700
+    yield DNF([{facts[0]}]), probs, 7, 500
+    # A zero-weight clause among clauses that weigh something.
+    zero = {**probs, facts[4]: Fraction(0)}
+    yield DNF([
+        {facts[0], facts[4]}, {facts[1], facts[2]}, {facts[4]}, {facts[3]},
+    ]), zero, 8, 3000
+
+
+#: Counters every Karp–Luby leg charges alike; the ``kernels.*`` pair
+#: counts the batched flushes, which the reference does not make.
+_KARP_LUBY_COUNTERS = ("karp_luby.samples_drawn", "budget.ticks")
+_BATCH_COUNTERS = ("kernels.batch_draws", "kernels.batched_samples")
+
+
+def _karp_luby_leg(formula, probs, seed, samples, leg):
+    """(result, counters) of one Karp–Luby run on one leg."""
+    telemetry = EvaluationTelemetry()
+    with telemetry_scope(telemetry):
+        result = _leg(
+            lambda backend: karp_luby_probability(
                 formula, probs, seed=seed, samples=samples, backend=backend
-            )
-            for backend in BACKENDS
-        ]
-        assert all(result == results[0] for result in results[1:])
+            ),
+            leg,
+        )
+    return result, {
+        name: telemetry.counter(name)
+        for name in _KARP_LUBY_COUNTERS + _BATCH_COUNTERS
+    }
+
+
+def test_karp_luby_random_dnfs_bitwise():
+    inputs = [*_karp_luby_inputs(), *_karp_luby_block_inputs()]
+    for formula, probs, seed, samples in inputs:
+        runs = {
+            leg: _karp_luby_leg(formula, probs, seed, samples, leg)
+            for leg in KARP_LUBY_LEGS
+        }
+        reference, reference_counters = runs["reference"]
+        batched = runs["optimized"][1]
+        for leg, (result, counters) in runs.items():
+            assert result == reference, leg
+            for name in _KARP_LUBY_COUNTERS:
+                assert counters[name] == reference_counters[name], name
+            if leg != "reference":
+                assert counters == batched, leg
+        assert reference_counters["karp_luby.samples_drawn"] in (
+            0, samples
+        )
 
 
 def test_karp_luby_budget_bitwise():
-    # Under a budget every backend checks it per sample, so all stop at
-    # the same sample; a budget that suffices draws the same samples.
+    # Under a budget every leg checks it per sample, so all stop at the
+    # same sample; a budget that suffices draws the same samples.
     formula, probs = _path_lineage_128()
 
     def run(backend, max_work_units):
@@ -373,14 +450,84 @@ def test_karp_luby_budget_bitwise():
         return result, telemetry.counter("karp_luby.samples_drawn")
 
     used = []
-    for backend in BACKENDS:
+    for leg in KARP_LUBY_LEGS:
         with pytest.raises(BudgetExceededError) as caught:
-            run(backend, 150)
+            _leg(lambda backend: run(backend, 150), leg)
         used.append(caught.value.used)
-    assert used == [151] * len(BACKENDS)
-    finished = [run(backend, 400) for backend in BACKENDS]
+    assert used == [151] * len(KARP_LUBY_LEGS)
+    finished = [
+        _leg(lambda backend: run(backend, 400), leg)
+        for leg in KARP_LUBY_LEGS
+    ]
     assert all(other == finished[0] for other in finished[1:])
     assert finished[0][1] == 400
+
+
+def test_karp_luby_deadline_every_leg():
+    # The block path checks the deadline as each block starts, so it
+    # overruns by at most one block; every leg raises within twice the
+    # deadline on the 729-clause lineage of the repository benchmark.
+    instance = complete_layered_path_instance(5, 3)
+    pdb = random_probabilities(instance, seed=5, max_denominator=4)
+    formula = build_lineage(path_query(5), instance)
+    deadline = 0.1
+    for leg in KARP_LUBY_LEGS:
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as caught:
+            with budget_scope(EvaluationBudget(deadline=deadline)):
+                _leg(
+                    lambda backend: karp_luby_probability(
+                        formula, pdb.probabilities, seed=1,
+                        samples=200_000, backend=backend,
+                    ),
+                    leg,
+                )
+        elapsed = time.perf_counter() - started
+        assert caught.value.kind == "deadline", leg
+        assert caught.value.phase == "lineage.karp_luby", leg
+        assert elapsed < 2 * deadline, (leg, elapsed)
+
+
+@pytest.mark.parametrize("budgeted", [False, True])
+@pytest.mark.parametrize("units", [0, 1, 511, 512, 513, 5000])
+def test_tick_batcher_units_flush_like_single_ticks(
+    monkeypatch, units, budgeted
+):
+    # ``tick(n)`` emits the budget/metric calls of n single ticks: whole
+    # chunks of 512 without a budget, chunks of 1 under one, from an
+    # empty and from a part-filled chunk.
+    calls = []
+    monkeypatch.setattr(
+        kernels, "budget_tick",
+        lambda phase, n=1: calls.append(("budget", phase, n)),
+    )
+    monkeypatch.setattr(
+        kernels, "metric_inc",
+        lambda name, n=1: calls.append(("metric", name, n)),
+    )
+    budget = EvaluationBudget(max_work_units=10**9) if budgeted else None
+
+    def trace(tick):
+        calls.clear()
+        with budget_scope(budget):
+            for filled in (0, 300):
+                batcher = kernels.TickBatcher("phase", "drawn")
+                for _ in range(filled):
+                    batcher.tick()
+                tick(batcher)
+                batcher.flush()
+        return list(calls)
+
+    def single(batcher):
+        for _ in range(units):
+            batcher.tick()
+
+    expected = trace(single)
+    assert trace(lambda batcher: batcher.tick(units)) == expected
+    flushed = [call for call in expected if call[:2] == ("budget", "phase")]
+    assert sum(call[2] for call in flushed) == 2 * units + 300
+    if budgeted:
+        assert {call[2] for call in flushed} == {1}
 
 
 # ---------------------------------------------------------------------------

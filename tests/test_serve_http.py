@@ -6,8 +6,11 @@ status codes, JSON bodies, Content-Length framing — is what a real
 client sees.  Request-path *logic* is covered in ``test_serve.py``.
 """
 
+import http.client
 import json
 import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -204,6 +207,27 @@ class TestEndpoints:
         counters = server.telemetry.metrics.counters
         assert counters["serve.ok"] == 8
         assert counters["serve.registry.hits"] > 0
+
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, server):
+        # Headers and body leave as two sends; with Nagle on, the body
+        # of every reply on a kept-alive connection waited ~40 ms for
+        # the client's delayed ACK.
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestDrainOverHttp:
