@@ -14,12 +14,15 @@ exactly); only the inner same-letter union needs estimation.  For every
 the evaluator builds a *node* that knows its (estimated) cardinality and
 can draw approximately-uniform samples:
 
-- **exact nodes** hold the full language as a set while it fits within
+- **exact nodes** know the full language while it fits within
   ``exact_set_cap`` — mirroring how the ACJR sketches stay exact until
-  they saturate;
+  they saturate — as a held tuple or as a recipe (a concatenation or a
+  letter prefix of exact nodes) that builds one member by index, so a
+  draw builds only the word it lands on;
 - **prefix/sum nodes** represent letter-concatenation and the disjoint
   union across letters *lazily*: their counts combine arithmetically
-  (no sampling error introduced) and their draws delegate downward;
+  (no sampling error introduced) and their draws delegate downward, a
+  chain of prefixes and the sum picks between them in one loop;
 - **union (Karp–Luby) nodes** handle overlapping same-letter successor
   sets: sample a component ∝ its estimated size, draw a string from it,
   accept iff the component is the canonically-first one containing the
@@ -52,9 +55,11 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
 from typing import Hashable
 
 from repro.automata.nfa import NFA
@@ -122,7 +127,15 @@ def weighted_index(cumulative: list[float], pick: float) -> int:
 # ----------------------------------------------------------------------
 
 class _ExactNode:
-    """Full language known: a tuple of distinct members.
+    """Full language known: ``size`` distinct members, read by index.
+
+    This class holds its members as a tuple (leaves, the result of
+    :func:`_distinct`, ``_ZERO``).  Its subclasses hold a recipe
+    instead — a concatenation (:class:`_ExactConcat`), a letter prefix
+    (:class:`_ExactPrefix`) or a tree product
+    (:class:`~repro.automata.nfta_counting._ExactProduct`) of exact
+    children — so a draw builds only the member its index names, and
+    the whole tuple is built only when :func:`_distinct` reads it.
 
     ``weights`` (one float per member) switches the node to the
     weighted measure: ``count`` is the total weight and draws are
@@ -130,32 +143,136 @@ class _ExactNode:
     draws are uniform.
     """
 
-    __slots__ = ("members", "weights", "count", "exact", "_cumulative")
+    __slots__ = (
+        "size", "weights", "count", "exact", "_cumulative", "_members",
+    )
 
     def __init__(self, members: tuple, weights: tuple | None = None):
-        self.members = members
+        self._members = members
+        self._measure(len(members), weights)
+
+    def _measure(self, size: int, weights: tuple | None) -> None:
+        self.size = size
         self.weights = weights
         self.exact = True
+        self._cumulative = None
+        # The weights summed left to right: the last running sum of
+        # ``accumulate`` (``sum`` compensates float sums from Python
+        # 3.12 on).
         if weights is None:
-            self._cumulative = None
-            self.count = float(len(members))
+            self.count = float(size)
         else:
-            self._cumulative = list(accumulate(weights))
-            self.count = self._cumulative[-1] if weights else 0.0
+            self.count = reduce(add, weights) if weights else 0.0
+
+    @property
+    def members(self) -> tuple:
+        """Every member, in index order."""
+        return self._members
+
+    def member(self, index: int):
+        return self._members[index]
 
     def member_weights(self) -> tuple:
         if self.weights is None:
-            return (1.0,) * len(self.members)
+            return (1.0,) * self.size
         return self.weights
 
     def draw(self, rng: random.Random):
-        members = self.members
-        if not members:
+        if not self.size:
             raise EstimationError("drawing from an empty exact node")
-        if self._cumulative is None:
-            return members[rng.randrange(len(members))]
-        pick = rng.random() * self.count
-        return members[weighted_index(self._cumulative, pick)]
+        if self.weights is None:
+            return self.member(rng.randrange(self.size))
+        cumulative = self._cumulative
+        if cumulative is None:
+            cumulative = self._cumulative = list(accumulate(self.weights))
+        return self.member(
+            weighted_index(cumulative, rng.random() * self.count)
+        )
+
+
+class _ExactConcat(_ExactNode):
+    """The disjoint union of exact ``parts``: their members in order,
+    member i read from the part that holds index i."""
+
+    __slots__ = ("_parts", "_starts")
+
+    def __init__(self, parts: list, weighted: bool):
+        self._parts = parts
+        self._starts = list(
+            accumulate((part.size for part in parts), initial=0)
+        )
+        weights = None
+        if weighted:
+            weights = tuple(
+                w for part in parts for w in part.member_weights()
+            )
+        self._measure(self._starts[-1], weights)
+
+    @property
+    def members(self) -> tuple:
+        return tuple(chain.from_iterable(
+            part.members for part in self._parts
+        ))
+
+    def member(self, index: int):
+        at = bisect_right(self._starts, index) - 1
+        return self._parts[at].member(index - self._starts[at])
+
+
+class _Recipe(_ExactNode):
+    """An exact node whose members are built from its children's.
+
+    ``member(i)`` builds member i once and keeps it in a list of
+    ``size`` slots, made on the first such read: a member drawn twice
+    is the same object, so memos keyed by identity keep hitting.
+    ``members`` builds the whole tuple in bulk from the children's
+    tuples on the first read, and keeps it.  A subclass supplies
+    ``_resolve(i)`` and ``_build()``.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, size: int, weights: tuple | None):
+        self._memo = None
+        self._members = None
+        self._measure(size, weights)
+
+    @property
+    def members(self) -> tuple:
+        held = self._members
+        if held is None:
+            held = self._members = self._build()
+        return held
+
+    def member(self, index: int):
+        memo = self._memo
+        if memo is None:
+            if self._members is not None:
+                return self._members[index]
+            memo = self._memo = [None] * self.size
+        found = memo[index]
+        if found is None:
+            found = memo[index] = self._resolve(index)
+        return found
+
+
+class _ExactPrefix(_Recipe):
+    """``a · A`` for an exact ``A``: member i is the cons cell
+    ``(a, A's member i)``."""
+
+    __slots__ = ("_symbol", "_child")
+
+    def __init__(self, symbol: int, child: _ExactNode, weights=None):
+        self._symbol = symbol
+        self._child = child
+        super().__init__(child.size, weights)
+
+    def _resolve(self, index: int):
+        return (self._symbol, self._child.member(index))
+
+    def _build(self) -> tuple:
+        symbol = self._symbol
+        return tuple([(symbol, word) for word in self._child.members])
 
 
 class _PoolNode:
@@ -210,8 +327,8 @@ def _distinct(nodes: list, weighted: bool) -> _ExactNode:
 
 
 def _disjoint_sum(nodes: list, exact_set_cap: int, weighted: bool):
-    """The disjoint union of ``nodes``: their members concatenated
-    while they are all exact and fit the cap, else a lazy sum."""
+    """The disjoint union of ``nodes``: their concatenation while they
+    are all exact and fit the cap, else a lazy sum."""
     if not nodes:
         return _ZERO
     if len(nodes) == 1:
@@ -219,13 +336,9 @@ def _disjoint_sum(nodes: list, exact_set_cap: int, weighted: bool):
     if (
         exact_set_cap
         and all(isinstance(node, _ExactNode) for node in nodes)
-        and sum(len(node.members) for node in nodes) <= exact_set_cap
+        and sum(node.size for node in nodes) <= exact_set_cap
     ):
-        members = tuple(m for node in nodes for m in node.members)
-        weights = None
-        if weighted:
-            weights = tuple(w for node in nodes for w in node.member_weights())
-        return _ExactNode(members, weights)
+        return _ExactConcat(nodes, weighted)
     return _SumNode(nodes)
 
 
@@ -241,7 +354,27 @@ class _PrefixNode:
         self.exact = child.exact
 
     def draw(self, rng: random.Random):
-        return (self.symbol, self.child.draw(rng))
+        """Walk down the chain of prefixes, and the sum picks between
+        them, in one loop; then cons the letters on bottom-up.  A word
+        has no siblings, so the random stream is read in the order of
+        one ``draw`` call per link."""
+        symbols = [self.symbol]
+        node = self.child
+        while True:
+            kind = type(node)
+            if kind is _PrefixNode:
+                symbols.append(node.symbol)
+                node = node.child
+            elif kind is _SumNode:
+                node = node.parts[weighted_index(
+                    node.cumulative, rng.random() * node.count
+                )]
+            else:
+                break
+        word = node.draw(rng)
+        for symbol in reversed(symbols):
+            word = (symbol, word)
+        return word
 
 
 # ----------------------------------------------------------------------
@@ -509,12 +642,12 @@ class _Counter(_CounterBase):
         if prefix_symbol is None:
             return node
         if isinstance(node, _ExactNode):
-            members = tuple((prefix_symbol, w) for w in node.members)
             if self._weights is None:
-                return _ExactNode(members)
+                return _ExactPrefix(prefix_symbol, node)
             weight = self._weights[prefix_symbol]
-            return _ExactNode(
-                members, tuple(weight * w for w in node.member_weights())
+            return _ExactPrefix(
+                prefix_symbol, node,
+                tuple(weight * w for w in node.member_weights()),
             )
         return _PrefixNode(
             prefix_symbol, node, self._symbol_weight(prefix_symbol)
@@ -532,7 +665,7 @@ class _Counter(_CounterBase):
         if self._cap and all(
             isinstance(v, _ExactNode) for _, v in components
         ):
-            total = sum(len(v.members) for _, v in components)
+            total = sum(v.size for _, v in components)
             if total <= self._cap:
                 # Dedupe in first-seen order; a word's weight is a
                 # function of the word, so any copy's weight will do.

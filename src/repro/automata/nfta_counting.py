@@ -24,9 +24,11 @@ by an NFTA.  This module provides:
   estimates multiply and whose samples combine independent child draws.
 
 Like the string counter, the evaluator is a DAG of lazy nodes: exact
-nodes (full language as a set, up to ``exact_set_cap``), lazy product
-and disjoint-sum nodes whose counts combine arithmetically, and
-Karp–Luby pool nodes — the only place sampling error enters.  The
+nodes (the full language, up to ``exact_set_cap`` trees, held or as a
+product recipe whose trees are interned only when a draw or a dedup
+reads them), lazy product and disjoint-sum nodes whose counts combine
+arithmetically (a draw walks a chain of unary products in one loop),
+and Karp–Luby pool nodes — the only place sampling error enters.  The
 union loop that fills the pools, the counter skeleton, the
 median-of-repetitions runner and the k-draw loop are the string
 counter's (:mod:`repro.automata.nfa_counting`); this module supplies
@@ -47,8 +49,9 @@ reference DP).  The sampler is one loop over one seed-free plan
 (:class:`_CounterPlan`, built on the compiled
 :class:`~repro.automata.optimize.DenseNFTA`); a backend only picks how
 sampled trees are stored — :class:`LabeledTree` objects with frozenset
-derivability for ``reference``, interned integer ids with top-down
-membership over dense states for the optimized backend — so estimates
+derivability, and exact products built in full, for ``reference``;
+interned integer ids with top-down membership over dense states, and
+exact products as recipes, for the optimized backend — so estimates
 and sampled trees are bitwise-identical across backends, and none of
 them depends on the interpreter's hash seed.  The differential suite
 (``tests/test_kernel_differential.py``) enforces this equivalence
@@ -70,7 +73,10 @@ from repro.automata.nfa_counting import (
     _karp_luby_union,
     _median_count,
     _PoolNode,
+    _Recipe,
+    _SumNode,
     _ZERO,
+    weighted_index,
 )
 from repro.automata.nfta import NFTA
 from repro.automata.optimize import DenseNFTA, optimize_nfta
@@ -428,6 +434,11 @@ class _InternedTrees:
             out.append(tree)
         return out
 
+    def exact_product(self, symbol: int, children, weights):
+        """σ⟨A1 × … × Ak⟩ over exact children, as a recipe: its trees
+        are interned when a draw or a dedup reads them."""
+        return _ExactProduct(self, symbol, children, weights)
+
     def derives(self, state: int, tree: int) -> bool:
         """Whether dense state ``state`` derives ``tree``."""
         key = tree * self._width + state
@@ -560,6 +571,16 @@ class _LabeledTrees:
     def make_all(self, symbol: int, combos) -> list[LabeledTree]:
         return [self.make(symbol, children) for children in combos]
 
+    def exact_product(self, symbol: int, children, weights) -> _ExactNode:
+        """σ⟨A1 × … × Ak⟩ over exact children, materialised: the oracle
+        builds every tree of an exact product when it is made."""
+        return _ExactNode(
+            tuple(self.make_all(
+                symbol, product(*[child.members for child in children])
+            )),
+            weights,
+        )
+
     def derived_by_any(self, keys, tree: LabeledTree) -> bool:
         if not keys:
             return False
@@ -619,9 +640,62 @@ class _ProductNode:
         self.exact = all(child.exact for child in children)
 
     def draw(self, rng: random.Random):
-        return self.make(
-            self.symbol, tuple([child.draw(rng) for child in self.children])
-        )
+        """A product of two or more children draws each child in turn.
+        A unary one walks down the chain of unary products, and the sum
+        picks between them, in one loop, then builds the tree bottom-up:
+        a chain has no siblings, so the random stream is read in the
+        order of one ``draw`` call per link."""
+        if len(self.children) != 1:
+            return self.make(
+                self.symbol,
+                tuple([child.draw(rng) for child in self.children]),
+            )
+        chain = [self]
+        node = self.children[0]
+        while True:
+            kind = type(node)
+            if kind is _ProductNode and len(node.children) == 1:
+                chain.append(node)
+                node = node.children[0]
+            elif kind is _SumNode:
+                node = node.parts[weighted_index(
+                    node.cumulative, rng.random() * node.count
+                )]
+            else:
+                break
+        tree = node.draw(rng)
+        for link in reversed(chain):
+            tree = link.make(link.symbol, (tree,))
+        return tree
+
+
+class _ExactProduct(_Recipe):
+    """σ⟨A1 × … × Ak⟩ over exact children, its trees in
+    ``itertools.product`` order: child j of tree i is child j's member
+    ``i // Π_{m>j} size_m % size_j``.  A tree is interned in ``store``
+    when it is first read."""
+
+    __slots__ = ("_store", "_symbol", "_children")
+
+    def __init__(self, store, symbol: int, children: list, weights):
+        self._store = store
+        self._symbol = symbol
+        self._children = children
+        super().__init__(_product_size(children), weights)
+
+    def _resolve(self, index: int):
+        picked = []
+        for child in reversed(self._children):
+            index, digit = divmod(index, child.size)
+            picked.append(child.member(digit))
+        picked.reverse()
+        return self._store.make(self._symbol, tuple(picked))
+
+    def _build(self) -> tuple:
+        return tuple(self._store.make_all(
+            self._symbol,
+            product(*[child.members for child in self._children]),
+        ))
 
 
 class _TreeCounter(_CounterBase):
@@ -703,14 +777,11 @@ class _TreeCounter(_CounterBase):
     # -- products and sums -------------------------------------------------
 
     def _exact_product(self, symbol: int, child_values) -> _ExactNode:
-        """σ⟨A1 × … × Ak⟩ materialised for exact children.  A tree
-        weighs its symbol's weight times its children's weights, left
-        to right."""
-        trees = tuple(self._store.make_all(
-            symbol, product(*[v.members for v in child_values])
-        ))
+        """σ⟨A1 × … × Ak⟩ for exact children, as the store makes it.  A
+        tree weighs its symbol's weight times its children's weights,
+        left to right."""
         if self._weights is None:
-            return _ExactNode(trees)
+            return self._store.exact_product(symbol, child_values, None)
         weights = []
         for child_weights in product(
             *[v.member_weights() for v in child_values]
@@ -719,7 +790,9 @@ class _TreeCounter(_CounterBase):
             for child_weight in child_weights:
                 weight *= child_weight
             weights.append(weight)
-        return _ExactNode(trees, tuple(weights))
+        return self._store.exact_product(
+            symbol, child_values, tuple(weights)
+        )
 
     def _product(self, symbol: int, child_values):
         symbol_weight = self._symbol_weight(symbol)
@@ -744,7 +817,7 @@ def _product_size(child_values) -> int:
     """Number of distinct trees in an exact product (not the measure)."""
     size = 1
     for value in child_values:
-        size *= len(value.members)
+        size *= value.size
     return size
 
 

@@ -36,9 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, chain
-from operator import and_
 from typing import Mapping
 
 from repro.automata.nfa_counting import weighted_index
@@ -121,16 +119,24 @@ def karp_luby_probability(
     positions = [tuple(map(position_of.__getitem__, c)) for c in unordered]
     # Clauses in the order of their sorted fact names, compared through
     # dense name ranks (equal names share one), which is the order of
-    # the names themselves.
+    # the names themselves.  Each clause lists its facts in that order
+    # too, so consecutive clauses share a prefix of facts.
     names = [str(fact) for fact in relevant]
     rank = {name: at for at, name in enumerate(sorted(set(names)))}
     name_rank = [rank[name] for name in names]
+    # Name order, ties by number, as one int per fact.
+    name_order = [
+        at * len(names) + position for position, at in enumerate(name_rank)
+    ]
+    by_name = [
+        tuple(sorted(c, key=name_order.__getitem__)) for c in positions
+    ]
     order = sorted(
         range(len(unordered)),
-        key=lambda i: sorted(map(name_rank.__getitem__, positions[i])),
+        key=lambda i: list(map(name_rank.__getitem__, by_name[i])),
     )
     clauses = [unordered[i] for i in order]
-    members = [positions[i] for i in order]
+    members = [by_name[i] for i in order]
     # A clause weight is ``float(clause_probability(c, probs))``: the
     # exact product as one integer division, which rounds correctly.
     # Running left-to-right sums: ``sum`` of floats rounds differently
@@ -260,8 +266,8 @@ def _sample_blocks(
 
     The facts are numbered by their place in ``relevant`` (the
     formula's facts in ``Fact.sort_key`` order): ``members[j]`` lists
-    clause j's fact numbers and ``probabilities[f]`` is fact f's
-    probability.
+    clause j's fact numbers (in name order, see :func:`_prefix_walk`)
+    and ``probabilities[f]`` is fact f's probability.
 
     numpy's ``MT19937``, loaded with the state of ``rng``, returns the
     doubles ``rng.random()`` would, in the same order (both compute
@@ -270,14 +276,23 @@ def _sample_blocks(
     is present iff it is in the clause or its double is below its
     probability — so a sample depends on the ones before it only
     through how many doubles they read.  When every clause has the
-    same free count, a block is one reshape; otherwise a Python walk
-    finds where each sample starts (one ``weighted_index`` per sample,
-    not per fact) and the block's unread doubles carry into the next.
+    same free count, a block's picks are every stride-th double;
+    otherwise a Python walk finds where each sample starts (one
+    ``weighted_index`` per sample, not per fact) and the block's
+    unread doubles carry into the next.  Each sample's doubles then
+    land in one row of (pick, fact 0, …) cells, at its pick and its
+    free facts: the row-major order of those places is the order the
+    doubles were read in.
 
     Acceptance is bit-sliced: the block's samples are grouped by
     clause, each fact's presence across the block becomes one Python
     int, and :func:`_accepted` walks the clauses — O(clauses · clause
-    size) big-int operations a block.
+    size) big-int operations a block at most, fewer where clauses
+    share facts.
+
+    The arrays a block fills are made once per call, for a full block,
+    and reused (``out=``): freed and made afresh each block, the
+    allocator hands their pages back and faults them in again.
 
     Budget and metric ticks are charged once per block, before it is
     drawn, with the flushes of as many single ticks: the counters are
@@ -301,74 +316,84 @@ def _sample_blocks(
     draw = Generator(bit_generator).random
 
     width = len(probabilities)
+    clauses = len(members)
     sizes = list(map(len, members))
-    member = np.zeros((len(members), width), dtype=bool)
-    member[
-        np.repeat(np.arange(len(members)), sizes),
-        list(chain.from_iterable(members)),
-    ] = True
+    # reads[j]: the cells a sample of clause j fills — its pick (cell
+    # 0) and its free facts (cell 1 + f).
+    reads = np.ones((clauses, 1 + width), dtype=bool)
+    reads[
+        np.repeat(np.arange(clauses), sizes),
+        np.fromiter(chain.from_iterable(members), dtype=np.intp) + 1,
+    ] = False
     cumulative_array = np.array(cumulative)
     probabilities = np.array(probabilities)
     strides = [1 + width - size for size in sizes]
     stride = max(strides)
     uniform = stride == min(strides)
-    tail = np.empty(0)
+    walk = _prefix_walk(members)
+
+    block = max(1, _BLOCK_CELLS // width)
+    doubles = np.empty(block * stride)
+    cells = np.empty((block, 1 + width))
+    # A block's read cells, then, once they are spent, its presence
+    # rows by fact.
+    flags = np.empty(block * (1 + width), dtype=bool)
+    presence = np.empty(block * width, dtype=bool)
+    carried = 0  # unread doubles at the front of ``doubles``
 
     def decide(size: int) -> int:
-        """Draw and decide the next ``size`` samples; the block's arrays
-        die with the call."""
-        nonlocal tail
+        """Draw and decide the next ``size`` samples."""
+        nonlocal carried
+        wanted = size * stride
+        if carried < wanted:
+            draw(out=doubles[carried:wanted])
+        available = max(carried, wanted)
         if uniform:
-            drawn = draw(size * stride).reshape(size, stride)
-            pick_draws, free_draws = drawn[:, 0], drawn[:, 1:]
+            end = wanted
+            picks = np.searchsorted(
+                cumulative_array, doubles[:end:stride] * total_weight
+            )
+            np.minimum(picks, clauses - 1, out=picks)
         else:
-            # The block holds enough doubles for ``size`` samples of
-            # the widest stride.
-            drawn = np.concatenate((
-                tail, draw(max(0, size * stride - len(tail)))
-            ))
-            doubles = memoryview(drawn)
-            starts = []
+            read = memoryview(doubles)
+            picked = []
             end = 0
             for _ in range(size):
-                starts.append(end)
-                end += strides[weighted_index(
-                    cumulative, doubles[end] * total_weight
-                )]
-            tail = drawn[end:].copy()
-            pick_draws = drawn[starts]
-            free_draws = np.delete(drawn[:end], starts)
-        picks = np.minimum(
-            np.searchsorted(cumulative_array, pick_draws * total_weight),
-            len(members) - 1,
+                pick = weighted_index(cumulative, read[end] * total_weight)
+                picked.append(pick)
+                end += strides[pick]
+            picks = np.array(picked, dtype=np.intp)
+        rows = flags[:size * (1 + width)].reshape(size, 1 + width)
+        np.take(reads, picks, axis=0, out=rows, mode="clip")
+        grid = cells[:size]
+        grid[rows] = doubles[:end]
+        carried = available - end
+        doubles[:carried] = doubles[end:available]
+        # A fact is present unless it is free and its double is not
+        # below its probability.
+        present = presence[:size * width].reshape(size, width)
+        np.greater_equal(grid[:, 1:], probabilities, out=present)
+        np.logical_and(present, rows[:, 1:], out=present)
+        np.logical_not(present, out=present)
+        # One row per fact, its samples grouped by clause (the order
+        # within a clause does not change the count).
+        by_fact = flags[:width * size].reshape(width, size)
+        np.take(
+            present.T, np.argsort(picks), axis=1, out=by_fact, mode="clip"
         )
-        present = member[picks]
-        # Each sample's free doubles belong to its free facts, which
-        # row-major order visits in ``relevant`` order.
-        free = ~present
-        thresholds = np.broadcast_to(probabilities, present.shape)[free]
-        present[free] = (
-            free_draws < thresholds.reshape(free_draws.shape)
-        ).ravel()
-        # One packed row per fact, its samples grouped by clause (the
-        # order within a clause does not change the count).
-        packed = np.packbits(
-            np.ascontiguousarray(present[np.argsort(picks)].T),
-            axis=1, bitorder="little",
-        )
-        rows = packed.tobytes()
+        packed = np.packbits(by_fact, axis=1, bitorder="little")
+        bits = packed.tobytes()
         step = packed.shape[1]
         return _accepted(
             [
-                int.from_bytes(rows[at:at + step], "little")
-                for at in range(0, len(rows), step)
+                int.from_bytes(bits[at:at + step], "little")
+                for at in range(0, len(bits), step)
             ],
             np.bincount(picks).tolist(),
-            members,
+            walk,
         )
 
     accepted = 0
-    block = max(1, _BLOCK_CELLS // width)
     batcher = TickBatcher("lineage.karp_luby", "karp_luby.samples_drawn")
     try:
         for done in range(0, samples, block):
@@ -380,24 +405,49 @@ def _sample_blocks(
     return accepted
 
 
-def _accepted(present: list, counts: list, members: list) -> int:
+def _prefix_walk(members: list) -> list:
+    """``(shared, rest)`` per clause: how many leading facts clause j
+    shares with clause j − 1, and the facts after them.  Clauses are
+    sorted by their facts' names and list their facts in that order, so
+    consecutive clauses share prefixes, and :func:`_accepted` ANDs only
+    the facts after the shared ones."""
+    walk = []
+    previous: tuple = ()
+    for facts in members:
+        shared = 0
+        for mine, theirs in zip(facts, previous):
+            if mine != theirs:
+                break
+            shared += 1
+        walk.append((shared, facts[shared:]))
+        previous = facts
+    return walk
+
+
+def _accepted(present: list, counts: list, walk: list) -> int:
     """The accepted samples of one block grouped by picked clause.
 
     ``present[f]`` has bit s set iff sample s has fact f,
     ``counts[j]`` samples picked clause j (so they hold the next
-    ``counts[j]`` bits), and ``members[j]`` lists clause j's facts.
-    ``found`` is the OR of the satisfaction ints of the clauses before
-    the current one: a sample is accepted iff its bit there is clear,
-    which is the reference's "its clause is the first one the world
-    satisfies".
+    ``counts[j]`` bits), and ``walk`` is :func:`_prefix_walk` of the
+    clauses' facts.  ``stack[d]`` is the AND of the current clause's
+    first d facts (``-1``, every bit, for none), so a clause ANDs only
+    the facts it does not share with the one before.  ``found`` is the
+    OR of the satisfaction ints of the clauses before the current one:
+    a sample is accepted iff its bit there is clear, which is the
+    reference's "its clause is the first one the world satisfies".
     """
     accepted = 0
     found = 0
     start = 0
-    for clause, count in enumerate(counts):
+    stack = [-1]
+    for count, (shared, rest) in zip(counts, walk):
         if count:
             mask = (1 << count) - 1
             accepted += count - ((found >> start) & mask).bit_count()
             start += count
-        found |= reduce(and_, map(present.__getitem__, members[clause]))
+        del stack[shared + 1:]
+        for fact in rest:
+            stack.append(stack[-1] & present[fact])
+        found |= stack[-1]
     return accepted

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,18 @@ from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
 from repro.automata.nfa_counting import (
+    _Counter,
+    _ExactConcat,
     _ExactNode,
+    _ExactPrefix,
     _karp_luby_union,
+    _PrefixNode,
+    _SumNode,
+    _WordPlan,
     count_nfa,
     default_sample_count,
     sample_accepted_strings,
+    weighted_index,
 )
 from repro.core.budget import EvaluationBudget, budget_scope
 from repro.errors import BudgetExceededError, EstimationError
@@ -138,6 +146,126 @@ class TestUnionLoop:
     def test_attempt_cap_is_samples_times_one_plus_components(self):
         (_, pool, attempts), _ = self._union(4, rejections=4 * 3 - 1)
         assert (attempts, len(pool)) == (4 * 3, 1)
+
+
+def _held(rng, words, weighted):
+    """A held exact node over ``words``, with random weights if
+    ``weighted``."""
+    weights = tuple(rng.random() for _ in words) if weighted else None
+    return _ExactNode(tuple(words), weights)
+
+
+def _assert_same_node(recipe, eager):
+    """``recipe`` reads as ``eager``: members by index and in bulk, and
+    a bitwise count and weights."""
+    assert [recipe.member(i) for i in range(recipe.size)] == list(
+        eager.members
+    )
+    assert recipe.members == eager.members
+    assert recipe.member_weights() == eager.member_weights()
+    assert repr(recipe.count) == repr(eager.count)
+    if eager.weights is not None:
+        assert recipe.count == list(accumulate(eager.weights))[-1]
+
+
+class TestRecipes:
+    """Concatenations and prefixes read like the tuples they replace."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_unequal_concatenation(self, weighted):
+        rng = random.Random(3)
+        parts = [
+            _held(rng, [(0, (i, ())) for i in range(size)], weighted)
+            for size in (1, 4, 2, 7)
+        ]
+        # A recipe among the parts: another letter before part 2.
+        weights = parts[2].weights
+        if weighted:
+            weights = tuple(0.5 * w for w in weights)
+        parts.append(_ExactPrefix(2, parts[2], weights))
+        concat = _ExactConcat(parts, weighted)
+        eager = _ExactNode(
+            tuple(m for part in parts for m in part.members),
+            tuple(w for part in parts for w in part.member_weights())
+            if weighted else None,
+        )
+        _assert_same_node(concat, eager)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_prefix(self, weighted):
+        rng = random.Random(4)
+        child = _held(rng, [(i, ()) for i in range(5)], weighted)
+        weights = None
+        if weighted:
+            weights = tuple(0.25 * w for w in child.member_weights())
+        prefix = _ExactPrefix(7, child, weights)
+        eager = _ExactNode(
+            tuple((7, word) for word in child.members), weights
+        )
+        _assert_same_node(prefix, eager)
+
+    def test_a_word_drawn_twice_is_one_cons_cell(self):
+        prefix = _ExactPrefix(1, _ExactNode(((0, ()), (2, ()))))
+        assert prefix.member(1) is prefix.member(1)
+        rng = random.Random(0)
+        draws = [prefix.draw(rng) for _ in range(20)]
+        assert {id(word) for word in draws} == {
+            id(prefix.member(0)), id(prefix.member(1))
+        }
+
+    def test_draws_read_the_stream_of_the_eager_node(self):
+        rng = random.Random(5)
+        for weighted in (False, True):
+            parts = [_held(rng, [(s, ()) for s in range(k)], weighted)
+                     for k in (3, 1, 5)]
+            concat = _ExactConcat(parts, weighted)
+            eager = _ExactNode(concat.members, concat.weights)
+            left, right = random.Random(9), random.Random(9)
+            assert [concat.draw(left) for _ in range(50)] == [
+                eager.draw(right) for _ in range(50)
+            ]
+            assert left.getstate() == right.getstate()
+
+
+def _recursive_draw(node, rng):
+    """One ``draw`` call per link: the order the chain walk keeps."""
+    if isinstance(node, _PrefixNode):
+        return (node.symbol, _recursive_draw(node.child, rng))
+    if isinstance(node, _SumNode):
+        pick = rng.random() * node.count
+        return _recursive_draw(
+            node.parts[weighted_index(node.cumulative, pick)], rng
+        )
+    return node.draw(rng)
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize("exact_set_cap", [0, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_walk_equals_the_recursion(self, exact_set_cap, weighted):
+        nfa = _random_nfa(11, states=5)
+        length = 9
+        weight_of = {"a": 0.25, "b": 0.75}.get if weighted else None
+        plan = _WordPlan(nfa, length)
+        counter = _Counter(
+            plan, length, 0.5, 40, exact_set_cap, random.Random(1),
+            weight_of=weight_of,
+        )
+        values: list = []
+        for cell in plan.cells:
+            values.append(counter._compute(cell, values))
+        chains = [v for v in values if isinstance(v, _PrefixNode)]
+        chains += [
+            v for v in values
+            if isinstance(v, _SumNode)
+            and any(isinstance(p, _PrefixNode) for p in v.parts)
+        ]
+        assert chains
+        for seed, node in enumerate(chains):
+            walked, recursed = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert node.draw(walked) == _recursive_draw(node, recursed)
+                assert walked.getstate() == recursed.getstate()
 
 
 class TestSampling:

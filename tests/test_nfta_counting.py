@@ -1,13 +1,24 @@
 """Tests for exact and approximate NFTA counting."""
 
 import random
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.nfta import LAMBDA, NFTA
+from repro.automata.nfa_counting import (
+    _ExactConcat,
+    _ExactNode,
+    _SumNode,
+    weighted_index,
+)
 from repro.automata.nfta_counting import (
+    _ExactProduct,
+    _ProductNode,
+    _sampler,
+    _TreeCounter,
     count_nfta,
     count_nfta_exact,
     sample_accepted_trees,
@@ -312,3 +323,162 @@ class TestAdversarialAmbiguity:
             repetitions=5,
         )
         assert abs(result.estimate - exact) / exact < 0.6
+
+
+def _product_weights(symbol_weight, children):
+    """The weight rule of exact products: the symbol's weight times the
+    children's weights, left to right."""
+    weights = []
+    for child_weights in product(*[c.member_weights() for c in children]):
+        weight = symbol_weight
+        for child_weight in child_weights:
+            weight *= child_weight
+        weights.append(weight)
+    return tuple(weights)
+
+
+class TestExactProducts:
+    """Products held as recipes read like the tuples they replace."""
+
+    @staticmethod
+    def _store():
+        _plan, new_store = _sampler(_catalan_automaton(), 3, "optimized")
+        return new_store()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "sizes", [(1,), (4,), (3, 1), (2, 5), (1, 3, 2), (3, 2, 4)]
+    )
+    def test_product_reads_like_the_materialised_one(self, sizes, weighted):
+        rng = random.Random(len(sizes))
+        store = self._store()
+        children = []
+        for at, size in enumerate(sizes):
+            leaves = tuple(store.make(10 * at + i, ()) for i in range(size))
+            weights = None
+            if weighted:
+                weights = tuple(rng.random() for _ in leaves)
+            children.append(_ExactNode(leaves, weights))
+        last = children[-1]
+        if last.size > 1:
+            # A recipe child: the last one as a concatenation.
+            children[-1] = _ExactConcat(
+                [
+                    _ExactNode(
+                        last.members[cut],
+                        None if last.weights is None else last.weights[cut],
+                    )
+                    for cut in (slice(0, 1), slice(1, None))
+                ],
+                weighted,
+            )
+        weights = _product_weights(0.5, children) if weighted else None
+        recipe = _ExactProduct(store, 3, children, weights)
+        eager = _ExactNode(
+            tuple(store.make_all(
+                3, product(*[child.members for child in children])
+            )),
+            weights,
+        )
+        assert [recipe.member(i) for i in range(recipe.size)] == list(
+            eager.members
+        )
+        assert recipe.members == eager.members
+        assert recipe.member_weights() == eager.member_weights()
+        assert repr(recipe.count) == repr(eager.count)
+        if weighted:
+            assert recipe.count == list(accumulate(weights))[-1]
+
+    def test_nested_product_resolves_by_index(self):
+        store = self._store()
+        inner = _ExactProduct(
+            store, 1,
+            [_ExactNode((store.make(7, ()), store.make(8, ()))),
+             _ExactNode((store.make(9, ()),))],
+            None,
+        )
+        outer = _ExactProduct(store, 2, [inner, inner], None)
+        resolved = [outer.member(i) for i in range(outer.size)]
+        assert resolved == list(store.make_all(
+            2, product(inner.members, inner.members)
+        ))
+
+    def test_an_exact_product_never_read_interns_no_tree(self):
+        # Catalan trees: one rule per group, so no dedup — every exact
+        # product is only a recipe until a draw reads one tree.
+        size = 9
+        plan, new_store = _sampler(_catalan_automaton(), size, "optimized")
+        store = new_store()
+        counter = _TreeCounter(
+            plan, store, size, 0.3, None, 4096, random.Random(1)
+        )
+        top = counter.top_node()
+        assert top.exact and top.count == 14
+        assert not store._nodes
+        store.labeled(top.draw(random.Random(2)))
+        # The drawn tree and its distinct subtrees, nothing else.
+        assert 0 < len(store._nodes) <= size
+
+
+def _recursive_draw(node, rng):
+    """One ``draw`` call per link: the order the chain walk keeps."""
+    if isinstance(node, _ProductNode):
+        return node.make(node.symbol, tuple(
+            [_recursive_draw(child, rng) for child in node.children]
+        ))
+    if isinstance(node, _SumNode):
+        pick = rng.random() * node.count
+        return _recursive_draw(
+            node.parts[weighted_index(node.cumulative, pick)], rng
+        )
+    return node.draw(rng)
+
+
+def _chain_automaton() -> NFTA:
+    """Unary chains (two letters on ``s``, so sums between links) over
+    leaves and binary nodes."""
+    return NFTA(
+        [
+            ("s", "u", ("s",)), ("s", "v", ("s",)), ("s", "w", ("t",)),
+            ("t", "u", ("t",)), ("t", "a", ()), ("s", "a", ()),
+            ("s", "b", ("t", "s")), ("t", "c", ("s", "t")),
+        ],
+        initial="s",
+    )
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    @pytest.mark.parametrize("exact_set_cap", [0, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_walk_equals_the_recursion(
+        self, backend, exact_set_cap, weighted
+    ):
+        nfta = _chain_automaton()
+        size = 9
+        weight_of = None
+        if weighted:
+            weight_of = {"u": 0.5, "v": 2.0, "w": 1.5, "a": 1.0,
+                         "b": 0.25, "c": 3.0}.get
+        plan, new_store = _sampler(nfta, size, backend)
+        counter = _TreeCounter(
+            plan, new_store(), size, 0.5, 30, exact_set_cap,
+            random.Random(1), weight_of=weight_of,
+        )
+        values: list = []
+        for cell in plan.cells:
+            values.append(counter._compute(cell, values))
+        parts = [
+            part for v in values
+            for part in (v.parts if isinstance(v, _SumNode) else [v])
+        ]
+        chains = [
+            part for part in parts
+            if isinstance(part, _ProductNode) and len(part.children) == 1
+        ]
+        assert chains
+        for seed, node in enumerate(chains):
+            walked, recursed = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert node.draw(walked) is _recursive_draw(node, recursed)
+                assert walked.getstate() == recursed.getstate()

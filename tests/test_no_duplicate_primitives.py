@@ -17,7 +17,11 @@ daemon's bodies and ``repro eval --batch --json`` all write; a dict
 literal spelling ``"degradations"``, ``"exception"`` or ``"rational"``
 elsewhere is a second writer.  The
 samplers draw an index from cumulative weights with one helper,
-:func:`repro.automata.nfa_counting.weighted_index`.  Only
+:func:`repro.automata.nfa_counting.weighted_index`: no other module
+calls ``bisect``, so a chain walk cannot inline its own pick, and only
+Karp–Luby's block path (:mod:`repro.lineage.karp_luby`) calls numpy's
+``.searchsorted(``, which picks a block's clauses as
+``weighted_index`` would.  Only
 :mod:`repro.core.kernels` knows the backend names and which exact
 layer table runs, and it owns the scalar per-arity loops both tables
 use (:func:`repro.core.kernels.add_layer_terms`).  The additive
@@ -61,6 +65,15 @@ _OWNED = {
     # A hand-written bisection over cumulative weights: use
     # ``weighted_index`` (``bisect.bisect_left``, clamped) instead.
     re.compile(r"\bdef _bisect\b"): set(),
+    # A bisection call: a sampler that inlines its own weighted pick
+    # (a chain walk, say) instead of calling ``weighted_index``.  The
+    # owner also bisects the part offsets of an exact concatenation.
+    re.compile(r"\bbisect(_left|_right)?\s*\("): {
+        "automata/nfa_counting.py"
+    },
+    # numpy's bisection: only Karp–Luby's block path picks its clauses
+    # with it, a block at a time, equal to ``weighted_index``.
+    re.compile(r"\.searchsorted\("): {"lineage/karp_luby.py"},
     # A backend name: no flag or field outside the kernels picks one.
     re.compile(r'"vectorized"'): {"core/kernels.py"},
     # A second copy of the scalar layer DP's arity >= 3 enumeration.
@@ -102,7 +115,9 @@ def test_no_second_lru_or_fsync_path():
         "fsync'd appends to repro.core.journal.RecordLog, the JSON "
         "form of answers and errors to repro.core.journal.answer_record "
         "and error_record, weighted "
-        "picks to repro.automata.nfa_counting.weighted_index, backend "
+        "picks to repro.automata.nfa_counting.weighted_index (bisect "
+        "calls to that module, .searchsorted( to "
+        "repro.lineage.karp_luby), backend "
         "names and the scalar layer DP to repro.core.kernels, the "
         "additive sample bound to repro.core.monte_carlo, the "
         "Karp-Luby union loop to "
