@@ -192,12 +192,15 @@ class _ExactNode:
 
 class _ExactConcat(_ExactNode):
     """The disjoint union of exact ``parts``: their members in order,
-    member i read from the part that holds index i."""
+    member i read from the part that holds index i (which keeps what it
+    builds, so the concatenation needs no memo of its own).  The whole
+    tuple is built on the first read of ``members`` and kept."""
 
     __slots__ = ("_parts", "_starts")
 
     def __init__(self, parts: list, weighted: bool):
         self._parts = parts
+        self._members = None
         self._starts = list(
             accumulate((part.size for part in parts), initial=0)
         )
@@ -210,9 +213,12 @@ class _ExactConcat(_ExactNode):
 
     @property
     def members(self) -> tuple:
-        return tuple(chain.from_iterable(
-            part.members for part in self._parts
-        ))
+        held = self._members
+        if held is None:
+            held = self._members = tuple(chain.from_iterable(
+                part.members for part in self._parts
+            ))
+        return held
 
     def member(self, index: int):
         at = bisect_right(self._starts, index) - 1

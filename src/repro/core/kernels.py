@@ -28,9 +28,9 @@ This module is the home of the ``optimized`` counting backend (see
   the caller runs the reference DP;
 - :class:`TickBatcher` — chunked budget/metric accounting for the
   sampling hot loops (one ``budget_tick(phase, n)`` per chunk instead
-  of ``n`` calls).  Totals are unchanged; a deadline is checked at
-  each flush, and under a work cap the unit that crosses it flushes
-  alone, so the cap stops at the same sample as per-sample ticks.
+  of ``n`` calls).  Totals are unchanged; with an active budget scope
+  the chunk size drops to 1 so deadline/work enforcement keeps its
+  per-sample granularity.
 
 The module keeps no state of its own: a compiled form, its sampling
 plans (:mod:`repro.automata.nfta_counting`) and its layer tables live
@@ -268,64 +268,37 @@ class TickBatcher:
     records one ``kernels.batch_draws`` and the flushed
     ``kernels.batched_samples``.
 
-    A budget scope keeps the chunks: its deadline is checked at each
-    flush.  Under a work cap (``max_work_units``) the unit that crosses
-    the cap flushes alone, right after the units before it, so the cap
-    raises at the same sample with the same ``used``, ``budget.ticks``
-    and ``metric`` as per-sample ticks.
+    When a budget scope is active the chunk size is 1: work-limit and
+    deadline checks then run per sample, exactly like the reference.
     """
 
-    __slots__ = ("_phase", "_metric", "_chunk", "_pending", "_capped")
+    __slots__ = ("_phase", "_metric", "_chunk", "_pending")
 
     def __init__(self, phase: str, metric: str, chunk: int = 512):
         self._phase = phase
         self._metric = metric
-        self._chunk = chunk
+        self._chunk = 1 if active_budget() is not None else chunk
         self._pending = 0
-        scope = active_budget()
-        self._capped = (
-            scope
-            if scope is not None and scope.budget.max_work_units is not None
-            else None
-        )
 
     def tick(self, units: int = 1) -> None:
         """Charge ``units`` samples at once.  The flushes are exactly
-        those of ``units`` single ticks: whole chunks, the unit that
-        crosses a work cap alone, and the remainder left pending."""
+        those of ``units`` single ticks: whole chunks (of 1 under a
+        budget scope, so a work cap still stops at the same sample),
+        with the remainder left pending."""
         pending = self._pending + units
         chunk = self._chunk
-        scope = self._capped
-        if scope is None and pending < chunk:
-            self._pending = pending
-            return
-        # Whatever raises below leaves nothing pending.
-        self._pending = 0
-        while True:
-            if scope is not None:
-                room = max(
-                    0, scope.budget.max_work_units - scope.work_units
-                )
-                if room < chunk and pending > room:
-                    if room:
-                        self._emit(room)
-                    self._emit(1)
-                    pending -= room + 1
-                    continue
-            if pending < chunk:
-                break
-            self._emit(chunk)
+        while pending >= chunk:
             pending -= chunk
+            self._pending = chunk
+            self.flush()
         self._pending = pending
 
     def flush(self) -> None:
         pending = self._pending
-        if pending:
-            self._pending = 0
-            self._emit(pending)
-
-    def _emit(self, units: int) -> None:
-        budget_tick(self._phase, units)
-        metric_inc(self._metric, units)
+        if not pending:
+            return
+        self._pending = 0
+        budget_tick(self._phase, pending)
+        metric_inc(self._metric, pending)
         metric_inc("kernels.batch_draws")
-        metric_inc("kernels.batched_samples", units)
+        metric_inc("kernels.batched_samples", pending)

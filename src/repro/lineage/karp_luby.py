@@ -36,7 +36,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain
+from operator import and_
 from typing import Mapping
 
 from repro.automata.nfa_counting import weighted_index
@@ -119,24 +121,16 @@ def karp_luby_probability(
     positions = [tuple(map(position_of.__getitem__, c)) for c in unordered]
     # Clauses in the order of their sorted fact names, compared through
     # dense name ranks (equal names share one), which is the order of
-    # the names themselves.  Each clause lists its facts in that order
-    # too, so consecutive clauses share a prefix of facts.
+    # the names themselves.
     names = [str(fact) for fact in relevant]
     rank = {name: at for at, name in enumerate(sorted(set(names)))}
     name_rank = [rank[name] for name in names]
-    # Name order, ties by number, as one int per fact.
-    name_order = [
-        at * len(names) + position for position, at in enumerate(name_rank)
-    ]
-    by_name = [
-        tuple(sorted(c, key=name_order.__getitem__)) for c in positions
-    ]
     order = sorted(
         range(len(unordered)),
-        key=lambda i: list(map(name_rank.__getitem__, by_name[i])),
+        key=lambda i: sorted(map(name_rank.__getitem__, positions[i])),
     )
     clauses = [unordered[i] for i in order]
-    members = [by_name[i] for i in order]
+    members = [positions[i] for i in order]
     # A clause weight is ``float(clause_probability(c, probs))``: the
     # exact product as one integer division, which rounds correctly.
     # Running left-to-right sums: ``sum`` of floats rounds differently
@@ -266,8 +260,8 @@ def _sample_blocks(
 
     The facts are numbered by their place in ``relevant`` (the
     formula's facts in ``Fact.sort_key`` order): ``members[j]`` lists
-    clause j's fact numbers (in name order, see :func:`_prefix_walk`)
-    and ``probabilities[f]`` is fact f's probability.
+    clause j's fact numbers and ``probabilities[f]`` is fact f's
+    probability.
 
     numpy's ``MT19937``, loaded with the state of ``rng``, returns the
     doubles ``rng.random()`` would, in the same order (both compute
@@ -287,8 +281,7 @@ def _sample_blocks(
     Acceptance is bit-sliced: the block's samples are grouped by
     clause, each fact's presence across the block becomes one Python
     int, and :func:`_accepted` walks the clauses — O(clauses · clause
-    size) big-int operations a block at most, fewer where clauses
-    share facts.
+    size) big-int operations a block.
 
     The arrays a block fills are made once per call, for a full block,
     and reused (``out=``): freed and made afresh each block, the
@@ -330,7 +323,6 @@ def _sample_blocks(
     strides = [1 + width - size for size in sizes]
     stride = max(strides)
     uniform = stride == min(strides)
-    walk = _prefix_walk(members)
 
     block = max(1, _BLOCK_CELLS // width)
     doubles = np.empty(block * stride)
@@ -390,7 +382,7 @@ def _sample_blocks(
                 for at in range(0, len(bits), step)
             ],
             np.bincount(picks).tolist(),
-            walk,
+            members,
         )
 
     accepted = 0
@@ -405,49 +397,24 @@ def _sample_blocks(
     return accepted
 
 
-def _prefix_walk(members: list) -> list:
-    """``(shared, rest)`` per clause: how many leading facts clause j
-    shares with clause j − 1, and the facts after them.  Clauses are
-    sorted by their facts' names and list their facts in that order, so
-    consecutive clauses share prefixes, and :func:`_accepted` ANDs only
-    the facts after the shared ones."""
-    walk = []
-    previous: tuple = ()
-    for facts in members:
-        shared = 0
-        for mine, theirs in zip(facts, previous):
-            if mine != theirs:
-                break
-            shared += 1
-        walk.append((shared, facts[shared:]))
-        previous = facts
-    return walk
-
-
-def _accepted(present: list, counts: list, walk: list) -> int:
+def _accepted(present: list, counts: list, members: list) -> int:
     """The accepted samples of one block grouped by picked clause.
 
     ``present[f]`` has bit s set iff sample s has fact f,
     ``counts[j]`` samples picked clause j (so they hold the next
-    ``counts[j]`` bits), and ``walk`` is :func:`_prefix_walk` of the
-    clauses' facts.  ``stack[d]`` is the AND of the current clause's
-    first d facts (``-1``, every bit, for none), so a clause ANDs only
-    the facts it does not share with the one before.  ``found`` is the
-    OR of the satisfaction ints of the clauses before the current one:
-    a sample is accepted iff its bit there is clear, which is the
-    reference's "its clause is the first one the world satisfies".
+    ``counts[j]`` bits), and ``members[j]`` lists clause j's facts.
+    ``found`` is the OR of the satisfaction ints of the clauses before
+    the current one: a sample is accepted iff its bit there is clear,
+    which is the reference's "its clause is the first one the world
+    satisfies".
     """
     accepted = 0
     found = 0
     start = 0
-    stack = [-1]
-    for count, (shared, rest) in zip(counts, walk):
+    for clause, count in enumerate(counts):
         if count:
             mask = (1 << count) - 1
             accepted += count - ((found >> start) & mask).bit_count()
             start += count
-        del stack[shared + 1:]
-        for fact in rest:
-            stack.append(stack[-1] & present[fact])
-        found |= stack[-1]
+        found |= reduce(and_, map(present.__getitem__, members[clause]))
     return accepted

@@ -63,12 +63,7 @@ from repro.db.fact import Fact
 from repro.errors import BudgetExceededError
 from repro.lineage.build import build_lineage
 from repro.lineage.dnf import DNF
-from repro.lineage.karp_luby import (
-    _BLOCK_CELLS,
-    _accepted,
-    _prefix_walk,
-    karp_luby_probability,
-)
+from repro.lineage.karp_luby import _BLOCK_CELLS, karp_luby_probability
 from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries.builders import path_query, star_query
 from repro.workloads.graphs import (
@@ -457,37 +452,6 @@ def _karp_luby_block_inputs():
     ]), heavy, 9, 2 * block + 17
 
 
-def test_accepted_prefix_walk_equals_per_clause_and():
-    # The block path's clause walk reuses the AND of the facts a clause
-    # shares with the one before; it must accept what ANDing every
-    # clause's facts afresh accepts, on sorted clauses that share
-    # prefixes, with picked counts (zero for some clauses, and none for
-    # the clauses after the last picked one).
-    rng = random.Random(41)
-    for _trial in range(300):
-        facts = rng.randint(1, 12)
-        clauses = sorted({
-            tuple(sorted(
-                rng.sample(range(facts), rng.randint(1, min(5, facts)))
-            ))
-            for _ in range(rng.randint(1, 25))
-        })
-        counts = [rng.choice((0, 0, 1, 3, 7, 40)) for _ in clauses]
-        counts = counts[:rng.randint(1, len(counts))]
-        total = sum(counts)
-        present = [rng.getrandbits(total) for _ in range(facts)]
-        expected = found = start = 0
-        for clause, count in zip(clauses, counts):
-            mask = (1 << count) - 1
-            expected += count - ((found >> start) & mask).bit_count()
-            start += count
-            satisfied = -1
-            for fact in clause:
-                satisfied &= present[fact]
-            found |= satisfied
-        assert _accepted(present, counts, _prefix_walk(clauses)) == expected
-
-
 #: Counters every Karp–Luby leg charges alike; the ``kernels.*`` pair
 #: counts the batched flushes, which the reference does not make.
 _KARP_LUBY_COUNTERS = ("karp_luby.samples_drawn", "budget.ticks")
@@ -589,8 +553,8 @@ def test_tick_batcher_units_flush_like_single_ticks(
     monkeypatch, units, budgeted
 ):
     # ``tick(n)`` emits the budget/metric calls of n single ticks: whole
-    # chunks of 512, from an empty and from a part-filled chunk — the
-    # same chunks under a budget the run stays inside as without one.
+    # chunks of 512 without a budget, chunks of 1 under one, from an
+    # empty and from a part-filled chunk.
     calls = []
     monkeypatch.setattr(
         kernels, "budget_tick",
@@ -600,8 +564,9 @@ def test_tick_batcher_units_flush_like_single_ticks(
         kernels, "metric_inc",
         lambda name, n=1: calls.append(("metric", name, n)),
     )
+    budget = EvaluationBudget(max_work_units=10**9) if budgeted else None
 
-    def trace(tick, budget):
+    def trace(tick):
         calls.clear()
         with budget_scope(budget):
             for filled in (0, 300):
@@ -616,91 +581,12 @@ def test_tick_batcher_units_flush_like_single_ticks(
         for _ in range(units):
             batcher.tick()
 
-    budget = EvaluationBudget(max_work_units=10**9) if budgeted else None
-    expected = trace(single, budget)
-    assert trace(lambda batcher: batcher.tick(units), budget) == expected
+    expected = trace(single)
+    assert trace(lambda batcher: batcher.tick(units)) == expected
     flushed = [call for call in expected if call[:2] == ("budget", "phase")]
     assert sum(call[2] for call in flushed) == 2 * units + 300
     if budgeted:
-        assert expected == trace(single, None)
-
-
-def _per_sample_ticks(count):
-    """The per-sample reference of a batcher: one ``budget_tick`` and
-    one ``metric_inc`` a sample."""
-    from repro.core.budget import budget_tick
-    from repro.obs import metric_inc
-
-    for _ in range(count):
-        budget_tick("phase")
-        metric_inc("drawn")
-
-
-@pytest.mark.parametrize("cap", [1, 150, 511, 512, 513, 1023, 1300])
-@pytest.mark.parametrize("spent", [0, 7])
-def test_tick_batcher_work_cap_stops_at_the_same_sample(cap, spent):
-    # Under a work cap the unit that crosses it flushes alone: single
-    # ticks and ticks of any block size raise at the same sample, with
-    # the ``used``, ``budget.ticks`` and sample counter of per-sample
-    # ticks, whatever work the scope had already charged.
-    def run(loop):
-        telemetry = EvaluationTelemetry()
-        with telemetry_scope(telemetry):
-            with pytest.raises(BudgetExceededError) as caught:
-                with budget_scope(EvaluationBudget(max_work_units=cap)):
-                    _per_sample_ticks(spent)
-                    loop()
-        return (
-            caught.value.kind, caught.value.used,
-            telemetry.counter("budget.ticks"), telemetry.counter("drawn"),
-        )
-
-    def batched(block):
-        def loop():
-            batcher = kernels.TickBatcher("phase", "drawn")
-            try:
-                for _ in range(0, 2000, block):
-                    batcher.tick(block)
-            finally:
-                batcher.flush()
-        return loop
-
-    expected = run(lambda: _per_sample_ticks(2000))
-    assert expected == ("work_units", cap + 1, cap + 1, cap)
-    for block in (1, 3, 200, 512, 1000, 2000):
-        assert run(batched(block)) == expected, block
-
-
-def test_deadline_budget_keeps_the_chunks():
-    # A deadline-only budget flushes the chunks of an unbudgeted run:
-    # every counter, ``kernels.batch_draws`` included, is the same.
-    formula, probs = _path_lineage_128()
-    reduction = build_ur_reduction(
-        path_query(3), complete_layered_path_instance(3, 2)
-    )
-    nfta, size = reduction.nfta, reduction.tree_size
-
-    def counters(budget):
-        telemetry = EvaluationTelemetry()
-        with telemetry_scope(telemetry), budget_scope(budget):
-            for leg in KARP_LUBY_LEGS:
-                _leg(
-                    lambda backend: karp_luby_probability(
-                        formula, probs, seed=3, samples=3000,
-                        backend=backend,
-                    ),
-                    leg,
-                )
-            count_nfta(nfta, size, epsilon=0.3, seed=4, exact_set_cap=0)
-            sample_accepted_trees(
-                nfta, size, k=700, seed=5, exact_set_cap=0
-            )
-        return telemetry.metrics.counters
-
-    counters(None)  # compiles the automaton, which counts its pruning
-    unbudgeted = counters(None)
-    assert unbudgeted["kernels.batch_draws"] > 0
-    assert counters(EvaluationBudget(deadline=60)) == unbudgeted
+        assert {call[2] for call in flushed} == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,13 @@ def _held(rng, words, weighted):
 
 
 def _assert_same_node(recipe, eager):
-    """``recipe`` reads as ``eager``: members by index and in bulk, and
-    a bitwise count and weights."""
+    """``recipe`` reads as ``eager``: members by index and in bulk (the
+    bulk tuple built once and kept), and a bitwise count and weights."""
     assert [recipe.member(i) for i in range(recipe.size)] == list(
         eager.members
     )
     assert recipe.members == eager.members
+    assert recipe.members is recipe.members
     assert recipe.member_weights() == eager.member_weights()
     assert repr(recipe.count) == repr(eager.count)
     if eager.weights is not None:

@@ -384,6 +384,7 @@ class TestExactProducts:
             eager.members
         )
         assert recipe.members == eager.members
+        assert recipe.members is recipe.members
         assert recipe.member_weights() == eager.member_weights()
         assert repr(recipe.count) == repr(eager.count)
         if weighted:
