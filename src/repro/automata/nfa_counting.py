@@ -17,12 +17,12 @@ can draw approximately-uniform samples:
 - **exact nodes** know the full language while it fits within
   ``exact_set_cap`` — mirroring how the ACJR sketches stay exact until
   they saturate — as a held tuple or as a recipe (a concatenation or a
-  letter prefix of exact nodes) that builds one member by index, so a
-  draw builds only the word it lands on;
-- **prefix/sum nodes** represent letter-concatenation and the disjoint
+  product of exact nodes) that builds one member by index, so a draw
+  builds only the word it lands on;
+- **product/sum nodes** represent letter-concatenation and the disjoint
   union across letters *lazily*: their counts combine arithmetically
   (no sampling error introduced) and their draws delegate downward, a
-  chain of prefixes and the sum picks between them in one loop;
+  chain of products and the sum picks between them in one loop;
 - **union (Karp–Luby) nodes** handle overlapping same-letter successor
   sets: sample a component ∝ its estimated size, draw a string from it,
   accept iff the component is the canonically-first one containing the
@@ -30,12 +30,19 @@ can draw approximately-uniform samples:
   string, memoized per shared cons cell).  Only these nodes consume
   samples and introduce error.
 
-CountNFTA (:mod:`repro.automata.nfta_counting`) is the same estimator
-over trees and shares this module's union loop
-(:func:`_karp_luby_union`), counter skeleton (:class:`_CounterBase`),
-runner (:func:`_median_count`) and k-draw loop; each counter supplies
-only its plan, its membership test and its exact-node rules.  Every
-union sample and k-draw charges the active evaluation budget.
+A word is a unary tree: the letter prefix ``a · A`` is the one-child
+case of the tree product σ⟨A1 × … × Ak⟩, so CountNFTA
+(:mod:`repro.automata.nfta_counting`), the same estimator over trees,
+shares this module's nodes (:class:`_ProductNode`,
+:class:`_ExactProduct`), member-weight rule
+(:meth:`_CounterBase._exact_product`), union loop
+(:func:`_karp_luby_union`), counter skeleton, runner
+(:func:`_median_count`) and k-draw loop.  Nodes make their members
+through a store — cons cells for words (:class:`_Words`), interned
+trees for CountNFTA — and a chain draw ends in one
+``store.make_chain`` call.  Each counter supplies only its plan, its
+store, its membership test and its rule for when a product is exact.
+Every union sample and k-draw charges the active evaluation budget.
 
 Error behaviour: each union estimate has relative standard deviation
 ``O(sqrt(m / K))`` (m overlapping components, K samples), and estimates
@@ -58,7 +65,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from operator import add
 from typing import Hashable
 
@@ -131,9 +138,8 @@ class _ExactNode:
 
     This class holds its members as a tuple (leaves, the result of
     :func:`_distinct`, ``_ZERO``).  Its subclasses hold a recipe
-    instead — a concatenation (:class:`_ExactConcat`), a letter prefix
-    (:class:`_ExactPrefix`) or a tree product
-    (:class:`~repro.automata.nfta_counting._ExactProduct`) of exact
+    instead — a concatenation (:class:`_ExactConcat`) or a product
+    (:class:`_ExactProduct`, a letter prefix when unary) of exact
     children — so a draw builds only the member its index names, and
     the whole tuple is built only when :func:`_distinct` reads it.
 
@@ -262,23 +268,46 @@ class _Recipe(_ExactNode):
         return found
 
 
-class _ExactPrefix(_Recipe):
-    """``a · A`` for an exact ``A``: member i is the cons cell
-    ``(a, A's member i)``."""
+class _ExactProduct(_Recipe):
+    """σ⟨A1 × … × Ak⟩ over exact children, its members in
+    ``itertools.product`` order: child j of member i is child j's member
+    ``i // Π_{m>j} size_m % size_j``.  A member is made in ``store``
+    when it is first read; a word's letter prefix ``a · A`` is the unary
+    case, whose member i is the cons cell ``(a, A's member i)``."""
 
-    __slots__ = ("_symbol", "_child")
+    __slots__ = ("_store", "_symbol", "_children")
 
-    def __init__(self, symbol: int, child: _ExactNode, weights=None):
+    def __init__(self, store, symbol: int, children: list, weights):
+        self._store = store
         self._symbol = symbol
-        self._child = child
-        super().__init__(child.size, weights)
+        self._children = children
+        super().__init__(_product_size(children), weights)
 
     def _resolve(self, index: int):
-        return (self._symbol, self._child.member(index))
+        children = self._children
+        if len(children) == 1:
+            return self._store.make(self._symbol, (children[0].member(index),))
+        picked = []
+        for child in reversed(children):
+            index, digit = divmod(index, child.size)
+            picked.append(child.member(digit))
+        picked.reverse()
+        return self._store.make(self._symbol, tuple(picked))
 
     def _build(self) -> tuple:
-        symbol = self._symbol
-        return tuple([(symbol, word) for word in self._child.members])
+        return tuple(self._store.make_all(
+            self._symbol,
+            product(*[child.members for child in self._children]),
+        ))
+
+
+def _product_size(children) -> int:
+    """Number of distinct members of an exact product (not the
+    measure)."""
+    size = 1
+    for child in children:
+        size *= child.size
+    return size
 
 
 class _PoolNode:
@@ -348,28 +377,46 @@ def _disjoint_sum(nodes: list, exact_set_cap: int, weighted: bool):
     return _SumNode(nodes)
 
 
-class _PrefixNode:
-    """Lazy ``a · A``: weight-scaled count, draws prepend a cons cell."""
+class _ProductNode:
+    """Lazy σ⟨A1 × … × Ak⟩: counts multiply, draws combine through
+    ``store``, which makes (and, for trees, interns) what they return.
+    A word's letter prefix ``a · A`` is the unary case, whose ``child``
+    is ``A`` (``None`` at any other arity)."""
 
-    __slots__ = ("symbol", "child", "count", "exact")
+    __slots__ = ("store", "symbol", "children", "child", "count", "exact")
 
-    def __init__(self, symbol: int, child, symbol_weight: float = 1.0):
+    def __init__(
+        self, store, symbol: int, children: list, symbol_weight: float
+    ):
+        self.store = store
         self.symbol = symbol
-        self.child = child
-        self.count = symbol_weight * child.count
-        self.exact = child.exact
+        self.children = children
+        self.child = children[0] if len(children) == 1 else None
+        count = symbol_weight
+        for child in children:
+            count *= child.count
+        self.count = count
+        self.exact = all(child.exact for child in children)
 
     def draw(self, rng: random.Random):
-        """Walk down the chain of prefixes, and the sum picks between
-        them, in one loop; then cons the letters on bottom-up.  A word
-        has no siblings, so the random stream is read in the order of
-        one ``draw`` call per link."""
-        symbols = [self.symbol]
+        """A product of two or more children (or none) draws each child
+        in turn.  A unary one walks down the chain of unary products,
+        and the sum picks between them, in one loop, then builds the
+        chain with one ``store.make_chain`` call: a chain has no
+        siblings, so the random stream is read in the order of one
+        ``draw`` call per link."""
         node = self.child
+        if node is None:
+            return self.store.make(
+                self.symbol,
+                tuple([child.draw(rng) for child in self.children]),
+            )
+        symbols = [self.symbol]
+        append = symbols.append
         while True:
             kind = type(node)
-            if kind is _PrefixNode:
-                symbols.append(node.symbol)
+            if kind is _ProductNode and node.child is not None:
+                append(node.symbol)
                 node = node.child
             elif kind is _SumNode:
                 node = node.parts[weighted_index(
@@ -377,10 +424,37 @@ class _PrefixNode:
                 )]
             else:
                 break
-        word = node.draw(rng)
+        return self.store.make_chain(symbols, node.draw(rng))
+
+
+class _Words:
+    """Words as cons cells: CountNFA's store.  ``make(a, (w,))`` is the
+    cell ``(a, w)``, a chain conses its letters, and exact products are
+    recipes.  It holds nothing, so every counter shares :data:`_WORDS`."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def make(symbol: int, children: tuple):
+        return (symbol, children[0])
+
+    @staticmethod
+    def make_all(symbol: int, combos) -> list:
+        return [(symbol, word) for (word,) in combos]
+
+    @staticmethod
+    def make_chain(symbols: list, word):
+        """The word ``symbols · word``: the letters consed on last to
+        first."""
         for symbol in reversed(symbols):
             word = (symbol, word)
         return word
+
+    def exact_product(self, symbol: int, children, weights):
+        return _ExactProduct(self, symbol, children, weights)
+
+
+_WORDS = _Words()
 
 
 # ----------------------------------------------------------------------
@@ -429,10 +503,11 @@ class _CounterBase:
 
     ``top_node`` builds one node per ``plan.cells`` entry, in order,
     with a budget checkpoint before each.  A subclass supplies
-    ``_compute(cell, values)`` (a cell's node, from the nodes of the
-    cells before it), ``_root(values)``, and the budget phases and
-    counters of its unions (``_phase``, ``_metric``) and of its k-draw
-    loop (``_draw_phase``, ``_draw_metric``).
+    ``_store`` (what makes its words or trees), ``_compute(cell,
+    values)`` (a cell's node, from the nodes of the cells before it),
+    ``_root(values)``, and the budget phases and counters of its unions
+    (``_phase``, ``_metric``) and of its k-draw loop (``_draw_phase``,
+    ``_draw_metric``).
     """
 
     def __init__(
@@ -455,6 +530,30 @@ class _CounterBase:
         if self._weights is None:
             return 1.0
         return self._weights[symbol]
+
+    def _exact_product(self, symbol: int, children: list):
+        """σ⟨A1 × … × Ak⟩ over exact ``children``, as the store makes
+        it.  A member weighs its symbol's weight times its children's
+        weights, left to right (``None`` unweighted)."""
+        weights = None
+        if self._weights is not None:
+            symbol_weight = self._weights[symbol]
+            if len(children) == 1:
+                weights = tuple([
+                    symbol_weight * weight
+                    for weight in children[0].member_weights()
+                ])
+            else:
+                products = []
+                for child_weights in product(
+                    *[child.member_weights() for child in children]
+                ):
+                    weight = symbol_weight
+                    for child_weight in child_weights:
+                        weight *= child_weight
+                    products.append(weight)
+                weights = tuple(products)
+        return self._store.exact_product(symbol, children, weights)
 
     def run(self) -> CountResult:
         top = self.top_node()
@@ -493,6 +592,24 @@ class _CounterBase:
         return drawn
 
 
+def _check_arguments(
+    epsilon: float, samples: int | None = None, repetitions: int = 1
+) -> None:
+    """The argument checks every counting and k-draw entry point makes,
+    before any work."""
+    if not 0 < epsilon < 1:
+        raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if repetitions < 1:
+        raise EstimationError("repetitions must be >= 1")
+    if samples is not None and samples < 1:
+        raise EstimationError("samples must be >= 1")
+
+
+def _check_length(length: int) -> None:
+    if length < 0:
+        raise EstimationError(f"length must be >= 0, got {length}")
+
+
 def _median_count(
     prepare, phase: str, epsilon: float, samples: int | None,
     repetitions: int, seed: int | None, **tags,
@@ -500,18 +617,14 @@ def _median_count(
     """The repetition runner behind :func:`count_nfa` and
     :func:`~repro.automata.nfta_counting.count_nfta`.
 
-    Checks the arguments they share, then calls ``prepare()`` for the
-    seed-free work: it returns the answer when no sampling is needed,
-    else a factory ``rng → counter``.  Each repetition runs a fresh
-    counter on its own RNG stream, all seeded up front from ``seed``,
-    inside one ``phase`` span; the answer is the median estimate.
+    Checks the arguments they share (:func:`_check_arguments`), then
+    calls ``prepare()`` for the seed-free work: it returns the answer
+    when no sampling is needed, else a factory ``rng → counter``.  Each
+    repetition runs a fresh counter on its own RNG stream, all seeded up
+    front from ``seed``, inside one ``phase`` span; the answer is the
+    median estimate.
     """
-    if not 0 < epsilon < 1:
-        raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if repetitions < 1:
-        raise EstimationError("repetitions must be >= 1")
-    if samples is not None and samples < 1:
-        raise EstimationError("samples must be >= 1")
+    _check_arguments(epsilon, samples, repetitions)
     new_counter = prepare()
     if isinstance(new_counter, CountResult):
         return new_counter
@@ -611,6 +724,7 @@ class _Counter(_CounterBase):
 
     def __init__(self, plan: _WordPlan, *args, **kwargs):
         super().__init__(plan, *args, **kwargs)
+        self._store = _WORDS
         # id(cons cell) -> bitmask of states accepting that word; the
         # cells are kept alive so their ids stay unique.
         self._accepts: dict[int, int] = {}
@@ -644,19 +758,15 @@ class _Counter(_CounterBase):
     # -- same-letter union (Karp–Luby) ---------------------------------
 
     def _wrap(self, node, prefix_symbol: int | None):
-        """``a · node`` (or ``node`` itself at the virtual root)."""
+        """``a · node``, a unary product (or ``node`` itself at the
+        virtual root): exact whenever ``node`` is, at any cap."""
         if prefix_symbol is None:
             return node
         if isinstance(node, _ExactNode):
-            if self._weights is None:
-                return _ExactPrefix(prefix_symbol, node)
-            weight = self._weights[prefix_symbol]
-            return _ExactPrefix(
-                prefix_symbol, node,
-                tuple(weight * w for w in node.member_weights()),
-            )
-        return _PrefixNode(
-            prefix_symbol, node, self._symbol_weight(prefix_symbol)
+            return self._exact_product(prefix_symbol, [node])
+        return _ProductNode(
+            self._store, prefix_symbol, [node],
+            self._symbol_weight(prefix_symbol),
         )
 
     def _union(self, components, prefix_symbol: int | None):
@@ -777,8 +887,7 @@ def count_nfa(
     """
 
     def prepare():
-        if length < 0:
-            raise EstimationError(f"length must be >= 0, got {length}")
+        _check_length(length)
         if exact_set_cap > 0:
             # Bounded exact sweep first: languages whose determinized
             # frontier stays tiny (notably the structurally-trivial
@@ -819,10 +928,13 @@ def sample_accepted_strings(
 ) -> list[tuple]:
     """Draw ``k`` approximately-uniform members of ``L_n(M)``.
 
-    Uses the same machinery as :func:`count_nfa` (the ACJR result is
-    simultaneously a counter and an almost-uniform generator).  With
-    ``weight_of``, draws are approximately weight-proportional.
+    Uses the same machinery and argument checks as :func:`count_nfa`
+    (the ACJR result is simultaneously a counter and an almost-uniform
+    generator).  With ``weight_of``, draws are approximately
+    weight-proportional.
     """
+    _check_arguments(epsilon)
+    _check_length(length)
     plan = _WordPlan(nfa, length)
     counter = _Counter(
         plan, length, epsilon, None, exact_set_cap, random.Random(seed),

@@ -8,14 +8,17 @@ transition with the empty child tuple.  Following the paper we also allow
 attach to its parent — together with a standard elimination procedure.
 
 Membership is decided bottom-up: for each subtree we compute the set of
-states from which it is derivable (the property-based suite holds the
-CountNFTA sampler's compiled membership oracle to it).
+states from which it is derivable, one :meth:`NFTA.derived` step per
+node (the property-based suite holds the CountNFTA sampler's compiled
+membership oracle to it).
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import cached_property
+from itertools import chain, product
 from typing import Hashable, Iterable
 
 from repro.automata.trees import LabeledTree
@@ -174,8 +177,46 @@ class NFTA:
     # Membership (bottom-up)
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _rules_by_children(
+        self,
+    ) -> dict[tuple[Symbol, int], dict[tuple[State, ...], list[State]]]:
+        """(symbol, arity) → children → the sources of those rules."""
+        out: dict[tuple[Symbol, int], dict] = {}
+        for source, symbol, children in self._transitions:
+            out.setdefault((symbol, len(children)), {}).setdefault(
+                children, []
+            ).append(source)
+        return out
+
+    def derived(self, symbol: Symbol, child_sets) -> frozenset[State]:
+        """One bottom-up step: the states deriving a ``symbol`` node
+        whose i-th child is derivable from exactly ``child_sets[i]``.
+
+        The rules are indexed by their child tuples, so the step looks
+        up each combination of child states, unless there are more
+        combinations than rules, when it scans the rules instead: small
+        derivable sets stay near-constant per node even where one symbol
+        has many rules (gadget automata).
+        """
+        table = self._rules_by_children.get((symbol, len(child_sets)))
+        if table is None:
+            return frozenset()
+        combinations = 1
+        for child_set in child_sets:
+            combinations *= len(child_set)
+        if combinations <= len(table):
+            return frozenset(chain.from_iterable(
+                table.get(children, ()) for children in product(*child_sets)
+            ))
+        return frozenset(chain.from_iterable(
+            sources for children, sources in table.items()
+            if all(map(operator.contains, child_sets, children))
+        ))
+
     def derivable_states(self, tree: LabeledTree) -> frozenset[State]:
-        """States q such that ``tree`` is derivable from q.
+        """States q such that ``tree`` is derivable from q: :meth:`derived`
+        folded bottom-up, once per distinct subtree object.
 
         Raises
         ------
@@ -186,29 +227,16 @@ class NFTA:
             raise AutomatonError(
                 "membership requires a λ-free NFTA; call eliminate_lambda()"
             )
+        # Keyed by identity: every subtree is alive while ``tree`` is.
         memo: dict[int, frozenset[State]] = {}
-        keep_alive: list[LabeledTree] = []
 
         def visit(node: LabeledTree) -> frozenset[State]:
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
-            child_sets = [visit(child) for child in node.children]
-            states: set[State] = set()
-            for source, symbol, children in self.by_symbol.get(
-                node.label, ()
-            ):
-                if len(children) != len(child_sets):
-                    continue
-                if all(
-                    child in child_set
-                    for child, child_set in zip(children, child_sets)
-                ):
-                    states.add(source)
-            result = frozenset(states)
-            memo[id(node)] = result
-            keep_alive.append(node)
-            return result
+            found = memo.get(id(node))
+            if found is None:
+                found = memo[id(node)] = self.derived(
+                    node.label, [visit(child) for child in node.children]
+                )
+            return found
 
         return visit(tree)
 

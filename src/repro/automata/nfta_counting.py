@@ -23,20 +23,22 @@ by an NFTA.  This module provides:
   and need the Karp–Luby estimator.  Component sets are products, whose
   estimates multiply and whose samples combine independent child draws.
 
-Like the string counter, the evaluator is a DAG of lazy nodes: exact
-nodes (the full language, up to ``exact_set_cap`` trees, held or as a
-product recipe whose trees are interned only when a draw or a dedup
-reads them), lazy product and disjoint-sum nodes whose counts combine
-arithmetically (a draw walks a chain of unary products in one loop),
-and Karp–Luby pool nodes — the only place sampling error enters.  The
-union loop that fills the pools, the counter skeleton, the
-median-of-repetitions runner and the k-draw loop are the string
-counter's (:mod:`repro.automata.nfa_counting`); this module supplies
-the plan, the tree stores' membership tests and the rules below.  Two rules
-fix what an exact node holds: merged members are deduplicated in
-first-seen order, and a member weighs its symbol's weight times its
-children's weights, left to right (the rule lazy products use for
-their counts).
+The evaluator is the string counter's DAG of nodes
+(:mod:`repro.automata.nfa_counting`), where a word is a unary tree:
+exact nodes (the full language, up to ``exact_set_cap`` trees, held or
+as a product recipe whose trees are interned only when a draw or a
+dedup reads them), lazy product and disjoint-sum nodes whose counts
+combine arithmetically (a draw walks a chain of unary products in one
+loop and interns it with one ``make_chain`` call), and Karp–Luby pool
+nodes — the only place sampling error enters.  Those nodes, the
+member-weight rule (a member weighs its symbol's weight times its
+children's weights, left to right, the rule lazy products use for
+their counts), the union loop that fills the pools, the counter
+skeleton, the median-of-repetitions runner and the k-draw loop are all
+the string counter's; this module supplies the plan, the tree stores
+and their membership tests, and two rules: a product is exact when its
+children are and it fits the cap, and merged members are deduplicated
+in first-seen order.
 
 Every entry point takes a ``backend`` name (default ``"optimized"``;
 see :mod:`repro.core.kernels` and ``docs/performance.md``).  For the
@@ -48,10 +50,12 @@ both bitwise-equal to the reference (float weights fall back to the
 reference DP).  The sampler is one loop over one seed-free plan
 (:class:`_CounterPlan`, built on the compiled
 :class:`~repro.automata.optimize.DenseNFTA`); a backend only picks how
-sampled trees are stored — :class:`LabeledTree` objects with frozenset
-derivability, and exact products built in full, for ``reference``;
-interned integer ids with top-down membership over dense states, and
-exact products as recipes, for the optimized backend — so estimates
+sampled trees are stored — :class:`LabeledTree` objects with
+derivability folded bottom-up from :meth:`NFTA.derived
+<repro.automata.nfta.NFTA.derived>`, and exact products built in full,
+for ``reference``; interned integer ids with top-down membership over
+dense states, and exact products as recipes, for the optimized
+backend — so estimates
 and sampled trees are bitwise-identical across backends, and none of
 them depends on the interpreter's hash seed.  The differential suite
 (``tests/test_kernel_differential.py``) enforces this equivalence
@@ -66,17 +70,18 @@ from typing import Hashable, Iterator
 
 from repro.automata.nfa_counting import (
     CountResult,
+    _check_arguments,
     _CounterBase,
     _disjoint_sum,
     _distinct,
     _ExactNode,
+    _ExactProduct,
     _karp_luby_union,
     _median_count,
     _PoolNode,
-    _Recipe,
-    _SumNode,
+    _product_size,
+    _ProductNode,
     _ZERO,
-    weighted_index,
 )
 from repro.automata.nfta import NFTA
 from repro.automata.optimize import DenseNFTA, optimize_nfta
@@ -434,6 +439,20 @@ class _InternedTrees:
             out.append(tree)
         return out
 
+    def make_chain(self, symbols: list, tree: int) -> int:
+        """The unary chain ``symbols[0](symbols[1](… tree))``, interned
+        bottom-up in one call."""
+        ids = self._ids
+        nodes = self._nodes
+        for symbol in reversed(symbols):
+            key = (symbol, (tree,))
+            found = ids.get(key)
+            if found is None:
+                found = ids[key] = len(nodes)
+                nodes.append(key)
+            tree = found
+        return tree
+
     def exact_product(self, symbol: int, children, weights):
         """σ⟨A1 × … × Ak⟩ over exact children, as a recipe: its trees
         are interned when a draw or a dedup reads them."""
@@ -476,88 +495,24 @@ class _InternedTrees:
         return out
 
 
-class _DerivabilityCache:
-    """Bottom-up derivable-state sets over the original automaton,
-    memoized per tree object.
-
-    Child-indexed rule tables (iterating the small derivable sets of the
-    children) keep each node near-constant where scanning every
-    same-symbol rule would be quadratic on gadget automata.  Trees are
-    memoized by identity, with a keep-alive list to pin the ids.
-    """
-
-    def __init__(self, nfta: NFTA):
-        self._leaf: dict[Symbol, frozenset[State]] = {}
-        self._unary: dict[Symbol, dict[State, list[State]]] = {}
-        self._binary: dict[Symbol, dict[tuple, list[State]]] = {}
-        self._generic: dict[tuple[Symbol, int], tuple] = {}
-        for (symbol, arity), rules in nfta.by_symbol_arity.items():
-            if arity == 0:
-                self._leaf[symbol] = frozenset(
-                    source for source, _children in rules
-                )
-            elif arity == 1:
-                table = self._unary[symbol] = {}
-                for source, children in rules:
-                    table.setdefault(children[0], []).append(source)
-            elif arity == 2:
-                pairs = self._binary[symbol] = {}
-                for source, children in rules:
-                    pairs.setdefault(children, []).append(source)
-            else:
-                self._generic[(symbol, arity)] = rules
-        self._memo: dict[int, frozenset[State]] = {}
-        self._keep_alive: list[LabeledTree] = []
-
-    def states(self, tree: LabeledTree) -> frozenset[State]:
-        cached = self._memo.get(id(tree))
-        if cached is not None:
-            return cached
-        arity = len(tree.children)
-        states: set[State] = set()
-        if arity == 0:
-            states.update(self._leaf.get(tree.label, ()))
-        elif arity == 1:
-            table = self._unary.get(tree.label, {})
-            for child_state in self.states(tree.children[0]):
-                states.update(table.get(child_state, ()))
-        elif arity == 2:
-            pairs = self._binary.get(tree.label, {})
-            right = self.states(tree.children[1])
-            for l_state in self.states(tree.children[0]):
-                for r_state in right:
-                    states.update(pairs.get((l_state, r_state), ()))
-        else:
-            child_sets = [self.states(child) for child in tree.children]
-            for source, children in self._generic.get(
-                (tree.label, arity), ()
-            ):
-                if all(
-                    child in child_set
-                    for child, child_set in zip(children, child_sets)
-                ):
-                    states.add(source)
-        result = frozenset(states)
-        self._memo[id(tree)] = result
-        self._keep_alive.append(tree)
-        return result
-
-
 class _LabeledTrees:
     """Sampled trees as :class:`LabeledTree` objects (``reference``).
 
-    Membership goes through the frozenset :class:`_DerivabilityCache`
-    over the original automaton: the oracle the differential tier holds
-    the interned store to.  Trees are interned by (symbol, child
-    identities) so that cache keeps hitting across draws.
+    Membership folds :meth:`NFTA.derived` over the original automaton,
+    bottom-up, with each tree's derivable states memoized by identity
+    (every tree is interned here, so its id stays unique): the oracle
+    the differential tier holds the interned store to.  Trees are
+    interned by (symbol, child identities) so that memo keeps hitting
+    across draws.
     """
 
-    __slots__ = ("_plan", "_intern", "_derivability")
+    __slots__ = ("_plan", "_nfta", "_intern", "_derivable")
 
     def __init__(self, plan: _CounterPlan, nfta: NFTA):
         self._plan = plan
+        self._nfta = nfta
         self._intern: dict[tuple, LabeledTree] = {}
-        self._derivability = _DerivabilityCache(nfta)
+        self._derivable: dict[int, frozenset[State]] = {}
 
     def make(self, symbol: int, children: tuple) -> LabeledTree:
         key = (symbol, tuple(map(id, children)))
@@ -571,6 +526,11 @@ class _LabeledTrees:
     def make_all(self, symbol: int, combos) -> list[LabeledTree]:
         return [self.make(symbol, children) for children in combos]
 
+    def make_chain(self, symbols: list, tree: LabeledTree) -> LabeledTree:
+        for symbol in reversed(symbols):
+            tree = self.make(symbol, (tree,))
+        return tree
+
     def exact_product(self, symbol: int, children, weights) -> _ExactNode:
         """σ⟨A1 × … × Ak⟩ over exact children, materialised: the oracle
         builds every tree of an exact product when it is made."""
@@ -581,10 +541,18 @@ class _LabeledTrees:
             weights,
         )
 
+    def _states(self, tree: LabeledTree) -> frozenset[State]:
+        found = self._derivable.get(id(tree))
+        if found is None:
+            found = self._derivable[id(tree)] = self._nfta.derived(
+                tree.label, [self._states(child) for child in tree.children]
+            )
+        return found
+
     def derived_by_any(self, keys, tree: LabeledTree) -> bool:
         if not keys:
             return False
-        child_sets = [self._derivability.states(c) for c in tree.children]
+        child_sets = [self._states(c) for c in tree.children]
         states = self._plan.states
         return any(
             all(
@@ -617,86 +585,6 @@ def _sampler(nfta: NFTA, size: int, backend: str):
 # ----------------------------------------------------------------------
 # The estimator
 # ----------------------------------------------------------------------
-
-class _ProductNode:
-    """Lazy σ⟨A1 × … × Ak⟩: count multiplies, draws combine.
-
-    Draws are made through the tree store, which interns them: repeated
-    draws of the same tree return the same id (or object), which keeps
-    the per-tree derivability memos hitting during Karp–Luby membership
-    checks.
-    """
-
-    __slots__ = ("make", "symbol", "children", "count", "exact")
-
-    def __init__(self, make, symbol: int, children: list, symbol_weight: float):
-        self.make = make
-        self.symbol = symbol
-        self.children = children
-        count = symbol_weight
-        for child in children:
-            count *= child.count
-        self.count = count
-        self.exact = all(child.exact for child in children)
-
-    def draw(self, rng: random.Random):
-        """A product of two or more children draws each child in turn.
-        A unary one walks down the chain of unary products, and the sum
-        picks between them, in one loop, then builds the tree bottom-up:
-        a chain has no siblings, so the random stream is read in the
-        order of one ``draw`` call per link."""
-        if len(self.children) != 1:
-            return self.make(
-                self.symbol,
-                tuple([child.draw(rng) for child in self.children]),
-            )
-        chain = [self]
-        node = self.children[0]
-        while True:
-            kind = type(node)
-            if kind is _ProductNode and len(node.children) == 1:
-                chain.append(node)
-                node = node.children[0]
-            elif kind is _SumNode:
-                node = node.parts[weighted_index(
-                    node.cumulative, rng.random() * node.count
-                )]
-            else:
-                break
-        tree = node.draw(rng)
-        for link in reversed(chain):
-            tree = link.make(link.symbol, (tree,))
-        return tree
-
-
-class _ExactProduct(_Recipe):
-    """σ⟨A1 × … × Ak⟩ over exact children, its trees in
-    ``itertools.product`` order: child j of tree i is child j's member
-    ``i // Π_{m>j} size_m % size_j``.  A tree is interned in ``store``
-    when it is first read."""
-
-    __slots__ = ("_store", "_symbol", "_children")
-
-    def __init__(self, store, symbol: int, children: list, weights):
-        self._store = store
-        self._symbol = symbol
-        self._children = children
-        super().__init__(_product_size(children), weights)
-
-    def _resolve(self, index: int):
-        picked = []
-        for child in reversed(self._children):
-            index, digit = divmod(index, child.size)
-            picked.append(child.member(digit))
-        picked.reverse()
-        return self._store.make(self._symbol, tuple(picked))
-
-    def _build(self) -> tuple:
-        return tuple(self._store.make_all(
-            self._symbol,
-            product(*[child.members for child in self._children]),
-        ))
-
 
 class _TreeCounter(_CounterBase):
     """CountNFTA over a :class:`_CounterPlan`; sampled trees live in
@@ -760,12 +648,12 @@ class _TreeCounter(_CounterBase):
                 )
 
         symbol_weight = self._symbol_weight(symbol)
-        make = self._store.make
+        store = self._store
         keys = [children for children, _ in components]
-        derived_by_any = self._store.derived_by_any
+        derived_by_any = store.derived_by_any
         estimate, pool, attempts = _karp_luby_union(
             [
-                _ProductNode(make, symbol, child_values, symbol_weight)
+                _ProductNode(store, symbol, child_values, symbol_weight)
                 for _, child_values in components
             ],
             lambda index, tree: derived_by_any(keys[:index], tree),
@@ -774,25 +662,7 @@ class _TreeCounter(_CounterBase):
         self.samples_used += attempts
         return _PoolNode(estimate, pool)
 
-    # -- products and sums -------------------------------------------------
-
-    def _exact_product(self, symbol: int, child_values) -> _ExactNode:
-        """σ⟨A1 × … × Ak⟩ for exact children, as the store makes it.  A
-        tree weighs its symbol's weight times its children's weights,
-        left to right."""
-        if self._weights is None:
-            return self._store.exact_product(symbol, child_values, None)
-        weights = []
-        for child_weights in product(
-            *[v.member_weights() for v in child_values]
-        ):
-            weight = self._weights[symbol]
-            for child_weight in child_weights:
-                weight *= child_weight
-            weights.append(weight)
-        return self._store.exact_product(
-            symbol, child_values, tuple(weights)
-        )
+    # -- products ----------------------------------------------------------
 
     def _product(self, symbol: int, child_values):
         symbol_weight = self._symbol_weight(symbol)
@@ -807,18 +677,7 @@ class _TreeCounter(_CounterBase):
             and _product_size(child_values) <= self._cap
         ):
             return self._exact_product(symbol, child_values)
-        return _ProductNode(
-            self._store.make, symbol, child_values, symbol_weight
-        )
-
-
-
-def _product_size(child_values) -> int:
-    """Number of distinct trees in an exact product (not the measure)."""
-    size = 1
-    for value in child_values:
-        size *= value.size
-    return size
+        return _ProductNode(self._store, symbol, child_values, symbol_weight)
 
 
 def count_nfta(
@@ -887,6 +746,7 @@ def sample_accepted_trees(
     """
     from repro.core import kernels
 
+    _check_arguments(epsilon)
     plan, new_store = _sampler(nfta, size, kernels.resolve_backend(backend))
     store = new_store()
     counter = _TreeCounter(

@@ -3,13 +3,16 @@
 Closure constructions (union, intersection) and *bounded* language
 comparison: deciding inclusion/equivalence of the accepted languages up
 to a given string length or tree size.  Bounded comparison is exact —
-it runs a joint subset construction, so it does not rely on counting —
-and is the workhorse the test suite uses to prove that translations
-(λ-elimination, augmented-NFTA expansion, trimming) preserve languages.
+it runs a joint subset construction (for trees, one
+:meth:`NFTA.derived <repro.automata.nfta.NFTA.derived>` step per
+automaton and node), so it does not rely on counting.  The package
+itself never calls this module: only ``tests/test_operations.py`` uses
+it, to check the closures against exact counts and enumeration, and
+that λ-elimination and trimming preserve languages.
 
 Everything here is worst-case exponential in the state count (subset
-constructions), as language comparison must be; the library only
-applies it to validation-sized automata.
+constructions), as language comparison must be; it is only run on
+validation-sized automata.
 """
 
 from __future__ import annotations
@@ -154,39 +157,22 @@ def _reachable_pair_subsets(
 ) -> list[set[tuple[frozenset, frozenset]]]:
     """For s = 0..size, the set of (derivable-in-a, derivable-in-b)
     subset pairs realised by some tree of size s (index 0 unused)."""
-    groups_a = a.by_symbol_arity
-    groups_b = b.by_symbol_arity
-    keys = set(groups_a) | set(groups_b)
-
-    def evaluate(groups, key, child_subsets):
-        rules = groups.get(key, ())
-        out = set()
-        for source, children in rules:
-            if all(
-                child in subset
-                for child, subset in zip(children, child_subsets)
-            ):
-                out.add(source)
-        return frozenset(out)
-
+    keys = set(a.by_symbol_arity) | set(b.by_symbol_arity)
     table: list[set[tuple[frozenset, frozenset]]] = [set() for _ in range(size + 1)]
     for s in range(1, size + 1):
         for symbol, arity in keys:
             if arity == 0:
                 if s == 1:
-                    table[1].add((
-                        evaluate(groups_a, (symbol, 0), ()),
-                        evaluate(groups_b, (symbol, 0), ()),
-                    ))
+                    table[1].add(
+                        (a.derived(symbol, ()), b.derived(symbol, ()))
+                    )
                 continue
             if s < arity + 1:
                 continue
             for combo in _pair_combinations(table, arity, s - 1):
-                subsets_a = [pair[0] for pair in combo]
-                subsets_b = [pair[1] for pair in combo]
                 table[s].add((
-                    evaluate(groups_a, (symbol, arity), subsets_a),
-                    evaluate(groups_b, (symbol, arity), subsets_b),
+                    a.derived(symbol, [pair[0] for pair in combo]),
+                    b.derived(symbol, [pair[1] for pair in combo]),
                 ))
     return table
 

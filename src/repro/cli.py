@@ -54,14 +54,11 @@ cache hit-rate are printed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import signal
 import sys
 from typing import Iterable, TextIO
-
-from fractions import Fraction
 
 from repro.core.budget import EvaluationBudget
 from repro.core.cache import ReductionCache
@@ -73,10 +70,10 @@ from repro.core.parallel import (
     BatchItem,
     request_drain,
 )
-from repro.core.tasks import TASKS
-from repro.db.fact import Fact
+from repro.core.tasks import TASKS, check_entry
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import ContextualError, ReproError
+from repro.io import load_facts_csv
 from repro.obs.export import (
     read_trace,
     summarize_trace,
@@ -96,64 +93,6 @@ __all__ = ["main", "load_facts_csv", "load_batch_file"]
 EXIT_PARTIAL = 3
 EXIT_ALL_FAILED = 4
 EXIT_DRAINED = 5
-
-
-def load_facts_csv(
-    stream: TextIO, source: str | None = None
-) -> ProbabilisticDatabase:
-    """Parse the fact CSV format described in the module docstring.
-
-    Blank lines and lines starting with ``#`` are skipped.  A header
-    row reading ``relation,probability,...`` is also skipped.  A
-    malformed row raises :class:`~repro.errors.ContextualError` naming
-    the ``source`` file and the offending row.
-    """
-    if source is None:
-        name = getattr(stream, "name", None)
-        source = name if isinstance(name, str) else "<csv>"
-    labels: dict[Fact, Fraction] = {}
-    reader = csv.reader(
-        line for line in stream
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    for row_number, row in enumerate(reader, start=1):
-        if row_number == 1 and row[0].strip().lower() == "relation":
-            continue
-        if len(row) < 3:
-            raise ContextualError(
-                f"{source}: row {row_number}: need relation,probability,"
-                f"constants..., got {row!r}",
-                phase="io.load",
-            )
-        relation = row[0].strip()
-        probability = row[1].strip()
-        try:
-            label = Fraction(probability)
-        except (ValueError, ZeroDivisionError) as failure:
-            raise ContextualError(
-                f"{source}: row {row_number}: invalid probability "
-                f"{probability!r} (expected a rational like '1/2')",
-                phase="io.load",
-            ) from failure
-        if not 0 <= label <= 1:
-            raise ContextualError(
-                f"{source}: row {row_number}: probability "
-                f"{probability!r} outside [0, 1]",
-                phase="io.load",
-            )
-        constants = tuple(value.strip() for value in row[2:])
-        fact = Fact(relation, constants)
-        if fact in labels:
-            raise ContextualError(
-                f"{source}: row {row_number}: duplicate fact {fact}",
-                phase="io.load",
-            )
-        labels[fact] = label
-    if not labels:
-        raise ContextualError(
-            f"{source}: no facts found in CSV input", phase="io.load"
-        )
-    return ProbabilisticDatabase(labels)
 
 
 def load_batch_file(
@@ -196,12 +135,11 @@ def load_batch_file(
                 f"{entry!r}",
                 phase="io.load",
             )
-        task = entry.get("task", "probability")
-        spec = TASKS.get(task)
-        if spec is None:
+        try:
+            task, method = check_entry(entry)
+        except ReproError as failure:
             raise ContextualError(
-                f"{source}: batch entry {index}: unknown task {task!r}; "
-                f"choose from {tuple(TASKS)}",
+                f"{source}: batch entry {index}: {failure}",
                 phase="io.load",
             )
         allowed = {"query", "method", "task"}
@@ -215,16 +153,6 @@ def load_batch_file(
                 phase="io.load",
             )
         if task == "rpq":
-            missing = [
-                field for field in ("source", "target")
-                if not entry.get(field)
-            ]
-            if missing:
-                raise ContextualError(
-                    f"{source}: batch entry {index}: rpq items "
-                    f"require {missing}",
-                    phase="io.load",
-                )
             from repro.graphs import RPQQuery
 
             try:
@@ -240,15 +168,9 @@ def load_batch_file(
             database = _graph_from_pdb(pdb)
         else:
             query = parse_query(entry["query"])
-            database = spec.coerce(pdb)
-        items.append(
-            BatchItem(
-                query,
-                database,
-                task=task,
-                method=entry.get("method", "auto"),
-            ).validated(index)
-        )
+            database = TASKS[task].coerce(pdb)
+        item = BatchItem(query, database, task=task, method=method)
+        items.append(item.validated(index))
     return items
 
 

@@ -31,8 +31,8 @@ from repro.lineage.dnf import DNF
 from repro.queries.lifted import LiftedClassification, classify_query
 
 __all__ = [
-    "TASKS", "Route", "Task", "infer_task", "probability_route",
-    "randomized_route",
+    "TASKS", "Route", "Task", "check_entry", "infer_task",
+    "probability_route", "randomized_route",
 ]
 
 
@@ -213,6 +213,36 @@ TASKS: dict[str, Task] = {
         ),
     )
 }
+
+
+def check_entry(entry: Mapping, tasks: tuple[str, ...] = tuple(TASKS)):
+    """Check the fields a batch-file entry and a request body share, and
+    return its ``(task, method)``, defaulting to ``probability`` and
+    ``auto``: ``query`` is a string, ``task`` one of ``tasks``, ``method``
+    a string the task accepts and, for an RPQ, ``source`` and ``target``
+    are strings.  Raises :class:`~repro.errors.ReproError`; the caller
+    says where the entry came from."""
+    if not isinstance(entry["query"], str):
+        raise ReproError(f"query must be a string, got {entry['query']!r}")
+    task = entry.get("task", "probability")
+    if task not in tasks:
+        raise ReproError(f"unknown task {task!r}; choose from {tasks}")
+    method = entry.get("method", "auto")
+    if not isinstance(method, str):
+        raise ReproError(f"method must be a string, got {method!r}")
+    TASKS[task].check_method(method)
+    if task == "rpq":
+        missing = [
+            field for field in ("source", "target") if not entry.get(field)
+        ]
+        if missing:
+            raise ReproError(f"rpq items require {missing}")
+        for field in ("source", "target"):
+            if not isinstance(entry[field], str):
+                raise ReproError(
+                    f"{field} must be a string, got {entry[field]!r}"
+                )
+    return task, method
 
 
 def infer_task(database) -> str:

@@ -3,7 +3,7 @@
 Two on-disk formats are supported for probabilistic databases:
 
 - **CSV** (``relation,probability,constant1,...``) — the CLI's native
-  format, see :mod:`repro.cli`;
+  format, read by :func:`load_facts_csv` (which :mod:`repro.cli` uses);
 - **JSON** — structured, round-trip safe, with probabilities stored as
   exact ``"numerator/denominator"`` strings::
 
@@ -31,6 +31,7 @@ quarantined, never raised; see ``docs/durability.md``.
 
 from __future__ import annotations
 
+import csv
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,7 @@ __all__ = [
     "dump_pdb_json",
     "load_pdb_json",
     "dump_pdb_csv",
+    "load_facts_csv",
     "load_pdb_csv",
     "dump_query",
     "load_query",
@@ -175,12 +177,70 @@ def dump_pdb_csv(pdb: ProbabilisticDatabase, stream: TextIO) -> None:
         )
 
 
+def load_facts_csv(
+    stream: TextIO, source: str | None = None
+) -> ProbabilisticDatabase:
+    """Read the fact CSV format :func:`dump_pdb_csv` writes
+    (``relation,probability,constant1,...``).
+
+    Blank lines and lines starting with ``#`` are skipped.  A header
+    row reading ``relation,probability,...`` is also skipped.  A
+    malformed row raises :class:`~repro.errors.ContextualError` naming
+    the ``source`` file and the offending row.
+    """
+    if source is None:
+        name = getattr(stream, "name", None)
+        source = name if isinstance(name, str) else "<csv>"
+    labels: dict[Fact, Fraction] = {}
+    reader = csv.reader(
+        line for line in stream
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+    for row_number, row in enumerate(reader, start=1):
+        if row_number == 1 and row[0].strip().lower() == "relation":
+            continue
+        if len(row) < 3:
+            raise ContextualError(
+                f"{source}: row {row_number}: need relation,probability,"
+                f"constants..., got {row!r}",
+                phase="io.load",
+            )
+        relation = row[0].strip()
+        probability = row[1].strip()
+        try:
+            label = Fraction(probability)
+        except (ValueError, ZeroDivisionError) as failure:
+            raise ContextualError(
+                f"{source}: row {row_number}: invalid probability "
+                f"{probability!r} (expected a rational like '1/2')",
+                phase="io.load",
+            ) from failure
+        if not 0 <= label <= 1:
+            raise ContextualError(
+                f"{source}: row {row_number}: probability "
+                f"{probability!r} outside [0, 1]",
+                phase="io.load",
+            )
+        constants = tuple(value.strip() for value in row[2:])
+        fact = Fact(relation, constants)
+        if fact in labels:
+            raise ContextualError(
+                f"{source}: row {row_number}: duplicate fact {fact}",
+                phase="io.load",
+            )
+        labels[fact] = label
+    if not labels:
+        raise ContextualError(
+            f"{source}: no facts found in CSV input", phase="io.load"
+        )
+    return ProbabilisticDatabase(labels)
+
+
 def load_pdb_csv(
     stream: TextIO, source: str | None = None
 ) -> ProbabilisticDatabase:
-    """Read the CLI's CSV format (delegates to :mod:`repro.cli`)."""
-    from repro.cli import load_facts_csv
-
+    """Read the CLI's CSV format: :func:`load_facts_csv`, with errors
+    naming ``source`` or the stream's file name."""
     return load_facts_csv(stream, source=_source_name(stream, source))
 
 

@@ -77,7 +77,7 @@ from repro.core.journal import (
 )
 from repro.core.parallel import BatchItem, _error_record, evaluate_batch
 from repro.core.resilience import derive_seed, widened_epsilon
-from repro.core.tasks import TASKS
+from repro.core.tasks import TASKS, check_entry
 from repro.db.delta import Delta, VersionedDatabase
 from repro.errors import (
     BudgetExceededError,
@@ -411,20 +411,8 @@ class PQEServer:
         }
         if unknown:
             raise ReproError(f"unknown request fields {sorted(unknown)}")
-        if not isinstance(payload["query"], str):
-            raise ReproError(
-                f"query must be a string, got {payload['query']!r}"
-            )
+        task, method = check_entry(payload, _TASKS)
         query = parse_query(payload["query"])
-        task = payload.get("task", "probability")
-        if task not in _TASKS:
-            raise ReproError(
-                f"unknown task {task!r}; choose from {_TASKS}"
-            )
-        method = payload.get("method", "auto")
-        if not isinstance(method, str):
-            raise ReproError(f"method must be a string, got {method!r}")
-        TASKS[task].check_method(method)
         deadline = payload.get("deadline", self.config.default_deadline)
         if deadline is not None:
             # JSON booleans are Python ints, and Python's decoder

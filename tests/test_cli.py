@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -749,6 +750,41 @@ class TestLoadErrorProvenance:
         err = capsys.readouterr().err
         assert "broken-batch.json" in err
         assert "entry 1" in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"query": 5}, "query must be a string, got 5"),
+            ({"query": ["Q :- R1(x,y)"]}, "query must be a string"),
+            ({"query": "Q :- R1(x,y)", "method": 7},
+             "method must be a string, got 7"),
+            ({"query": "Q :- R1(x,y)", "method": "nope"},
+             "unknown method 'nope'"),
+            ({"query": "Q :- R1(x,y)", "task": ["rpq"]},
+             "unknown task ['rpq']"),
+            ({"query": "a", "task": "rpq", "source": 5, "target": "t"},
+             "source must be a string, got 5"),
+            ({"query": "a", "task": "rpq", "source": "s", "target": ["t"]},
+             "target must be a string"),
+        ],
+        ids=["int-query", "list-query", "int-method", "unknown-method",
+             "list-task", "int-source", "list-target"],
+    )
+    def test_batch_entry_fields_are_checked_at_load(
+        self, tmp_path, capsys, entry, message
+    ):
+        """A batch entry gets the daemon's field checks: a bad field is
+        a load error naming the file and the entry, not a traceback or
+        an item error at run time."""
+        data = tmp_path / "facts.csv"
+        data.write_text(CSV)
+        batch = tmp_path / "bad-fields.json"
+        batch.write_text(json.dumps(["Q :- R1(x,y)", entry]))
+        code = main(["--data", str(data), "--batch", str(batch)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{batch}: batch entry 1: {message}" in err
+        assert "Traceback" not in err
 
     def test_query_file_error_names_file(self, tmp_path, capsys):
         data = tmp_path / "facts.csv"

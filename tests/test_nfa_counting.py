@@ -13,11 +13,12 @@ from repro.automata.nfa_counting import (
     _Counter,
     _ExactConcat,
     _ExactNode,
-    _ExactPrefix,
+    _ExactProduct,
     _karp_luby_union,
-    _PrefixNode,
+    _ProductNode,
     _SumNode,
     _WordPlan,
+    _WORDS,
     count_nfa,
     default_sample_count,
     sample_accepted_strings,
@@ -170,7 +171,8 @@ def _assert_same_node(recipe, eager):
 
 
 class TestRecipes:
-    """Concatenations and prefixes read like the tuples they replace."""
+    """Concatenations and letter prefixes (unary exact products over the
+    word store) read like the tuples they replace."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_unequal_concatenation(self, weighted):
@@ -183,7 +185,7 @@ class TestRecipes:
         weights = parts[2].weights
         if weighted:
             weights = tuple(0.5 * w for w in weights)
-        parts.append(_ExactPrefix(2, parts[2], weights))
+        parts.append(_ExactProduct(_WORDS, 2, [parts[2]], weights))
         concat = _ExactConcat(parts, weighted)
         eager = _ExactNode(
             tuple(m for part in parts for m in part.members),
@@ -199,14 +201,16 @@ class TestRecipes:
         weights = None
         if weighted:
             weights = tuple(0.25 * w for w in child.member_weights())
-        prefix = _ExactPrefix(7, child, weights)
+        prefix = _ExactProduct(_WORDS, 7, [child], weights)
         eager = _ExactNode(
             tuple((7, word) for word in child.members), weights
         )
         _assert_same_node(prefix, eager)
 
     def test_a_word_drawn_twice_is_one_cons_cell(self):
-        prefix = _ExactPrefix(1, _ExactNode(((0, ()), (2, ()))))
+        prefix = _ExactProduct(
+            _WORDS, 1, [_ExactNode(((0, ()), (2, ())))], None
+        )
         assert prefix.member(1) is prefix.member(1)
         rng = random.Random(0)
         draws = [prefix.draw(rng) for _ in range(20)]
@@ -230,8 +234,9 @@ class TestRecipes:
 
 def _recursive_draw(node, rng):
     """One ``draw`` call per link: the order the chain walk keeps."""
-    if isinstance(node, _PrefixNode):
-        return (node.symbol, _recursive_draw(node.child, rng))
+    if isinstance(node, _ProductNode):
+        (child,) = node.children  # a letter prefix is unary
+        return (node.symbol, _recursive_draw(child, rng))
     if isinstance(node, _SumNode):
         pick = rng.random() * node.count
         return _recursive_draw(
@@ -255,11 +260,11 @@ class TestChainWalk:
         values: list = []
         for cell in plan.cells:
             values.append(counter._compute(cell, values))
-        chains = [v for v in values if isinstance(v, _PrefixNode)]
+        chains = [v for v in values if isinstance(v, _ProductNode)]
         chains += [
             v for v in values
             if isinstance(v, _SumNode)
-            and any(isinstance(p, _PrefixNode) for p in v.parts)
+            and any(isinstance(p, _ProductNode) for p in v.parts)
         ]
         assert chains
         for seed, node in enumerate(chains):
@@ -267,6 +272,18 @@ class TestChainWalk:
             for _ in range(5):
                 assert node.draw(walked) == _recursive_draw(node, recursed)
                 assert walked.getstate() == recursed.getstate()
+
+
+    def test_make_chain_conses_like_make(self):
+        word = (5, (6, ()))
+        symbols = [1, 2, 3, 2]
+        folded = word
+        for symbol in reversed(symbols):
+            folded = _WORDS.make(symbol, (folded,))
+        assert _WORDS.make_chain(symbols, word) == folded == (
+            1, (2, (3, (2, word)))
+        )
+        assert _WORDS.make_chain([], word) is word
 
 
 class TestSampling:

@@ -11,12 +11,12 @@ from repro.automata.nfta import LAMBDA, NFTA
 from repro.automata.nfa_counting import (
     _ExactConcat,
     _ExactNode,
+    _ExactProduct,
+    _ProductNode,
     _SumNode,
     weighted_index,
 )
 from repro.automata.nfta_counting import (
-    _ExactProduct,
-    _ProductNode,
     _sampler,
     _TreeCounter,
     count_nfta,
@@ -424,7 +424,7 @@ class TestExactProducts:
 def _recursive_draw(node, rng):
     """One ``draw`` call per link: the order the chain walk keeps."""
     if isinstance(node, _ProductNode):
-        return node.make(node.symbol, tuple(
+        return node.store.make(node.symbol, tuple(
             [_recursive_draw(child, rng) for child in node.children]
         ))
     if isinstance(node, _SumNode):
@@ -483,3 +483,37 @@ class TestChainWalk:
             for _ in range(5):
                 assert node.draw(walked) is _recursive_draw(node, recursed)
                 assert walked.getstate() == recursed.getstate()
+
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    def test_make_chain_interns_like_make(self, backend):
+        plan, new_store = _sampler(_chain_automaton(), 9, backend)
+        symbols = [0, 1, 0, 2, 2]
+        folded_store, chain_store = new_store(), new_store()
+
+        def fold(store, tree):
+            for symbol in reversed(symbols):
+                tree = store.make(symbol, (tree,))
+            return tree
+
+        folded = fold(folded_store, folded_store.make(3, ()))
+        chained = chain_store.make_chain(
+            symbols, chain_store.make(3, ())
+        )
+        # The same id (or an equal tree), and as many trees interned.
+        assert chained == folded
+        assert chain_store.labeled(chained) == folded_store.labeled(folded)
+        assert len(_interned(chain_store)) == len(_interned(folded_store))
+        # Within one store: the same id or object, nothing new interned.
+        count = len(_interned(folded_store))
+        leaf = folded_store.make(3, ())
+        again = folded_store.make_chain(symbols, leaf)
+        assert again == folded
+        if backend == "reference":
+            assert again is folded
+        assert len(_interned(folded_store)) == count
+        assert folded_store.make_chain([], leaf) == leaf
+
+
+def _interned(store):
+    """What a tree store has interned."""
+    return store._nodes if hasattr(store, "_nodes") else store._intern

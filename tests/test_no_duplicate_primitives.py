@@ -1,7 +1,8 @@
 """Lint: one memo store and one process-global memo, one durable-write
 path, one JSON form of an answer and of an error, one weighted pick,
 one backend table, one scalar layer DP, one Hoeffding bound, one
-Karp–Luby union loop and no sleep before a retry in ``src/repro/``.
+Karp–Luby union loop, one sampler chain walk and no sleep before a
+retry in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache` — and one module-level
@@ -29,11 +30,19 @@ Monte-Carlo sample count is
 :func:`repro.core.monte_carlo.additive_sample_bound`.  CountNFA and
 CountNFTA estimate their overlapping unions with one loop,
 :func:`repro.automata.nfa_counting._karp_luby_union`, the only owner of
-the ``max_attempts`` fallback.  A hand-copied LRU, log, bisection,
-backend choice, record writer, DP loop, bound or union loop elsewhere
-drifts from the original: its counters, its eviction, its crash
-safety, its strict JSON, its tie-breaking, its budget charges or its
-answers stop being the ones the tests check.  Nothing sleeps but the fault injector's stall and
+the ``max_attempts`` fallback.  Words and trees share one node family:
+a letter prefix is a unary
+:class:`~repro.automata.nfa_counting._ProductNode`, whose ``draw`` is
+the one loop that walks a chain of unary products and the
+``_SumNode`` picks between them, and a chain is built by its store's
+``make_chain`` (the word store in :mod:`repro.automata.nfa_counting`,
+the tree stores in :mod:`repro.automata.nfta_counting`), so a second
+prefix node or chain walk cannot return.  A hand-copied LRU, log,
+bisection, backend choice, record writer, DP loop, bound, union loop
+or chain walk elsewhere drifts from the original: its counters, its
+eviction, its crash safety, its strict JSON, its tie-breaking, its
+budget charges, its random stream or its answers stop being the ones
+the tests check.  Nothing sleeps but the fault injector's stall and
 crash waits (:mod:`repro.testing.faults`): a retry re-runs CPU-bound
 sampling on a fresh seed, so a delay before it would only spend the
 item's deadline.  So this test greps the source tree for the
@@ -82,6 +91,15 @@ _OWNED = {
     re.compile(r"2 \* epsilon\s*\*\*\s*2"): {"core/monte_carlo.py"},
     # The Karp–Luby union loop's give-up bound: a second union loop.
     re.compile(r"\bmax_attempts\s*=(?!=)"): {"automata/nfa_counting.py"},
+    # A test for a sum node: a second chain walk stepping through the
+    # sum picks (``_ProductNode.draw`` owns the one walk).
+    re.compile(r"\bis\s+_SumNode\b|isinstance\([^)]*\b_SumNode\b"): {
+        "automata/nfa_counting.py"
+    },
+    # Building a chain: only the word store and the tree stores do.
+    re.compile(r"\bdef make_chain\b"): {
+        "automata/nfa_counting.py", "automata/nfta_counting.py"
+    },
     # A wait: retries run at once, so only injected stalls sleep.
     re.compile(r"\btime\.sleep\s*\("): {"testing/faults.py"},
 }
@@ -121,7 +139,9 @@ def test_no_second_lru_or_fsync_path():
         "names and the scalar layer DP to repro.core.kernels, the "
         "additive sample bound to repro.core.monte_carlo, the "
         "Karp-Luby union loop to "
-        "repro.automata.nfa_counting._karp_luby_union and sleeps to "
+        "repro.automata.nfa_counting._karp_luby_union, the chain walk "
+        "to repro.automata.nfa_counting._ProductNode.draw (make_chain "
+        "to the word and tree stores) and sleeps to "
         "repro.testing.faults; build on them instead:\n"
         + "\n".join(violations)
     )

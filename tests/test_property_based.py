@@ -23,7 +23,8 @@ cover:
   they replaced, kept here as the reference.
 - **Sampler membership oracles**: the interned tree store's
   derivability over dense state ids agrees with
-  :meth:`NFTA.derivable_states`, and the CountNFA cons-cell acceptance
+  :meth:`NFTA.derivable_states`, whose step :meth:`NFTA.derived` equals
+  the rule-scanning definition, and the CountNFA cons-cell acceptance
   masks agree with :meth:`NFA.accepts_from`.
 """
 
@@ -413,6 +414,24 @@ def _trees_up_to(max_size: int) -> list[LabeledTree]:
 _SMALL_TREES = _trees_up_to(4)
 
 
+def _scanned(nfta: NFTA, symbol, child_sets) -> frozenset:
+    """The rule-scanning definition of one bottom-up step: the sources
+    of every ``symbol`` rule whose i-th child is in ``child_sets[i]``."""
+    return frozenset(
+        source
+        for source, label, children in nfta.transitions
+        if label == symbol
+        and len(children) == len(child_sets)
+        and all(c in found for c, found in zip(children, child_sets))
+    )
+
+
+def _scanned_states(nfta: NFTA, tree: LabeledTree) -> frozenset:
+    return _scanned(nfta, tree.label, [
+        _scanned_states(nfta, child) for child in tree.children
+    ])
+
+
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=40, deadline=None)
 def test_compiled_derivability_matches_derivable_states(seed):
@@ -420,9 +439,21 @@ def test_compiled_derivability_matches_derivable_states(seed):
     automaton; on every tree of up to four nodes it must agree with the
     automaton's own bottom-up ``derivable_states`` for every state that
     survives compilation — dead, unreachable and duplicate structure
-    included."""
+    included.  ``derivable_states`` folds :meth:`NFTA.derived`, which
+    must equal the rule-scanning step, on those trees and on random
+    child sets (whether it looks up child combinations or scans)."""
     rng = random.Random(seed)
     nfta = _messy_random_nfta(rng)
+    states = sorted(nfta.states, key=str)
+    for symbol in "abc":
+        for arity in range(4):
+            child_sets = [
+                frozenset(s for s in states if rng.random() < 0.4)
+                for _ in range(arity)
+            ]
+            assert nfta.derived(symbol, child_sets) == _scanned(
+                nfta, symbol, child_sets
+            )
     plan = _CounterPlan(nfta, optimize_nfta(nfta), 1)
     store = _InternedTrees(plan)
     symbol_ids = {symbol: index for index, symbol in enumerate(plan.symbols)}
@@ -435,6 +466,7 @@ def test_compiled_derivability_matches_derivable_states(seed):
 
     for tree in _SMALL_TREES:
         derivable = nfta.derivable_states(tree)
+        assert derivable == _scanned_states(nfta, tree)
         tree_id = intern(tree)
         for state_id, state in enumerate(plan.states):
             assert store.derives(state_id, tree_id) == (state in derivable)

@@ -4,6 +4,10 @@ from collections import Counter
 
 import pytest
 
+from repro.automata.nfa import NFA
+from repro.automata.nfa_counting import sample_accepted_strings
+from repro.automata.nfta import NFTA
+from repro.automata.nfta_counting import sample_accepted_trees
 from repro.core.sampling import (
     sample_posterior_worlds,
     sample_satisfying_subinstances,
@@ -19,6 +23,50 @@ from repro.workloads.instances import (
     random_instance_for_query,
     random_probabilities,
 )
+
+
+_INSTANCE = layered_path_instance(2, 2, 0.7, seed=1)
+
+#: Every k-draw entry point, as ``(size, epsilon) -> draws``; only the
+#: automaton samplers take a size.
+_ENTRY_POINTS = {
+    "strings": lambda size, epsilon: sample_accepted_strings(
+        NFA([(0, "a", 0), (0, "b", 0)], initial=[0], accepting=[0]),
+        size, 2, epsilon=epsilon, seed=0,
+    ),
+    "trees": lambda size, epsilon: sample_accepted_trees(
+        NFTA([("q", "a", ()), ("q", "a", ("q", "q"))], initial="q"),
+        size, 2, epsilon=epsilon, seed=0,
+    ),
+    "subinstances": lambda size, epsilon: sample_satisfying_subinstances(
+        path_query(2), _INSTANCE, 2, epsilon=epsilon, seed=0
+    ),
+    "posterior": lambda size, epsilon: sample_posterior_worlds(
+        path_query(2), ProbabilisticDatabase.uniform(_INSTANCE), 2,
+        epsilon=epsilon, seed=0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, size, epsilon, message",
+    [
+        (entry, 3, epsilon, "epsilon must be in (0, 1)")
+        for entry in _ENTRY_POINTS
+        for epsilon in (0, 1, 1.5, -0.5)
+    ] + [
+        ("strings", -1, 0.25, "length must be >= 0, got -1"),
+        ("trees", -1, 0.25, "empty"),
+    ],
+)
+def test_entry_points_check_their_arguments(entry, size, epsilon, message):
+    """The k-draw entry points reject what the counters reject, with an
+    :class:`EstimationError` before any sampling — not a bare
+    ``ZeroDivisionError``, a silent bad ε, or (a negative word length)
+    a plan that never ends."""
+    with pytest.raises(EstimationError) as failure:
+        _ENTRY_POINTS[entry](size, epsilon)
+    assert message in str(failure.value)
 
 
 class TestUniformSampling:
