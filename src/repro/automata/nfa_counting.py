@@ -284,11 +284,8 @@ class _ExactProduct(_Recipe):
         super().__init__(_product_size(children), weights)
 
     def _resolve(self, index: int):
-        children = self._children
-        if len(children) == 1:
-            return self._store.make(self._symbol, (children[0].member(index),))
         picked = []
-        for child in reversed(children):
+        for child in reversed(self._children):
             index, digit = divmod(index, child.size)
             picked.append(child.member(digit))
         picked.reverse()

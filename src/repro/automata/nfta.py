@@ -15,7 +15,6 @@ membership oracle to it).
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from functools import cached_property
 from itertools import chain, product
@@ -163,55 +162,33 @@ class NFTA:
     @cached_property
     def by_symbol_arity(
         self,
-    ) -> dict[tuple[Symbol, int], tuple[tuple[State, tuple[State, ...]], ...]]:
-        """(symbol, arity) → ((source, children), …) — the hot index for
-        bottom-up membership checks."""
-        out: dict[tuple[Symbol, int], list] = {}
-        for source, symbol, children in self._transitions:
-            out.setdefault((symbol, len(children)), []).append(
-                (source, children)
-            )
-        return {k: tuple(v) for k, v in out.items()}
-
-    # ------------------------------------------------------------------
-    # Membership (bottom-up)
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def _rules_by_children(
-        self,
-    ) -> dict[tuple[Symbol, int], dict[tuple[State, ...], list[State]]]:
-        """(symbol, arity) → children → the sources of those rules."""
+    ) -> dict[tuple[Symbol, int], dict[tuple[State, ...], tuple[State, ...]]]:
+        """(symbol, arity) → children → the sources of those rules: the
+        index :meth:`derived` looks child-state tuples up in."""
         out: dict[tuple[Symbol, int], dict] = {}
         for source, symbol, children in self._transitions:
             out.setdefault((symbol, len(children)), {}).setdefault(
                 children, []
             ).append(source)
-        return out
+        return {
+            key: {children: tuple(sources) for children, sources in rules.items()}
+            for key, rules in out.items()
+        }
+
+    # ------------------------------------------------------------------
+    # Membership (bottom-up)
+    # ------------------------------------------------------------------
 
     def derived(self, symbol: Symbol, child_sets) -> frozenset[State]:
         """One bottom-up step: the states deriving a ``symbol`` node
-        whose i-th child is derivable from exactly ``child_sets[i]``.
-
-        The rules are indexed by their child tuples, so the step looks
-        up each combination of child states, unless there are more
-        combinations than rules, when it scans the rules instead: small
-        derivable sets stay near-constant per node even where one symbol
-        has many rules (gadget automata).
-        """
-        table = self._rules_by_children.get((symbol, len(child_sets)))
-        if table is None:
+        whose i-th child is derivable from exactly ``child_sets[i]``,
+        read off :attr:`by_symbol_arity` one combination of child
+        states at a time."""
+        rules = self.by_symbol_arity.get((symbol, len(child_sets)))
+        if rules is None:
             return frozenset()
-        combinations = 1
-        for child_set in child_sets:
-            combinations *= len(child_set)
-        if combinations <= len(table):
-            return frozenset(chain.from_iterable(
-                table.get(children, ()) for children in product(*child_sets)
-            ))
         return frozenset(chain.from_iterable(
-            sources for children, sources in table.items()
-            if all(map(operator.contains, child_sets, children))
+            rules.get(children, ()) for children in product(*child_sets)
         ))
 
     def derivable_states(self, tree: LabeledTree) -> frozenset[State]:

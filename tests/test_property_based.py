@@ -440,8 +440,8 @@ def test_compiled_derivability_matches_derivable_states(seed):
     automaton's own bottom-up ``derivable_states`` for every state that
     survives compilation — dead, unreachable and duplicate structure
     included.  ``derivable_states`` folds :meth:`NFTA.derived`, which
-    must equal the rule-scanning step, on those trees and on random
-    child sets (whether it looks up child combinations or scans)."""
+    looks child-state tuples up and must equal the rule-scanning step,
+    on those trees and on random child sets."""
     rng = random.Random(seed)
     nfta = _messy_random_nfta(rng)
     states = sorted(nfta.states, key=str)
