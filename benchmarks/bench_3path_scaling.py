@@ -11,7 +11,7 @@ bench_lineage_blowup).
 from __future__ import annotations
 
 from repro.bench.harness import ResultTable, fit_growth_exponent, timed
-from repro.core.ur_estimate import ur_estimate
+from repro.core.pqe_estimate import ur_estimate
 from repro.core.ur_reduction import build_ur_reduction
 from repro.queries.builders import path_query
 from repro.workloads.graphs import complete_layered_path_instance

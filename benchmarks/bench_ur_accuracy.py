@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.bench.harness import ResultTable, relative_error
 from repro.core.exact import exact_uniform_reliability
-from repro.core.ur_estimate import ur_estimate
+from repro.core.pqe_estimate import ur_estimate
 from repro.queries.builders import (
     branching_tree_query,
     chain_query,

@@ -64,6 +64,7 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, product
 from operator import add
@@ -78,7 +79,9 @@ from repro.obs import span
 __all__ = [
     "CountResult",
     "count_nfa",
+    "probability_from_measure",
     "sample_accepted_strings",
+    "scaled_count",
     "weighted_index",
 ]
 
@@ -120,6 +123,41 @@ class CountResult:
 
     def __float__(self) -> float:
         return float(self.estimate)
+
+    @classmethod
+    def of_exact(cls, measure) -> "CountResult":
+        """An exact count's result: ``inf`` past the float range."""
+        try:
+            estimate = float(measure)
+        except OverflowError:
+            estimate = math.inf
+        return cls(estimate=estimate, exact=True, samples_used=0)
+
+
+def probability_from_measure(measure, denominator: int) -> float:
+    """``measure / denominator`` clamped to 1 (an estimate above 1 is
+    sampling error): a weighted count as a probability.  Past the float
+    range an exact measure gives the correctly rounded ratio; a float
+    measure that overflowed to ``inf`` raises
+    :class:`~repro.errors.EstimationError`."""
+    try:
+        return min(float(measure) / denominator, 1.0)
+    except OverflowError:
+        if measure == math.inf:
+            raise EstimationError(
+                "the estimated measure and its denominator are both past "
+                "the float range; an exact method gives the probability"
+            ) from None
+        return min(float(Fraction(measure) / denominator), 1.0)
+
+
+def scaled_count(count, scale: int) -> float:
+    """``count · scale`` (``scale = 2^|D \\ D'|`` in Theorems 2 and 3):
+    ``inf`` past the float range."""
+    try:
+        return float(count) * scale
+    except OverflowError:
+        return math.inf if count else 0.0
 
 
 def weighted_index(cumulative: list[float], pick: float) -> int:
@@ -590,16 +628,19 @@ class _CounterBase:
 
 
 def _check_arguments(
-    epsilon: float, samples: int | None = None, repetitions: int = 1
+    epsilon: float, samples: int | None = None, repetitions: int = 1,
+    k: int = 0,
 ) -> None:
     """The argument checks every counting and k-draw entry point makes,
-    before any work."""
+    before any work (``k`` is the draw count of a k-draw one)."""
     if not 0 < epsilon < 1:
         raise EstimationError(f"epsilon must be in (0, 1), got {epsilon}")
     if repetitions < 1:
         raise EstimationError("repetitions must be >= 1")
     if samples is not None and samples < 1:
         raise EstimationError("samples must be >= 1")
+    if k < 0:
+        raise EstimationError(f"k must be >= 0, got {k}")
 
 
 def _check_length(length: int) -> None:
@@ -899,9 +940,7 @@ def count_nfa(
                 max_subsets=min(_EXACT_SWEEP_FRONTIER, exact_set_cap),
             )
             if measure is not None:
-                return CountResult(
-                    estimate=float(measure), exact=True, samples_used=0
-                )
+                return CountResult.of_exact(measure)
         plan = _WordPlan(nfa, length)
         return lambda rng: _Counter(
             plan, length, epsilon, samples, exact_set_cap, rng,
@@ -930,7 +969,7 @@ def sample_accepted_strings(
     generator).  With ``weight_of``, draws are approximately
     weight-proportional.
     """
-    _check_arguments(epsilon)
+    _check_arguments(epsilon, k=k)
     _check_length(length)
     plan = _WordPlan(nfa, length)
     counter = _Counter(

@@ -746,7 +746,7 @@ def sample_accepted_trees(
     """
     from repro.core import kernels
 
-    _check_arguments(epsilon)
+    _check_arguments(epsilon, k=k)
     plan, new_store = _sampler(nfta, size, kernels.resolve_backend(backend))
     store = new_store()
     counter = _TreeCounter(

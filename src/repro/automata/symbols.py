@@ -55,6 +55,9 @@ Symbol = Hashable
 class Literal:
     """A fact literal: the fact's presence (positive) or absence.
 
+    The RPQ product (:mod:`repro.graphs.product`) puts an
+    :class:`~repro.graphs.model.Edge` in ``fact``.
+
     >>> lit = Literal(Fact("R", ("a",)), positive=True)
     >>> str(lit)
     'R(a)'
@@ -84,11 +87,11 @@ def negate(symbol: Literal) -> Literal:
 def literal_weights(probabilities):
     """Symbol weights of the weighted (gadget-free) measure.
 
-    With ``π(f) = w_f / d_f`` (a :class:`fractions.Fraction` per fact in
-    ``probabilities``), a positive literal of f weighs ``w_f``, a
-    negative one ``d_f − w_f`` and every other symbol 1, so the
-    weighted count of accepted trees or words divided by ``Π_f d_f`` is
-    ``Pr_H(Q)``.
+    With ``π(f) = w_f / d_f`` (a :class:`fractions.Fraction` per fact,
+    or per edge, in ``probabilities``), a positive literal of f weighs
+    ``w_f``, a negative one ``d_f − w_f`` and every other symbol 1, so
+    the weighted count of accepted trees or words divided by
+    ``Π_f d_f`` is ``Pr_H(Q)``.
     """
 
     def weight_of(symbol):

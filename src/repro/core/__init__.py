@@ -1,5 +1,6 @@
-"""The paper's algorithms: PathEstimate, UREstimate, PQEEstimate, the
-underlying reductions, exact ground truth, and the PQEEngine facade."""
+"""The paper's algorithms: PathEstimate, UREstimate and PQEEstimate
+(which share one result type, :class:`PQEEstimate`), the underlying
+reductions, exact ground truth, and the PQEEngine facade."""
 
 from repro.core.cache import CacheStats, ReductionCache
 from repro.core.estimator import PQEAnswer, PQEEngine, PQEPlan
@@ -27,8 +28,8 @@ from repro.core.pqe_estimate import (
     PQEReduction,
     build_pqe_reduction,
     pqe_estimate,
+    ur_estimate,
 )
-from repro.core.ur_estimate import UREstimate, ur_estimate
 from repro.core.ur_reduction import URReduction, build_ur_reduction
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "PathReductionResult",
     "ur_estimate",
     "build_ur_reduction",
-    "UREstimate",
     "URReduction",
     "pqe_estimate",
     "build_pqe_reduction",

@@ -42,9 +42,8 @@ from repro.obs import (
 )
 from repro.core.exact import exact_probability, exact_uniform_reliability
 from repro.core.monte_carlo import monte_carlo_probability
-from repro.core.pqe_estimate import pqe_estimate
+from repro.core.pqe_estimate import pqe_estimate, ur_estimate
 from repro.core.tasks import TASKS, probability_route
-from repro.core.ur_estimate import ur_estimate
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import LineageSizeBudgetExceeded, ReproError

@@ -24,7 +24,12 @@ import math
 from dataclasses import dataclass
 
 from repro.automata.nfa import NFA
-from repro.automata.nfa_counting import CountResult, count_nfa
+from repro.automata.nfa_counting import (
+    CountResult,
+    count_nfa,
+    probability_from_measure,
+    scaled_count,
+)
 from repro.automata.symbols import Literal, literal_weights
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
@@ -218,6 +223,32 @@ class PathEstimate:
         return self.estimate
 
 
+def _estimate_words(
+    reduction: PathReductionResult, normalise, by: int, exact: bool,
+    weight_of, **sampler,
+) -> PathEstimate:
+    """The word-count step both path estimators share: the exact subset
+    DP (whose integer measure normalises exactly past the float range)
+    or CountNFA over ``reduction.nfa`` at ``reduction.string_length``,
+    weighted by ``weight_of`` unless it is ``None``; the answer is
+    ``normalise(measure, by)``."""
+    nfa = reduction.nfa
+    if exact:
+        measure = nfa.count_exact(reduction.string_length, weight_of=weight_of)
+        result = CountResult.of_exact(measure)
+    else:
+        result = count_nfa(
+            nfa, reduction.string_length, weight_of=weight_of, **sampler
+        )
+        if math.isnan(result.estimate):
+            raise AssertionError("count_nfa returned NaN")
+        measure = result.estimate
+    return PathEstimate(
+        normalise(measure, by), result, len(nfa.states),
+        nfa.num_transitions, reduction.string_length,
+    )
+
+
 def path_estimate(
     query: ConjunctiveQuery,
     instance: DatabaseInstance,
@@ -231,26 +262,14 @@ def path_estimate(
 
     Runtime is polynomial in |Q|, |D| and 1/ε: the NFA has
     O(|Q| · max_i c_i²) states and CountNFA is polynomial in the NFA size
-    and the string length |D|.
+    and the string length |D|.  A count past the float range is
+    ``inf``.
     """
     reduction = build_path_nfa(query, instance)
-    result = count_nfa(
-        reduction.nfa,
-        reduction.string_length,
-        epsilon=epsilon,
-        seed=seed,
-        samples=samples,
-        exact_set_cap=exact_set_cap,
-        repetitions=repetitions,
-    )
-    if math.isnan(result.estimate):
-        raise AssertionError("count_nfa returned NaN")
-    return PathEstimate(
-        estimate=result.estimate * reduction.scale,
-        count_result=result,
-        nfa_states=len(reduction.nfa.states),
-        nfa_transitions=reduction.nfa.num_transitions,
-        string_length=reduction.string_length,
+    return _estimate_words(
+        reduction, scaled_count, reduction.scale, False, None,
+        epsilon=epsilon, seed=seed, samples=samples,
+        exact_set_cap=exact_set_cap, repetitions=repetitions,
     )
 
 
@@ -276,39 +295,16 @@ def path_pqe_estimate(
     Results agree with the Theorem 1 tree pipeline (unit-tested); for
     path queries this NFA route is typically the fastest evaluator in
     the library.  ``method`` is ``'fpras'`` or ``'exact'`` (weighted
-    layered subset DP).
+    layered subset DP).  A sampled measure past the float range over a
+    ``Π_f d_f`` past it too raises :class:`~repro.errors.EstimationError`.
     """
+    if method not in ("fpras", "exact"):
+        raise ValueError(f"unknown method {method!r}")
     projected = pdb.project_to_query(query)
     reduction = build_path_nfa(query, projected.instance)
-    weight_of = literal_weights(projected.probabilities)
-    denominator = projected.denominator_product
-
-    if method == "exact":
-        measure = reduction.nfa.count_exact(
-            reduction.string_length, weight_of=weight_of
-        )
-        result = CountResult(
-            estimate=float(measure), exact=True, samples_used=0
-        )
-    elif method == "fpras":
-        result = count_nfa(
-            reduction.nfa,
-            reduction.string_length,
-            epsilon=epsilon,
-            seed=seed,
-            samples=samples,
-            exact_set_cap=exact_set_cap,
-            repetitions=repetitions,
-            weight_of=weight_of,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # Clamp: a probability estimate above 1 is pure sampling error.
-    return PathEstimate(
-        estimate=min(result.estimate / denominator, 1.0),
-        count_result=result,
-        nfa_states=len(reduction.nfa.states),
-        nfa_transitions=reduction.nfa.num_transitions,
-        string_length=reduction.string_length,
+    return _estimate_words(
+        reduction, probability_from_measure, projected.denominator_product,
+        method == "exact", literal_weights(projected.probabilities),
+        epsilon=epsilon, seed=seed, samples=samples,
+        exact_set_cap=exact_set_cap, repetitions=repetitions,
     )

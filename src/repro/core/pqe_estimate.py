@@ -1,7 +1,13 @@
-"""PQEEstimate (Theorem 1): FPRAS for probabilistic query evaluation.
+"""PQEEstimate (Theorem 1) and UREstimate (Theorem 3): the FPRASes for
+probabilistic query evaluation and uniform reliability.
 
-Extends the uniform-reliability reduction to arbitrary rational fact
-probabilities with the multiplier construction of Section 5:
+Both count trees in one step, :func:`_estimate_trees`: UREstimate
+scales the count by ``2^{|D \\ D'|}``, PQEEstimate divides it by
+``d = Π_f d_f``.
+
+PQEEstimate extends the uniform-reliability reduction to arbitrary
+rational fact probabilities with the multiplier construction of
+Section 5:
 
 - write each label as ``π(f) = w_f / d_f`` in lowest terms;
 - in the λ-free NFTA of Proposition 1, weight every positive literal
@@ -31,7 +37,11 @@ from repro.automata.multiplier import (
     MultiplierNFTA,
     minimal_gadget_bits,
 )
-from repro.automata.nfa_counting import CountResult
+from repro.automata.nfa_counting import (
+    CountResult,
+    probability_from_measure,
+    scaled_count,
+)
 from repro.automata.nfta import NFTA
 from repro.automata.nfta_counting import count_nfta, count_nfta_exact
 from repro.automata.symbols import Literal, literal_weights
@@ -41,13 +51,20 @@ from repro.core.ur_reduction import (
     build_ur_reduction,
 )
 from repro.db.fact import Fact
+from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.decomposition import HypertreeDecomposition
 from repro.errors import AutomatonError
 from repro.obs import span
 from repro.queries.cq import ConjunctiveQuery
 
-__all__ = ["PQEReduction", "PQEEstimate", "build_pqe_reduction", "pqe_estimate"]
+__all__ = [
+    "PQEReduction",
+    "PQEEstimate",
+    "build_pqe_reduction",
+    "pqe_estimate",
+    "ur_estimate",
+]
 
 
 def _gadget_bits(probability: Fraction) -> int:
@@ -207,14 +224,16 @@ def _build_pqe_reduction_body(
 
 @dataclass(frozen=True)
 class PQEEstimate:
-    """Result of the Theorem 1 estimator."""
+    """Result of the Theorem 1 and Theorem 3 estimators (the reduction
+    of :func:`ur_estimate` is a :class:`URReduction`)."""
 
     estimate: float
     count_result: CountResult
-    reduction: PQEReduction
+    reduction: PQEReduction | URReduction
 
     @property
     def exact(self) -> bool:
+        """True when the hybrid counter stayed exact end to end."""
         return self.count_result.exact
 
     @property
@@ -227,6 +246,124 @@ class PQEEstimate:
 
     def __float__(self) -> float:
         return self.estimate
+
+
+def _estimate_trees(
+    reduction, normalise, by: int, exact: bool, weight_of, backend: str,
+    cache, key: tuple | None, relations: frozenset, weighted: bool = True,
+    **sampler,
+) -> PQEEstimate:
+    """The tree-count step both estimators share: the exact DP (whose
+    integer measure normalises exactly past the float range) or
+    CountNFTA over ``reduction.nfta`` at ``reduction.tree_size``,
+    weighted by ``weight_of`` unless it is ``None``; the answer is
+    ``normalise(measure, by)``.
+
+    With a ``key``, a CountNFTA result is stored in ``cache`` (with
+    ``relations`` and ``weighted`` as in
+    :meth:`~repro.core.cache.ReductionCache.get_or_build`) only when it
+    stayed exact: it then depends on the automaton, tree size, weights
+    and cap, not the seed, so it is shareable, while a sampled one
+    stays private and a fixed seed gives the same estimate with or
+    without a cache.  The key holds the backend, though every backend
+    is bitwise-identical, so differential runs never share a result.
+    """
+    if exact:
+        measure = count_nfta_exact(
+            reduction.nfta, reduction.tree_size, weight_of=weight_of,
+            backend=backend,
+        )
+        result = CountResult.of_exact(measure)
+    else:
+        def run_count() -> CountResult:
+            return count_nfta(
+                reduction.nfta, reduction.tree_size, weight_of=weight_of,
+                backend=backend, **sampler,
+            )
+
+        if key is None:
+            result = run_count()
+        else:
+            result = cache.get_or_build(
+                key, run_count, cache_if=lambda result: result.exact,
+                relations=relations, weighted=weighted,
+            )
+        measure = result.estimate
+    return PQEEstimate(normalise(measure, by), result, reduction)
+
+
+def ur_estimate(
+    query: ConjunctiveQuery,
+    instance: DatabaseInstance,
+    epsilon: float = 0.25,
+    seed: int | None = None,
+    samples: int | None = None,
+    exact_set_cap: int = 4096,
+    repetitions: int = 1,
+    decomposition: HypertreeDecomposition | None = None,
+    method: str = "fpras",
+    cache=None,
+    backend=None,
+) -> PQEEstimate:
+    """Theorem 3's UREstimate: a (1 ± ε)-approximation of UR(Q, D).
+
+    Chains the Proposition 1 construction with CountNFTA:
+
+        UR(Q, D) = 2^{|D \\ D'|} · |L_k(T)|
+
+    where D' is D projected onto Q's relations, T the translated NFTA,
+    and k the accepted-tree size reported by the reduction.  Runtime is
+    polynomial in |Q|, |D| and 1/ε for any query class of bounded
+    hypertree width; a count past the float range is ``inf``.
+
+    Parameters
+    ----------
+    method:
+        ``'fpras'`` (the paper's algorithm) or ``'exact-automaton'``
+        (same reduction, but the determinization-based exact counter —
+        exponential worst case, used for validation).
+    cache:
+        Optional :class:`~repro.core.cache.ReductionCache`; memoizes the
+        Proposition 1 build (see
+        :func:`repro.core.ur_reduction.build_ur_reduction`) and exact
+        (seed-independent) count results; sampled counts are never
+        stored, so a fixed seed yields the same estimate with or
+        without a cache.
+    backend:
+        Counting-kernel backend, ``'optimized'`` (default; also spelled
+        ``'vectorized'``) or ``'reference'`` — see
+        :mod:`repro.core.kernels`.  Bitwise-identical results under
+        every name.
+    """
+    from repro.core.kernels import resolve_backend
+
+    backend = resolve_backend(backend)
+    if method not in ("fpras", "exact-automaton"):
+        raise ValueError(f"unknown method {method!r}")
+    reduction = build_ur_reduction(
+        query, instance, decomposition=decomposition, cache=cache
+    )
+    relations = frozenset(query.relation_names)
+    key = None
+    if cache is not None and decomposition is None:
+        key = (
+            "count", "ur", query.cache_token,
+            instance.projection_token(relations), exact_set_cap, backend,
+        )
+    return _estimate_trees(
+        reduction, scaled_count, reduction.scale,
+        method == "exact-automaton", None, backend, cache, key, relations,
+        # The count sees only the instance's fact sets (via the
+        # unweighted projection token): reweights never stale it.
+        weighted=False,
+        epsilon=epsilon, seed=seed, samples=samples,
+        exact_set_cap=exact_set_cap, repetitions=repetitions,
+    )
+
+
+_PQE_METHODS = (
+    "fpras", "fpras-weighted", "exact-automaton", "exact-weighted",
+)
 
 
 def pqe_estimate(
@@ -271,74 +408,33 @@ def pqe_estimate(
         ``'vectorized'``) or ``'reference'`` — see
         :mod:`repro.core.kernels`.  Both are bitwise-identical for any
         seed; ``reference`` exists for differential testing and triage.
+
+    A sampled measure past the float range over a ``d`` past it too
+    raises :class:`~repro.errors.EstimationError`; exact methods answer.
     """
     from repro.core.kernels import resolve_backend
 
     backend = resolve_backend(backend)
+    if method not in _PQE_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     weighted = method in ("fpras-weighted", "exact-weighted")
     reduction = build_pqe_reduction(
         query, pdb, decomposition=decomposition, weighted=weighted,
         cache=cache,
     )
-    if method == "exact-automaton":
-        exact_count = count_nfta_exact(
-            reduction.nfta, reduction.tree_size, backend=backend
+    relations = frozenset(query.relation_names)
+    key = None
+    if cache is not None and decomposition is None:
+        key = (
+            "count", "pqe", query.cache_token,
+            pdb.projection_token(relations),
+            method, exact_set_cap, backend,
         )
-        count_result = CountResult(
-            estimate=float(exact_count), exact=True, samples_used=0
-        )
-    elif method == "exact-weighted":
-        measure = count_nfta_exact(
-            reduction.nfta,
-            reduction.tree_size,
-            weight_of=reduction.weight_of,
-            backend=backend,
-        )
-        count_result = CountResult(
-            estimate=float(measure), exact=True, samples_used=0
-        )
-    elif method in ("fpras", "fpras-weighted"):
-        def run_count() -> CountResult:
-            return count_nfta(
-                reduction.nfta,
-                reduction.tree_size,
-                epsilon=epsilon,
-                seed=seed,
-                samples=samples,
-                exact_set_cap=exact_set_cap,
-                repetitions=repetitions,
-                weight_of=reduction.weight_of if weighted else None,
-                backend=backend,
-            )
-
-        if cache is not None and decomposition is None:
-            # The hybrid counter is deterministic whenever it stays in
-            # the exact regime (the result then depends only on the
-            # automaton, tree size, weights, and the cap — not on the
-            # seed), so exact counts are shareable across batch items;
-            # sampled counts are seed-dependent and stay private.
-            # The backend is part of the key even though both backends
-            # are bitwise-identical: it keeps differential runs from
-            # serving one backend's result to the other.
-            count_relations = frozenset(query.relation_names)
-            count_result = cache.get_or_build(
-                (
-                    "count", "pqe", query.cache_token,
-                    pdb.projection_token(count_relations),
-                    method, exact_set_cap, backend,
-                ),
-                run_count,
-                cache_if=lambda result: result.exact,
-                relations=count_relations,
-            )
-        else:
-            count_result = run_count()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # A probability estimate above 1 can only be sampling error;
-    # clamping is a strictly accuracy-improving post-process.
-    return PQEEstimate(
-        estimate=min(count_result.estimate / reduction.denominator, 1.0),
-        count_result=count_result,
-        reduction=reduction,
+    return _estimate_trees(
+        reduction, probability_from_measure, reduction.denominator,
+        method.startswith("exact"),
+        reduction.weight_of if weighted else None, backend, cache, key,
+        relations,
+        epsilon=epsilon, seed=seed, samples=samples,
+        exact_set_cap=exact_set_cap, repetitions=repetitions,
     )

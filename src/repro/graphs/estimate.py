@@ -33,7 +33,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.automata.nfa_counting import CountResult, count_nfa
+from repro.automata.nfa_counting import (
+    CountResult,
+    count_nfa,
+    probability_from_measure,
+)
 from repro.core.budget import budget_tick
 from repro.core.monte_carlo import additive_sample_bound
 from repro.errors import EstimationError, GraphError
@@ -296,12 +300,12 @@ def rpq_probability_estimate(
             weight_of=weight_of,
         )
     metric_inc("rpq.count.samples", result.samples_used)
-    # Clamp: a probability estimate above 1 is pure sampling error.
     # No rational is reported even for exact runs — the counter
     # accumulates in floats, so only the DP route certifies rationals.
-    estimate = min(result.estimate / reduction.denominator, 1.0)
     return RPQEstimate(
-        estimate=estimate,
+        estimate=probability_from_measure(
+            result.estimate, reduction.denominator
+        ),
         method="fpras",
         exact=result.exact,
         rational=None,

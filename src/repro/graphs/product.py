@@ -39,13 +39,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from repro.automata.nfa import NFA
+from repro.automata.symbols import Literal, literal_weights
 from repro.core.budget import budget_tick
 from repro.errors import GraphError
 from repro.graphs.model import Edge, ProbabilisticGraph
 from repro.graphs.rpq import RPQQuery
 
 __all__ = [
-    "Literal",
     "RPQReduction",
     "build_rpq_nfa",
     "make_weight_of",
@@ -272,36 +272,10 @@ def build_rpq_nfa(
 
 
 def make_weight_of(graph: ProbabilisticGraph):
-    """Literal → integer weight, as in the Section 3 weighted measure."""
-
-    probabilities = graph.probabilities
-
-    def weight_of(symbol):
-        if isinstance(symbol, Literal):
-            probability = probabilities[symbol.edge]
-            if symbol.positive:
-                return probability.numerator
-            return probability.denominator - probability.numerator
-        return 1
-
-    return weight_of
-
-
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An edge literal: the edge's presence (positive) or absence.
-
-    The graph analogue of :class:`repro.automata.symbols.Literal`; kept
-    separate because the two wrap different fact types and the counting
-    code dispatches on ``isinstance``.
-    """
-
-    edge: Edge
-    positive: bool
-
-    def __str__(self) -> str:
-        prefix = "" if self.positive else "¬"
-        return f"{prefix}{self.edge}"
+    """Literal → integer weight, as in the Section 3 weighted measure:
+    :func:`~repro.automata.symbols.literal_weights` over the edges'
+    probabilities."""
+    return literal_weights(graph.probabilities)
 
 
 def _dead_nfa() -> NFA:

@@ -120,6 +120,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert f"UR(Q, D) = inf ({2**1100})" in out
 
+    def test_probability_past_the_float_range(self, tmp_path, capsys):
+        # Π_f d_f = 10^400: the sampled weighted measure overflows too,
+        # which is an error line, not a traceback.
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(
+            f"R,{10**20 // 3}/{10**20},a{i},b{i}\n"
+            f"S,{10**20 // 7}/{10**20},b{i},c{i}\n"
+            for i in range(10)
+        ))
+        code = main(
+            ["--data", str(path), "--query", "Q :- R(x, y), S(y, z)",
+             "--method", "fpras-weighted"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "float range" in err
+        assert "Traceback" not in err
+
     def test_query_file(self, data_file, tmp_path, capsys):
         query_path = tmp_path / "query.txt"
         query_path.write_text("Q :- R1(x, y)")

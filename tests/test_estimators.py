@@ -7,12 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import ReductionCache
 from repro.core.exact import exact_probability, exact_uniform_reliability
-from repro.core.pqe_estimate import build_pqe_reduction, pqe_estimate
-from repro.core.ur_estimate import ur_estimate
+from repro.core.path_estimate import path_estimate, path_pqe_estimate
+from repro.core.pqe_estimate import (
+    build_pqe_reduction,
+    pqe_estimate,
+    ur_estimate,
+)
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
+from repro.errors import EstimationError
+from repro.graphs import (
+    Edge,
+    ProbabilisticGraph,
+    RPQQuery,
+    rpq_probability_estimate,
+)
+from repro.queries import parse_query
 from repro.queries.builders import path_query, star_query, triangle_query
 from repro.workloads.instances import (
     random_instance_for_query,
@@ -70,12 +83,16 @@ class TestURExactAutomaton:
         assert float(result) == result.estimate
 
     def test_unknown_method(self):
+        # Rejected before the decomposition or the reduction is built.
+        cache = ReductionCache()
         with pytest.raises(ValueError):
             ur_estimate(
                 path_query(1),
                 DatabaseInstance([Fact("R1", ("a", "b"))]),
                 method="bogus",
+                cache=cache,
             )
+        assert len(cache) == 0
 
 
 class TestPQEReduction:
@@ -131,6 +148,18 @@ class TestPQEReduction:
         )
         assert reduction.denominator == 3 * 8
 
+    def test_unknown_method(self):
+        # Rejected before the decomposition or the reduction is built.
+        cache = ReductionCache()
+        with pytest.raises(ValueError):
+            pqe_estimate(
+                path_query(1),
+                ProbabilisticDatabase({Fact("R1", ("a", "b")): "1/2"}),
+                method="bogus",
+                cache=cache,
+            )
+        assert len(cache) == 0
+
     def test_certain_database_reduces_to_satisfaction(self):
         query = path_query(2)
         instance = random_instance_for_query(
@@ -175,3 +204,80 @@ class TestPQEReduction:
         )
         if truth:
             assert abs(result.estimate - truth) / truth < 0.4
+
+
+def _wide_labels() -> ProbabilisticDatabase:
+    """Ten ``R`` and ten ``S`` facts whose label denominators multiply
+    to ``Π_f d_f = 10^400``, past the float range."""
+    facts = {}
+    for i in range(10):
+        facts[Fact("R", (f"a{i}", f"b{i}"))] = Fraction(10**20 // 3, 10**20)
+        facts[Fact("S", (f"b{i}", f"c{i}"))] = Fraction(10**20 // 7, 10**20)
+    return ProbabilisticDatabase(facts)
+
+
+_WIDE_QUERY = "Q :- R(x, y), S(y, z)"
+
+
+def _near_certain_chain():
+    """A 20-edge ``a``-chain labelled ``(10^20 − 3)/10^20``: the
+    product's denominator is 10^400."""
+    graph = ProbabilisticGraph({
+        Edge(f"v{i}", "a", f"v{i + 1}"): Fraction(10**20 - 3, 10**20)
+        for i in range(20)
+    })
+    return graph, RPQQuery("a*", "v0", "v20")
+
+
+def _many_dropped_facts() -> DatabaseInstance:
+    """``{R(a,b), S(b,c)}`` plus 1,100 ``T`` facts: ``2^|D \\ D'|``
+    is past the float range."""
+    return DatabaseInstance(
+        [Fact("R", ("a", "b")), Fact("S", ("b", "c"))]
+        + [Fact("T", (f"t{i}",)) for i in range(1100)]
+    )
+
+
+#: ``float(exact_probability(parse_query(_WIDE_QUERY), _wide_labels()))``:
+#: the lineage oracle's answer, correctly rounded.
+_WIDE_TRUTH = 0.3860867464592406
+
+
+@pytest.mark.parametrize(
+    "leg, expected",
+    [
+        (lambda q: pqe_estimate(q, _wide_labels(), method="exact-weighted"),
+         _WIDE_TRUTH),
+        (lambda q: path_pqe_estimate(q, _wide_labels(), method="exact"),
+         _WIDE_TRUTH),
+        (lambda q: pqe_estimate(
+            q, _wide_labels(), method="fpras-weighted", seed=1),
+         EstimationError),
+        (lambda q: path_pqe_estimate(
+            q, _wide_labels(), method="fpras", seed=1),
+         EstimationError),
+        (lambda q: rpq_probability_estimate(
+            *_near_certain_chain(), method="fpras", seed=1),
+         EstimationError),
+        (lambda q: path_estimate(q, _many_dropped_facts(), seed=1),
+         float("inf")),
+        (lambda q: ur_estimate(q, _many_dropped_facts(), seed=1),
+         float("inf")),
+    ],
+    ids=[
+        "pqe-exact-weighted", "path-pqe-exact", "pqe-fpras-weighted",
+        "path-pqe-fpras", "rpq-fpras", "path-estimate", "ur-estimate",
+    ],
+)
+def test_answers_past_the_float_range(leg, expected):
+    """Where ``Π_f d_f`` or ``2^|D \\ D'|`` is past the float range, no
+    route raises :class:`OverflowError`: an exact measure gives the
+    correctly rounded probability, a sampled measure that overflowed
+    raises :class:`EstimationError` naming the float range (so the
+    resilience ladder degrades), and a scaled count is ``inf``."""
+    query = parse_query(_WIDE_QUERY)
+    if expected is EstimationError:
+        with pytest.raises(EstimationError, match="float range"):
+            leg(query)
+        return
+    assert leg(query).estimate == expected

@@ -56,9 +56,12 @@ from repro.automata.nfta_counting import (
 from repro.core import kernels
 from repro.core.budget import EvaluationBudget, budget_scope
 from repro.core.estimator import PQEEngine
-from repro.core.pqe_estimate import build_pqe_reduction, pqe_estimate
+from repro.core.pqe_estimate import (
+    build_pqe_reduction,
+    pqe_estimate,
+    ur_estimate,
+)
 from repro.core.ur_reduction import build_ur_reduction
-from repro.core.ur_estimate import ur_estimate
 from repro.db.fact import Fact
 from repro.errors import BudgetExceededError
 from repro.lineage.build import build_lineage

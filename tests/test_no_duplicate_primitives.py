@@ -1,8 +1,9 @@
 """Lint: one memo store and one process-global memo, one durable-write
 path, one JSON form of an answer and of an error, one weighted pick,
 one backend table, one scalar layer DP, one Hoeffding bound, one
-Karp–Luby union loop, one sampler chain walk and no sleep before a
-retry in ``src/repro/``.
+Karp–Luby union loop, one sampler chain walk, one cache rule for tree
+counts, one normaliser of a weighted count, one literal type and no
+sleep before a retry in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache` — and one module-level
@@ -37,15 +38,24 @@ the one loop that walks a chain of unary products and the
 ``_SumNode`` picks between them, and a chain is built by its store's
 ``make_chain`` (the word store in :mod:`repro.automata.nfa_counting`,
 the tree stores in :mod:`repro.automata.nfta_counting`), so a second
-prefix node or chain walk cannot return.  A hand-copied LRU, log,
-bisection, backend choice, record writer, DP loop, bound, union loop
-or chain walk elsewhere drifts from the original: its counters, its
-eviction, its crash safety, its strict JSON, its tie-breaking, its
-budget charges, its random stream or its answers stop being the ones
-the tests check.  Nothing sleeps but the fault injector's stall and
-crash waits (:mod:`repro.testing.faults`): a retry re-runs CPU-bound
-sampling on a fresh seed, so a delay before it would only spend the
-item's deadline.  So this test greps the source tree for the
+prefix node or chain walk cannot return.  UREstimate and PQEEstimate
+count trees in one step, :func:`repro.core.pqe_estimate._estimate_trees`,
+the only place that caches a count result only when it stayed exact
+(``cache_if=lambda …: ….exact``).  Every automaton route turns a
+weighted count into a probability with
+:func:`repro.automata.nfa_counting.probability_from_measure`, the one
+clamped division by a denominator, which owns what happens past the
+float range.  Facts and graph edges are read through one literal type,
+:class:`repro.automata.symbols.Literal`.  A hand-copied LRU, log,
+bisection, backend choice, record writer, DP loop, bound, union loop,
+chain walk, count cache rule, normaliser or literal type elsewhere
+drifts from the original: its counters, its eviction, its crash
+safety, its strict JSON, its tie-breaking, its budget charges, its
+random stream or its answers stop being the ones the tests check.
+Nothing sleeps but the fault injector's stall and crash waits
+(:mod:`repro.testing.faults`): a retry re-runs CPU-bound sampling on a
+fresh seed, so a delay before it would only spend the item's
+deadline.  So this test greps the source tree for the
 tell-tale code outside the modules that own it.
 """
 
@@ -100,6 +110,18 @@ _OWNED = {
     re.compile(r"\bdef make_chain\b"): {
         "automata/nfa_counting.py", "automata/nfta_counting.py"
     },
+    # Caching a count result only when it stayed exact: a second
+    # tree-count step (``_estimate_trees`` owns the one).
+    re.compile(r"cache_if\s*=\s*lambda\s+\w+\s*:\s*\w+\.exact\b"): {
+        "core/pqe_estimate.py"
+    },
+    # A clamped division by a denominator: a second normaliser, which
+    # would drift past the float range (``probability_from_measure``).
+    re.compile(r"min\(.*/\s*[\w.]*denominator\b.*,\s*1\.0\s*\)"): {
+        "automata/nfa_counting.py"
+    },
+    # A second literal type: edges are literals too.
+    re.compile(r"^\s*class\s+Literal\b"): {"automata/symbols.py"},
     # A wait: retries run at once, so only injected stalls sleep.
     re.compile(r"\btime\.sleep\s*\("): {"testing/faults.py"},
 }
@@ -141,7 +163,11 @@ def test_no_second_lru_or_fsync_path():
         "Karp-Luby union loop to "
         "repro.automata.nfa_counting._karp_luby_union, the chain walk "
         "to repro.automata.nfa_counting._ProductNode.draw (make_chain "
-        "to the word and tree stores) and sleeps to "
+        "to the word and tree stores), caching exact tree counts to "
+        "repro.core.pqe_estimate._estimate_trees, the clamped division by "
+        "a denominator to "
+        "repro.automata.nfa_counting.probability_from_measure, the "
+        "literal type to repro.automata.symbols.Literal and sleeps to "
         "repro.testing.faults; build on them instead:\n"
         + "\n".join(violations)
     )

@@ -650,6 +650,7 @@ import re
 from fractions import Fraction
 
 from repro.automata.nfa import NFA
+from repro.automata.symbols import Literal
 from repro.graphs import (
     Edge,
     ProbabilisticGraph,
@@ -658,7 +659,7 @@ from repro.graphs import (
     rpq_holds,
     rpq_probability_estimate,
 )
-from repro.graphs.product import Literal, relevant_edges
+from repro.graphs.product import relevant_edges
 from repro.graphs.rpq import RPQExpression, parse_rpq, rpq_to_nfa
 
 _RPQ_ALPHABET = ("a", "b", "c")

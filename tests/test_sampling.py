@@ -27,46 +27,64 @@ from repro.workloads.instances import (
 
 _INSTANCE = layered_path_instance(2, 2, 0.7, seed=1)
 
-#: Every k-draw entry point, as ``(size, epsilon) -> draws``; only the
-#: automaton samplers take a size.
+#: Every k-draw entry point, as ``(size, epsilon, k) -> draws``; only
+#: the automaton samplers take a size.
 _ENTRY_POINTS = {
-    "strings": lambda size, epsilon: sample_accepted_strings(
+    "strings": lambda size, epsilon, k: sample_accepted_strings(
         NFA([(0, "a", 0), (0, "b", 0)], initial=[0], accepting=[0]),
-        size, 2, epsilon=epsilon, seed=0,
+        size, k, epsilon=epsilon, seed=0,
     ),
-    "trees": lambda size, epsilon: sample_accepted_trees(
+    "trees": lambda size, epsilon, k: sample_accepted_trees(
         NFTA([("q", "a", ()), ("q", "a", ("q", "q"))], initial="q"),
-        size, 2, epsilon=epsilon, seed=0,
+        size, k, epsilon=epsilon, seed=0,
     ),
-    "subinstances": lambda size, epsilon: sample_satisfying_subinstances(
-        path_query(2), _INSTANCE, 2, epsilon=epsilon, seed=0
+    "subinstances": lambda size, epsilon, k: sample_satisfying_subinstances(
+        path_query(2), _INSTANCE, k, epsilon=epsilon, seed=0
     ),
-    "posterior": lambda size, epsilon: sample_posterior_worlds(
-        path_query(2), ProbabilisticDatabase.uniform(_INSTANCE), 2,
+    "posterior": lambda size, epsilon, k: sample_posterior_worlds(
+        path_query(2), ProbabilisticDatabase.uniform(_INSTANCE), k,
         epsilon=epsilon, seed=0,
     ),
 }
 
+_BAD_ARGUMENTS = [
+    (entry, 3, epsilon, 2, "epsilon must be in (0, 1)")
+    for entry in _ENTRY_POINTS
+    for epsilon in (0, 1, 1.5, -0.5)
+] + [
+    ("strings", -1, 0.25, 2, "length must be >= 0, got -1"),
+    ("trees", -1, 0.25, 2, "empty"),
+] + [
+    (entry, 3, 0.25, -2, "k must be >= 0, got -2")
+    for entry in _ENTRY_POINTS
+]
+
 
 @pytest.mark.parametrize(
-    "entry, size, epsilon, message",
-    [
-        (entry, 3, epsilon, "epsilon must be in (0, 1)")
-        for entry in _ENTRY_POINTS
-        for epsilon in (0, 1, 1.5, -0.5)
-    ] + [
-        ("strings", -1, 0.25, "length must be >= 0, got -1"),
-        ("trees", -1, 0.25, "empty"),
+    "entry, size, epsilon, k, message",
+    _BAD_ARGUMENTS,
+    # Named without k, which the message of a bad k names.
+    ids=[
+        f"{entry}-{size}-{epsilon}-{message}"
+        for entry, size, epsilon, _k, message in _BAD_ARGUMENTS
     ],
 )
-def test_entry_points_check_their_arguments(entry, size, epsilon, message):
+def test_entry_points_check_their_arguments(
+    entry, size, epsilon, k, message
+):
     """The k-draw entry points reject what the counters reject, with an
     :class:`EstimationError` before any sampling — not a bare
-    ``ZeroDivisionError``, a silent bad ε, or (a negative word length)
-    a plan that never ends."""
+    ``ZeroDivisionError``, a silent bad ε, (a negative word length)
+    a plan that never ends, or (a negative k) a whole node DAG built
+    for no draw."""
     with pytest.raises(EstimationError) as failure:
-        _ENTRY_POINTS[entry](size, epsilon)
+        _ENTRY_POINTS[entry](size, epsilon, k)
     assert message in str(failure.value)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_zero_draws_return_nothing(entry):
+    assert _ENTRY_POINTS[entry](3, 0.25, 0) == []
 
 
 class TestUniformSampling:

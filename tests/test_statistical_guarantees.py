@@ -20,8 +20,7 @@ import pytest
 from repro.core.exact import exact_probability, exact_uniform_reliability
 from repro.core.monte_carlo import monte_carlo_probability
 from repro.core.path_estimate import path_pqe_estimate
-from repro.core.pqe_estimate import pqe_estimate
-from repro.core.ur_estimate import ur_estimate
+from repro.core.pqe_estimate import pqe_estimate, ur_estimate
 from repro.db.fact import Fact
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
