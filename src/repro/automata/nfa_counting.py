@@ -73,7 +73,7 @@ from typing import Hashable
 from repro.automata.nfa import NFA
 from repro.core.budget import budget_checkpoint
 from repro.core.kernels import TickBatcher
-from repro.errors import EstimationError
+from repro.errors import EstimationError, FloatRangeError
 from repro.obs import span
 
 __all__ = [
@@ -139,12 +139,12 @@ def probability_from_measure(measure, denominator: int) -> float:
     sampling error): a weighted count as a probability.  Past the float
     range an exact measure gives the correctly rounded ratio; a float
     measure that overflowed to ``inf`` raises
-    :class:`~repro.errors.EstimationError`."""
+    :class:`~repro.errors.FloatRangeError`."""
     try:
         return min(float(measure) / denominator, 1.0)
     except OverflowError:
         if measure == math.inf:
-            raise EstimationError(
+            raise FloatRangeError(
                 "the estimated measure and its denominator are both past "
                 "the float range; an exact method gives the probability"
             ) from None
@@ -558,7 +558,14 @@ class _CounterBase:
         if weight_of is not None:
             self._weights = [1.0] * len(plan.symbols)
             for symbol in plan.used_symbols:
-                self._weights[symbol] = float(weight_of(plan.symbols[symbol]))
+                literal = plan.symbols[symbol]
+                try:
+                    self._weights[symbol] = float(weight_of(literal))
+                except OverflowError:
+                    raise FloatRangeError(
+                        f"the weight of {literal} is past the float range; "
+                        "an exact method gives the probability"
+                    ) from None
         self.samples_used = 0
 
     def _symbol_weight(self, symbol: int) -> float:

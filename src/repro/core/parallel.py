@@ -1,4 +1,4 @@
-"""Batch evaluation: one reduction cache, many items, a worker pool.
+"""Batch evaluation: one reduction cache, many items, many workers.
 
 The engine's single-call API rebuilds the full Proposition 1 / Theorem 1
 reduction chain per call.  Serving workloads — answer ranking, repeated
@@ -13,7 +13,7 @@ centralises both observations:
 - reduction construction is memoized in one
   :class:`~repro.core.cache.ReductionCache` shared by the whole batch
   (and across batches, if the caller keeps the cache);
-- items are fanned out over a ``concurrent.futures`` thread pool.
+- items are fanned out over worker threads, each taking the next one.
 
 Reproducibility contract
 ------------------------
@@ -21,8 +21,8 @@ Item ``i`` draws from its own RNG stream, seeded with
 ``derive_item_seed(seed, i)`` — a SHA-256 derivation of the batch seed
 and the item index, so the streams are statistically independent and do
 not depend on worker scheduling.  Retry attempt ``a`` of an item draws
-from ``derive_retry_seed(item_seed, a)`` (same construction; see
-:mod:`repro.core.resilience`), so retry outcomes are equally
+from a stream derived from the item seed and ``a`` (same construction;
+see :mod:`repro.core.resilience`), so retry outcomes are equally
 scheduling-independent.  Consequences, tested in
 ``tests/test_parallel.py`` and ``tests/test_faults.py``:
 
@@ -38,38 +38,44 @@ default), and nothing above applies.
 
 Fault isolation contract
 ------------------------
-``on_error`` selects what a failing item does to its batch:
+Every item runs the one attempt loop,
+:func:`repro.core.resilience.evaluate_with_policy`: transient
+estimation failures are retried at once on derived seeds, up to
+``max_retries`` per rung, and the answer or error record carries the
+attempt log (``degradations``) and the retries used.  ``on_error``
+picks the ladder and what a failing item does to its batch:
 
 ``'fail'`` (default)
-    The batch raises :class:`BatchError` for the lowest-indexed failing
-    item, with the original exception chained as ``__cause__`` — but
-    only after every item has settled, and the exception carries the
-    full :class:`BatchResult` (completed answers *and* structured error
+    The ladder is the item's method.  The batch raises
+    :class:`BatchError` for the lowest-indexed failing item, with the
+    original exception chained as ``__cause__`` — but only after every
+    item has settled, and the exception carries the full
+    :class:`BatchResult` (completed answers *and* structured error
     records) as ``BatchError.result``.  Completed siblings are never
     discarded.
 ``'skip'``
-    Failing items yield a :class:`BatchItemResult` whose ``error`` is a
-    structured :class:`BatchItemError` (exception class, message,
-    phase, elapsed, budget state, retries); the rest of the batch
-    completes normally and no exception is raised.
+    The same ladder.  Failing items yield a :class:`BatchItemResult`
+    whose ``error`` is a structured :class:`BatchItemError`; the rest
+    of the batch completes normally and no exception is raised.
 ``'degrade'``
-    Like ``'skip'``, but each item is evaluated through
-    :func:`repro.core.resilience.evaluate_with_policy` first: routes
-    fall back along exact-WMC → FPRAS → Monte-Carlo with widened ε
-    (or along ``routes``, when given) before an error record is
-    produced, and answers carry their degradation provenance.
+    Like ``'skip'``, but the ladder is the task's
+    (``TASKS[task].ladder(query, method)``) or ``routes``: exact-WMC →
+    FPRAS → Monte-Carlo with widened ε.
 
 ``budget`` bounds each item via cooperative checkpoints
 (:mod:`repro.core.budget`): its deadline is absolute per item — shared
 across its retries and degradation rungs — so a stalled item cannot
-overrun it by more than the checkpoint granularity.  ``max_retries``
-bounds the retries of transient estimation failures, each run at once
-on a deterministically derived seed.
+overrun it by more than the checkpoint granularity.
+
+``min(max_workers, pending items)`` workers — the calling thread alone
+at width 1, else fresh threads (or subprocesses, below) — each take the
+next pending item unless a drain was requested (:func:`request_drain`)
+and journal it as it settles, so a drain stops admission at any width.
 
 Durability contract
 -------------------
-Two orthogonal extensions harden a batch against failures the thread
-pool cannot contain:
+Two orthogonal extensions harden a batch against failures threads
+cannot contain:
 
 ``isolation='process'``
     Items run in subprocess workers supervised by
@@ -88,10 +94,11 @@ pool cannot contain:
 
 ``journal=FILE`` (+ ``resume=True``)
     Every settled item is appended to an fsync'd
-    :class:`~repro.core.journal.BatchJournal` before the batch moves
-    on.  A rerun with ``resume=True`` replays the journal's verified
-    prefix — completed answers are restored bitwise, error records are
-    recomputed — and evaluates only the remainder, producing a
+    :class:`~repro.core.journal.BatchJournal` at once, so its lines
+    follow settlement order.  A rerun with ``resume=True`` replays the
+    journal's verified prefix — completed answers are restored
+    bitwise, error records are recomputed — and evaluates only the
+    remainder, producing a
     :class:`BatchResult` whose answers, seeds and merged replay-stable
     deterministic counters are identical to an uninterrupted run
     (asserted at workers 1 and 4 in ``tests/test_chaos.py``).
@@ -103,24 +110,19 @@ import dataclasses
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.budget import BudgetState, EvaluationBudget, budget_scope
+from repro.core.budget import BudgetState, EvaluationBudget
 from repro.core.cache import CacheStats, ReductionCache
 from repro.obs import (
     EvaluationTelemetry,
+    active_telemetry,
     metric_inc,
     span,
     telemetry_scope,
 )
-from repro.core.resilience import (
-    TRANSIENT_ERRORS,
-    derive_retry_seed,
-    derive_seed,
-    evaluate_with_policy,
-)
+from repro.core.resilience import derive_seed, evaluate_with_policy
 from repro.core.tasks import TASKS, infer_task
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
@@ -237,7 +239,7 @@ class BatchItemError:
     elapsed: float               # worker wall seconds until failure
     retries: int                 # retry attempts consumed
     budget: BudgetState | None   # budget state at failure, if budgeted
-    degradations: tuple[str, ...] = ()   # attempt log (degrade mode)
+    degradations: tuple[str, ...] = ()   # attempt log
     #: Telemetry captured up to the fault (``None`` unless the batch ran
     #: with ``telemetry=True``).  The spans and counters recorded before
     #: the failure survive — a faulted item still shows where its time
@@ -401,7 +403,6 @@ def _error_record(
     elapsed: float,
     retries: int,
     budget_state: BudgetState | None,
-    telemetry: EvaluationTelemetry | None = None,
 ) -> BatchItemError:
     return BatchItemError(
         exception=type(failure).__name__,
@@ -411,7 +412,6 @@ def _error_record(
         retries=retries,
         budget=budget_state,
         degradations=tuple(getattr(failure, "degradations", ())),
-        telemetry=telemetry,
     )
 
 
@@ -419,7 +419,7 @@ class ItemRunner:
     """Runs single batch items per the module contract.
 
     The one piece both execution backends share: the thread backend
-    calls :meth:`run` from pool threads, the process backend
+    calls :meth:`run` from its workers, the process backend
     (:mod:`repro.core.procpool`) forks workers that call it in their own
     process.  Everything an item needs — engine, coerced batch, derived
     seeds, budget, retry count, degradation routes, shared cache,
@@ -452,60 +452,6 @@ class ItemRunner:
         #: index → terminal exception, for ``BatchError.__cause__``.
         self.causes: dict[int, BaseException] = {}
 
-    # -- engine dispatch ------------------------------------------------
-
-    def _call_engine(self, item: BatchItem, call_seed: int | None):
-        return TASKS[item.task].evaluate(
-            self.engine,
-            item.query,
-            item.database,
-            method=item.method,
-            seed=call_seed,
-            cache=self.cache,
-        )
-
-    def _run_degrading(self, item: BatchItem, item_seed: int | None):
-        return evaluate_with_policy(
-            self.engine,
-            item.query,
-            item.database,
-            task=item.task,
-            method=item.method,
-            seed=item_seed,
-            cache=self.cache,
-            budget=self.item_budget,
-            max_retries=self.max_retries,
-            routes=self.routes,
-        )
-
-    def _run_retrying(
-        self, item: BatchItem, item_seed: int | None, item_started: float
-    ):
-        attempt = 0
-        while True:
-            try:
-                with budget_scope(self.item_budget, started=item_started):
-                    answer = self._call_engine(
-                        item, derive_retry_seed(item_seed, attempt)
-                    )
-                if attempt:
-                    # The answer records the attempts it took, as a
-                    # degraded answer does.
-                    answer = dataclasses.replace(answer, retries=attempt)
-                return answer
-            except BaseException as failure:
-                # BudgetExceededError is not an EstimationError, so
-                # budget exhaustion never consumes retries.
-                transient = isinstance(failure, TRANSIENT_ERRORS)
-                if not transient or attempt >= self.max_retries:
-                    # The error record reads the attempts this item used.
-                    failure.retries = attempt
-                    raise
-                attempt += 1
-                metric_inc("resilience.retries")
-
-    # -- the per-item entry point ---------------------------------------
-
     def run(self, index: int) -> BatchItemResult:
         item = self.batch[index]
         item_seed = derive_item_seed(self.seed, index)
@@ -515,21 +461,28 @@ class ItemRunner:
         # ``item`` root span closes when this block unwinds — including
         # on a fault — so partial telemetry survives in the error record.
         item_telemetry = EvaluationTelemetry() if self.telemetry else None
+        # 'fail' and 'skip' walk a one-rung ladder: the item's method.
+        routes = self.routes if self.on_error == "degrade" else (item.method,)
         with fault_scope(index):
             try:
                 with telemetry_scope(item_telemetry), span(
                     "item", index=index, task=item.task, method=item.method
                 ):
-                    if self.on_error == "degrade":
-                        answer = self._run_degrading(item, item_seed)
-                    else:
-                        answer = self._run_retrying(
-                            item, item_seed, item_started
-                        )
+                    answer = evaluate_with_policy(
+                        self.engine, item.query, item.database,
+                        task=item.task, method=item.method, seed=item_seed,
+                        cache=self.cache, budget=self.item_budget,
+                        max_retries=self.max_retries, routes=routes,
+                    )
+                result = BatchItemResult(
+                    index=index,
+                    answer=answer,
+                    seed=item_seed,
+                    elapsed=time.perf_counter() - item_started,
+                )
             except BaseException as failure:
                 elapsed = time.perf_counter() - item_started
                 self.causes[index] = failure
-                retries = getattr(failure, "retries", 0)
                 # The failed attempt's scope stamped its usage on the
                 # failure; an unlimited budget opens no scope.
                 budget_state = getattr(failure, "budget_state", None)
@@ -543,24 +496,19 @@ class ItemRunner:
                         elapsed=elapsed,
                         work_units=0,
                     )
-                return BatchItemResult(
+                result = BatchItemResult(
                     index=index,
                     answer=None,
                     seed=item_seed,
                     elapsed=elapsed,
                     error=_error_record(
-                        failure, elapsed, retries, budget_state,
-                        telemetry=item_telemetry,
+                        failure, elapsed, getattr(failure, "retries", 0),
+                        budget_state,
                     ),
                 )
         if item_telemetry is not None:
-            answer = dataclasses.replace(answer, telemetry=item_telemetry)
-        return BatchItemResult(
-            index=index,
-            answer=answer,
-            seed=item_seed,
-            elapsed=time.perf_counter() - item_started,
-        )
+            result = _with_telemetry(result, item_telemetry)
+        return result
 
 
 def _result_telemetry(result: BatchItemResult):
@@ -570,6 +518,65 @@ def _result_telemetry(result: BatchItemResult):
     if result.error is not None:
         return result.error.telemetry
     return None
+
+
+def _with_telemetry(result: BatchItemResult, telemetry) -> BatchItemResult:
+    """``result`` with ``telemetry`` on its answer, or on its error
+    record when it failed."""
+    if result.answer is not None:
+        return dataclasses.replace(
+            result,
+            answer=dataclasses.replace(result.answer, telemetry=telemetry),
+        )
+    return dataclasses.replace(
+        result, error=dataclasses.replace(result.error, telemetry=telemetry)
+    )
+
+
+def _run_admitted(
+    runner: ItemRunner, pending: list[int], width: int, on_settled
+) -> dict[int, BatchItemResult]:
+    """Run ``pending`` on ``width`` workers: the calling thread alone at
+    width 1, fresh threads above.
+
+    Each worker takes the next index until none is left, a drain is
+    requested or a worker failed outside an item (a journal append,
+    say); that failure stops admission and is raised here once every
+    worker has stopped.
+    """
+    queue = iter(pending)
+    lock = threading.Lock()
+    computed: dict[int, BatchItemResult] = {}
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    if failures or drain_requested():
+                        return
+                    index = next(queue, None)
+                if index is None:
+                    return
+                computed[index] = on_settled(runner.run(index))
+        except BaseException as failure:
+            failures.append(failure)
+
+    if width == 1:
+        work()
+    else:
+        threads = [threading.Thread(target=work) for _ in range(width)]
+        for thread in threads:
+            thread.start()
+        try:
+            for thread in threads:
+                thread.join()
+        except BaseException as failure:
+            failures.append(failure)  # stop admission, then unwind
+            raise
+    if failures:
+        raise failures[0]
+    return computed
 
 
 def evaluate_batch(
@@ -599,9 +606,11 @@ def evaluate_batch(
     items:
         :class:`BatchItem` objects or ``(query, database)`` pairs.
     max_workers:
-        Pool width; defaults to ``min(len(items), cpu_count)``.  With 1
-        the batch runs inline on the calling thread (identical results —
-        only the scheduling changes).
+        Most workers to run; defaults to ``min(len(items), cpu_count)``.
+        Workers take items one at a time, as the module docstring says;
+        at 1 the batch runs on the calling thread.  Results are
+        identical at every width — only the scheduling and the
+        journal's line order change.
     seed:
         Batch seed from which every item stream is derived; ``None``
         leaves randomized items nondeterministic.
@@ -713,12 +722,7 @@ def evaluate_batch(
                         loaded.counters(index) or {}
                     ).items():
                         item_telemetry.metrics.inc(name, value)
-                    restored = dataclasses.replace(
-                        restored,
-                        answer=dataclasses.replace(
-                            restored.answer, telemetry=item_telemetry
-                        ),
-                    )
+                    restored = _with_telemetry(restored, item_telemetry)
                 replayed[index] = restored
                 metric_inc("journal.replays")
         if loaded.header is None:
@@ -736,6 +740,10 @@ def evaluate_batch(
         telemetry=telemetry,
     )
 
+    # A worker thread has no collector of its own: its journal appends
+    # count where the caller's would.
+    caller_telemetry = active_telemetry()
+
     def record(result: BatchItemResult) -> BatchItemResult:
         """Journal one settled item (from whichever thread settled it)."""
         if journal_log is not None:
@@ -745,75 +753,35 @@ def evaluate_batch(
                 if item_telemetry is not None
                 else None
             )
-            journal_log.record_item(result, counters)
+            with telemetry_scope(caller_telemetry):
+                journal_log.record_item(result, counters)
         return result
 
     pending = [i for i in range(len(batch)) if i not in replayed]
 
     # -- execution backends ---------------------------------------------
-    if isolation == "process" and pending:
-        from repro.core.procpool import run_process_batch
+    try:
+        if isolation == "process" and pending:
+            from repro.core.procpool import run_process_batch
 
-        computed, stats_delta = run_process_batch(
-            runner,
-            pending,
-            max_workers=max_workers,
-            memory_limit=memory_limit,
-            on_settled=record,
-        )
-    elif max_workers == 1 or len(pending) <= 1:
-        computed = {}
-        for i in pending:
-            if drain_requested():
-                break
-            computed[i] = record(runner.run(i))
-        stats_delta = None
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {}
-            for i in pending:
-                if drain_requested():
-                    break
-                futures[i] = pool.submit(runner.run, i)
-            # Every future settles — workers record failures instead of
-            # raising, so no sibling's work is ever discarded.
-            computed = {
-                i: record(future.result())
-                for i, future in futures.items()
-            }
-            stats_delta = None
-
-    if journal_log is not None and journal is not journal_log:
-        journal_log.close()
+            computed, cache_stats = run_process_batch(
+                runner,
+                pending,
+                max_workers=max_workers,
+                memory_limit=memory_limit,
+                on_settled=record,
+            )
+        else:
+            computed = _run_admitted(
+                runner, pending, min(max_workers, len(pending)), record
+            )
+            cache_stats = cache.stats - stats_before
+    finally:
+        if journal_log is not None and journal is not journal_log:
+            journal_log.close()
 
     settled = {**replayed, **computed}
-    remaining = tuple(i for i in range(len(batch)) if i not in settled)
-    if remaining:
-        # Drained: in-flight items settled (and were journalled); the
-        # rest were never admitted.  Surface the partial outcome.
-        partial = BatchResult(
-            results=tuple(settled[i] for i in sorted(settled)),
-            cache_stats=(
-                stats_delta
-                if stats_delta is not None
-                else cache.stats - stats_before
-            ),
-            wall_time=time.perf_counter() - started,
-            max_workers=max_workers,
-        )
-        metric_inc("batch.drained")
-        raise BatchDrainedError(
-            f"batch drained after {len(settled)} of {len(batch)} items; "
-            f"{len(remaining)} never admitted",
-            partial,
-            remaining,
-        )
-
-    results = [
-        replayed[i] if i in replayed else computed[i]
-        for i in range(len(batch))
-    ]
-
+    results = tuple(settled[i] for i in sorted(settled))
     batch_telemetry = None
     if telemetry:
         # Merge in item-index order: span ids and counter totals then
@@ -823,18 +791,25 @@ def evaluate_batch(
             source = _result_telemetry(item_result)
             if source is not None:
                 batch_telemetry.merge(source)
-
     result = BatchResult(
-        results=tuple(results),
-        cache_stats=(
-            stats_delta
-            if stats_delta is not None
-            else cache.stats - stats_before
-        ),
+        results=results,
+        cache_stats=cache_stats,
         wall_time=time.perf_counter() - started,
         max_workers=max_workers,
         telemetry=batch_telemetry,
     )
+
+    remaining = tuple(i for i in range(len(batch)) if i not in settled)
+    if remaining:
+        # Drained: in-flight items settled (and were journalled); the
+        # rest were never admitted.  Surface the partial outcome.
+        metric_inc("batch.drained")
+        raise BatchDrainedError(
+            f"batch drained after {len(settled)} of {len(batch)} items; "
+            f"{len(remaining)} never admitted",
+            result,
+            remaining,
+        )
 
     if on_error == "fail" and not result.ok:
         first = result.errors[0]

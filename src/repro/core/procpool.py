@@ -39,7 +39,6 @@ way, which is what lets chaos tests crash a worker at a named site.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -57,6 +56,7 @@ from repro.core.parallel import (
     ItemRunner,
     _error_record,
     _result_telemetry,
+    _with_telemetry,
     derive_item_seed,
     drain_requested,
 )
@@ -87,16 +87,7 @@ def _freeze_payload(index: int, result: BatchItemResult, cause, stats):
     frozen = None
     if telemetry is not None:
         frozen = (telemetry.tracer.records, telemetry.metrics.state())
-        if result.answer is not None:
-            result = dataclasses.replace(
-                result,
-                answer=dataclasses.replace(result.answer, telemetry=None),
-            )
-        else:
-            result = dataclasses.replace(
-                result,
-                error=dataclasses.replace(result.error, telemetry=None),
-            )
+        result = _with_telemetry(result, None)
     if cause is not None:
         try:
             pickle.dumps(cause)
@@ -116,24 +107,13 @@ def _thaw_result(payload) -> BatchItemResult:
     frozen = payload["telemetry"]
     if frozen is not None:
         records, metrics_state = frozen
-        telemetry = EvaluationTelemetry(
-            tracer=Tracer.from_records(records),
-            metrics=MetricsRegistry.from_state(metrics_state),
+        result = _with_telemetry(
+            result,
+            EvaluationTelemetry(
+                tracer=Tracer.from_records(records),
+                metrics=MetricsRegistry.from_state(metrics_state),
+            ),
         )
-        if result.answer is not None:
-            result = dataclasses.replace(
-                result,
-                answer=dataclasses.replace(
-                    result.answer, telemetry=telemetry
-                ),
-            )
-        else:
-            result = dataclasses.replace(
-                result,
-                error=dataclasses.replace(
-                    result.error, telemetry=telemetry
-                ),
-            )
     return result
 
 

@@ -18,7 +18,8 @@ instead of taking down its batch.
 Retry semantics
 ---------------
 Transient estimation failures (:class:`~repro.errors.EstimationError`,
-e.g. a rejection-sampling loop that drew no accepted sample) are
+e.g. a rejection-sampling loop that drew no accepted sample, but not a
+:class:`~repro.errors.FloatRangeError`, which recurs on any seed) are
 retried at once, up to ``max_retries`` times per rung.  Retry attempt
 ``a`` runs with seed :func:`derive_retry_seed(seed, a)` — a SHA-256
 derivation mirroring the batch evaluator's per-item streams
@@ -44,6 +45,7 @@ from repro.obs import metric_inc, span
 from repro.errors import (
     BudgetExceededError,
     EstimationError,
+    FloatRangeError,
     GraphError,
     LineageError,
     ReproError,
@@ -157,7 +159,8 @@ def evaluate_with_policy(
     failure) and whose ``retries`` counts the retry attempts consumed.
     Raises the last failure when every rung is exhausted, or
     immediately for non-degradable errors (malformed queries, schema
-    violations, programming errors).
+    violations, programming errors); either way the failure carries
+    the same two attributes.
 
     ``max_retries`` bounds the transient-failure retries per rung.
     ``routes`` replaces the task's ladder
@@ -205,7 +208,7 @@ def evaluate_with_policy(
                     # No wall-clock left for any route; stop the ladder.
                     raise _stamp_failure(failure, provenance, retries_used)
                 transient = isinstance(failure, TRANSIENT_ERRORS) and not \
-                    isinstance(failure, BudgetExceededError)
+                    isinstance(failure, FloatRangeError)
                 if transient and attempt < max_retries:
                     attempt += 1
                     retries_used += 1
@@ -215,6 +218,9 @@ def evaluate_with_policy(
                 # rung *transition* even when no cheaper rung is left.
                 metric_inc("resilience.degradations")
                 break
+            except BaseException as failure:
+                # No rung mends it: it leaves with the attempts so far.
+                raise _stamp_failure(failure, provenance, retries_used)
             if provenance:
                 answer = dataclasses.replace(
                     answer,

@@ -139,6 +139,12 @@ class EstimationError(ContextualError):
     satisfying its configured guarantees."""
 
 
+class FloatRangeError(EstimationError):
+    """A sampled route's float weight or estimate left the float range:
+    deterministic for the route, so the resilience ladder degrades
+    without retrying it."""
+
+
 class BudgetExceededError(ContextualError):
     """An :class:`~repro.core.budget.EvaluationBudget` limit was hit at
     a cooperative checkpoint.

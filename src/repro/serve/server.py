@@ -51,7 +51,6 @@ without sockets.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -76,7 +75,11 @@ from repro.core.journal import (
     restore_answer,
 )
 from repro.core.parallel import BatchItem, _error_record, evaluate_batch
-from repro.core.resilience import derive_seed, widened_epsilon
+from repro.core.resilience import (
+    _engine_with_epsilon,
+    derive_seed,
+    widened_epsilon,
+)
 from repro.core.tasks import TASKS, check_entry
 from repro.db.delta import Delta, VersionedDatabase
 from repro.errors import (
@@ -584,13 +587,11 @@ class PQEServer:
                 time.perf_counter() - classifying, phase="lifted.classify"
             )
         rung = min(decision.rung, len(ladder) - 1)
-        engine = self.engine
-        epsilon = widened_epsilon(engine.epsilon, rung)
+        epsilon = widened_epsilon(self.engine.epsilon, rung)
+        engine = _engine_with_epsilon(self.engine, epsilon)
         if rung:
             self._inc("serve.shed")
             self._inc(f"serve.rung.{rung}")
-            engine = copy.copy(engine)
-            engine.epsilon = epsilon
         # Pin the version head exactly once: the whole evaluation (and
         # the journalled deps token below) sees one immutable snapshot,
         # even if a delta publishes mid-flight.

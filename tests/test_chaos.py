@@ -6,6 +6,8 @@ The acceptance scenarios for the crash-safety layer:
   from its journal, yields a :class:`BatchResult` bitwise-identical —
   answers, seeds, merged replay-stable deterministic counters — to an
   uninterrupted run, at workers 1 and 4;
+- a drain (the CLI's SIGTERM handler) stops admission at workers 1, 2
+  and 4, and a resume finishes the batch bitwise;
 - a bit-flipped disk-cache record and a torn journal tail are
   quarantined with a warning: never an exception, never a wrong
   probability.
@@ -236,6 +238,15 @@ class TestSigtermBatchDrain:
     def test_sigterm_drains_and_resume_is_bitwise_identical(
         self, tmp_path
     ):
+        self._sigterm_scenario(tmp_path, workers=1)
+
+    def test_sigterm_drains_at_two_workers(self, tmp_path):
+        # Both workers take an item, every item stalls, and the SIGTERM
+        # lands inside the first two: the batch stops after them.
+        drained_rows = self._sigterm_scenario(tmp_path, workers=2)
+        assert len(drained_rows) == 2
+
+    def _sigterm_scenario(self, tmp_path, workers: int) -> list[str]:
         import repro
         import signal
         import subprocess
@@ -259,7 +270,7 @@ class TestSigtermBatchDrain:
         journal = tmp_path / "drain.wal"
         base_args = [
             "--data", str(data), "--batch", str(batch),
-            "--seed", "7", "--workers", "1",
+            "--seed", "7", "--workers", str(workers),
         ]
 
         # Reference: the same batch, uninterrupted and unstalled.
@@ -286,7 +297,7 @@ class TestSigtermBatchDrain:
             env={**os.environ,
                  "PYTHONPATH": str(Path(repro.__file__).parents[1])},
         )
-        time.sleep(1.0)  # inside item 0's 1.5s stall
+        time.sleep(1.0)  # inside the first items' 1.5s stall
         child.send_signal(signal.SIGTERM)
         out, err = child.communicate(timeout=60)
         assert child.returncode == 5, (out, err)  # EXIT_DRAINED
@@ -304,6 +315,53 @@ class TestSigtermBatchDrain:
         code = main(base_args + ["--journal", str(journal), "--resume"])
         assert code == 0
         _export_artifact(journal)
+        return drained_rows
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_drain_stops_admission_at_every_width(
+        self, rs_query, tmp_path, workers
+    ):
+        import threading
+
+        from repro.core.parallel import (
+            BatchDrainedError,
+            clear_drain,
+            request_drain,
+        )
+
+        items = _sixteen_items(rs_query)[:8]
+        engine = PQEEngine(seed=2023)
+        journal = tmp_path / f"drain-w{workers}.wal"
+        clean = engine.evaluate_batch(
+            items, seed=2023, max_workers=workers, telemetry=True
+        )
+
+        # Every item stalls 0.5 s; the drain lands inside the first
+        # ones, so each worker settles the item it took and stops.
+        timer = threading.Timer(0.25, request_drain)
+        with inject_faults(FaultSpec("counting.nfta", stall=0.5, times=1)):
+            timer.start()
+            try:
+                with pytest.raises(BatchDrainedError) as info:
+                    engine.evaluate_batch(
+                        items, seed=2023, max_workers=workers,
+                        journal=journal, telemetry=True,
+                    )
+            finally:
+                timer.cancel()
+                clear_drain()
+        drained = info.value
+        assert drained.remaining == tuple(range(workers, len(items)))
+        assert [r.index for r in drained.result.results] == list(
+            range(workers)
+        )
+
+        resumed = engine.resume_batch(
+            items, seed=2023, max_workers=workers, journal=journal,
+            telemetry=True,
+        )
+        assert sum(r.replayed for r in resumed.results) == workers
+        assert _identity_surface(resumed) == _identity_surface(clean)
 
     def test_resume_rows_match_clean_run(self, tmp_path, capsys):
         # In-process half of the scenario above: drain via the global

@@ -138,6 +138,22 @@ class TestMain:
         assert "error:" in err and "float range" in err
         assert "Traceback" not in err
 
+    def test_label_past_the_float_range(self, tmp_path, capsys):
+        # ¬R(a, b) weighs 10^400 − 1: the weighted sampler's weight is
+        # past the float range, an error line rather than a traceback.
+        path = tmp_path / "label.csv"
+        path.write_text(
+            f"R,1/{10**400},a,b\nR,1/2,d,e\nS,1/2,b,c\nS,1/2,e,f\n"
+        )
+        code = main(
+            ["eval", "--data", str(path), "--query", "Q :- R(x, y), S(y, z)",
+             "--method", "fpras-weighted"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "float range" in err
+        assert "Traceback" not in err
+
     def test_query_file(self, data_file, tmp_path, capsys):
         query_path = tmp_path / "query.txt"
         query_path.write_text("Q :- R1(x, y)")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ReductionCache
+from repro.core.estimator import PQEEngine
 from repro.core.exact import exact_probability, exact_uniform_reliability
 from repro.core.path_estimate import path_estimate, path_pqe_estimate
 from repro.core.pqe_estimate import (
@@ -219,6 +220,17 @@ def _wide_labels() -> ProbabilisticDatabase:
 _WIDE_QUERY = "Q :- R(x, y), S(y, z)"
 
 
+def _tiny_label() -> ProbabilisticDatabase:
+    """``R(a,b)`` labelled 1/10^400 beside three facts at 1/2: the
+    weight 10^400 − 1 of ``¬R(a,b)`` is past the float range."""
+    return ProbabilisticDatabase({
+        Fact("R", ("a", "b")): Fraction(1, 10**400),
+        Fact("R", ("d", "e")): Fraction(1, 2),
+        Fact("S", ("b", "c")): Fraction(1, 2),
+        Fact("S", ("e", "f")): Fraction(1, 2),
+    })
+
+
 def _near_certain_chain():
     """A 20-edge ``a``-chain labelled ``(10^20 − 3)/10^20``: the
     product's denominator is 10^400."""
@@ -263,18 +275,32 @@ _WIDE_TRUTH = 0.3860867464592406
          float("inf")),
         (lambda q: ur_estimate(q, _many_dropped_facts(), seed=1),
          float("inf")),
+        (lambda q: pqe_estimate(q, _tiny_label(), method="exact-weighted"),
+         0.25),
+        (lambda q: pqe_estimate(
+            q, _tiny_label(), method="fpras-weighted", seed=1),
+         EstimationError),
+        (lambda q: path_pqe_estimate(
+            q, _tiny_label(), method="fpras", seed=1, exact_set_cap=0),
+         EstimationError),
+        (lambda q: PQEEngine(seed=1).probability(
+            q, _tiny_label(), method="fpras-weighted"),
+         EstimationError),
     ],
     ids=[
         "pqe-exact-weighted", "path-pqe-exact", "pqe-fpras-weighted",
         "path-pqe-fpras", "rpq-fpras", "path-estimate", "ur-estimate",
+        "label-exact-weighted", "label-fpras-weighted", "label-path-fpras",
+        "label-engine-fpras-weighted",
     ],
 )
 def test_answers_past_the_float_range(leg, expected):
-    """Where ``Π_f d_f`` or ``2^|D \\ D'|`` is past the float range, no
-    route raises :class:`OverflowError`: an exact measure gives the
-    correctly rounded probability, a sampled measure that overflowed
-    raises :class:`EstimationError` naming the float range (so the
-    resilience ladder degrades), and a scaled count is ``inf``."""
+    """Where ``Π_f d_f``, ``2^|D \\ D'|`` or one label's weight is past
+    the float range, no route raises :class:`OverflowError`: an exact
+    measure gives the correctly rounded probability, a sampled measure
+    that overflowed or a sampler weight past the range raises
+    :class:`EstimationError` naming the float range (so the resilience
+    ladder degrades), and a scaled count is ``inf``."""
     query = parse_query(_WIDE_QUERY)
     if expected is EstimationError:
         with pytest.raises(EstimationError, match="float range"):

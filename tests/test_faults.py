@@ -277,6 +277,11 @@ def test_failed_item_reports_the_retries_it_used(on_error):
     assert failed.retries == 1
     assert failed.error.retries == 1
     assert failed.error.telemetry.counter("resilience.retries") == 1
+    # The error record carries its attempt log, as in 'degrade' mode.
+    assert [entry.split(":")[0] for entry in failed.error.degradations] == [
+        "fpras", "fpras#retry1"
+    ]
+    assert failed.error.telemetry.counter("resilience.degradations") == 1
 
 
 def test_degrade_mode_retries_up_to_max_retries():
@@ -328,7 +333,7 @@ def test_retry_outcomes_are_identical_across_worker_counts():
     assert recovered.retries == 1
 
 
-@pytest.mark.parametrize("on_error", ["fail", "skip"])
+@pytest.mark.parametrize("on_error", ["fail", "skip", "degrade"])
 def test_a_retried_answer_records_its_retry_once(on_error, tmp_path):
     from repro.core.journal import load_journal
 
@@ -338,13 +343,28 @@ def test_a_retried_answer_records_its_retry_once(on_error, tmp_path):
         batch = evaluate_batch(
             sampled_engine(), items, max_workers=1, seed=7,
             on_error=on_error, max_retries=1, journal=journal,
+            telemetry=True,
         )
     (result,) = batch.results
     assert result.retries == 1
     assert result.answer.retries == 1
+    # Every mode runs one attempt loop: the failed attempt is logged
+    # and each attempt has its span.
+    (attempt,) = result.answer.degradations
+    assert attempt.startswith(
+        "fpras-weighted: EstimationError: injected fault"
+    )
+    assert result.answer.degraded
+    spans = [
+        record.tag_dict["retry"]
+        for record in result.answer.telemetry.tracer.records
+        if record.name == "resilience.attempt"
+    ]
+    assert spans == [0, 1]
     record = load_journal(journal).items[0]
     assert record["retries"] == 1
     assert record["answer"]["retries"] == 1
+    assert record["answer"]["degradations"] == [attempt]
 
 
 @pytest.mark.parametrize(

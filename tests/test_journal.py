@@ -8,6 +8,8 @@ same replay-stable counters as an uninterrupted run.
 """
 
 import json
+import threading
+import time
 import warnings
 
 import pytest
@@ -25,8 +27,14 @@ from repro.core.parallel import BatchItem
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import JournalError, ReproError
+from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.queries import parse_query
-from repro.testing.faults import flip_bit, truncate_tail
+from repro.testing.faults import (
+    FaultSpec,
+    flip_bit,
+    inject_faults,
+    truncate_tail,
+)
 
 
 def _pdb(shift: int = 0) -> ProbabilisticDatabase:
@@ -87,6 +95,57 @@ class TestRecordFormat:
         assert restored.answer.rational == fresh.results[0].answer.rational
         assert restored.answer.value == fresh.results[0].answer.value
         assert restored.answer.exact
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_appends_count_in_the_callers_collector(
+        self, tmp_path, engine, rs_items, width
+    ):
+        # At width 2 the appends run on worker threads.
+        telemetry = EvaluationTelemetry()
+        with telemetry_scope(telemetry):
+            engine.evaluate_batch(
+                rs_items, seed=11, max_workers=width,
+                journal=tmp_path / "batch.jsonl",
+            )
+        assert telemetry.counter("journal.appends") == 1 + len(rs_items)
+
+    def test_items_are_journalled_as_they_settle(
+        self, tmp_path, engine, rs_items
+    ):
+        # Item 0 stalls 2 s at width 2; meanwhile the other worker
+        # settles items 1-3, and each is durable as soon as it settles.
+        path = tmp_path / "batch.jsonl"
+
+        def journalled() -> set:
+            if not path.exists():
+                return set()
+            complete = path.read_text().split("\n")[:-1]
+            return {
+                record["index"]
+                for record in map(json.loads, complete)
+                if record["type"] == "item"
+            }
+
+        outcome = []
+        with inject_faults(FaultSpec("counting.nfta", scope=0, stall=2.0)):
+            batch = threading.Thread(
+                target=lambda: outcome.append(
+                    engine.evaluate_batch(
+                        rs_items, seed=11, max_workers=2, journal=path
+                    )
+                )
+            )
+            batch.start()
+            give_up = time.monotonic() + 1.5
+            while journalled() != {1, 2, 3} and time.monotonic() < give_up:
+                time.sleep(0.02)
+            early = journalled()
+            batch.join(timeout=30)
+        assert not batch.is_alive()
+        assert early == {1, 2, 3}
+        (result,) = outcome
+        assert result.ok
+        assert journalled() == {0, 1, 2, 3}
 
     def test_missing_file_loads_empty(self, tmp_path):
         loaded = load_journal(tmp_path / "never-written.jsonl")
@@ -244,12 +303,14 @@ class TestResume:
     ):
         path = tmp_path / "batch.jsonl"
         fresh = engine.evaluate_batch(rs_items, seed=11, journal=path)
-        # Tear off the last item's record — as a crash would have.
+        # Tear off the last record — as a crash would have.  Items are
+        # journalled as they settle, so read which item it held.
         lines = path.read_text().splitlines()
+        torn = json.loads(lines[-1])["index"]
         path.write_text("\n".join(lines[:-1]) + "\n")
         resumed = engine.resume_batch(rs_items, seed=11, journal=path)
         assert [r.replayed for r in resumed.results] == [
-            True, True, True, False
+            index != torn for index in range(len(rs_items))
         ]
         assert resumed.values == fresh.values
 

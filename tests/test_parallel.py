@@ -329,3 +329,56 @@ def test_retries_never_sleep(monkeypatch, on_error):
             seed=derive_retry_seed(derive_item_seed(5, index), 1),
         )
         assert result.answer.value == expected.value
+
+
+def test_admission_hands_out_every_item_once_under_contention():
+    """More workers than cores and a tiny switch interval: the one
+    admission loop still runs every pending index exactly once."""
+    import sys
+
+    from repro.core.parallel import _run_admitted
+
+    class CountingRunner:
+        def __init__(self, size):
+            self.runs = [0] * size
+
+        def run(self, index):
+            self.runs[index] += 1
+            return index
+
+    runner = CountingRunner(300)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        computed = _run_admitted(
+            runner, list(range(300)), 8, lambda result: result
+        )
+    finally:
+        sys.setswitchinterval(previous)
+    assert runner.runs == [1] * 300
+    assert computed == {index: index for index in range(300)}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_journal_failure_leaves_the_batch(monkeypatch, tmp_path, width):
+    """A failure outside an item, here a journal append, stops admission
+    and leaves ``evaluate_batch`` from whichever worker hit it, with the
+    journal file closed."""
+    import gc
+    import warnings
+
+    from repro.core.journal import BatchJournal
+
+    def refuse(self, result, counters=None):
+        raise OSError("journal device full")
+
+    monkeypatch.setattr(BatchJournal, "record_item", refuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError, match="journal device full"):
+            evaluate_batch(
+                PQEEngine(), small_items(4), seed=1, max_workers=width,
+                journal=tmp_path / "batch.wal",
+            )
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]

@@ -6,6 +6,8 @@ and terminal failures, and the deadline-aborts / work-cap-degrades
 asymmetry.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.budget import EvaluationBudget
@@ -223,6 +225,44 @@ def test_non_degradable_errors_raise_immediately():
     engine = PQEEngine()
     with pytest.raises(ReproError, match="unknown method"):
         evaluate_with_policy(engine, QUERY, PDB, method="not-a-method")
+
+
+def test_a_non_degradable_failure_carries_the_retries_it_used():
+    # A transient fault, then one no rung can mend on the retry: the
+    # failure leaves at once, with the retry and the attempt before it.
+    specs = [
+        FaultSpec("counting.nfta", times=1),
+        FaultSpec("counting.nfta", exception=RuntimeError, after=1),
+    ]
+    with inject_faults(*specs):
+        with pytest.raises(RuntimeError) as info:
+            evaluate_with_policy(
+                sampled_engine(), QUERY, PDB, method="fpras", seed=4,
+                max_retries=1,
+            )
+    assert info.value.retries == 1
+    (attempt,) = info.value.degradations
+    assert attempt.startswith("fpras: EstimationError: injected fault")
+
+
+def test_a_float_range_error_degrades_without_a_retry():
+    # ¬R(a, b) weighs 10^400 − 1 and the sampled measure overflows on
+    # every seed, so each rung fails once and no retry is spent.
+    pdb = ProbabilisticDatabase({
+        Fact("R", ("a", "b")): Fraction(1, 10**400),
+        Fact("R", ("d", "e")): "1/2",
+        Fact("S", ("b", "c")): "1/2",
+        Fact("S", ("e", "f")): "1/2",
+    })
+    answer = PQEEngine(seed=1).evaluate_resilient(
+        parse_query("Q :- R(x, y), S(y, z)"), pdb, method="fpras-weighted"
+    )
+    assert answer.method == "monte-carlo"
+    assert answer.retries == 0
+    assert [entry.split(":")[0] for entry in answer.degradations] == [
+        "fpras-weighted", "fpras"
+    ]
+    assert all("float range" in entry for entry in answer.degradations)
 
 
 def test_engine_facade_evaluate_resilient():
