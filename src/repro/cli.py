@@ -203,38 +203,31 @@ def _write_metrics_file(path, telemetry, meta, items=None) -> None:
         write_trace(stream, telemetry, meta=meta, items=items)
 
 
-def _print_profile(telemetry, meta, items=None, stream=None) -> None:
-    """Per-phase wall/CPU breakdown, largest share first."""
-    stream = stream or sys.stdout
-    summary = summarize_trace(
-        list(telemetry_records(telemetry, meta=meta, items=items))
-    )
-    phases = summary["phases"]
-    if not phases:
-        print("profile: no spans recorded", file=stream)
-        return
+def _print_phase_table(summary, label="", footer=None, stream=None) -> None:
+    """A trace summary's phases, largest wall time first, then
+    ``footer`` and the counters; rows and footer are indented under
+    ``label``, which prefixes the header."""
+    indent = " " * len(label)
     print(
-        f"profile: {'phase':<24} {'spans':>6} {'wall':>10} "
+        f"{label}{'phase':<24} {'spans':>6} {'wall':>10} "
         f"{'cpu':>10} {'share':>7}",
         file=stream,
     )
     ordered = sorted(
-        phases.items(), key=lambda pair: pair[1]["total"], reverse=True
+        summary["phases"].items(),
+        key=lambda pair: pair[1]["total"],
+        reverse=True,
     )
     for name, cell in ordered:
         print(
-            f"         {name:<24} {cell['spans']:>6} "
+            f"{indent}{name:<24} {cell['spans']:>6} "
             f"{cell['total']:>9.4f}s {cell['cpu']:>9.4f}s "
             f"{cell['share']:>6.1%}",
             file=stream,
         )
-    if summary["coverage"] is not None:
-        print(
-            f"         span coverage: {summary['coverage']:.1%} of "
-            f"{summary['item_total']:.4f}s item wall time",
-            file=stream,
-        )
-    counters = telemetry.metrics.counters
+    if footer is not None:
+        print(indent + footer, file=stream)
+    counters = summary["counters"]
     if counters:
         print(
             "counters: "
@@ -243,6 +236,23 @@ def _print_profile(telemetry, meta, items=None, stream=None) -> None:
             ),
             file=stream,
         )
+
+
+def _print_profile(telemetry, meta, items=None, stream=None) -> None:
+    """Per-phase wall/CPU breakdown, largest share first."""
+    summary = summarize_trace(
+        list(telemetry_records(telemetry, meta=meta, items=items))
+    )
+    if not summary["phases"]:
+        print("profile: no spans recorded", file=stream)
+        return
+    footer = None
+    if summary["coverage"] is not None:
+        footer = (
+            f"span coverage: {summary['coverage']:.1%} of "
+            f"{summary['item_total']:.4f}s item wall time"
+        )
+    _print_phase_table(summary, "profile: ", footer, stream)
 
 
 def _run_trace_summary(arguments: list[str]) -> int:
@@ -277,34 +287,14 @@ def _run_trace_summary(arguments: list[str]) -> int:
             "trace:   "
             + " ".join(f"{k}={meta[k]}" for k in sorted(meta))
         )
-    print(
-        f"{'phase':<24} {'spans':>6} {'wall':>10} {'cpu':>10} {'share':>7}"
-    )
-    ordered = sorted(
-        summary["phases"].items(),
-        key=lambda pair: pair[1]["total"],
-        reverse=True,
-    )
-    for name, cell in ordered:
-        print(
-            f"{name:<24} {cell['spans']:>6} {cell['total']:>9.4f}s "
-            f"{cell['cpu']:>9.4f}s {cell['share']:>6.1%}"
-        )
+    footer = None
     if summary["items"]:
-        coverage = summary["coverage"]
-        print(
+        footer = (
             f"items:   {summary['items']} "
             f"({summary['item_total']:.4f}s wall, span coverage "
-            f"{coverage:.1%})"
+            f"{summary['coverage']:.1%})"
         )
-    counters = summary["counters"]
-    if counters:
-        print(
-            "counters: "
-            + " ".join(
-                f"{name}={counters[name]}" for name in sorted(counters)
-            )
-        )
+    _print_phase_table(summary, footer=footer)
     return 0
 
 

@@ -684,9 +684,9 @@ class PQEEngine:
         to each answer/error — and merges them (in item-index order, so
         deterministically) into ``BatchResult.telemetry``.
 
-        ``isolation='process'`` runs items in supervised subprocess
-        workers (optionally capped at ``memory_limit`` bytes each) so
-        hard crashes become structured error records; ``journal=FILE``
+        ``isolation='process'`` runs each worker's items in a forked
+        child of its own (optionally capped at ``memory_limit`` bytes)
+        so hard crashes become structured error records; ``journal=FILE``
         appends fsync'd completion records that :meth:`resume_batch`
         can replay.  See the durability contract in
         :mod:`repro.core.parallel` and ``docs/durability.md``.

@@ -67,10 +67,15 @@ picks the ladder and what a failing item does to its batch:
 across its retries and degradation rungs — so a stalled item cannot
 overrun it by more than the checkpoint granularity.
 
+One admission loop runs every batch, whatever the isolation:
 ``min(max_workers, pending items)`` workers — the calling thread alone
-at width 1, else fresh threads (or subprocesses, below) — each take the
-next pending item unless a drain was requested (:func:`request_drain`)
-and journal it as it settles, so a drain stops admission at any width.
+at width 1, else fresh threads — each take the next pending item
+unless a drain was requested (:func:`request_drain`) and journal it as
+it settles, so a drain stops admission at any width.  A worker settles
+its item on its own thread, or, under ``isolation='process'``, in the
+forked child it owns (below).  An interrupt (``KeyboardInterrupt``,
+``SystemExit``) inside an item is no error record: it stops admission
+and leaves the batch.
 
 Durability contract
 -------------------
@@ -78,16 +83,18 @@ Two orthogonal extensions harden a batch against failures threads
 cannot contain:
 
 ``isolation='process'``
-    Items run in subprocess workers supervised by
-    :mod:`repro.core.procpool`: a worker that dies without reporting —
-    segfault, OOM kill, ``SIGKILL``, a watchdog kill past
-    ``2 × budget.deadline + 1 s`` — becomes a structured
-    :class:`BatchItemError` carrying
-    :class:`~repro.errors.WorkerCrashError`, and the batch continues
-    under the same ``on_error`` semantics.  Answers and seeds are
+    Each admission thread owns one forked child
+    (:mod:`repro.core.procpool`) and hands it its items one at a time:
+    a child that dies without reporting — segfault, OOM kill,
+    ``SIGKILL``, a watchdog kill past ``2 × budget.deadline + 1 s`` —
+    becomes a structured :class:`BatchItemError` carrying
+    :class:`~repro.errors.WorkerCrashError`, the thread forks a
+    replacement for its next item, and the batch continues under the
+    same ``on_error`` semantics.  Admission, drain and journal order
+    are the thread backend's.  Answers and seeds are
     bitwise-identical to the thread backend (same
     :func:`derive_item_seed` streams, same routing); only cache
-    *traffic* differs, because each worker process owns a private
+    *traffic* differs, because each child owns a private copy of the
     reduction cache (share a durable
     :class:`~repro.core.diskcache.DiskCache` tier to win the reuse
     back).
@@ -149,7 +156,7 @@ _ON_ERROR = ("fail", "skip", "degrade")
 _ISOLATION = ("thread", "process")
 
 #: Process-wide graceful-drain flag.  A SIGTERM handler (the CLI's, or
-#: the serve daemon's) sets it; the execution backends check it before
+#: the serve daemon's) sets it; the admission loop checks it before
 #: *starting* each item, so in-flight work completes and is journalled
 #: while nothing new is admitted.  Threads cannot be interrupted, so
 #: drain is admission control, not cancellation.
@@ -418,13 +425,15 @@ def _error_record(
 class ItemRunner:
     """Runs single batch items per the module contract.
 
-    The one piece both execution backends share: the thread backend
-    calls :meth:`run` from its workers, the process backend
-    (:mod:`repro.core.procpool`) forks workers that call it in their own
-    process.  Everything an item needs — engine, coerced batch, derived
-    seeds, budget, retry count, degradation routes, shared cache,
-    telemetry flag — is captured at construction, so ``run(index)`` is
-    self-contained and scheduling-independent.
+    The admission loop calls :meth:`run` from its workers; under
+    process isolation each worker's forked child
+    (:mod:`repro.core.procpool`) calls it in its own process.
+    Everything an item needs — engine, coerced batch, derived seeds,
+    budget, retry count, degradation routes, shared cache, telemetry
+    flag — is captured at construction, so ``run(index)`` is
+    self-contained and scheduling-independent.  Every ``Exception``
+    becomes the item's error record (``MemoryError`` under a child's
+    ``RLIMIT_AS`` included); an interrupt propagates.
     """
 
     def __init__(
@@ -480,7 +489,7 @@ class ItemRunner:
                     seed=item_seed,
                     elapsed=time.perf_counter() - item_started,
                 )
-            except BaseException as failure:
+            except Exception as failure:
                 elapsed = time.perf_counter() - item_started
                 self.causes[index] = failure
                 # The failed attempt's scope stamped its usage on the
@@ -534,15 +543,18 @@ def _with_telemetry(result: BatchItemResult, telemetry) -> BatchItemResult:
 
 
 def _run_admitted(
-    runner: ItemRunner, pending: list[int], width: int, on_settled
+    run, pending: list[int], width: int, on_settled
 ) -> dict[int, BatchItemResult]:
-    """Run ``pending`` on ``width`` workers: the calling thread alone at
-    width 1, fresh threads above.
+    """Settle ``pending`` with ``run(index)`` on ``width`` workers: the
+    calling thread alone at width 1, fresh threads above.
 
-    Each worker takes the next index until none is left, a drain is
-    requested or a worker failed outside an item (a journal append,
-    say); that failure stops admission and is raised here once every
-    worker has stopped.
+    ``run`` is :meth:`ItemRunner.run` under thread isolation and
+    :meth:`repro.core.procpool.ChildRunner.run`, which runs the item in
+    the worker's own forked child, under process isolation.  Each
+    worker takes the next index until none is left, a drain is
+    requested or a worker failed outside an item (a journal append, an
+    interrupt); that failure stops admission and is raised here once
+    every worker has stopped.
     """
     queue = iter(pending)
     lock = threading.Lock()
@@ -558,7 +570,7 @@ def _run_admitted(
                     index = next(queue, None)
                 if index is None:
                     return
-                computed[index] = on_settled(runner.run(index))
+                computed[index] = on_settled(run(index))
         except BaseException as failure:
             failures.append(failure)
 
@@ -637,8 +649,8 @@ def evaluate_batch(
         of its task's (``TASKS[task].ladder(query, method)``).
     telemetry:
         When true, every item records spans and metrics into its own
-        :class:`~repro.obs.EvaluationTelemetry` (installed on the worker
-        thread, rooted at an ``item`` span), attached to the item's
+        :class:`~repro.obs.EvaluationTelemetry` (installed where the
+        item runs, rooted at an ``item`` span), attached to the item's
         answer — or to its :class:`BatchItemError` on failure, covering
         the work done up to the fault.  The per-item collections are
         merged in item-index order into ``BatchResult.telemetry``, so
@@ -646,11 +658,11 @@ def evaluate_batch(
     isolation:
         ``'thread'`` (default) or ``'process'`` — see the module
         docstring's durability contract.  Process isolation survives
-        worker segfaults, OOM kills and ``SIGKILL`` at the cost of
-        per-process caches and fork/IPC overhead.
+        segfaults, OOM kills and ``SIGKILL`` of a worker's child at the
+        cost of per-process caches and fork/IPC overhead.
     memory_limit:
-        Per-worker address-space cap in bytes (``isolation='process'``
-        only): a worker that outgrows it gets ``MemoryError`` — a
+        Per-child address-space cap in bytes (``isolation='process'``
+        only): a child that outgrows it gets ``MemoryError`` — a
         structured, recoverable error record — instead of taking the
         host down.
     journal:
@@ -759,26 +771,27 @@ def evaluate_batch(
 
     pending = [i for i in range(len(batch)) if i not in replayed]
 
-    # -- execution backends ---------------------------------------------
-    try:
-        if isolation == "process" and pending:
-            from repro.core.procpool import run_process_batch
+    # -- execution ------------------------------------------------------
+    children = None
+    if isolation == "process":
+        from repro.core.procpool import ChildRunner
 
-            computed, cache_stats = run_process_batch(
-                runner,
-                pending,
-                max_workers=max_workers,
-                memory_limit=memory_limit,
-                on_settled=record,
-            )
-        else:
-            computed = _run_admitted(
-                runner, pending, min(max_workers, len(pending)), record
-            )
-            cache_stats = cache.stats - stats_before
+        children = ChildRunner(runner, memory_limit)
+    try:
+        computed = _run_admitted(
+            runner.run if children is None else children.run,
+            pending,
+            min(max_workers, len(pending)),
+            record,
+        )
     finally:
+        if children is not None:
+            children.close()
         if journal_log is not None and journal is not journal_log:
             journal_log.close()
+    cache_stats = (
+        cache.stats - stats_before if children is None else children.stats
+    )
 
     settled = {**replayed, **computed}
     results = tuple(settled[i] for i in sorted(settled))

@@ -1,47 +1,59 @@
-"""Process-isolated batch execution: crash containment for workers.
+"""Process isolation: each admission thread runs its items in a forked
+child of its own.
 
-The thread backend in :mod:`repro.core.parallel` contains *Python*
-failures — an exception in one item becomes a structured error record.
-It cannot contain *process* failures: a segfault in native code, the
-kernel OOM killer, or an operator ``SIGKILL`` takes down the whole
-batch, completed siblings included.  This module is the containment
-layer ``evaluate_batch(..., isolation='process')`` runs on:
+Threads contain *Python* failures — an exception in one item becomes a
+structured error record — but not *process* failures: a segfault in
+native code, the kernel OOM killer or an operator ``SIGKILL`` takes
+down the whole batch.  This module is that containment and nothing
+else.  The one admission loop in :mod:`repro.core.parallel` still
+decides which worker takes the next item, when a drain stops admission
+and when a settled item is journalled; under ``isolation='process'``
+it calls :meth:`ChildRunner.run` where threads call
+:meth:`~repro.core.parallel.ItemRunner.run`:
 
-- each worker is a forked subprocess evaluating one item at a time over
-  a dedicated pipe, with an optional ``RLIMIT_AS`` address-space cap so
-  runaway memory becomes a recoverable ``MemoryError`` inside the
-  worker instead of an OOM kill outside it;
-- a supervisor loop multiplexes worker pipes *and* process sentinels:
-  a worker that dies without reporting — whatever killed it — is
-  detected immediately, recorded as a
-  :class:`~repro.errors.WorkerCrashError` error record for exactly the
-  item it was evaluating, and replaced so the batch continues;
-- a watchdog backstops cooperative deadlines: when the item budget has
-  a ``deadline``, a worker that blows well past it (stuck in native
-  code where no :mod:`~repro.core.budget` checkpoint can fire) is
-  hard-killed and recorded the same way.
+- each admission thread owns one forked child, forked on the thread's
+  first item and replaced (``procpool.restarts``) when found dead.  The
+  child evaluates the indexes sent over its pipe, under an optional
+  ``RLIMIT_AS`` cap that turns runaway memory into a ``MemoryError``
+  record instead of an OOM kill;
+- ``run`` waits on the child's pipe and sentinel until the payload
+  arrives or the child dies, whatever killed it.  A death is a
+  :class:`~repro.errors.WorkerCrashError` record (``procpool.crashes``)
+  for the item the child was evaluating;
+- when the item budget has a ``deadline``, that wait is one timed wait
+  of ``2 × deadline + 1 s`` (the watchdog), and a child still busy then
+  — stuck where no :mod:`~repro.core.budget` checkpoint fires — is
+  killed and recorded the same way.
 
-Reproducibility: workers run the same :class:`~repro.core.parallel.
-ItemRunner` with the same SHA-256 per-item seed streams as the thread
-backend, so answers and seeds are bitwise-identical across backends
-and worker counts.  Telemetry is shipped back as plain records and
-rebuilt id-for-id.  Cache *traffic* is the one documented difference:
-each worker owns a fork-time copy of the reduction cache, so the
-batch's ``cache_stats`` aggregate per-worker traffic (pair the pool
-with a :class:`~repro.core.diskcache.DiskCache` tier to share builds
-across processes durably).
+Forks take one module lock, ``_FORK_LOCK``, over the pipe, the fork
+and the close of the child's pipe end, so no child inherits a sibling's
+pipe end or sentinel and hides that sibling's death; the daemon's
+per-request forks take it too, and so does reaping, since every fork
+reaps finished children.  A child takes none of the locks a parent
+admission thread holds: the admission lock, the stats lock, the
+journal lock and the caller's collector.  The crash counters count in
+the caller's collector, outside any fork.
+
+Answers and seeds are bitwise-identical to the thread backend's: the
+children run the same :class:`~repro.core.parallel.ItemRunner` on the
+same SHA-256 per-item seed streams, and telemetry comes back as plain
+records rebuilt id-for-id.  Cache *traffic* is the one documented
+difference: each child owns a fork-time copy of the reduction cache,
+so the batch's ``cache_stats`` sum the children's traffic (a
+:class:`~repro.core.diskcache.DiskCache` tier shares builds across
+processes durably).
 
 Requires the ``fork`` start method (POSIX): the runner — engine, items,
-live cache — crosses into workers by inheritance, not pickling, and
-installed fault plans (:mod:`repro.testing.faults`) propagate the same
-way, which is what lets chaos tests crash a worker at a named site.
+live cache — and installed fault plans (:mod:`repro.testing.faults`)
+reach the children by inheritance, not pickling, which is what lets
+chaos tests crash a child at a named site.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
+import threading
 import time
 from multiprocessing import connection
 
@@ -58,30 +70,37 @@ from repro.core.parallel import (
     _result_telemetry,
     _with_telemetry,
     derive_item_seed,
-    drain_requested,
 )
 from repro.errors import ReproError, WorkerCrashError
-from repro.obs import EvaluationTelemetry, MetricsRegistry, Tracer, metric_inc
+from repro.obs import (
+    EvaluationTelemetry,
+    MetricsRegistry,
+    Tracer,
+    active_telemetry,
+    metric_inc,
+    telemetry_scope,
+)
 
-__all__ = ["run_process_batch"]
-
-#: Supervisor poll interval while watchdog deadlines are armed.
-_POLL_SECONDS = 0.05
+__all__ = ["ChildRunner"]
 
 #: Slack multiplier over the cooperative per-item deadline before the
-#: watchdog hard-kills a worker: the budget layer should always fire
+#: watchdog hard-kills a child: the budget layer should always fire
 #: first, so the watchdog only triggers when checkpoints cannot run
 #: (wedged native code, a stopped process).
 _WATCHDOG_FACTOR = 2.0
 _WATCHDOG_SLACK = 1.0
 
+#: Held while forking (pipe, fork, close of the child's end) and while
+#: reaping: one fork at a time in the whole process.
+_FORK_LOCK = threading.Lock()
 
-def _freeze_payload(index: int, result: BatchItemResult, cause, stats):
+
+def _freeze_payload(result: BatchItemResult, cause, stats):
     """A picklable transport message for one settled item.
 
     Telemetry objects hold locks and cannot cross the pipe; they travel
     as ``(span records, metrics state)`` and are rebuilt id-for-id by
-    the supervisor.
+    the admission thread.
     """
     telemetry = _result_telemetry(result)
     frozen = None
@@ -94,7 +113,6 @@ def _freeze_payload(index: int, result: BatchItemResult, cause, stats):
         except Exception:
             cause = None
     return {
-        "index": index,
         "result": result,
         "telemetry": frozen,
         "cause": cause,
@@ -117,8 +135,8 @@ def _thaw_result(payload) -> BatchItemResult:
     return result
 
 
-def _worker_main(conn, runner: ItemRunner, memory_limit: int | None):
-    """Worker loop: evaluate requested indexes until told to stop."""
+def _child_main(conn, runner: ItemRunner, memory_limit: int | None):
+    """Child loop: evaluate requested indexes until told to stop."""
     if memory_limit is not None and resource is not None:
         try:
             resource.setrlimit(
@@ -138,7 +156,7 @@ def _worker_main(conn, runner: ItemRunner, memory_limit: int | None):
         stats = runner.cache.stats - before
         try:
             payload = _freeze_payload(
-                message, result, runner.causes.get(message), stats
+                result, runner.causes.get(message), stats
             )
             conn.send(payload)
         except Exception as failure:
@@ -151,34 +169,23 @@ def _worker_main(conn, runner: ItemRunner, memory_limit: int | None):
                 elapsed=result.elapsed,
                 error=_error_record(failure, result.elapsed, 0, None),
             )
-            conn.send(_freeze_payload(message, fallback, None, stats))
+            conn.send(_freeze_payload(fallback, None, stats))
 
 
-class _Worker:
-    """One subprocess worker plus its supervisor-side bookkeeping."""
+class _Child:
+    """One forked child plus the parent's end of its pipe.  Made with
+    ``_FORK_LOCK`` held."""
 
-    def __init__(self, ctx, runner, memory_limit):
+    def __init__(self, runner, memory_limit):
+        ctx = multiprocessing.get_context("fork")
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
-            target=_worker_main,
+            target=_child_main,
             args=(child_conn, runner, memory_limit),
             daemon=True,
         )
         self.process.start()
         child_conn.close()
-        self.item: int | None = None
-        self.assigned_at: float = 0.0
-
-    def assign(self, index: int) -> None:
-        self.item = index
-        self.assigned_at = time.perf_counter()
-        self.conn.send(index)
-
-    def settle(self) -> None:
-        self.item = None
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
 
     def shutdown(self) -> None:
         try:
@@ -205,7 +212,6 @@ def _crash_result(
         elapsed=elapsed,
     )
     runner.causes[index] = failure
-    metric_inc("procpool.crashes")
     return BatchItemResult(
         index=index,
         answer=None,
@@ -215,145 +221,101 @@ def _crash_result(
     )
 
 
-def run_process_batch(
-    runner: ItemRunner,
-    pending,
-    *,
-    max_workers: int,
-    memory_limit: int | None = None,
-    on_settled=None,
-):
-    """Evaluate ``pending`` item indexes in supervised subprocess workers.
+class ChildRunner:
+    """Runs each item in the calling admission thread's own child.
 
-    Returns ``(computed, cache_stats)``: index → settled
-    :class:`BatchItemResult` (crashes included, as structured error
-    records) and the summed per-worker cache traffic.  ``on_settled``
-    is invoked in the supervisor, once per item, as each settles — the
-    journal hook, so completions are durable before the batch moves on.
-    The watchdog arms from ``runner.item_budget.deadline``: a worker
-    still busy ``2 × deadline + 1 s`` after taking its item is killed.
+    ``run(index)`` is what the admission loop calls under
+    ``isolation='process'``; it returns the settled result, or the
+    :class:`~repro.errors.WorkerCrashError` record of a child that
+    died.  ``stats`` sums the children's cache traffic.  Make it on the
+    thread whose collector should count ``procpool.crashes`` and
+    ``procpool.restarts``, and :meth:`close` it once admission stopped.
     """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise ReproError(
-            "isolation='process' requires the 'fork' start method "
-            "(POSIX); use the thread backend on this platform"
-        )
-    ctx = multiprocessing.get_context("fork")
-    queue = list(pending)
-    queue.reverse()  # pop() from the front of the original order
-    computed: dict[int, BatchItemResult] = {}
-    total = len(pending)
-    hits = misses = evictions = 0
-    budget = runner.item_budget
-    watchdog = (
-        budget.deadline * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
-        if budget is not None and budget.deadline is not None
-        else None
-    )
-    if on_settled is None:
-        on_settled = lambda result: result  # noqa: E731
 
-    width = max(1, min(max_workers, total))
-    workers = [_Worker(ctx, runner, memory_limit) for _ in range(width)]
-    try:
-        while len(computed) < total:
-            # A graceful drain stops admission: busy workers finish (and
-            # their items are journalled via ``on_settled``), idle ones
-            # get nothing new, and once no worker is busy the loop below
-            # exits with the queue's remainder unevaluated — the caller
-            # surfaces it as a BatchDrainedError.
-            draining = drain_requested()
-            for position, worker in enumerate(workers):
-                if worker.item is None and queue and not draining:
-                    if not worker.alive():
-                        # An idle worker died (killed from outside);
-                        # replace it before handing it work.
-                        worker.shutdown()
-                        workers[position] = _Worker(
-                            ctx, runner, memory_limit
-                        )
-                        metric_inc("procpool.restarts")
-                    workers[position].assign(queue.pop())
-            busy = [w for w in workers if w.item is not None]
-            if not busy:
-                # Nothing in flight: either every worker died with the
-                # queue empty (defensive) or a drain stopped admission.
-                break
-            waitables = [w.conn for w in busy] + [
-                w.process.sentinel for w in busy
-            ]
-            ready = connection.wait(
-                waitables,
-                timeout=_POLL_SECONDS if watchdog is not None else None,
+    def __init__(self, runner: ItemRunner, memory_limit: int | None = None):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ReproError(
+                "isolation='process' requires the 'fork' start method "
+                "(POSIX); use the thread backend on this platform"
             )
-            now = time.perf_counter()
-            for worker in busy:
-                index = worker.item
-                if index is None:  # pragma: no cover - defensive
-                    continue
-                # Results win over death: a worker that reported and
-                # then exited is a completion, not a crash.
-                has_payload = False
-                if worker.conn in ready:
-                    has_payload = True
-                elif worker.process.sentinel in ready:
-                    has_payload = worker.conn.poll()
-                if has_payload:
-                    try:
-                        payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        payload = None
-                    if payload is not None:
-                        result = _thaw_result(payload)
-                        if payload["cause"] is not None:
-                            runner.causes[index] = payload["cause"]
-                        item_hits, item_misses, item_evictions = (
-                            payload["stats"]
-                        )
-                        hits += item_hits
-                        misses += item_misses
-                        evictions += item_evictions
-                        computed[index] = on_settled(result)
-                        worker.settle()
-                        continue
-                crashed = (
-                    worker.process.sentinel in ready
-                    and not worker.alive()
-                )
-                reason = "crashed"
-                if (
-                    not crashed
-                    and watchdog is not None
-                    and now - worker.assigned_at > watchdog
-                ):
-                    # Cooperative deadline long blown: the worker is
-                    # wedged somewhere no checkpoint can fire.
-                    worker.process.kill()
-                    worker.process.join()
-                    crashed = True
-                    reason = "watchdog timeout"
-                if crashed:
-                    elapsed = now - worker.assigned_at
-                    computed[index] = on_settled(
-                        _crash_result(
-                            runner,
-                            index,
-                            worker.process.exitcode,
-                            elapsed,
-                            reason,
-                        )
-                    )
-                    worker.settle()
-                    worker.conn.close()
-                    position = workers.index(worker)
-                    if queue:
-                        workers[position] = _Worker(
-                            ctx, runner, memory_limit
-                        )
-                        metric_inc("procpool.restarts")
-                    else:
-                        workers.pop(position)
-    finally:
-        for worker in workers:
-            worker.shutdown()
-    return computed, CacheStats(hits, misses, evictions)
+        self.runner = runner
+        self.memory_limit = memory_limit
+        budget = runner.item_budget
+        self.watchdog = (
+            budget.deadline * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
+            if budget is not None and budget.deadline is not None
+            else None
+        )
+        self._telemetry = active_telemetry()
+        self._children: dict[int, _Child] = {}  # admission thread → child
+        self._traffic = [0, 0, 0]  # hits, misses, evictions
+        self._stats_lock = threading.Lock()
+
+    @property
+    def stats(self) -> CacheStats:
+        return CacheStats(*self._traffic)
+
+    def run(self, index: int) -> BatchItemResult:
+        child = self._child()
+        started = time.perf_counter()
+        child.conn.send(index)
+        ready = connection.wait(
+            [child.conn, child.process.sentinel], timeout=self.watchdog
+        )
+        elapsed = time.perf_counter() - started
+        payload = None
+        # Results win over death: a child that reported and then exited
+        # settled its item.
+        if ready and child.conn.poll():
+            try:
+                payload = child.conn.recv()
+            except (EOFError, OSError):
+                pass  # it died before its report was whole
+        if payload is not None:
+            if payload["cause"] is not None:
+                self.runner.causes[index] = payload["cause"]
+            with self._stats_lock:
+                self._traffic = [
+                    total + part
+                    for total, part in zip(self._traffic, payload["stats"])
+                ]
+            return _thaw_result(payload)
+        if not ready:
+            # Cooperative deadline long blown: the child is wedged
+            # somewhere no checkpoint can fire.
+            child.process.kill()
+        with _FORK_LOCK:  # a sibling's fork reaps finished children too
+            child.process.join()
+        self._count("procpool.crashes")
+        return _crash_result(
+            self.runner, index, child.process.exitcode, elapsed,
+            "crashed" if ready else "watchdog timeout",
+        )
+
+    def close(self) -> None:
+        """Shut down every child this runner forked."""
+        with _FORK_LOCK:
+            children = list(self._children.values())
+            self._children.clear()
+        for child in children:
+            child.shutdown()
+
+    def _child(self) -> _Child:
+        """The calling thread's child: forked on its first item and
+        replaced when found dead."""
+        thread = threading.get_ident()
+        with _FORK_LOCK:
+            previous = self._children.get(thread)
+            if previous is not None and previous.process.is_alive():
+                return previous
+            child = self._children[thread] = _Child(
+                self.runner, self.memory_limit
+            )
+        if previous is not None:  # found dead
+            previous.shutdown()
+            self._count("procpool.restarts")
+        return child
+
+    def _count(self, name: str) -> None:
+        with telemetry_scope(self._telemetry):
+            metric_inc(name)

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator
 from repro.core.journal import RecordLog, check_fingerprint, read_records
 from repro.db.fact import Fact, fact_from_json
 from repro.db.instance import DatabaseInstance
-from repro.db.probabilistic import ProbabilisticDatabase
+from repro.db.probabilistic import ProbabilisticDatabase, _as_probability
 from repro.db.tokens import (
     ACCUMULATOR_MODULUS,
     EMPTY_ACCUMULATOR,
@@ -78,12 +78,6 @@ __all__ = [
 DELTA_JOURNAL_VERSION = 1
 
 _OPS = ("insert", "delete", "reweight")
-
-
-def _as_probability(value) -> Fraction:
-    from repro.db.probabilistic import _as_probability as coerce
-
-    return coerce(value)
 
 
 @dataclass(frozen=True)

@@ -182,9 +182,10 @@ class WorkerCrashError(ContextualError):
     """A process-isolated batch worker died without reporting a result.
 
     Raised (as a structured record, never across the pool boundary) by
-    the :mod:`repro.core.procpool` supervisor when a subprocess worker
-    is killed out from under it — a segfault in native code, the kernel
-    OOM killer, an operator ``SIGKILL``, or a hard watchdog timeout.
+    the admission thread that owns a :mod:`repro.core.procpool` child
+    when the child is killed out from under it — a segfault in native
+    code, the kernel OOM killer, an operator ``SIGKILL``, an interrupt,
+    or a hard watchdog timeout.
     ``exitcode`` is the ``multiprocessing`` exit code (negative values
     are ``-signal``); ``item_index`` is the batch item the worker was
     evaluating when it died.  Deliberately *not* an

@@ -132,6 +132,8 @@ def rpq_monte_carlo(
     """Estimate the RPQ probability by sampling worlds (additive ε)."""
     if samples is None:
         samples = additive_sample_bound(epsilon, delta)
+    if samples < 1:
+        raise EstimationError("samples must be >= 1")
     rng = random.Random(seed)
     edges = relevant_edges(graph, query)
     weights = [(edge, float(graph.probability(edge))) for edge in edges]

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+from repro.db.probabilistic import _as_probability
 from repro.errors import GraphError, ProbabilityError
 
 __all__ = ["Edge", "ProbabilisticGraph"]
@@ -49,19 +50,6 @@ class Edge:
     @property
     def sort_key(self) -> tuple[str, str, str]:
         return (self.source, self.label, self.target)
-
-
-def _as_probability(value) -> Fraction:
-    """Coerce a user-supplied label to an exact rational in [0, 1]."""
-    try:
-        prob = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ProbabilityError(
-            f"probability label {value!r} is not rational"
-        ) from exc
-    if not 0 <= prob <= 1:
-        raise ProbabilityError(f"probability {prob} outside [0, 1]")
-    return prob
 
 
 class ProbabilisticGraph:

@@ -233,8 +233,8 @@ class MetricsRegistry:
     def state(self) -> tuple:
         """A picklable snapshot (the registry itself holds a lock and
         cannot cross a process boundary); invert with
-        :meth:`from_state`.  Used by the process-isolation backend to
-        ship per-item telemetry back from subprocess workers."""
+        :meth:`from_state`.  Used under process isolation to ship
+        per-item telemetry back from forked children."""
         with self._lock:
             return (
                 dict(self._counters),

@@ -163,9 +163,10 @@ class Tracer:
         """Rebuild a tracer from finished spans, **preserving ids**.
 
         The transport path for process-isolated batch workers: a
-        subprocess ships its item tracer's records back as plain data,
-        and the supervisor rebuilds an equivalent tracer — ids intact,
-        so the result is indistinguishable from the thread backend's.
+        forked child ships its item tracer's records back as plain
+        data, and its admission thread rebuilds an equivalent tracer —
+        ids intact, so the result is indistinguishable from the thread
+        backend's.
         (Contrast :meth:`absorb`, which re-bases ids to merge two live
         tracers.)
         """

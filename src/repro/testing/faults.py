@@ -106,7 +106,7 @@ class FaultSpec:
         ``finally`` blocks, no unwinding, exactly what a segfault looks
         like from outside), ``'sigkill'`` delivers ``SIGKILL`` to the
         current process.  Only meaningful inside a sacrificial process —
-        a subprocess worker of the :mod:`~repro.core.procpool` backend,
+        a worker's forked child under :mod:`~repro.core.procpool`,
         or a child process a chaos test spawned to die — since in the
         thread backend the "current process" is the caller itself.
     exit_code:

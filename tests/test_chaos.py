@@ -317,9 +317,16 @@ class TestSigtermBatchDrain:
         _export_artifact(journal)
         return drained_rows
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "workers, isolation",
+        [pytest.param(width, "thread", id=str(width)) for width in (1, 2, 4)]
+        + [
+            pytest.param(width, "process", id=f"process-{width}")
+            for width in (1, 2, 4)
+        ],
+    )
     def test_drain_stops_admission_at_every_width(
-        self, rs_query, tmp_path, workers
+        self, rs_query, tmp_path, workers, isolation
     ):
         import threading
 
@@ -346,6 +353,7 @@ class TestSigtermBatchDrain:
                     engine.evaluate_batch(
                         items, seed=2023, max_workers=workers,
                         journal=journal, telemetry=True,
+                        isolation=isolation,
                     )
             finally:
                 timer.cancel()
@@ -358,7 +366,7 @@ class TestSigtermBatchDrain:
 
         resumed = engine.resume_batch(
             items, seed=2023, max_workers=workers, journal=journal,
-            telemetry=True,
+            telemetry=True, isolation=isolation,
         )
         assert sum(r.replayed for r in resumed.results) == workers
         assert _identity_surface(resumed) == _identity_surface(clean)

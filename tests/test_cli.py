@@ -548,6 +548,75 @@ class TestTelemetryFlags:
         assert "trace:" not in out
 
 
+class TestPhaseTable:
+    """``--profile`` and ``repro trace-summary`` print one phase table,
+    pinned byte for byte on fixed spans: rows by wall time, largest
+    first; the profile indents its rows under its ``profile:`` label."""
+
+    META = {"command": "eval", "seed": 7}
+    ITEMS = [{"index": 0, "elapsed": 0.625}]
+
+    @pytest.fixture
+    def telemetry(self):
+        from repro.obs import EvaluationTelemetry, MetricsRegistry, Tracer
+        from repro.obs.spans import SpanRecord
+
+        spans = (
+            SpanRecord(1, None, "item", (("index", 0),), 0.0, 0.5, 0.25, 0),
+            SpanRecord(2, 1, "route.fpras", (), 0.0, 0.375, 0.25, 0.0),
+            SpanRecord(3, 2, "counting.nfta", (), 0.0, 0.0625, 0.03125, 0),
+            SpanRecord(4, 2, "counting.nfta", (), 0.0625, 0.125, 0.03125, 0),
+        )
+        counters = {"sampling.samples": 40, "cache.misses": 2}
+        return EvaluationTelemetry(
+            tracer=Tracer.from_records(spans),
+            metrics=MetricsRegistry.from_state((counters, {}, {})),
+        )
+
+    def test_profile(self, telemetry):
+        from repro.cli import _print_profile
+
+        stream = io.StringIO()
+        _print_profile(telemetry, self.META, self.ITEMS, stream)
+        assert stream.getvalue() == (
+            "profile: phase                     spans       wall        cpu"
+            "   share\n"
+            "         item                          1    0.5000s    0.2500s"
+            " 100.0%\n"
+            "         route.fpras                   1    0.3750s    0.2500s"
+            "  75.0%\n"
+            "         counting.nfta                 2    0.1250s    0.0625s"
+            "  25.0%\n"
+            "         span coverage: 80.0% of 0.6250s item wall time\n"
+            "counters: cache.misses=2 sampling.samples=40\n"
+        )
+
+    def test_profile_without_spans(self):
+        from repro.cli import _print_profile
+        from repro.obs import EvaluationTelemetry
+
+        stream = io.StringIO()
+        _print_profile(EvaluationTelemetry(), self.META, None, stream)
+        assert stream.getvalue() == "profile: no spans recorded\n"
+
+    def test_trace_summary(self, telemetry, tmp_path, capsys):
+        from repro.obs.export import write_trace
+
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w", encoding="utf-8") as stream:
+            write_trace(stream, telemetry, meta=self.META, items=self.ITEMS)
+        assert main(["trace-summary", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "trace:   command=eval seed=7\n"
+            "phase                     spans       wall        cpu   share\n"
+            "item                          1    0.5000s    0.2500s 100.0%\n"
+            "route.fpras                   1    0.3750s    0.2500s  75.0%\n"
+            "counting.nfta                 2    0.1250s    0.0625s  25.0%\n"
+            "items:   1 (0.6250s wall, span coverage 80.0%)\n"
+            "counters: cache.misses=2 sampling.samples=40\n"
+        )
+
+
 class TestArgumentValidation:
     """Malformed flags are usage errors: argparse exit code 2, with a
     message naming the flag, before any file is opened."""

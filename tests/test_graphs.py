@@ -298,6 +298,15 @@ def test_monte_carlo_is_seed_deterministic():
     assert abs(a.estimate - 0.5) < 0.15
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_rejects_a_sample_count_below_one(samples):
+    # As CQ Monte-Carlo and the counters do, before any draw.
+    with pytest.raises(EstimationError, match="samples must be >= 1"):
+        rpq_probability_estimate(
+            DIAMOND, AB, method="monte-carlo", seed=11, samples=samples
+        )
+
+
 def test_repetitions_for_delta_is_odd_and_monotone():
     assert repetitions_for_delta(None) == 1
     assert repetitions_for_delta(None, floor=4) == 5   # rounded to odd

@@ -96,16 +96,23 @@ class TestRecordFormat:
         assert restored.answer.value == fresh.results[0].answer.value
         assert restored.answer.exact
 
-    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize(
+        "width, isolation",
+        [pytest.param(width, "thread", id=str(width)) for width in (1, 2)]
+        + [
+            pytest.param(width, "process", id=f"process-{width}")
+            for width in (1, 2)
+        ],
+    )
     def test_appends_count_in_the_callers_collector(
-        self, tmp_path, engine, rs_items, width
+        self, tmp_path, engine, rs_items, width, isolation
     ):
         # At width 2 the appends run on worker threads.
         telemetry = EvaluationTelemetry()
         with telemetry_scope(telemetry):
             engine.evaluate_batch(
                 rs_items, seed=11, max_workers=width,
-                journal=tmp_path / "batch.jsonl",
+                journal=tmp_path / "batch.jsonl", isolation=isolation,
             )
         assert telemetry.counter("journal.appends") == 1 + len(rs_items)
 

@@ -3,8 +3,9 @@ path, one JSON form of an answer and of an error, one weighted pick,
 one backend table, one scalar layer DP, one Hoeffding bound, one
 Karp–Luby union loop, one sampler chain walk, one cache rule for tree
 counts, one normaliser of a weighted count, one literal type, one
-attempt loop, no executor that admits a whole batch at once and no
-sleep before a retry in ``src/repro/``.
+probability-label check, one attempt loop, one admission loop and one
+fork site, no executor that admits a whole batch at once and no sleep
+before a retry in ``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache` — and one module-level
@@ -47,19 +48,28 @@ weighted count into a probability with
 :func:`repro.automata.nfa_counting.probability_from_measure`, the one
 clamped division by a denominator, which owns what happens past the
 float range.  Facts and graph edges are read through one literal type,
-:class:`repro.automata.symbols.Literal`.  Every retry of an evaluation
+:class:`repro.automata.symbols.Literal`, and fact and edge labels (and
+delta probabilities) pass one check,
+``repro.db.probabilistic._as_probability``.  Every retry of an evaluation
 runs in one attempt loop,
 :func:`repro.core.resilience.evaluate_with_policy`, the only caller of
 ``derive_retry_seed``; a batch item in any ``on_error`` mode walks it.
-Batch workers take one item at a time from one admission loop, so no
+Batch workers take one item at a time from one admission loop,
+``repro.core.parallel._run_admitted``, under either isolation, so no
 module submits a batch to a ``concurrent.futures`` executor up front,
-which would read the drain flag only while submitting.  A hand-copied
-LRU, log, bisection, backend choice, record writer, DP loop, bound,
-union loop, chain walk, count cache rule, normaliser, literal type,
-retry loop or executor elsewhere drifts from the original: its
-counters, its eviction, its crash safety, its strict JSON, its
-tie-breaking, its budget charges, its random stream, its attempt log,
-its drain or its answers stop being the ones the tests check.
+which would read the drain flag only while submitting, and no module
+but :mod:`repro.core.parallel` reads the drain flag
+(``drain_requested(``).  A process worker is an admission thread that
+owns one forked child, and :mod:`repro.core.procpool` is the one fork
+site (``.Process(``, ``get_context(``), under its fork lock.  A
+hand-copied LRU, log, bisection, backend choice, record writer, DP
+loop, bound, union loop, chain walk, count cache rule, normaliser,
+literal type, label check, retry loop, admission loop, fork or
+executor elsewhere drifts from the original: its counters, its
+eviction, its crash safety, its strict JSON, its tie-breaking, its
+budget charges, its random stream, its label errors, its attempt log,
+its drain, its inherited pipe ends or its answers stop being the ones
+the tests check.
 Nothing sleeps but the fault injector's stall and crash waits
 (:mod:`repro.testing.faults`): a retry re-runs CPU-bound sampling on a
 fresh seed, so a delay before it would only spend the item's
@@ -130,10 +140,17 @@ _OWNED = {
     },
     # A second literal type: edges are literals too.
     re.compile(r"^\s*class\s+Literal\b"): {"automata/symbols.py"},
+    # A second probability-label check: graphs and deltas import it.
+    re.compile(r"\bdef _as_probability\b"): {"db/probabilistic.py"},
     # A retry seed: a second retry loop beside the one attempt loop.
     re.compile(r"\bderive_retry_seed\("): {"core/resilience.py"},
     # An executor that takes a whole batch up front ignores a drain.
     re.compile(r"\bThreadPoolExecutor\b"): set(),
+    # Reading the drain flag: a second admission loop.
+    re.compile(r"\bdrain_requested\("): {"core/parallel.py"},
+    # A fork outside the fork lock: a child that inherits a sibling's
+    # pipe end or sentinel hides that sibling's death.
+    re.compile(r"\.Process\(|\bget_context\("): {"core/procpool.py"},
     # A wait: retries run at once, so only injected stalls sleep.
     re.compile(r"\btime\.sleep\s*\("): {"testing/faults.py"},
 }
@@ -179,10 +196,13 @@ def test_no_second_lru_or_fsync_path():
         "repro.core.pqe_estimate._estimate_trees, the clamped division by "
         "a denominator to "
         "repro.automata.nfa_counting.probability_from_measure, the "
-        "literal type to repro.automata.symbols.Literal, retry seeds "
+        "literal type to repro.automata.symbols.Literal, the "
+        "probability-label check to "
+        "repro.db.probabilistic._as_probability, retry seeds "
         "to repro.core.resilience.evaluate_with_policy, batch admission "
-        "to repro.core.parallel's admission loop (no "
-        "ThreadPoolExecutor) and sleeps to repro.testing.faults; build "
+        "and the drain flag to repro.core.parallel's admission loop (no "
+        "ThreadPoolExecutor), forks to repro.core.procpool (under its "
+        "fork lock) and sleeps to repro.testing.faults; build "
         "on them instead:\n"
         + "\n".join(violations)
     )

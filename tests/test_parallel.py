@@ -13,6 +13,7 @@ Covers the contracts documented in :mod:`repro.core.parallel` and
 - retries run at once, each on the item's own derived seed.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -351,7 +352,7 @@ def test_admission_hands_out_every_item_once_under_contention():
     sys.setswitchinterval(1e-6)
     try:
         computed = _run_admitted(
-            runner, list(range(300)), 8, lambda result: result
+            runner.run, list(range(300)), 8, lambda result: result
         )
     finally:
         sys.setswitchinterval(previous)
@@ -359,11 +360,21 @@ def test_admission_hands_out_every_item_once_under_contention():
     assert computed == {index: index for index in range(300)}
 
 
-@pytest.mark.parametrize("width", [1, 2])
-def test_a_journal_failure_leaves_the_batch(monkeypatch, tmp_path, width):
+@pytest.mark.parametrize(
+    "width, isolation",
+    [pytest.param(width, "thread", id=str(width)) for width in (1, 2)]
+    + [
+        pytest.param(width, "process", id=f"process-{width}")
+        for width in (1, 2)
+    ],
+)
+def test_a_journal_failure_leaves_the_batch(
+    monkeypatch, tmp_path, width, isolation
+):
     """A failure outside an item, here a journal append, stops admission
     and leaves ``evaluate_batch`` from whichever worker hit it, with the
-    journal file closed."""
+    journal file closed (and, under process isolation, every child
+    shut down)."""
     import gc
     import warnings
 
@@ -373,12 +384,42 @@ def test_a_journal_failure_leaves_the_batch(monkeypatch, tmp_path, width):
         raise OSError("journal device full")
 
     monkeypatch.setattr(BatchJournal, "record_item", refuse)
+    children_before = set(multiprocessing.active_children())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with pytest.raises(OSError, match="journal device full"):
             evaluate_batch(
                 PQEEngine(), small_items(4), seed=1, max_workers=width,
-                journal=tmp_path / "batch.wal",
+                journal=tmp_path / "batch.wal", isolation=isolation,
             )
         gc.collect()
     assert not [w for w in caught if w.category is ResourceWarning]
+    assert set(multiprocessing.active_children()) <= children_before
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_an_interrupt_inside_an_item_leaves_the_batch(monkeypatch, width):
+    """Ctrl-C inside an item is no error record: it stops admission and
+    leaves ``evaluate_batch``; at width 1 no later item starts."""
+    from repro.core import parallel
+
+    started = []
+    attempt_loop = parallel.evaluate_with_policy
+
+    def spy(engine, query, database, **options):
+        started.append(options["seed"])
+        return attempt_loop(engine, query, database, **options)
+
+    monkeypatch.setattr(parallel, "evaluate_with_policy", spy)
+    items = [BatchItem(QUERY, DIAMOND_PDB, method="fpras")] * 3
+    with inject_faults(
+        FaultSpec("counting.nfta", scope=0, exception=KeyboardInterrupt)
+    ):
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_batch(
+                sampled_engine(), items, seed=5, max_workers=width,
+                on_error="skip",
+            )
+    assert derive_item_seed(5, 0) in started
+    if width == 1:
+        assert started == [derive_item_seed(5, 0)]

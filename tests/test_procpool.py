@@ -8,6 +8,7 @@ for exactly the item it was evaluating, while the batch continues.
 """
 
 import multiprocessing
+import sys
 import time
 
 import pytest
@@ -20,12 +21,14 @@ from repro.core.parallel import (
     BatchItem,
     BatchItemResult,
     ItemRunner,
+    _run_admitted,
     derive_item_seed,
 )
-from repro.core.procpool import run_process_batch
+from repro.core.procpool import ChildRunner
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.errors import ReproError, WorkerCrashError
+from repro.obs import EvaluationTelemetry, telemetry_scope
 from repro.testing.faults import FaultSpec, inject_faults
 
 pytestmark = pytest.mark.skipif(
@@ -83,6 +86,25 @@ class TestBackendIdentity:
         assert (
             isolated.telemetry.metrics.replay_stable_counters()
             == threaded.telemetry.metrics.replay_stable_counters()
+        )
+
+    def test_child_traffic_adds_up_under_contention(self, engine, items):
+        """More admission threads than cores and a tiny switch interval:
+        the cache traffic summed over the children equals what the items
+        themselves counted, so no thread's share was lost."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = engine.evaluate_batch(
+                items * 2, seed=5, max_workers=4, isolation="process",
+                telemetry=True,
+            )
+        finally:
+            sys.setswitchinterval(previous)
+        counters = batch.telemetry.metrics.counters
+        assert batch.cache_stats.misses >= 1
+        assert (batch.cache_stats.hits, batch.cache_stats.misses) == (
+            counters.get("cache.hits", 0), counters.get("cache.misses", 0)
         )
 
     def test_spans_cross_the_process_boundary(self, engine, items):
@@ -158,6 +180,38 @@ class TestCrashContainment:
         assert not batch.results[0].ok
         assert batch.results[0].retries == 0
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_crashes_count_in_the_callers_collector(
+        self, engine, items, width
+    ):
+        # At width 2 the crash and the restart happen on an admission
+        # thread, which has no collector of its own.
+        telemetry = EvaluationTelemetry()
+        with inject_faults(
+            FaultSpec("counting.nfta", scope=0, crash="exit")
+        ), telemetry_scope(telemetry):
+            engine.evaluate_batch(
+                items[:4], seed=5, max_workers=width, isolation="process",
+                on_error="skip",
+            )
+        assert telemetry.counter("procpool.crashes") == 1
+        assert telemetry.counter("procpool.restarts") == 1
+
+    def test_an_interrupt_ends_the_child_as_a_crash(self, engine, items):
+        # KeyboardInterrupt is no item error: in a child it propagates,
+        # ends the child, and its admission thread records a crash.
+        with inject_faults(
+            FaultSpec("counting.nfta", scope=0, exception=KeyboardInterrupt)
+        ):
+            batch = engine.evaluate_batch(
+                items[:3], seed=5, max_workers=1, isolation="process",
+                on_error="skip",
+            )
+        crashed = batch.results[0]
+        assert crashed.error.exception == "WorkerCrashError"
+        assert "exit code 1)" in crashed.error.message
+        assert all(r.ok for r in batch.results[1:])
+
     def test_surviving_siblings_match_crash_free_run(self, engine, items):
         clean = engine.evaluate_batch(items, seed=5, max_workers=2)
         with inject_faults(
@@ -172,6 +226,21 @@ class TestCrashContainment:
                 crashed.results[index].answer.value
                 == clean.results[index].answer.value
             )
+
+
+def _run_in_children(
+    runner, pending, *, width=1, memory_limit=None,
+    on_settled=lambda result: result,
+):
+    """The one admission loop over ``pending``, each item in its
+    admission thread's forked child, as ``isolation='process'`` runs
+    it; returns the settled items and the children's cache traffic."""
+    children = ChildRunner(runner, memory_limit)
+    try:
+        computed = _run_admitted(children.run, pending, width, on_settled)
+    finally:
+        children.close()
+    return computed, children.stats
 
 
 class _WedgedRunner:
@@ -233,7 +302,7 @@ class TestSupervisor:
     def test_watchdog_kills_wedged_worker(self):
         runner = _WedgedRunner()
         started = time.perf_counter()
-        computed, _ = run_process_batch(runner, [0], max_workers=1)
+        computed, _ = _run_in_children(runner, [0])
         elapsed = time.perf_counter() - started
         assert elapsed < 10  # killed by the watchdog, not the sleep
         assert not computed[0].ok
@@ -250,7 +319,7 @@ class TestSupervisor:
             routes=None, on_error="skip", telemetry=False,
         )
         started = time.perf_counter()
-        computed, _ = run_process_batch(runner, [0], max_workers=1)
+        computed, _ = _run_in_children(runner, [0])
         assert time.perf_counter() - started < 10
         assert computed[0].error.exception == "WorkerCrashError"
         assert "watchdog timeout" in computed[0].error.message
@@ -267,8 +336,8 @@ class TestSupervisor:
     def test_memory_cap_degrades_to_memory_error(self):
         # The cap turns an OOM kill (host-fatal) into a recoverable
         # in-worker MemoryError record.
-        computed, _ = run_process_batch(
-            _HungryRunner(), [0], max_workers=1, memory_limit=4 << 30
+        computed, _ = _run_in_children(
+            _HungryRunner(), [0], memory_limit=4 << 30
         )
         assert not computed[0].ok
         assert computed[0].error.exception == "MemoryError"
@@ -285,9 +354,8 @@ class TestSupervisor:
             seen.append(result.index)
             return result
 
-        computed, stats = run_process_batch(
-            runner, list(range(len(items))), max_workers=2,
-            on_settled=settle,
+        computed, stats = _run_in_children(
+            runner, list(range(len(items))), width=2, on_settled=settle,
         )
         assert sorted(seen) == list(range(len(items)))
         assert sorted(computed) == list(range(len(items)))
