@@ -27,7 +27,7 @@ can draw approximately-uniform samples:
   sets: sample a component ∝ its estimated size, draw a string from it,
   accept iff the component is the canonically-first one containing the
   string (membership read off the bitmask of states accepting the
-  string, memoized per shared cons cell).  Only these nodes consume
+  string, which its cons cell carries).  Only these nodes consume
   samples and introduce error.
 
 A word is a unary tree: the letter prefix ``a · A`` is the one-child
@@ -38,10 +38,11 @@ shares this module's nodes (:class:`_ProductNode`,
 (:meth:`_CounterBase._exact_product`), union loop
 (:func:`_karp_luby_union`), counter skeleton, runner
 (:func:`_median_count`) and k-draw loop.  Nodes make their members
-through a store — cons cells for words (:class:`_Words`), interned
-trees for CountNFTA — and a chain draw ends in one
-``store.make_chain`` call.  Each counter supplies only its plan, its
-store, its membership test and its rule for when a product is exact.
+through a store — cons cells that carry their accepting states for
+words (:class:`_Words`, one per plan), interned trees for CountNFTA —
+and a chain draw ends in one ``store.make_chain`` call.  Each counter
+supplies only its plan, its store, its membership test and its rule
+for when a product is exact.
 Every union sample and k-draw charges the active evaluation budget.
 
 Error behaviour: each union estimate has relative standard deviation
@@ -88,8 +89,9 @@ __all__ = [
 State = Hashable
 Symbol = Hashable
 
-# A word is a cons-chain: () for the empty word, else (symbol id, rest).
-# Cons cells share suffixes, so sample pools cost O(1) cells per entry.
+# A word is a cons-chain: () for the empty word, else (symbol id, rest,
+# accepting states) (see _Words).  Cons cells share suffixes, so sample
+# pools cost O(1) cells per entry.
 _EMPTY = ()
 
 
@@ -274,10 +276,9 @@ class _Recipe(_ExactNode):
 
     ``member(i)`` builds member i once and keeps it in a list of
     ``size`` slots, made on the first such read: a member drawn twice
-    is the same object, so memos keyed by identity keep hitting.
-    ``members`` builds the whole tuple in bulk from the children's
-    tuples on the first read, and keeps it.  A subclass supplies
-    ``_resolve(i)`` and ``_build()``.
+    is built once.  ``members`` builds the whole tuple in bulk from the
+    children's tuples on the first read, and keeps it.  A subclass
+    supplies ``_resolve(i)`` and ``_build()``.
     """
 
     __slots__ = ("_memo",)
@@ -311,7 +312,8 @@ class _ExactProduct(_Recipe):
     ``itertools.product`` order: child j of member i is child j's member
     ``i // Π_{m>j} size_m % size_j``.  A member is made in ``store``
     when it is first read; a word's letter prefix ``a · A`` is the unary
-    case, whose member i is the cons cell ``(a, A's member i)``."""
+    case, whose member i is the cons cell of ``a`` before A's member
+    i."""
 
     __slots__ = ("_store", "_symbol", "_children")
 
@@ -463,33 +465,54 @@ class _ProductNode:
 
 
 class _Words:
-    """Words as cons cells: CountNFA's store.  ``make(a, (w,))`` is the
-    cell ``(a, w)``, a chain conses its letters, and exact products are
-    recipes.  It holds nothing, so every counter shares :data:`_WORDS`."""
+    """Words as cons cells: CountNFA's store, one per plan.
 
-    __slots__ = ()
+    ``make(a, (w,))`` is the cell ``(a, w, states)``, where ``states``
+    is the bitmask of the states accepting the word ``a · w``: one
+    backward step (``backward[a][t]`` is the bitmask of states reaching
+    state ``t`` on symbol ``a``) from ``w``'s mask, which for the empty
+    word is the accepting mask.  A word thus carries what a union's
+    membership test reads, and a rejected draw is freed with its union.
+    A chain conses its letters, and exact products are recipes.
+    """
 
-    @staticmethod
-    def make(symbol: int, children: tuple):
-        return (symbol, children[0])
+    __slots__ = ("_backward", "_accepting")
 
-    @staticmethod
-    def make_all(symbol: int, combos) -> list:
-        return [(symbol, word) for (word,) in combos]
+    def __init__(self, backward: list, accepting_mask: int):
+        self._backward = backward
+        self._accepting = accepting_mask
 
-    @staticmethod
-    def make_chain(symbols: list, word):
+    def states(self, word) -> int:
+        """The bitmask of the states accepting ``word``."""
+        return word[2] if word else self._accepting
+
+    def make(self, symbol: int, children: tuple):
+        return self.make_chain((symbol,), children[0])
+
+    def make_all(self, symbol: int, combos) -> list:
+        make_chain = self.make_chain
+        letter = (symbol,)
+        return [make_chain(letter, word) for (word,) in combos]
+
+    def make_chain(self, symbols, word):
         """The word ``symbols · word``: the letters consed on last to
-        first."""
+        first, each cell's mask one backward step from its suffix's,
+        walked a state bit at a time."""
+        mask = self.states(word)
+        backward = self._backward
         for symbol in reversed(symbols):
-            word = (symbol, word)
+            table = backward[symbol]
+            sources = 0
+            while mask:
+                low = mask & -mask
+                sources |= table.get(low.bit_length() - 1, 0)
+                mask ^= low
+            mask = sources
+            word = (symbol, word, mask)
         return word
 
     def exact_product(self, symbol: int, children, weights):
         return _ExactProduct(self, symbol, children, weights)
-
-
-_WORDS = _Words()
 
 
 # ----------------------------------------------------------------------
@@ -700,21 +723,19 @@ class _WordPlan:
     order the evaluator visits them in.  ``cells[i]`` describes the
     i-th needed (state, remaining) pair in evaluation order: for
     ``remaining == 0`` whether the state accepts, otherwise its letters
-    as ``(symbol id, ((target id, pair index), …))``.  ``backward[a][t]``
-    is the bitmask of states reaching state ``t`` on symbol ``a`` — one
-    step of the acceptance masks.
+    as ``(symbol id, ((target id, pair index), …))``.  ``words`` is the
+    word store (:class:`_Words`) over the automaton's backward table.
     """
 
     __slots__ = (
-        "states", "symbols", "cells", "roots", "used_symbols",
-        "accepting_mask", "backward",
+        "states", "symbols", "cells", "roots", "used_symbols", "words",
     )
 
     def __init__(self, nfa: NFA, length: int):
         compiled = nfa.compiled
         self.states = compiled.states
         self.symbols = compiled.symbols
-        self.accepting_mask = compiled.accepting_mask
+        accepting_mask = compiled.accepting_mask
         letters = compiled.letters
         backward: list[dict[int, int]] = [{} for _ in self.symbols]
         for state, state_letters in enumerate(letters):
@@ -722,7 +743,7 @@ class _WordPlan:
                 table = backward[sid]
                 for target in targets:
                     table[target] = table.get(target, 0) | 1 << state
-        self.backward = backward
+        self.words = _Words(backward, accepting_mask)
 
         needed: set[tuple[int, int]] = set()
         stack = [(q, length) for q in compiled.initial]
@@ -742,7 +763,7 @@ class _WordPlan:
         cells: list = []
         for state, remaining in pairs:
             if not remaining:
-                cells.append(bool(self.accepting_mask >> state & 1))
+                cells.append(bool(accepting_mask >> state & 1))
                 continue
             cell = []
             for sid, targets in letters[state]:
@@ -769,11 +790,7 @@ class _Counter(_CounterBase):
 
     def __init__(self, plan: _WordPlan, *args, **kwargs):
         super().__init__(plan, *args, **kwargs)
-        self._store = _WORDS
-        # id(cons cell) -> bitmask of states accepting that word; the
-        # cells are kept alive so their ids stay unique.
-        self._accepts: dict[int, int] = {}
-        self._alive: list = []
+        self._store = plan.words
 
     def _root(self, values: list):
         return self._union(
@@ -841,53 +858,20 @@ class _Counter(_CounterBase):
         earlier = [0]
         for state, _value in components[:-1]:
             earlier.append(earlier[-1] | 1 << state)
+        states = self._store.states
 
         def held_earlier(index: int, word) -> bool:
-            return index > 0 and bool(
-                self._accepting_states(word) & earlier[index]
-            )
+            return index > 0 and bool(states(word) & earlier[index])
 
         estimate, pool, attempts = _karp_luby_union(
             [value for _, value in components], held_earlier,
             self._samples, self._rng, self._phase, self._metric,
         )
         self.samples_used += attempts
-        if prefix_symbol is None:
-            return _PoolNode(estimate, pool)
-        # The letter's weight scales the union's estimate, and accepted
-        # words get their letter, after the loop.
-        return _PoolNode(
-            estimate * self._symbol_weight(prefix_symbol),
-            [(prefix_symbol, word) for word in pool],
-        )
-
-    def _accepting_states(self, word) -> int:
-        """Bitmask of the states accepting ``word``, memoized per cons
-        cell: a new cell costs one backward step from its (already
-        known) suffix."""
-        memo = self._accepts
-        chain = []
-        cell = word
-        mask = self._plan.accepting_mask
-        while cell:
-            known = memo.get(id(cell))
-            if known is not None:
-                mask = known
-                break
-            chain.append(cell)
-            cell = cell[1]
-        backward = self._plan.backward
-        for cell in reversed(chain):
-            table = backward[cell[0]]
-            sources = 0
-            while mask:
-                low = mask & -mask
-                sources |= table.get(low.bit_length() - 1, 0)
-                mask ^= low
-            mask = sources
-            memo[id(cell)] = mask
-        self._alive.extend(chain)
-        return mask
+        # The pool keeps the accepted words; a draw from it gets the
+        # letter (and the letter's weight scales the estimate) through
+        # the unary product over it.
+        return self._wrap(_PoolNode(estimate, pool), prefix_symbol)
 
 
 def count_nfa(

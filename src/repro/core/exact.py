@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from repro.core.budget import budget_checkpoint
 from repro.db.instance import DatabaseInstance
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.db.semantics import satisfies
@@ -47,11 +48,10 @@ def exact_probability(
                 f"enumeration over 2^{len(pdb)} subinstances refused; "
                 "use method='lineage'"
             )
-        total = Fraction(0)
-        for subset in pdb.instance.subinstances():
-            if satisfies(DatabaseInstance(subset), query):
-                total += pdb.subinstance_probability(subset)
-        return total
+        return sum(
+            map(pdb.subinstance_probability, _satisfying(pdb.instance, query)),
+            Fraction(0),
+        )
     raise ReproError(f"unknown exact method {method!r}")
 
 
@@ -80,9 +80,14 @@ def exact_uniform_reliability(
             raise ReproError(
                 f"enumeration over 2^{len(instance)} subinstances refused"
             )
-        return sum(
-            1
-            for subset in instance.subinstances()
-            if satisfies(DatabaseInstance(subset), query)
-        )
+        return sum(1 for _ in _satisfying(instance, query))
     raise ReproError(f"unknown exact method {method!r}")
+
+
+def _satisfying(instance: DatabaseInstance, query: ConjunctiveQuery):
+    """The subinstances of ``instance`` that satisfy ``query``, each
+    subinstance a deadline checkpoint (phase ``exact.enumerate``)."""
+    for subset in instance.subinstances():
+        budget_checkpoint("exact.enumerate")
+        if satisfies(DatabaseInstance(subset), query):
+            yield subset

@@ -97,7 +97,9 @@ cannot contain:
     *traffic* differs, because each child owns a private copy of the
     reduction cache (share a durable
     :class:`~repro.core.diskcache.DiskCache` tier to win the reuse
-    back).
+    back).  Above one worker that traffic also changes from run to
+    run, because scheduling picks which child's cache serves an item;
+    only one worker repeats it.
 
 ``journal=FILE`` (+ ``resume=True``)
     Every settled item is appended to an fsync'd

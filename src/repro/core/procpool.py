@@ -41,7 +41,8 @@ records rebuilt id-for-id.  Cache *traffic* is the one documented
 difference: each child owns a fork-time copy of the reduction cache,
 so the batch's ``cache_stats`` sum the children's traffic (a
 :class:`~repro.core.diskcache.DiskCache` tier shares builds across
-processes durably).
+processes durably).  Above one worker that sum changes from run to
+run, because scheduling picks which child's cache serves an item.
 
 Requires the ``fork`` start method (POSIX): the runner — engine, items,
 live cache — and installed fault plans (:mod:`repro.testing.faults`)
@@ -136,7 +137,9 @@ def _thaw_result(payload) -> BatchItemResult:
 
 
 def _child_main(conn, runner: ItemRunner, memory_limit: int | None):
-    """Child loop: evaluate requested indexes until told to stop."""
+    """Child loop: evaluate requested indexes until told to stop.  An
+    interrupt ends the child with exit code 1 and no traceback (its
+    admission thread records the crash)."""
     if memory_limit is not None and resource is not None:
         try:
             resource.setrlimit(
@@ -144,32 +147,37 @@ def _child_main(conn, runner: ItemRunner, memory_limit: int | None):
             )
         except (ValueError, OSError):  # pragma: no cover - cap refused
             pass
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message is None:
-            return
-        before = runner.cache.stats
-        result = runner.run(message)
-        stats = runner.cache.stats - before
-        try:
-            payload = _freeze_payload(
-                result, runner.causes.get(message), stats
-            )
-            conn.send(payload)
-        except Exception as failure:
-            # The result itself would not pickle; ship a structured
-            # error record instead of wedging the pipe.
-            fallback = BatchItemResult(
-                index=message,
-                answer=None,
-                seed=result.seed,
-                elapsed=result.elapsed,
-                error=_error_record(failure, result.elapsed, 0, None),
-            )
-            conn.send(_freeze_payload(fallback, None, stats))
+    try:
+        while True:
+            try:
+                message = conn.recv()
+            except EOFError:
+                return
+            if message is None:
+                return
+            before = runner.cache.stats
+            result = runner.run(message)
+            stats = runner.cache.stats - before
+            try:
+                payload = _freeze_payload(
+                    result, runner.causes.get(message), stats
+                )
+                conn.send(payload)
+            except Exception as failure:
+                # The result itself would not pickle; ship a structured
+                # error record instead of wedging the pipe.
+                fallback = BatchItemResult(
+                    index=message,
+                    answer=None,
+                    seed=result.seed,
+                    elapsed=result.elapsed,
+                    error=_error_record(failure, result.elapsed, 0, None),
+                )
+                conn.send(_freeze_payload(fallback, None, stats))
+    except KeyboardInterrupt:
+        # multiprocessing reports an integer exit code without a
+        # traceback.
+        raise SystemExit(1) from None
 
 
 class _Child:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from repro.core.budget import budget_checkpoint
 from repro.db.fact import Fact
 from repro.lineage.dnf import DNF
 
@@ -31,7 +32,8 @@ __all__ = ["dnf_probability"]
 def dnf_probability(
     formula: DNF, probabilities: Mapping[Fact, Fraction]
 ) -> Fraction:
-    """Exact ``Pr[φ]`` under independent fact probabilities."""
+    """Exact ``Pr[φ]`` under independent fact probabilities.  Each
+    expansion step is a deadline checkpoint (phase ``lineage.wmc``)."""
     probs = {f: Fraction(p) for f, p in probabilities.items()}
     memo: dict[frozenset[frozenset[Fact]], Fraction] = {}
     return _probability(formula.minimized().clauses, probs, memo)
@@ -42,6 +44,7 @@ def _probability(
     probs: Mapping[Fact, Fraction],
     memo: dict,
 ) -> Fraction:
+    budget_checkpoint("lineage.wmc")
     if not clauses:
         return Fraction(0)
     cached = memo.get(clauses)

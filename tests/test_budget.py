@@ -281,3 +281,40 @@ def test_lifted_classification_checks_the_deadline():
         )
     assert time.perf_counter() - started < 1.0
     assert info.value.phase == "lifted.classify"
+
+
+def test_shannon_expansion_checks_the_deadline():
+    # ``auto`` routes this unsafe query's 1,024-clause lineage to the
+    # exact Shannon expansion, which runs about a second unbudgeted.
+    pdb = ProbabilisticDatabase({
+        fact: Fraction(1, 4)
+        for fact in complete_layered_path_instance(4, 4)
+    })
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        PQEEngine(seed=1).probability(
+            path_query(4), pdb, budget=EvaluationBudget(deadline=0.2)
+        )
+    assert time.perf_counter() - started < 0.4
+    assert info.value.phase == "lineage.wmc"
+
+
+@pytest.mark.parametrize("task", ["probability", "reliability"])
+def test_enumeration_checks_the_deadline(task):
+    # 2^14 subinstances, none satisfying the query: over a second of
+    # enumeration unbudgeted.
+    facts = [Fact("R", (f"a{i}", f"b{i}")) for i in range(14)]
+    pdb = ProbabilisticDatabase({fact: Fraction(1, 3) for fact in facts})
+    query = parse_query("Q :- R(x, y), R(y, z)")
+    engine = PQEEngine(seed=1)
+    budget = EvaluationBudget(deadline=0.2)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        if task == "probability":
+            engine.probability(query, pdb, "enumerate", budget=budget)
+        else:
+            engine.uniform_reliability(
+                query, pdb.instance, "enumerate", budget=budget
+            )
+    assert time.perf_counter() - started < 0.4
+    assert info.value.phase == "exact.enumerate"

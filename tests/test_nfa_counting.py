@@ -15,10 +15,10 @@ from repro.automata.nfa_counting import (
     _ExactNode,
     _ExactProduct,
     _karp_luby_union,
+    _materialize,
     _ProductNode,
     _SumNode,
     _WordPlan,
-    _WORDS,
     count_nfa,
     default_sample_count,
     sample_accepted_strings,
@@ -149,6 +149,30 @@ class TestUnionLoop:
         assert (attempts, len(pool)) == (4 * 3, 1)
 
 
+#: The word store of an automaton over eight letters (ids 0–7), for
+#: tests that build words by hand.
+WORDS = _WordPlan(NFA(
+    [
+        (source, letter, target)
+        for source in range(3)
+        for letter in "abcdefgh"
+        for target in range(3)
+        if (source + target + ord(letter)) % 3
+    ],
+    initial=[0],
+    accepting=[1],
+), 0).words
+
+
+def _word(*letters):
+    """The word of letter ids ``letters``, made cell by cell in
+    :data:`WORDS`."""
+    word = ()
+    for letter in reversed(letters):
+        word = WORDS.make(letter, (word,))
+    return word
+
+
 def _held(rng, words, weighted):
     """A held exact node over ``words``, with random weights if
     ``weighted``."""
@@ -178,14 +202,14 @@ class TestRecipes:
     def test_unequal_concatenation(self, weighted):
         rng = random.Random(3)
         parts = [
-            _held(rng, [(0, (i, ())) for i in range(size)], weighted)
+            _held(rng, [_word(0, i) for i in range(size)], weighted)
             for size in (1, 4, 2, 7)
         ]
         # A recipe among the parts: another letter before part 2.
         weights = parts[2].weights
         if weighted:
             weights = tuple(0.5 * w for w in weights)
-        parts.append(_ExactProduct(_WORDS, 2, [parts[2]], weights))
+        parts.append(_ExactProduct(WORDS, 2, [parts[2]], weights))
         concat = _ExactConcat(parts, weighted)
         eager = _ExactNode(
             tuple(m for part in parts for m in part.members),
@@ -197,19 +221,20 @@ class TestRecipes:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_prefix(self, weighted):
         rng = random.Random(4)
-        child = _held(rng, [(i, ()) for i in range(5)], weighted)
+        child = _held(rng, [_word(i) for i in range(5)], weighted)
         weights = None
         if weighted:
             weights = tuple(0.25 * w for w in child.member_weights())
-        prefix = _ExactProduct(_WORDS, 7, [child], weights)
+        prefix = _ExactProduct(WORDS, 7, [child], weights)
         eager = _ExactNode(
-            tuple((7, word) for word in child.members), weights
+            tuple(WORDS.make(7, (word,)) for word in child.members),
+            weights,
         )
         _assert_same_node(prefix, eager)
 
     def test_a_word_drawn_twice_is_one_cons_cell(self):
         prefix = _ExactProduct(
-            _WORDS, 1, [_ExactNode(((0, ()), (2, ())))], None
+            WORDS, 1, [_ExactNode((_word(0), _word(2)))], None
         )
         assert prefix.member(1) is prefix.member(1)
         rng = random.Random(0)
@@ -221,7 +246,7 @@ class TestRecipes:
     def test_draws_read_the_stream_of_the_eager_node(self):
         rng = random.Random(5)
         for weighted in (False, True):
-            parts = [_held(rng, [(s, ()) for s in range(k)], weighted)
+            parts = [_held(rng, [_word(s) for s in range(k)], weighted)
                      for k in (3, 1, 5)]
             concat = _ExactConcat(parts, weighted)
             eager = _ExactNode(concat.members, concat.weights)
@@ -236,7 +261,9 @@ def _recursive_draw(node, rng):
     """One ``draw`` call per link: the order the chain walk keeps."""
     if isinstance(node, _ProductNode):
         (child,) = node.children  # a letter prefix is unary
-        return (node.symbol, _recursive_draw(child, rng))
+        return node.store.make(
+            node.symbol, (_recursive_draw(child, rng),)
+        )
     if isinstance(node, _SumNode):
         pick = rng.random() * node.count
         return _recursive_draw(
@@ -275,15 +302,19 @@ class TestChainWalk:
 
 
     def test_make_chain_conses_like_make(self):
-        word = (5, (6, ()))
+        word = _word(5, 6)
         symbols = [1, 2, 3, 2]
         folded = word
         for symbol in reversed(symbols):
-            folded = _WORDS.make(symbol, (folded,))
-        assert _WORDS.make_chain(symbols, word) == folded == (
-            1, (2, (3, (2, word)))
-        )
-        assert _WORDS.make_chain([], word) is word
+            folded = WORDS.make(symbol, (folded,))
+        chained = WORDS.make_chain(symbols, word)
+        assert chained == folded
+        assert _materialize(chained) == [1, 2, 3, 2, 5, 6]
+        assert chained[1][1][1][1] is word
+        assert WORDS.make_chain([], word) is word
+        assert WORDS.make_all(4, [(word,), (chained,)]) == [
+            WORDS.make(4, (word,)), WORDS.make(4, (chained,))
+        ]
 
 
 class TestSampling:
@@ -508,3 +539,4 @@ class TestBudget:
             telemetry.counter("count_nfa.samples_drawn")
             == budgeted.samples_used
         )
+

@@ -3,9 +3,10 @@ path, one JSON form of an answer and of an error, one weighted pick,
 one backend table, one scalar layer DP, one Hoeffding bound, one
 Karp–Luby union loop, one sampler chain walk, one cache rule for tree
 counts, one normaliser of a weighted count, one literal type, one
-probability-label check, one attempt loop, one admission loop and one
-fork site, no executor that admits a whole batch at once and no sleep
-before a retry in ``src/repro/``.
+probability-label check, one attempt loop, one admission loop, one
+fork site and two owners of lookups by identity, no executor that
+admits a whole batch at once and no sleep before a retry in
+``src/repro/``.
 
 The package has one LRU with in-flight build dedup —
 :class:`repro.core.cache.ReductionCache` — and one module-level
@@ -40,7 +41,13 @@ the one loop that walks a chain of unary products and the
 ``_SumNode`` picks between them, and a chain is built by its store's
 ``make_chain`` (the word store in :mod:`repro.automata.nfa_counting`,
 the tree stores in :mod:`repro.automata.nfta_counting`), so a second
-prefix node or chain walk cannot return.  UREstimate and PQEEstimate
+prefix node or chain walk cannot return.  A word carries the states
+that accept it, so CountNFA needs no memo keyed by a cell's identity,
+which would have to pin every cell it keys: only the tree automaton's
+per-call derivability memo (:mod:`repro.automata.nfta`) and the
+reference tree store, which interns and keeps every tree
+(:mod:`repro.automata.nfta_counting`), look anything up by ``id(``,
+and that lint reads comments too.  UREstimate and PQEEstimate
 count trees in one step, :func:`repro.core.pqe_estimate._estimate_trees`,
 the only place that caches a count result only when it stayed exact
 (``cache_if=lambda …: ….exact``).  Every automaton route turns a
@@ -69,7 +76,7 @@ executor elsewhere drifts from the original: its counters, its
 eviction, its crash safety, its strict JSON, its tie-breaking, its
 budget charges, its random stream, its label errors, its attempt log,
 its drain, its inherited pipe ends or its answers stop being the ones
-the tests check.
+the tests check; an identity-keyed memo pins every draw it has seen.
 Nothing sleeps but the fault injector's stall and crash waits
 (:mod:`repro.testing.faults`): a retry re-runs CPU-bound sampling on a
 fresh seed, so a delay before it would only spend the item's
@@ -83,6 +90,10 @@ import pathlib
 import re
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
+
+#: ``id(``: matched in comments too, since a comment that keys by
+#: identity describes a memo keyed by it.
+_IDENTITY_KEY = re.compile(r"\bid\(")
 
 #: pattern → the source files (relative to ``src/repro``) allowed to
 #: use it.
@@ -153,6 +164,9 @@ _OWNED = {
     re.compile(r"\.Process\(|\bget_context\("): {"core/procpool.py"},
     # A wait: retries run at once, so only injected stalls sleep.
     re.compile(r"\btime\.sleep\s*\("): {"testing/faults.py"},
+    # An identity-keyed lookup: its keys stay valid only while what
+    # they name is pinned.
+    _IDENTITY_KEY: {"automata/nfta.py", "automata/nfta_counting.py"},
 }
 
 
@@ -165,7 +179,8 @@ def _violations() -> list[str]:
         ):
             code = line.split("#", 1)[0]
             for pattern, owners in _OWNED.items():
-                if name not in owners and pattern.search(code):
+                text = line if pattern is _IDENTITY_KEY else code
+                if name not in owners and pattern.search(text):
                     found.append(f"src/repro/{name}:{number}: {line.strip()}")
     return found
 
@@ -202,7 +217,9 @@ def test_no_second_lru_or_fsync_path():
         "to repro.core.resilience.evaluate_with_policy, batch admission "
         "and the drain flag to repro.core.parallel's admission loop (no "
         "ThreadPoolExecutor), forks to repro.core.procpool (under its "
-        "fork lock) and sleeps to repro.testing.faults; build "
-        "on them instead:\n"
+        "fork lock), sleeps to repro.testing.faults and lookups by "
+        "id( to the tree automaton's derivability memo and the "
+        "reference tree store (a word carries its accepting states); "
+        "build on them instead:\n"
         + "\n".join(violations)
     )

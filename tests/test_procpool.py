@@ -197,9 +197,12 @@ class TestCrashContainment:
         assert telemetry.counter("procpool.crashes") == 1
         assert telemetry.counter("procpool.restarts") == 1
 
-    def test_an_interrupt_ends_the_child_as_a_crash(self, engine, items):
+    def test_an_interrupt_ends_the_child_as_a_crash(
+        self, engine, items, capfd
+    ):
         # KeyboardInterrupt is no item error: in a child it propagates,
-        # ends the child, and its admission thread records a crash.
+        # ends the child quietly, and its admission thread records a
+        # crash.
         with inject_faults(
             FaultSpec("counting.nfta", scope=0, exception=KeyboardInterrupt)
         ):
@@ -211,6 +214,7 @@ class TestCrashContainment:
         assert crashed.error.exception == "WorkerCrashError"
         assert "exit code 1)" in crashed.error.message
         assert all(r.ok for r in batch.results[1:])
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_surviving_siblings_match_crash_free_run(self, engine, items):
         clean = engine.evaluate_batch(items, seed=5, max_workers=2)

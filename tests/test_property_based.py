@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
-from repro.automata.nfa_counting import _Counter, _WordPlan
+from repro.automata.nfa_counting import _WordPlan
 from repro.automata.nfta import LAMBDA, NFTA
 from repro.automata.nfta_counting import (
     _CounterPlan,
@@ -476,8 +476,9 @@ def test_compiled_derivability_matches_derivable_states(seed):
 @settings(max_examples=40, deadline=None)
 def test_cons_cell_acceptance_matches_accepts_from(seed):
     """The CountNFA sampler reads membership off the bitmask of states
-    accepting a cons-cell word, memoized per shared cell; it must agree
-    with :meth:`NFA.accepts_from` for every state and word."""
+    accepting a cons-cell word, which each cell of the plan's word store
+    carries; made cell by cell or as one chain, it must agree with
+    :meth:`NFA.accepts_from` for every state and word."""
     rng = random.Random(seed)
     states = list(range(rng.randint(1, 6))) + ["dead", "island"]
     transitions = [
@@ -494,20 +495,22 @@ def test_cons_cell_acceptance_matches_accepts_from(seed):
         accepting=[s for s in states[:-2] if rng.random() < 0.5],
     )
     plan = _WordPlan(nfa, 0)
-    counter = _Counter(plan, 0, 0.5, None, 0, random.Random(0))
+    store = plan.words
     symbol_ids = {symbol: index for index, symbol in enumerate(plan.symbols)}
     cells: dict[tuple, tuple] = {(): ()}
 
     def cons(word: tuple) -> tuple:
         # Words sharing a suffix share its cells, as sampled words do.
         if word not in cells:
-            cells[word] = (symbol_ids[word[0]], cons(word[1:]))
+            cells[word] = store.make(symbol_ids[word[0]], (cons(word[1:]),))
         return cells[word]
 
     for _ in range(30):
         length = rng.randint(0, 6) if plan.symbols else 0
         word = tuple(rng.choice(plan.symbols) for _ in range(length))
-        accepts = counter._accepting_states(cons(word))
+        cell = cons(word)
+        assert store.make_chain([symbol_ids[s] for s in word], ()) == cell
+        accepts = store.states(cell)
         for state_id, state in enumerate(plan.states):
             assert bool(accepts >> state_id & 1) == nfa.accepts_from(
                 state, word
